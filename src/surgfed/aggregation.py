@@ -107,25 +107,9 @@ def fedbn_plus_feature(param_sets, pretrained_bn, weights=None):
 def collect_bn_stats(params: ParamSet, arch: Architecture, x) -> tuple[dict, dict]:
     """Per-layer input mean/variance observed in one train-style pass
     over ``x``; used to pre-seed global batch-norm statistics."""
-    probe = params.copy()
-    captured_mean: dict[int, np.ndarray] = {}
-    captured_var: dict[int, np.ndarray] = {}
-    h = np.asarray(x, dtype=np.float64)
-    for i, spec in enumerate(arch.feature_specs):
-        if spec.kind == "dense":
-            h = h @ probe.feature[f"{i}.W"] + probe.feature[f"{i}.b"]
-        elif spec.kind == "batchnorm":
-            mu = h.mean(axis=0)
-            var = h.var(axis=0)
-            captured_mean[i] = mu
-            captured_var[i] = var
-            h = probe.feature[f"{i}.gamma"] * ((h - mu) / np.sqrt(var + arch.bn_eps)) + probe.feature[f"{i}.beta"]
-        elif spec.kind == "relu":
-            h = np.maximum(h, 0.0)
-        else:
-            from scipy.special import expit
-
-            h = expit(h)
+    acts, _ = forward(params.copy(), arch, x, "train")
+    captured_mean = {i: acts[i].mean(axis=0) for i in arch.bn_layers()}
+    captured_var = {i: acts[i].var(axis=0) for i in arch.bn_layers()}
     return captured_mean, captured_var
 
 

@@ -7,9 +7,9 @@ Subcommands::
     surgfed ablation <clients|shared> --out <dir>   scenario ladders
 
 Global options: ``--seed`` replaces every seed in the config
-deterministically, ``--parallel-clients`` trains clients on worker
-threads (bit-identical results).  The ``SURGFED_OUT_DIR`` environment
-variable overrides the output directory of any subcommand.
+deterministically, ``--parallel-clients`` trains lock-step client groups
+on worker threads (bit-identical results).  The ``SURGFED_OUT_DIR``
+environment variable overrides the output directory of any subcommand.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
 Every CSV row carries the manifest hash of the run that produced it, so
@@ -83,9 +83,16 @@ def _opt_number(obj, key: str, path: str, default):
     if key not in obj or obj[key] is None:
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"field {path}.{key} must be a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise ConfigError(f"field {path}.{key} must be a finite number")
     return float(v)
+
+
+def _opt_bool(obj, key: str, path: str, default: bool) -> bool:
+    v = obj.get(key, default)
+    if not isinstance(v, bool):
+        raise ConfigError(f"field {path}.{key} must be true or false")
+    return v
 
 
 def _opt_int(obj, key: str, path: str, default):
@@ -108,9 +115,12 @@ def parse_scenario(obj, path: str = "scenario") -> ScenarioSpec:
             raise ConfigError(f"missing required field {path}.{key}")
     assignment = obj.get("assignment")
     if assignment is not None:
-        if not isinstance(assignment, list) or not all(isinstance(cs, list) for cs in assignment):
+        if not isinstance(assignment, list) or not all(
+            isinstance(cs, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in cs)
+            for cs in assignment
+        ):
             raise ConfigError(f"field {path}.assignment must be a list of class-index lists")
-        assignment = tuple(tuple(int(c) for c in cs) for cs in assignment)
+        assignment = tuple(tuple(cs) for cs in assignment)
     return ScenarioSpec(
         n_per_client=_need_int(obj, "n_per_client", path),
         d=_need_int(obj, "d", path),
@@ -161,8 +171,8 @@ def parse_config(obj, path: str = "config") -> ExperimentConfig:
         warmup_epochs=_opt_int(obj, "warmup_epochs", path, 5),
         warmup_lr=_opt_number(obj, "warmup_lr", path, 0.01),
         hidden=tuple(hidden),
-        use_batchnorm=bool(obj.get("use_batchnorm", True)),
-        sample_weighted=bool(obj.get("sample_weighted", False)),
+        use_batchnorm=_opt_bool(obj, "use_batchnorm", path, True),
+        sample_weighted=_opt_bool(obj, "sample_weighted", path, False),
         seeds=seeds,
     )
 
@@ -467,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help=f"output directory (overridden by ${OUT_DIR_ENV})")
         p.add_argument("--seed", type=int, default=None, help="replace every config seed deterministically")
         p.add_argument("--parallel-clients", type=int, default=1, metavar="N",
-                       help="worker threads for client training (results are identical)")
+                       help="worker threads, each training one lock-step client group (results are identical)")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc
-from scipy.stats import rankdata
 
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation
@@ -20,6 +19,17 @@ from .nn import Architecture, ParamSet, forward
 from .registry import ClassRegistry, sharing_profile
 
 GROUP_NAMES = ("shared_by_all", "partially_shared", "unique")
+
+
+def _average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks with each run of tied scores given its mean rank."""
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size)
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def auroc(scores, labels) -> float | None:
@@ -37,8 +47,9 @@ def auroc(scores, labels) -> float | None:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = rankdata(scores, method="average")
-    u = ranks[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+    if np.isnan(scores).any():
+        return float("nan")  # ranks of unordered scores are undefined
+    u = _average_ranks(scores)[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 

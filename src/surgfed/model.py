@@ -23,6 +23,8 @@ from .nn import (
     forward,
     masked_bce_loss,
     sgd_step,
+    stack_params,
+    unstack_params,
 )
 
 _TAG_FEATURE, _TAG_HEAD = 1, 2
@@ -132,62 +134,101 @@ class ClientState:
         return self.classes
 
 
-def _train_epoch(client: ClientState, lr: float, batch_size: int, frozen, cols) -> float:
-    n = client.train.n
-    perm = client.rng.permutation(n)
-    total, batches = 0.0, 0
+def _train_epoch(group, params: ParamSet, x, y, cols, lr: float, batch_size: int, frozen):
+    """One lock-step epoch of a group.  ``params``, ``x`` and ``y`` are
+    stacked along a leading client axis; every client draws its batch
+    order from its own RNG stream.  Returns the updated stack and each
+    client's mean batch loss."""
+    arch, ids = group[0].arch, [c.id for c in group]
+    K, n = x.shape[:2]
+    # row indices into the (K * n, ...) flattened data, one row per client
+    rows = np.stack([c.rng.permutation(n) for c in group]) + n * np.arange(K)[:, None]
+    x, y = x.reshape(K * n, -1), y.reshape(K * n, -1)
+    total, batches = np.zeros(K), 0
     for start in range(0, n, batch_size):
-        idx = perm[start : start + batch_size]
-        xb = client.train.x[idx]
-        yb = client.train.y[idx]
-        acts, p = forward(client.params, client.arch, xb, "train")
+        idx = rows[:, start : start + batch_size]
+        xb = x[idx]
+        yb = y[idx]
+        acts, p = forward(params, arch, xb, "train", ids)
         loss = masked_bce_loss(p, yb, cols)
-        if not np.isfinite(loss):
-            raise NumericError(f"non-finite loss at client {client.id}", client=client.id)
-        grads = backward(client.params, client.arch, acts, p, yb, cols)
-        client.params = sgd_step(client.params, grads, lr, frozen)
+        if not np.isfinite(loss).all():
+            cid = ids[int(np.argmin(np.isfinite(loss)))]
+            raise NumericError(f"non-finite loss at client {cid}", client=cid)
+        grads = backward(params, arch, acts, p, yb, cols)
+        params = sgd_step(params, grads, lr, frozen)
         total += loss
         batches += 1
-    return total / batches
+    return params, total / batches
 
 
-def head_warmup(client: ClientState, warmup_epochs: int, warmup_lr: float, batch_size: int,
-                loss_mode: str = "local_classes") -> ClientState:
-    """Train only the head for a few epochs; the feature extractor stays
-    frozen but batch-norm running statistics do update.  Zero epochs is a
-    no-op."""
+def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mode: str):
+    """Run ``epochs`` lock-step epochs and write each client's parameters
+    back.  Returns the per-epoch loss arrays (one entry per client)."""
+    if not group:
+        raise ConfigError("a training group needs at least one client")
+    first = group[0]
+    columns = [c.loss_columns(loss_mode) for c in group]
+    for c, own in zip(group, columns):
+        if (c.arch != first.arch or c.train.n != first.train.n
+                or c.params.head_cols != first.params.head_cols or len(own) != len(columns[0])):
+            raise ContractViolation(
+                "group members must share architecture, train.n, head width and loss-column count"
+            )
+    # one shared mask, or one row of loss columns per client
+    cols = columns[0] if len(set(columns)) == 1 else np.array(columns, dtype=np.intp)
+    params = stack_params([c.params for c in group])
+    x = np.stack([c.train.x for c in group])
+    y = np.stack([c.train.y for c in group])
+    losses = []
+    for _ in range(epochs):
+        params, loss = _train_epoch(group, params, x, y, cols, lr, batch_size, frozen)
+        losses.append(loss)
+    for c, ps in zip(group, unstack_params(params)):
+        c.params = ps
+    return losses
+
+
+def head_warmup(group, warmup_epochs: int, warmup_lr: float, batch_size: int,
+                loss_mode: str = "local_classes"):
+    """Train only the heads of a group of same-shape clients for a few
+    epochs; feature extractors stay frozen but batch-norm running
+    statistics do update.  Zero epochs is a no-op."""
     if warmup_epochs < 0:
         raise ConfigError("warmup_epochs must be non-negative")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    cols = client.loss_columns(loss_mode)
-    for _ in range(warmup_epochs):
-        _train_epoch(client, warmup_lr, batch_size, frozenset({"feature_extractor"}), cols)
-    return client
+    if warmup_epochs:
+        _train_group(group, warmup_epochs, warmup_lr, batch_size,
+                     frozenset({"feature_extractor"}), loss_mode)
+    return group
 
 
-def local_train(client: ClientState, epochs: int, lr: float, batch_size: int,
-                loss_mode: str = "local_classes") -> ClientState:
-    """Run ``epochs`` full passes of mini-batch SGD on the client's data.
+def local_train(group, epochs: int, lr: float, batch_size: int,
+                loss_mode: str = "local_classes"):
+    """Run ``epochs`` full passes of mini-batch SGD on every client of a
+    group, in lock-step.
 
-    Batch order comes from the client's own RNG stream, which persists
-    across calls, so E epochs twice equals 2E epochs once bit-exactly.
+    Members must share train.n, head width and the number of loss
+    columns.  Each client's result is bitwise what training it alone
+    gives.  Batch order comes from the client's own RNG stream, which
+    persists across calls, so E epochs twice equals 2E epochs once
+    bit-exactly.
     """
     if epochs < 1:
         raise ConfigError("epochs must be at least 1")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    cols = client.loss_columns(loss_mode)
-    losses = [_train_epoch(client, lr, batch_size, frozenset(), cols) for _ in range(epochs)]
-    client.epoch_counter += epochs
-    client.last_train_loss = float(np.mean(losses))
-    return client
+    losses = _train_group(group, epochs, lr, batch_size, frozenset(), loss_mode)
+    for k, c in enumerate(group):
+        c.epoch_counter += epochs
+        c.last_train_loss = float(np.mean([loss[k] for loss in losses]))
+    return group
 
 
 def validation_loss(client: ClientState, loss_mode: str = "local_classes") -> float:
     """Masked BCE on the client's validation split, eval mode."""
     cols = client.loss_columns(loss_mode)
-    _, p = forward(client.params, client.arch, client.val.x, "eval")
+    _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id])
     return masked_bce_loss(p, client.val.y, cols)
 
 

@@ -1,10 +1,16 @@
 """Minimal dense-network kernel: forward, masked BCE, backprop, SGD.
 
-Everything is float64 and all matrices are plain 2-D numpy arrays
-(samples in rows).  A model is a stack of feature layers (dense,
-batchnorm, relu, sigmoid) followed by an implicit classification head:
-one dense layer plus a sigmoid.  The head's parameters live in their own
-fields of :class:`ParamSet` so they can be aggregated per class.
+Everything is float64.  One model works on 2-D arrays (samples in rows);
+K same-shape models train in lock-step when every tensor, parameters
+included, carries a leading model axis.  The kernel is written once for
+both: matmuls run over the leading axes and every reduction is over
+``axis=-2``, so each model's slice of a stacked call is bitwise what a
+call with that model alone gives.
+
+A model is a stack of feature layers (dense, batchnorm, relu, sigmoid)
+followed by an implicit classification head: one dense layer plus a
+sigmoid.  The head's parameters live in their own fields of
+:class:`ParamSet` so they can be aggregated per class.
 """
 
 from __future__ import annotations
@@ -137,7 +143,7 @@ class ParamSet:
 
     @property
     def head_cols(self) -> int:
-        return self.head_W.shape[1]
+        return self.head_W.shape[-1]
 
     def copy(self) -> "ParamSet":
         return ParamSet(
@@ -181,14 +187,63 @@ def params_equal(a: ParamSet, b: ParamSet) -> bool:
     return np.array_equal(a.head_W, b.head_W) and np.array_equal(a.head_b, b.head_b)
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
+def stack_params(param_sets) -> ParamSet:
+    """Same-shape parameter sets as one set whose tensors carry a leading
+    model axis (copies, in the given order)."""
+    first = param_sets[0]
+    return ParamSet(
+        feature={k: np.stack([ps.feature[k] for ps in param_sets]) for k in first.feature},
+        bn_mean={i: np.stack([ps.bn_mean[i] for ps in param_sets]) for i in first.bn_mean},
+        bn_var={i: np.stack([ps.bn_var[i] for ps in param_sets]) for i in first.bn_var},
+        head_W=np.stack([ps.head_W for ps in param_sets]),
+        head_b=np.stack([ps.head_b for ps in param_sets]),
+    )
+
+
+def unstack_params(stacked: ParamSet) -> list[ParamSet]:
+    """Inverse of :func:`stack_params`: one set per model, each a view of
+    its own slice of the stacked tensors."""
+    return [
+        ParamSet(
+            feature={key: v[k] for key, v in stacked.feature.items()},
+            bn_mean={i: v[k] for i, v in stacked.bn_mean.items()},
+            bn_var={i: v[k] for i, v in stacked.bn_var.items()},
+            head_W=stacked.head_W[k],
+            head_b=stacked.head_b[k],
+        )
+        for k in range(stacked.head_W.shape[0])
+    ]
+
+
+def _as_batch(x, name: str) -> np.ndarray:
     a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ConfigError(f"{name} must be a 2-D array, got shape {a.shape}")
+    if a.ndim not in (2, 3):
+        raise ConfigError(f"{name} must be a 2-D array or a stack of them, got shape {a.shape}")
     return a
 
 
-def forward(params: ParamSet, arch: Architecture, x, mode: str = "train"):
+def _batch_stats(h: np.ndarray):
+    """Batch mean, centred input and biased variance over ``axis=-2``
+    (statistics keep that axis at length 1); bitwise what ``h.mean`` and
+    ``h.var`` give, without computing the mean twice."""
+    n = h.shape[-2]
+    mu = np.add.reduce(h, axis=-2, keepdims=True) / n
+    centered = h - mu
+    return mu, centered, np.add.reduce(centered * centered, axis=-2, keepdims=True) / n
+
+
+def _non_finite(what: str, layer: int, h: np.ndarray, client_ids) -> NumericError:
+    """The error for a non-finite ``h``, naming the first model (lowest
+    stack index) that holds such a value."""
+    client = None
+    if client_ids is not None:
+        first = 0 if h.ndim == 2 else int(np.argmin(np.isfinite(h).all(axis=(-2, -1))))
+        client = client_ids[first]
+    at = "" if client is None else f" at client {client}"
+    return NumericError(f"non-finite {what}{at}", layer=layer, client=client)
+
+
+def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client_ids=None):
     """Run the network.  Returns ``(activations, output)``.
 
     ``activations[0]`` is the input, then one entry per feature layer,
@@ -196,133 +251,170 @@ def forward(params: ParamSet, arch: Architecture, x, mode: str = "train"):
     In train mode batch-norm normalises with batch statistics and updates
     the running statistics in place; in eval mode it reads the running
     statistics and touches nothing.
+
+    ``x`` is ``(b, d)`` for one model, or ``(K, b, d)`` for K models
+    stacked along a leading axis of every tensor in ``params``.  Each
+    model's slice is bitwise what a call with that model alone gives.
+    ``client_ids`` (one per model) name the failing client in a
+    :class:`NumericError`.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
-    h = _as_matrix(x, "x")
-    if h.shape[1] != arch.in_dim:
-        raise ConfigError(f"x has width {h.shape[1]}, architecture expects {arch.in_dim}")
-    if h.shape[0] < 1:
+    h = _as_batch(x, "x")
+    if h.shape[-1] != arch.in_dim:
+        raise ConfigError(f"x has width {h.shape[-1]}, architecture expects {arch.in_dim}")
+    if h.shape[-2] < 1:
         raise ConfigError("x must contain at least one sample")
+    if h.shape[:-2] != params.head_W.shape[:-2]:
+        raise ContractViolation("x and params disagree on the number of stacked models")
     acts = [h]
     for i, spec in enumerate(arch.feature_specs):
         if spec.kind == "dense":
             W = params.feature[f"{i}.W"]
             b = params.feature[f"{i}.b"]
-            if W.shape != (spec.in_dim, spec.out_dim):
+            if W.shape[-2:] != (spec.in_dim, spec.out_dim):
                 raise ConfigError(f"layer {i} weight shape {W.shape} does not match spec")
-            h = h @ W + b
+            h = h @ W + b[..., None, :]
         elif spec.kind == "batchnorm":
-            gamma = params.feature[f"{i}.gamma"]
-            beta = params.feature[f"{i}.beta"]
+            gamma = params.feature[f"{i}.gamma"][..., None, :]
+            beta = params.feature[f"{i}.beta"][..., None, :]
             if mode == "train":
-                mu = h.mean(axis=0)
-                var = h.var(axis=0)
+                mu, centered, var = _batch_stats(h)
                 m = arch.bn_momentum
-                params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu
-                params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var
+                params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
+                params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
             else:
-                mu = params.bn_mean[i]
-                var = params.bn_var[i]
-            h = gamma * ((h - mu) / np.sqrt(var + arch.bn_eps)) + beta
+                centered = h - params.bn_mean[i][..., None, :]
+                var = params.bn_var[i][..., None, :]
+            h = gamma * (centered / np.sqrt(var + arch.bn_eps)) + beta
         elif spec.kind == "relu":
             h = np.maximum(h, 0.0)
         else:  # sigmoid
             h = expit(h)
         if not np.isfinite(h).all():
-            raise NumericError(f"non-finite activation after layer {i} ({spec.kind})", layer=i)
+            raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
         acts.append(h)
-    if params.head_W.shape[0] != arch.feature_out_dim:
+    if params.head_W.shape[-2] != arch.feature_out_dim:
         raise ContractViolation(
-            f"head expects {params.head_W.shape[0]} features, extractor emits {arch.feature_out_dim}"
+            f"head expects {params.head_W.shape[-2]} features, extractor emits {arch.feature_out_dim}"
         )
-    logits = h @ params.head_W + params.head_b
+    logits = h @ params.head_W + params.head_b[..., None, :]
     if not np.isfinite(logits).all():
-        raise NumericError("non-finite head pre-activation", layer=len(arch.feature_specs))
+        raise _non_finite("head pre-activation", len(arch.feature_specs), logits, client_ids)
     acts.append(logits)
     out = expit(logits)
     acts.append(out)
     return acts, out
 
 
-def _mask_cols(mask, width: int) -> list[int]:
-    cols = sorted({int(c) for c in mask})
-    if not cols:
+def _mask_cols(mask, p: np.ndarray) -> np.ndarray:
+    """The masked columns as an index array: ``(lc,)`` when one mask
+    serves every model, ``(K, lc)`` with one row per stacked model.  A
+    shared mask is sorted and de-duplicated; per-model rows must already
+    be strictly increasing."""
+    if isinstance(mask, np.ndarray) and mask.ndim == 2:
+        if p.ndim != 3 or mask.shape[0] != p.shape[0]:
+            raise ConfigError("a per-model mask needs one row per stacked model")
+        cols = mask
+        if cols.shape[1] and np.any(cols[:, 1:] <= cols[:, :-1]):
+            raise ConfigError("per-model mask rows must be strictly increasing")
+    else:
+        cols = np.array(sorted({int(c) for c in mask}), dtype=np.intp)
+    if cols.shape[-1] == 0:
         raise ConfigError("mask must name at least one class column")
-    if cols[0] < 0 or cols[-1] >= width:
-        raise ConfigError(f"mask column out of range for width {width}")
+    if cols.min() < 0 or cols.max() >= p.shape[-1]:
+        raise ConfigError(f"mask column out of range for width {p.shape[-1]}")
     return cols
 
 
-def masked_bce_loss(p, y, mask) -> float:
+def _take_cols(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    if cols.ndim == 1:
+        return a[..., cols]
+    return np.take_along_axis(a, cols[:, None, :], axis=-1)
+
+
+def _check_pair(p, y) -> tuple[np.ndarray, np.ndarray]:
+    p = _as_batch(p, "p")
+    y = _as_batch(y, "y")
+    if p.shape != y.shape:
+        raise ConfigError(f"p {p.shape} and y {y.shape} differ in shape")
+    return p, y
+
+
+def masked_bce_loss(p, y, mask):
     """Binary cross-entropy averaged over samples and the masked columns.
 
     Probabilities are clamped to [1e-7, 1 - 1e-7] before the logs so a
     saturated prediction yields a large finite loss instead of an inf.
+    A 2-D ``p`` gives a float; a stack ``(K, b, c)`` gives one loss per
+    model, each summed column by column exactly as a 2-D call sums it.
     """
-    p = _as_matrix(p, "p")
-    y = _as_matrix(y, "y")
-    if p.shape != y.shape:
-        raise ConfigError(f"p {p.shape} and y {y.shape} differ in shape")
+    p, y = _check_pair(p, y)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ConfigError("labels must be exactly 0 or 1")
-    cols = _mask_cols(mask, p.shape[1])
-    pc = np.clip(p[:, cols], BCE_CLAMP, 1.0 - BCE_CLAMP)
-    yc = y[:, cols]
+    cols = _mask_cols(mask, p)
+    pc = np.clip(_take_cols(p, cols), BCE_CLAMP, 1.0 - BCE_CLAMP)
+    yc = _take_cols(y, cols)
     bce = -(yc * np.log(pc) + (1.0 - yc) * np.log1p(-pc))
-    return float(bce.mean())
+    # reduce over a contiguous (..., columns, samples) layout: column-major
+    # per model, the order a 2-D call's column selection leaves it in
+    loss = np.ascontiguousarray(bce.swapaxes(-1, -2)).mean(axis=(-2, -1))
+    return float(loss) if p.ndim == 2 else loss
 
 
 def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamGrad:
     """Analytic gradients of :func:`masked_bce_loss` wrt every trainable
     parameter.  ``activations`` must come from a matching train-mode
     forward call on the same parameters.  Head columns outside the mask
-    receive exactly zero gradient.
+    receive exactly zero gradient.  Stacked inputs give stacked
+    gradients.
     """
-    p = _as_matrix(p, "p")
-    y = _as_matrix(y, "y")
-    if p.shape != y.shape:
-        raise ConfigError(f"p {p.shape} and y {y.shape} differ in shape")
+    p, y = _check_pair(p, y)
     nspecs = len(arch.feature_specs)
     if len(activations) != nspecs + 3:
         raise ContractViolation("activation list does not match the architecture")
-    if activations[0].shape[0] != p.shape[0]:
+    if activations[0].shape[:-1] != p.shape[:-1]:
         raise ContractViolation("activations are stale: batch size mismatch")
-    if p.shape[1] != params.head_cols:
+    if p.shape[-1] != params.head_cols:
         raise ContractViolation("p width does not match the head")
-    n = p.shape[0]
-    cols = _mask_cols(mask, p.shape[1])
+    n = p.shape[-2]
+    cols = _mask_cols(mask, p)
     g = np.zeros_like(p)
     # Joint derivative of clamped BCE through the output sigmoid; the clamp
     # is treated as the identity, which is exact away from saturation.
-    g[:, cols] = (p[:, cols] - y[:, cols]) / (n * len(cols))
+    dg = (_take_cols(p, cols) - _take_cols(y, cols)) / (n * cols.shape[-1])
+    if cols.ndim == 1:
+        g[..., cols] = dg
+    else:
+        np.put_along_axis(g, cols[:, None, :], dg, axis=-1)
 
     feat_out = activations[nspecs]
-    grad_head_W = feat_out.T @ g
-    grad_head_b = g.sum(axis=0)
-    g = g @ params.head_W.T
+    grad_head_W = feat_out.swapaxes(-1, -2) @ g
+    grad_head_b = g.sum(axis=-2)
+    g = g @ params.head_W.swapaxes(-1, -2)
 
     grads: dict[str, np.ndarray] = {}
     for i in range(nspecs - 1, -1, -1):
         spec = arch.feature_specs[i]
         x_in = activations[i]
         if spec.kind == "dense":
-            W = params.feature[f"{i}.W"]
-            grads[f"{i}.W"] = x_in.T @ g
-            grads[f"{i}.b"] = g.sum(axis=0)
-            g = g @ W.T
+            grads[f"{i}.W"] = x_in.swapaxes(-1, -2) @ g
+            grads[f"{i}.b"] = g.sum(axis=-2)
+            if i > 0:  # the input gradient of the first layer has no use
+                g = g @ params.feature[f"{i}.W"].swapaxes(-1, -2)
         elif spec.kind == "batchnorm":
-            gamma = params.feature[f"{i}.gamma"]
-            nb = x_in.shape[0]
-            mu = x_in.mean(axis=0)
-            var = x_in.var(axis=0)
+            gamma = params.feature[f"{i}.gamma"][..., None, :]
+            nb = x_in.shape[-2]
+            _, centered, var = _batch_stats(x_in)
             inv = 1.0 / np.sqrt(var + arch.bn_eps)
-            xhat = (x_in - mu) * inv
-            grads[f"{i}.gamma"] = (g * xhat).sum(axis=0)
-            grads[f"{i}.beta"] = g.sum(axis=0)
+            xhat = centered * inv
+            grads[f"{i}.gamma"] = (g * xhat).sum(axis=-2)
+            grads[f"{i}.beta"] = g.sum(axis=-2)
             dxhat = g * gamma
             g = (inv / nb) * (
-                nb * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+                nb * dxhat
+                - dxhat.sum(axis=-2, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
             )
         elif spec.kind == "relu":
             g = g * (x_in > 0.0)

@@ -14,9 +14,13 @@ pfl               feature aggregation only; personalised heads, no global model
 centralized       all data concatenated (missing-as-negative), one model
 individual        one standalone model per client, no communication
 
-Any number of worker threads may train clients within a round; results
-are bit-identical to the sequential schedule because every client owns a
-private RNG stream and aggregation always walks clients in index order.
+Clients that share a shape (train size, head width and number of loss
+columns) train in lock-step: one stacked forward and backward pass per
+step for the whole group, built once per run.  Every client keeps its
+own parameters and RNG stream, so each one ends bitwise where training
+it alone would; aggregation always walks clients in index order.  Worker
+threads (``parallel``) train different groups at the same time and
+change no result.
 """
 
 from __future__ import annotations
@@ -106,8 +110,8 @@ class ExperimentConfig:
             raise ConfigError("E must be positive")
         if self.T < self.E:
             raise ConfigError("T must be at least E (no round would ever complete)")
-        if self.lr <= 0.0 or self.warmup_lr <= 0.0:
-            raise ConfigError("learning rates must be positive")
+        if not (0.0 < self.lr < np.inf and 0.0 < self.warmup_lr < np.inf):
+            raise ConfigError("learning rates must be positive and finite")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be positive")
         if self.warmup_epochs < 0:
@@ -207,12 +211,22 @@ def _build_centralized(data: ScenarioData, cfg: ExperimentConfig, arch: Architec
     )
 
 
-def _train_all(clients, epochs, lr, batch_size, loss_mode, pool) -> None:
+def _client_groups(clients, loss_mode: str) -> list[list[ClientState]]:
+    """Clients that can train in lock-step, in order of their first
+    member's id."""
+    groups: dict[tuple, list[ClientState]] = {}
+    for c in clients:
+        key = (c.train.n, c.params.head_cols, len(c.loss_columns(loss_mode)))
+        groups.setdefault(key, []).append(c)
+    return list(groups.values())
+
+
+def _train_all(groups, epochs, lr, batch_size, loss_mode, pool) -> None:
     if pool is None:
-        for c in clients:
-            local_train(c, epochs, lr, batch_size, loss_mode)
+        for g in groups:
+            local_train(g, epochs, lr, batch_size, loss_mode)
     else:
-        list(pool.map(lambda c: local_train(c, epochs, lr, batch_size, loss_mode), clients))
+        list(pool.map(lambda g: local_train(g, epochs, lr, batch_size, loss_mode), groups))
 
 
 def _average_feature_tensors(param_sets, weights=None):
@@ -279,9 +293,10 @@ def _pfl_update(clients, strategy, weights):
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None) -> RunResult:
     """Run one experiment end to end.  ``parallel`` sets the number of
-    worker threads used for within-round client training (results are
-    identical for any value).  ``round_hook(round, global_params, clients)``
-    is called after every communication round."""
+    worker threads that train lock-step client groups side by side
+    (results are identical for any value).
+    ``round_hook(round, global_params, clients)`` is called after every
+    communication round."""
     if parallel < 1:
         raise ConfigError("parallel must be at least 1")
     data = generate_synthetic(config.scenario)
@@ -304,8 +319,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         reference = init_model(arch, M, seeds.init, class_ids=range(M))
         pretrained_bn = collect_bn_stats(reference, arch, stats_split(config.scenario))
 
-    for c in clients:
-        head_warmup(c, config.warmup_epochs, config.warmup_lr, config.batch_size, loss_mode)
+    groups = _client_groups(clients, loss_mode)
+    for g in groups:
+        head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, loss_mode)
 
     n_rounds = config.T // config.E
     reports: list[RoundReport] = []
@@ -318,7 +334,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     try:
         for r in range(1, n_rounds + 1):
             t0 = time.perf_counter()
-            _train_all(clients, config.E, config.lr, config.batch_size, loss_mode, pool)
+            _train_all(groups, config.E, config.lr, config.batch_size, loss_mode, pool)
 
             global_params: ParamSet | None = None
             if config.method == "surgical":
@@ -373,7 +389,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
 
         leftover = config.T - n_rounds * config.E
         if leftover:
-            _train_all(clients, leftover, config.lr, config.batch_size, loss_mode, pool)
+            _train_all(groups, leftover, config.lr, config.batch_size, loss_mode, pool)
     finally:
         if pool is not None:
             pool.shutdown()

@@ -74,6 +74,34 @@ def test_parse_config_reports_field_paths() -> None:
         parse_config({**SMALL_CONFIG, "T": True})
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"use_batchnorm": "false"},
+        {"sample_weighted": "no"},
+        {"lr": float("nan")},
+        {"warmup_lr": float("nan")},
+        {"scenario": {**SMALL_CONFIG["scenario"], "assignment": [[0.7, 1, 2], [1, 2, 3]]}},
+    ],
+    ids=["use_batchnorm-string", "sample_weighted-string", "lr-nan", "warmup_lr-nan", "float-class-index"],
+)
+def test_uncoercible_values_exit_2_before_compute(tmp_path, monkeypatch, bad) -> None:
+    """Values that used to be coerced (a string through bool(), 0.7
+    through int()) or to pass a ``<= 0`` check (NaN) are config errors,
+    raised before any data is generated or any client trained."""
+    import surgfed.cli as cli
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the config was rejected")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_compute)
+    monkeypatch.setattr(cli, "run_experiment", no_compute)
+    cfg = {**SMALL_CONFIG, **bad}
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+    assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
+
+
 def test_manifest_hash_is_stable_and_sensitive() -> None:
     snap = config_to_dict(parse_config(SMALL_CONFIG))
     h = manifest_hash(snap)

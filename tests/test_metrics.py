@@ -61,6 +61,17 @@ def test_auroc_validation() -> None:
         auroc([0.1, 0.2], [0, 2])
 
 
+def _rankdata_auroc(scores, labels) -> float:
+    """Rank-sum AUROC on scipy's tie-averaged ranks, summed the same way."""
+    from scipy.stats import rankdata
+
+    labels = np.asarray(labels, dtype=float)
+    n_pos = int(labels.sum())
+    ranks = rankdata(scores, method="average")
+    u = ranks[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * (labels.size - n_pos)))
+
+
 def test_auroc_matches_pair_counting_with_ties() -> None:
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -74,6 +85,7 @@ def test_auroc_matches_pair_counting_with_ties() -> None:
             assert got is None
         else:
             assert got == expected
+            assert got == _rankdata_auroc(scores, labels)  # bitwise, not approximately
 
 
 @given(

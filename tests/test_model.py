@@ -8,6 +8,7 @@ from surgfed import (
     ConfigError,
     ContractViolation,
     LabeledSet,
+    NumericError,
     ParamSet,
     class_column,
     head_warmup,
@@ -145,7 +146,7 @@ def test_loss_columns_modes(tiny_arch) -> None:
 def test_zero_warmup_is_a_no_op(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     before = c.params.copy()
-    head_warmup(c, 0, 0.01, 16)
+    head_warmup([c], 0, 0.01, 16)
     assert params_equal(c.params, before)
     assert c.epoch_counter == 0
 
@@ -153,7 +154,7 @@ def test_zero_warmup_is_a_no_op(tiny_arch) -> None:
 def test_warmup_freezes_features_but_not_stats(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     before = c.params.copy()
-    head_warmup(c, 2, 0.05, 16)
+    head_warmup([c], 2, 0.05, 16)
     for k in before.feature:
         np.testing.assert_array_equal(c.params.feature[k], before.feature[k])
     assert not np.array_equal(c.params.head_W, before.head_W)
@@ -164,7 +165,7 @@ def test_warmup_freezes_features_but_not_stats(tiny_arch) -> None:
 def test_local_train_updates_and_counts(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     before = c.params.copy()
-    local_train(c, 3, 0.05, 16)
+    local_train([c], 3, 0.05, 16)
     assert c.epoch_counter == 3
     assert np.isfinite(c.last_train_loss)
     assert not params_equal(c.params, before)
@@ -175,9 +176,9 @@ def test_epoch_split_equals_one_call(tiny_arch) -> None:
     stream, so they must land on bit-identical parameters."""
     a = _client(tiny_arch, classes=(0, 1), stream=3)
     b = _client(tiny_arch, classes=(0, 1), stream=3)
-    local_train(a, 4, 0.05, 16)
-    local_train(b, 1, 0.05, 16)
-    local_train(b, 3, 0.05, 16)
+    local_train([a], 4, 0.05, 16)
+    local_train([b], 1, 0.05, 16)
+    local_train([b], 3, 0.05, 16)
     assert params_equal(a.params, b.params)
     assert a.epoch_counter == b.epoch_counter == 4
 
@@ -186,24 +187,71 @@ def test_full_coverage_modes_agree(tiny_arch) -> None:
     # when a client holds every class the two loss modes are the same thing
     a = _client(tiny_arch, classes=(0, 1, 2), stream=5)
     b = _client(tiny_arch, classes=(0, 1, 2), stream=5)
-    local_train(a, 2, 0.05, 16, loss_mode="local_classes")
-    local_train(b, 2, 0.05, 16, loss_mode="all_classes_negatives")
+    local_train([a], 2, 0.05, 16, loss_mode="local_classes")
+    local_train([b], 2, 0.05, 16, loss_mode="all_classes_negatives")
     assert params_equal(a.params, b.params)
 
 
 def test_training_validation_errors(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     with pytest.raises(ConfigError):
-        local_train(c, 0, 0.05, 16)
+        local_train([c], 0, 0.05, 16)
     with pytest.raises(ConfigError):
-        local_train(c, 1, 0.05, 0)
+        local_train([c], 1, 0.05, 0)
     with pytest.raises(ConfigError):
-        head_warmup(c, -1, 0.05, 16)
+        head_warmup([c], -1, 0.05, 16)
+
+
+def _group(arch, n_clients=3, **kw) -> list[ClientState]:
+    group = [_client(arch, seed=k, stream=11 + k, **kw) for k in range(n_clients)]
+    for k, c in enumerate(group):
+        c.id = 20 + k
+    return group
+
+
+def test_group_numeric_error_names_layer_and_client(tiny_arch) -> None:
+    """A forward failure inside lock-step training carries both the layer
+    and the client.  Finiteness is checked after every layer (a check on
+    the logits alone would miss relu(-inf) = 0), so the first layer is
+    named."""
+    group = _group(tiny_arch, classes=(0, 1))
+    group[1].params.feature["0.W"][0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        local_train(group, 1, 0.05, 16)
+    assert err.value.layer == 0
+    assert err.value.client == 21
+
+
+def test_group_members_must_share_a_shape(tiny_arch) -> None:
+    group = [_client(tiny_arch, classes=(0, 1)), _client(tiny_arch, classes=(0, 1, 2))]
+    with pytest.raises(ContractViolation):
+        local_train(group, 1, 0.05, 16)
+    with pytest.raises(ConfigError):
+        local_train([], 1, 0.05, 16)
+
+
+def test_group_with_per_client_loss_columns_equals_solo(tiny_arch) -> None:
+    """Wide heads with a different held-class subset per client: one
+    lock-step group gives each client what training it alone gives."""
+    subsets = [(0, 2), (1, 3), (2, 4)]
+    grouped = [_client(tiny_arch, classes=cs, width=5, seed=k, stream=30 + k)
+               for k, cs in enumerate(subsets)]
+    solo = [_client(tiny_arch, classes=cs, width=5, seed=k, stream=30 + k)
+            for k, cs in enumerate(subsets)]
+    head_warmup(grouped, 1, 0.05, 16)
+    local_train(grouped, 2, 0.05, 16)
+    for c in solo:
+        head_warmup([c], 1, 0.05, 16)
+        local_train([c], 2, 0.05, 16)
+    for a, b in zip(grouped, solo):
+        assert params_equal(a.params, b.params)
+        assert a.last_train_loss == b.last_train_loss
+        assert a.rng.random() == b.rng.random()
 
 
 def test_validation_loss_is_pure(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
-    local_train(c, 1, 0.05, 16)
+    local_train([c], 1, 0.05, 16)
     snap = c.params.copy()
     v1 = validation_loss(c)
     v2 = validation_loss(c)

@@ -13,11 +13,16 @@ from surgfed import (
     ScenarioSpec,
     SeedBundle,
     default_seeds,
+    effect_of_clients_scenarios,
+    generate_synthetic,
+    head_warmup,
+    local_train,
     params_equal,
     run_baseline,
     run_experiment,
     run_suite,
     run_surgical,
+    simulator,
 )
 
 HOMOG = ScenarioSpec(
@@ -146,6 +151,41 @@ def test_parallel_training_is_bit_identical() -> None:
     assert params_equal(seq.global_params, par.global_params)
     for ra, rb in zip(seq.reports, par.reports):
         assert ra.client_train_loss == rb.client_train_loss
+
+
+def _ladder_clients(cfg: ExperimentConfig):
+    data = generate_synthetic(cfg.scenario)
+    arch = cfg.architecture()
+    if cfg.method == "centralized":
+        return [simulator._build_centralized(data, cfg, arch)]
+    return simulator._build_clients(data, cfg, arch)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_lock_step_groups_equal_one_client_calls(method) -> None:
+    """On a ladder rung with mixed head widths, training the run's
+    lock-step groups equals training every client on its own, bit for
+    bit: parameters, batch-norm statistics, losses, epoch counts and the
+    position of each client's RNG stream."""
+    spec = effect_of_clients_scenarios(7000)[3]  # K=5
+    cfg = ExperimentConfig(scenario=spec, method=method, T=2, warmup_epochs=1, lr=0.05)
+    loss_mode = simulator._loss_mode(method)
+    grouped, solo = _ladder_clients(cfg), _ladder_clients(cfg)
+    groups = simulator._client_groups(grouped, loss_mode)
+    if method in ("surgical", "pfl", "individual"):
+        widths = {c.params.head_cols for c in grouped}
+        assert 1 < len(groups) < len(grouped) and len(widths) > 1  # mixed widths, shared groups
+    for g in groups:
+        head_warmup(g, 1, 0.01, 32, loss_mode)
+        local_train(g, 2, 0.05, 32, loss_mode)
+    for c in solo:
+        head_warmup([c], 1, 0.01, 32, loss_mode)
+        local_train([c], 2, 0.05, 32, loss_mode)
+    for a, b in zip(grouped, solo):
+        assert params_equal(a.params, b.params)
+        assert a.last_train_loss == b.last_train_loss
+        assert a.epoch_counter == b.epoch_counter == 2
+        assert a.rng.random() == b.rng.random()
 
 
 def test_pfl_keeps_no_global_model() -> None:
