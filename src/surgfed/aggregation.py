@@ -1,13 +1,17 @@
 """Server-side aggregation: feature averaging plus per-class head merging.
 
-The head is merged column by column: global class c is the mean of that
-class's (weights, bias) column over exactly the clients that hold c,
-taken in ascending client order.  A class held by a single client passes
-through bit-exactly, and when every client holds every class the whole
+The head is merged per class: global class c is the mean of that class's
+(weights, bias) column over exactly the clients that hold c, taken in
+ascending client order.  A class held by a single client passes through
+bit-exactly, and when every client holds every class the whole
 procedure reduces to plain federated averaging.
 
-All means use one shared sequential accumulator so the same inputs give
-bit-identical results on every code path.
+All means follow one sequential rule, that of :func:`mean_arrays`, so
+the same inputs give bit-identical results on every code path.  The head
+merge applies it to all classes at once: it walks the clients in index
+order and scatters each head's columns into (feature, M) accumulators,
+assigning a column at its first holder and adding it at every later
+one, then divides each column by its holder count or weight total.
 """
 
 from __future__ import annotations
@@ -119,7 +123,9 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
     ``heads[k]`` is ``(head_W, head_b, classes)`` for client k, with one
     column per held class in sorted class order.  Global column c is the
     mean of the (weights, bias) columns of the clients holding c, in
-    ascending client order; the bias travels with its column.
+    ascending client order; the bias travels with its column.  Every
+    column is bitwise what :func:`mean_arrays` gives on its holders'
+    columns.
     """
     if len(heads) != registry.n_clients:
         raise ContractViolation("one head per registry client required")
@@ -135,19 +141,35 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
         elif W.shape[0] != n_feat:
             raise ContractViolation("heads disagree on feature width")
     M = registry.n_classes
+    if weights is None:
+        divisor = np.array([len(ks) for ks in registry.holders], dtype=np.float64)
+    else:
+        weights = [float(w) for w in weights]
+        if len(weights) != registry.n_clients:
+            raise ConfigError("one weight per client required")
+        # the builtin sum over each class's holders, as mean_arrays takes it
+        divisor = np.array([
+            sum([weights[k] for k in clients_with_class(registry, c)]) for c in range(M)
+        ])
+        if np.any(divisor <= 0.0):
+            raise ConfigError("weights must sum to a positive value")
     global_W = np.empty((n_feat, M))
     global_b = np.empty(M)
-    for c in range(M):
-        contributors = clients_with_class(registry, c)
-        cols = []
-        for k in contributors:
-            W, b, classes = heads[k]
-            j = registry.client_classes[k].index(c)
-            cols.append(np.concatenate([W[:, j], [b[j]]]))
-        w = None if weights is None else [weights[k] for k in contributors]
-        merged = mean_arrays(cols, w)
-        global_W[:, c] = merged[:-1]
-        global_b[c] = merged[-1]
+    seen = np.zeros(M, dtype=bool)
+    for k, (W, b, _) in enumerate(heads):
+        if weights is not None:
+            W, b = W * weights[k], b * weights[k]
+        cols = np.asarray(registry.client_classes[k])
+        later = seen[cols]
+        # a first holder's column is copied, never added to zero: 0.0 + -0.0 is +0.0
+        first = ~later
+        global_W[:, cols[first]] = W[:, first]
+        global_b[cols[first]] = b[first]
+        global_W[:, cols[later]] += W[:, later]
+        global_b[cols[later]] += b[later]
+        seen[cols] = True
+    global_W /= divisor
+    global_b /= divisor
     return global_W, global_b
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (
+from .data import (  # noqa: F401 (perfbench/tracer.py wraps generate_synthetic here)
     ScenarioSpec,
     effect_of_clients_scenarios,
     effect_of_shared_classes_scenarios,
@@ -43,6 +43,7 @@ from .model import save_checkpoint
 from .registry import ClassRegistry
 from .simulator import (
     METHODS,
+    PERSONAL_METHODS,
     ExperimentConfig,
     RunResult,
     SeedBundle,
@@ -235,31 +236,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def build_manifest(snapshot: dict, cfg: ExperimentConfig) -> dict:
+def build_manifest(result: RunResult) -> dict:
+    """Provenance of a run: its config, seeds and what the run's own
+    scenario data realized."""
     from . import __version__
 
-    data = generate_synthetic(cfg.scenario)
+    cfg = result.config
+    snapshot = config_to_dict(cfg)
     seeds = cfg.resolved_seeds()
-    prevalences = []
-    for cd in data.clients:
-        prevalences.append(
-            {
-                data.registry.global_classes[c]: float(cd.train.y[:, j].mean())
-                for j, c in enumerate(cd.classes)
-            }
-        )
     return {
         "config": snapshot,
         "manifest_hash": manifest_hash(snapshot),
         "version": __version__,
         "seeds": {"data": cfg.scenario.seed, "init": seeds.init, "shuffle": seeds.shuffle},
-        "realized": {
-            "client_classes": [list(cd.classes) for cd in data.clients],
-            "n_train_per_client": [cd.train.n for cd in data.clients],
-            "n_val_per_client": [cd.val.n for cd in data.clients],
-            "n_test": data.test.n,
-            "train_prevalence": prevalences,
-        },
+        "realized": result.realized,
     }
 
 
@@ -339,9 +329,8 @@ def cmd_run(config_path, out_dir, seed: int | None = None, parallel: int = 1) ->
     with open(config_path) as f:
         raw = json.load(f)
     cfg = _apply_seed_override(parse_config(raw), seed)
-    snapshot = config_to_dict(cfg)
-    manifest = build_manifest(snapshot, cfg)
     result = run_experiment(cfg, parallel=parallel)
+    manifest = build_manifest(result)
     _write_run_outputs(Path(out_dir), result, manifest)
     return 0
 
@@ -390,7 +379,7 @@ def cmd_suite(suite_path, out_dir, seed: int | None = None, parallel: int = 1) -
     for row, result in zip(suite.rows, results):
         if result is not None:
             sub = out / f"member_{row.label}"
-            member_manifest = build_manifest(config_to_dict(result.config), result.config)
+            member_manifest = build_manifest(result)
             _write_run_outputs(sub, result, member_manifest)
     return 1 if any(row.failed for row in suite.rows) else 0
 
@@ -409,6 +398,13 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, parallel: int = 1,
     base_seed = 7000 if seed is None else seed
     T = 100 if epochs is None else epochs
     ladder = effect_of_clients_scenarios if kind == "clients" else effect_of_shared_classes_scenarios
+    # every rung is scored on the global model, so reject what cannot
+    # build one before any rung trains or any file is written
+    first_spec = ladder(base_seed)[0]
+    for method in methods:
+        ExperimentConfig(scenario=first_spec, method=method, strategy=strategy, T=T, lr=ABLATION_LR)
+        if method in PERSONAL_METHODS:
+            raise ConfigError(f"method {method!r} keeps no global model; the ablation scores global models")
 
     snapshot = {
         "kind": kind, "base_seed": base_seed, "seeds": seeds, "epochs": T,

@@ -126,6 +126,21 @@ class ScenarioData:
     test: LabeledSet
     clients: tuple[ClientData, ...]
 
+    def realized(self) -> dict:
+        """What was drawn, as a run manifest records it: class lists,
+        split sizes and each client's training prevalence per class."""
+        names = self.registry.global_classes
+        return {
+            "client_classes": [list(cd.classes) for cd in self.clients],
+            "n_train_per_client": [cd.train.n for cd in self.clients],
+            "n_val_per_client": [cd.val.n for cd in self.clients],
+            "n_test": self.test.n,
+            "train_prevalence": [
+                {names[c]: float(cd.train.y[:, j].mean()) for j, c in enumerate(cd.classes)}
+                for cd in self.clients
+            ],
+        }
+
 
 def resolve_assignment(spec: ScenarioSpec) -> tuple[tuple[int, ...], ...]:
     """Per-client global class lists for a spec.

@@ -1,9 +1,11 @@
-"""Evaluation: rank-based AUROC, per-group summaries, paired t-tests.
+"""Evaluation: Mann-Whitney AUROC, per-group summaries, paired t-tests.
 
-AUROC follows the Mann-Whitney formulation with tied scores credited
-one half, and is undefined (None, never a made-up number) when the
-labels contain a single class or when a model cannot predict a class at
-all.
+AUROC is the normalised Mann-Whitney U statistic: the share of
+(positive, negative) pairs the positive wins, tied scores credited one
+half.  U is counted exactly, without ranks, by binary search of each
+positive score in the sorted negatives.  AUROC is undefined (None, never
+a made-up number) when the labels contain a single class or when a model
+cannot predict a class at all.
 """
 
 from __future__ import annotations
@@ -21,17 +23,6 @@ from .registry import ClassRegistry, sharing_profile
 GROUP_NAMES = ("shared_by_all", "partially_shared", "unique")
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with each run of tied scores given its mean rank."""
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    ends = np.append(starts[1:], s.size)
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
-
-
 def auroc(scores, labels) -> float | None:
     """Probability that a random positive outranks a random negative,
     ties counted one half.  None when only one label value is present."""
@@ -41,16 +32,21 @@ def auroc(scores, labels) -> float | None:
         raise ConfigError("scores and labels must have the same length")
     if scores.size == 0:
         raise ConfigError("cannot compute AUROC of an empty set")
-    if not np.all((labels == 0.0) | (labels == 1.0)):
+    is_pos = labels == 1.0
+    if not np.all(is_pos | (labels == 0.0)):
         raise ConfigError("labels must be exactly 0 or 1")
-    n_pos = int(labels.sum())
+    n_pos = int(np.count_nonzero(is_pos))
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
     if np.isnan(scores).any():
-        return float("nan")  # ranks of unordered scores are undefined
-    u = _average_ranks(scores)[labels == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
-    return float(u / (n_pos * n_neg))
+        return float("nan")  # NaN scores have no order, so U is undefined
+    pos = np.sort(scores[is_pos])
+    neg = np.sort(scores[~is_pos])
+    # per positive: 2 * (negatives below) + (negatives tied), an exact integer
+    twice_u = (np.searchsorted(neg, pos, "left").sum()
+               + np.searchsorted(neg, pos, "right").sum())
+    return float((twice_u / 2.0) / (n_pos * n_neg))
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,9 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, test: LabeledS
         custom = True
 
     _, scores = forward(params, arch, test.x, "eval")
+    # one contiguous row per class: strided column slices read slower
+    scores = np.ascontiguousarray(scores.T)
+    labels = np.ascontiguousarray(test.y.T)
     col_of = {c: j for j, c in enumerate(model_classes)}
     per_class: dict[int, float | None] = {}
     uncovered, degenerate = [], []
@@ -115,7 +114,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, test: LabeledS
             per_class[c] = None
             uncovered.append(c)
             continue
-        value = auroc(scores[:, col_of[c]], test.y[:, c])
+        value = auroc(scores[col_of[c]], labels[c])
         per_class[c] = value
         if value is None:
             degenerate.append(c)

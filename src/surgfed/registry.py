@@ -18,10 +18,13 @@ class ClassRegistry:
     ``client_classes[k]`` holds the sorted global indices of the classes
     client ``k`` has labels for.  Every client must hold at least one class
     and the union over clients must cover every global class.
+    ``holders[c]`` is the derived inverse table: the ascending ids of the
+    clients holding class ``c``, built once here.
     """
 
     global_classes: tuple[str, ...]
     client_classes: tuple[tuple[int, ...], ...]
+    holders: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __init__(self, global_classes, client_classes):
         names = tuple(str(n) for n in global_classes)
@@ -42,14 +45,16 @@ class ClassRegistry:
             clients.append(tuple(sorted(cs)))
         if len(clients) == 0:
             raise ConfigError("registry needs at least one client")
-        covered = set()
-        for cs in clients:
-            covered.update(cs)
-        if covered != set(range(len(names))):
-            missing = sorted(set(range(len(names))) - covered)
+        holders = [[] for _ in names]
+        for k, cs in enumerate(clients):
+            for c in cs:
+                holders[c].append(k)
+        missing = [c for c, ks in enumerate(holders) if not ks]
+        if missing:
             raise ConfigError(f"classes {missing} are held by no client")
         object.__setattr__(self, "global_classes", names)
         object.__setattr__(self, "client_classes", tuple(clients))
+        object.__setattr__(self, "holders", tuple(tuple(ks) for ks in holders))
 
     @property
     def n_classes(self) -> int:
@@ -78,7 +83,7 @@ def clients_with_class(registry: ClassRegistry, c: int) -> tuple[int, ...]:
     """Ascending ids of the clients that hold global class ``c``."""
     if not 0 <= c < registry.n_classes:
         raise ConfigError(f"class index {c} out of range")
-    return tuple(k for k, cs in enumerate(registry.client_classes) if c in cs)
+    return registry.holders[c]
 
 
 def local_to_global(registry: ClassRegistry, k: int, j: int) -> int:
@@ -106,11 +111,10 @@ def sharing_profile(registry: ClassRegistry) -> SharingProfile:
     """Split the global classes into shared-by-all / partial / unique."""
     K = registry.n_clients
     shared, partial, unique = [], [], []
-    for c in range(registry.n_classes):
-        kc = len(clients_with_class(registry, c))
-        if kc == K:
+    for c, ks in enumerate(registry.holders):
+        if len(ks) == K:
             shared.append(c)
-        elif kc == 1:
+        elif len(ks) == 1:
             unique.append(c)
         else:
             partial.append(c)

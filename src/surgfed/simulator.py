@@ -63,6 +63,8 @@ from .registry import ClassRegistry
 
 METHODS = ("surgical", "vanilla_fl", "fl_partial_loss", "pfl", "centralized", "individual")
 BASELINES = tuple(m for m in METHODS if m != "surgical")
+# methods that keep one model per client and no global model
+PERSONAL_METHODS = ("pfl", "individual")
 
 _TAG_INIT, _TAG_SHUFFLE = 101, 102
 
@@ -141,11 +143,15 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class RunResult:
+    """Outcome of one run.  ``realized`` is :meth:`ScenarioData.realized`
+    of the data the run trained on, so its manifest needs no second draw."""
+
     method: str
     config: ExperimentConfig
     arch: Architecture
     registry: ClassRegistry
     test: LabeledSet
+    realized: dict
     reports: tuple[RoundReport, ...]
     best_round: int
     global_params: ParamSet | None
@@ -384,7 +390,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
                 best_round = r
                 if global_params is not None:
                     best_global = global_params.copy()
-                if config.method in ("pfl", "individual"):
+                if config.method in PERSONAL_METHODS:
                     best_clients = [c.params.copy() for c in clients]
 
         leftover = config.T - n_rounds * config.E
@@ -394,13 +400,14 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         if pool is not None:
             pool.shutdown()
 
-    keep_clients = config.method in ("pfl", "individual")
+    keep_clients = config.method in PERSONAL_METHODS
     return RunResult(
         method=config.method,
         config=config,
         arch=arch,
         registry=registry,
         test=data.test,
+        realized=data.realized(),
         reports=tuple(reports),
         best_round=best_round,
         global_params=best_global,

@@ -181,6 +181,103 @@ def test_merge_equals_sequential_contributor_mean(case) -> None:
         assert b[c] == acc[-1]
 
 
+def _per_class_merge(heads, registry: ClassRegistry, weights=None):
+    """Independent oracle: the per-class merge written as one
+    ``mean_arrays`` call per global class over its holders' columns."""
+    M = registry.n_classes
+    n_feat = heads[0][0].shape[0]
+    global_W = np.empty((n_feat, M))
+    global_b = np.empty(M)
+    for c in range(M):
+        holders = [k for k, cs in enumerate(registry.client_classes) if c in cs]
+        cols = []
+        for k in holders:
+            W, b, classes = heads[k]
+            j = tuple(classes).index(c)
+            cols.append(np.concatenate([W[:, j], [b[j]]]))
+        merged = mean_arrays(cols, None if weights is None else [weights[k] for k in holders])
+        global_W[:, c] = merged[:-1]
+        global_b[c] = merged[-1]
+    return global_W, global_b
+
+
+def _assert_bitwise(got, expected) -> None:
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def oracle_merge_cases(draw):
+    M = draw(st.integers(min_value=1, max_value=8))
+    K = draw(st.integers(min_value=1, max_value=6))
+    layout = draw(st.sampled_from(["random", "single_holder", "all_shared"]))
+    if layout == "all_shared":
+        subsets = [tuple(range(M))] * K
+    elif layout == "single_holder":
+        owner = draw(st.lists(st.integers(0, K - 1), min_size=M, max_size=M))
+        # a client left without a class takes one more holder of class 0
+        subsets = [tuple(c for c in range(M) if owner[c] == k) or (0,) for k in range(K)]
+    else:
+        subsets = [
+            tuple(sorted(draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=M))))
+            for _ in range(K)
+        ]
+        covered = set().union(*subsets)
+        for i, c in enumerate(sorted(set(range(M)) - covered)):
+            subsets[i % K] = tuple(sorted(set(subsets[i % K]) | {c}))
+    reg = ClassRegistry([f"g{i}" for i in range(M)], subsets)
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1e-300, -1e300, 0.1, -0.3])
+    heads = []
+    for cs in reg.client_classes:
+        W = rng.normal(size=(3, len(cs)))
+        b = rng.normal(size=len(cs))
+        # sprinkle exact values whose sums are sensitive to order and sign
+        W[rng.random(W.shape) < 0.3] = rng.choice(special)
+        b[rng.random(b.shape) < 0.3] = rng.choice(special)
+        heads.append((W, b, cs))
+    weights = None
+    if draw(st.booleans()):
+        weights = [draw(st.sampled_from([0.25, 1.0, 3.0, 0.1, 7.5, 1e-3])) for _ in range(K)]
+    return reg, heads, weights
+
+
+@given(oracle_merge_cases())
+@settings(max_examples=300, deadline=None)
+def test_merge_equals_per_class_mean_arrays_oracle(case) -> None:
+    reg, heads, weights = case
+    W, b = surgical_head_update(heads, reg, weights)
+    W_ref, b_ref = _per_class_merge(heads, reg, weights)
+    _assert_bitwise(W, W_ref)
+    _assert_bitwise(b, b_ref)
+
+
+def test_merge_keeps_negative_zero_of_a_single_holder() -> None:
+    reg = ClassRegistry(["a", "b"], [(0, 1), (0,)])
+    heads = [
+        (np.array([[-0.0, -0.0], [2.0, -0.0]]), np.array([-0.0, -0.0]), (0, 1)),
+        (np.array([[-0.0], [1.0]]), np.array([-0.0]), (0,)),
+    ]
+    W, b = surgical_head_update(heads, reg)
+    # class 1 lives at client 0 only: its -0.0 entries pass through as -0.0
+    assert np.signbit(W[0, 1]) and np.signbit(W[1, 1]) and np.signbit(b[1])
+    # class 0 is shared: -0.0 + -0.0 stays -0.0, as in the oracle
+    _assert_bitwise(W, _per_class_merge(heads, reg)[0])
+    assert np.signbit(b[0])
+
+
+def test_merge_rejects_a_class_whose_holders_weigh_nothing(small_registry) -> None:
+    heads = _heads_for(small_registry, 4, seed=6)
+    # class 4 is held by client 2 alone
+    with pytest.raises(ConfigError, match="positive"):
+        surgical_head_update(heads, small_registry, weights=[1.0, 1.0, 0.0])
+    with pytest.raises(ConfigError, match="positive"):
+        _per_class_merge(heads, small_registry, weights=[1.0, 1.0, 0.0])
+    with pytest.raises(ConfigError):
+        surgical_head_update(heads, small_registry, weights=[1.0, 1.0])
+
+
 # --- feature strategies ---------------------------------------------------------
 
 

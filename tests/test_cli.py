@@ -267,6 +267,51 @@ def test_ablation_validation(tmp_path) -> None:
     assert main(["ablation", "clients", "--out", str(tmp_path), "--methods", "surgical,telepathy"]) == 2
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--methods", "surgical,pfl"],
+        ["--methods", "individual"],
+        ["--methods", "surgical", "--strategy", "fedbn"],
+        ["--methods", "surgical", "--strategy", "fedprox"],
+        ["--methods", "surgical", "--epochs", "0"],
+    ],
+    ids=["pfl", "individual", "fedbn-without-pfl", "unknown-strategy", "zero-epochs"],
+)
+def test_ablation_preflight_rejects_before_training(tmp_path, monkeypatch, extra) -> None:
+    """A method with no global model or an invalid method/strategy pair
+    exits 2 before the first rung trains and before any output exists."""
+    import surgfed.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(["ablation", "shared", "--out", str(out), "--seeds", "1", *extra]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
+def test_run_manifest_comes_from_the_run_data(tmp_path, monkeypatch) -> None:
+    """The scenario is generated once per run; the manifest records what
+    that draw realized."""
+    import surgfed.simulator as simulator
+    from surgfed import generate_synthetic
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return generate_synthetic(spec)
+
+    monkeypatch.setattr(simulator, "generate_synthetic", counting)
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, SMALL_CONFIG), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    manifest = json.loads((out / "result.json").read_text())["manifest"]
+    expected = json.loads(json.dumps(generate_synthetic(calls[0]).realized()))
+    assert manifest["realized"] == expected
+
+
 def test_ablation_default_method_list() -> None:
     assert ABLATION_METHODS == ("surgical", "vanilla_fl", "fl_partial_loss", "centralized")
 

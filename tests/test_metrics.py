@@ -14,6 +14,7 @@ from surgfed import (
     auroc,
     build_architecture,
     evaluate,
+    forward,
     init_model,
     paired_ttest,
     significance_stars,
@@ -86,6 +87,68 @@ def test_auroc_matches_pair_counting_with_ties() -> None:
         else:
             assert got == expected
             assert got == _rankdata_auroc(scores, labels)  # bitwise, not approximately
+
+
+def _same_value(a, b) -> bool:
+    """Bitwise equality of two AUROC results; any NaN matches any NaN."""
+    if a is None or b is None:
+        return a is None and b is None
+    if np.isnan(a) or np.isnan(b):
+        return bool(np.isnan(a) and np.isnan(b))
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+# few distinct values make ties common; both zeros and both infinities
+# sort as equals or as extremes, and NaN has no order at all
+_AWKWARD_SCORES = st.sampled_from([0.0, -0.0, 0.25, -0.25, 1.0, 3.0, np.inf, -np.inf, np.nan])
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.one_of(_AWKWARD_SCORES, st.floats(allow_nan=True, allow_infinity=True)),
+            st.integers(0, 1),
+        ),
+        min_size=1, max_size=60,
+    ),
+    st.sampled_from(["mixed", "all_positive", "all_negative"]),
+)
+@settings(max_examples=400, deadline=None)
+def test_auroc_equals_rankdata_oracle_bitwise(pairs, label_mode) -> None:
+    scores = np.array([s for s, _ in pairs], dtype=float)
+    labels = np.array([y for _, y in pairs], dtype=float)
+    if label_mode != "mixed":
+        labels[:] = 1.0 if label_mode == "all_positive" else 0.0
+    got = auroc(scores, labels)
+    if labels.min() == labels.max():
+        assert got is None
+    else:
+        assert _same_value(got, _rankdata_auroc(scores, labels))
+
+
+def test_evaluate_per_class_equals_scalar_loop() -> None:
+    M = 60
+    arch = build_architecture(6, hidden=(8,))
+    reg = ClassRegistry([f"c{i:02d}" for i in range(M)], [range(0, 40), range(20, M)])
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(300, 6))
+    y = (rng.random((300, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
+    y[:, 8] = 0.0  # degenerate: no positives
+    test = LabeledSet(x, y, "test")
+    # the model covers every other class, in a shuffled column order
+    model_classes = [int(c) for c in rng.permutation(np.arange(0, M, 2))]
+    params = init_model(arch, len(model_classes), seed=4, class_ids=model_classes)
+    ev = evaluate(params, arch, model_classes, test, reg)
+    _, scores = forward(params, arch, x, "eval")
+    assert sorted(ev.per_class) == list(range(M))
+    for c in range(M):
+        if c in model_classes:
+            expected = auroc(scores[:, model_classes.index(c)], y[:, c])
+        else:
+            expected = None
+        assert _same_value(ev.per_class[c], expected), c
+    assert ev.degenerate == (8,)
+    assert ev.uncovered == tuple(c for c in range(M) if c not in model_classes)
 
 
 @given(
