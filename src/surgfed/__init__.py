@@ -64,7 +64,6 @@ from .model import (
 )
 from .nn import (
     Architecture,
-    BatchNormState,
     LayerSpec,
     ParamGrad,
     ParamSet,

@@ -3,8 +3,9 @@
 AUROC is the normalised Mann-Whitney U statistic: the share of
 (positive, negative) pairs the positive wins, tied scores credited one
 half.  U is counted exactly, without ranks, by binary search of each
-positive score in the sorted negatives.  AUROC is undefined (None, never
-a made-up number) when the labels contain a single class or when a model
+positive score in the sorted negatives; a second search counts ties,
+and runs only when there are any.  AUROC is undefined (None, never a
+made-up number) when the labels contain a single class or when a model
 cannot predict a class at all.
 """
 
@@ -44,8 +45,12 @@ def auroc(scores, labels) -> float | None:
     pos = np.sort(scores[is_pos])
     neg = np.sort(scores[~is_pos])
     # per positive: 2 * (negatives below) + (negatives tied), an exact integer
-    twice_u = (np.searchsorted(neg, pos, "left").sum()
-               + np.searchsorted(neg, pos, "right").sum())
+    below = np.searchsorted(neg, pos, "left")
+    # a positive ties a negative iff the first negative not below it equals it
+    if np.any(neg[np.minimum(below, neg.size - 1)] == pos):
+        twice_u = below.sum() + np.searchsorted(neg, pos, "right").sum()
+    else:
+        twice_u = 2 * below.sum()
     return float((twice_u / 2.0) / (n_pos * n_neg))
 
 

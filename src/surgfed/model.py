@@ -4,6 +4,11 @@ Every client in an experiment shares one init seed for the feature
 extractor, and each head column is drawn from a stream keyed by
 (seed, global class id).  Two clients that share a class therefore start
 from identical columns regardless of how wide their heads are.
+
+Local SGD trains a group of same-shape clients in lock-step on a private
+stacked copy of their parameters.  Shapes, labels, loss columns, the
+learning rate and the frozen groups are checked once per training call,
+not per batch; each step then runs :func:`surgfed.nn.train_step`.
 """
 
 from __future__ import annotations
@@ -15,15 +20,19 @@ from pathlib import Path
 import numpy as np
 
 from .data import LabeledSet
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation
+# backward and sgd_step are not called here: perfbench/tracer.py wraps them
+# under this module's names
 from .nn import (
     Architecture,
     ParamSet,
     backward,
+    check_training,
     forward,
     masked_bce_loss,
     sgd_step,
     stack_params,
+    train_step,
     unstack_params,
 )
 
@@ -135,35 +144,31 @@ class ClientState:
 
 
 def _train_epoch(group, params: ParamSet, x, y, cols, lr: float, batch_size: int, frozen):
-    """One lock-step epoch of a group.  ``params``, ``x`` and ``y`` are
-    stacked along a leading client axis; every client draws its batch
-    order from its own RNG stream.  Returns the updated stack and each
-    client's mean batch loss."""
+    """One lock-step epoch of a group, on inputs ``check_training`` has
+    passed.  ``params``, ``x`` and ``y`` are stacked along a leading
+    client axis and ``params`` is updated in place; every client draws
+    its batch order from its own RNG stream.  Returns each client's mean
+    batch loss."""
     arch, ids = group[0].arch, [c.id for c in group]
     K, n = x.shape[:2]
     # row indices into the (K * n, ...) flattened data, one row per client
     rows = np.stack([c.rng.permutation(n) for c in group]) + n * np.arange(K)[:, None]
-    x, y = x.reshape(K * n, -1), y.reshape(K * n, -1)
+    # gather the shuffled rows once; every batch is a view
+    x, y = x.reshape(K * n, -1)[rows], y.reshape(K * n, -1)[rows]
     total, batches = np.zeros(K), 0
     for start in range(0, n, batch_size):
-        idx = rows[:, start : start + batch_size]
-        xb = x[idx]
-        yb = y[idx]
-        acts, p = forward(params, arch, xb, "train", ids)
-        loss = masked_bce_loss(p, yb, cols)
-        if not np.isfinite(loss).all():
-            cid = ids[int(np.argmin(np.isfinite(loss)))]
-            raise NumericError(f"non-finite loss at client {cid}", client=cid)
-        grads = backward(params, arch, acts, p, yb, cols)
-        params = sgd_step(params, grads, lr, frozen)
-        total += loss
+        end = start + batch_size
+        total += train_step(params, arch, x[:, start:end], y[:, start:end], cols, lr, frozen, ids)
         batches += 1
-    return params, total / batches
+    return total / batches
 
 
 def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mode: str):
-    """Run ``epochs`` lock-step epochs and write each client's parameters
-    back.  Returns the per-epoch loss arrays (one entry per client)."""
+    """Run ``epochs`` lock-step epochs on a private stacked copy of the
+    group's parameters and write each client's slice back; a call that
+    raises leaves every client's parameters as they were.  Inputs are
+    checked here, once.  Returns the per-epoch loss arrays (one entry per
+    client)."""
     if not group:
         raise ConfigError("a training group needs at least one client")
     first = group[0]
@@ -175,14 +180,12 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mo
                 "group members must share architecture, train.n, head width and loss-column count"
             )
     # one shared mask, or one row of loss columns per client
-    cols = columns[0] if len(set(columns)) == 1 else np.array(columns, dtype=np.intp)
+    mask = columns[0] if len(set(columns)) == 1 else np.array(columns, dtype=np.intp)
     params = stack_params([c.params for c in group])
     x = np.stack([c.train.x for c in group])
     y = np.stack([c.train.y for c in group])
-    losses = []
-    for _ in range(epochs):
-        params, loss = _train_epoch(group, params, x, y, cols, lr, batch_size, frozen)
-        losses.append(loss)
+    cols, frozen = check_training(params, first.arch, x, y, mask, lr, frozen)
+    losses = [_train_epoch(group, params, x, y, cols, lr, batch_size, frozen) for _ in range(epochs)]
     for c, ps in zip(group, unstack_params(params)):
         c.params = ps
     return losses
@@ -264,6 +267,8 @@ def save_checkpoint(params: ParamSet, path) -> None:
 
 
 def load_checkpoint(path) -> ParamSet:
+    """Inverse of :func:`save_checkpoint`.  A malformed row is a
+    :class:`ConfigError` that names its line."""
     path = Path(path)
     feature: dict[str, np.ndarray] = {}
     bn_mean: dict[int, np.ndarray] = {}
@@ -275,9 +280,20 @@ def load_checkpoint(path) -> ParamSet:
         if not header or header[0] != _CKPT_HEADER:
             raise ConfigError(f"{path} is not a surgfed checkpoint")
         for row in r:
-            group, name, rows_, cols_ = row[0], row[1], int(row[2]), int(row[3])
-            vals = np.array([float(v) for v in row[4:]], dtype=np.float64)
+            where = f"{path} line {r.line_num}"
+            if len(row) < 4:
+                raise ConfigError(f"{where}: a row needs a group, a name and a two-number shape")
+            group, name = row[0], row[1]
+            try:
+                rows_, cols_ = int(row[2]), int(row[3])
+                vals = np.array([float(v) for v in row[4:]], dtype=np.float64)
+            except ValueError:
+                raise ConfigError(f"{where}: the shape must be integers and the values numbers") from None
+            if rows_ < 0 or cols_ < 0 or vals.size != (rows_ if cols_ == 0 else rows_ * cols_):
+                raise ConfigError(f"{where}: {vals.size} values do not fill the shape ({rows_}, {cols_})")
             arr = vals if cols_ == 0 else vals.reshape(rows_, cols_)
+            if group in ("bn_mean", "bn_var") and not name.isdecimal():
+                raise ConfigError(f"{where}: a batch-norm row must name a layer index, got {name!r}")
             if group == "feature":
                 feature[name] = arr
             elif group == "bn_mean":

@@ -11,11 +11,19 @@ A model is a stack of feature layers (dense, batchnorm, relu, sigmoid)
 followed by an implicit classification head: one dense layer plus a
 sigmoid.  The head's parameters live in their own fields of
 :class:`ParamSet` so they can be aggregated per class.
+
+Each public function (:func:`forward`, :func:`masked_bce_loss`,
+:func:`backward`, :func:`sgd_step`) validates its arguments on every
+call and then runs a private core that holds the layer math.  Training
+calls the cores directly: :func:`check_training` makes every check once
+for a whole training set, and :func:`train_step` runs one step on a
+batch of it.  Only the finiteness checks, which depend on the values,
+stay in every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
@@ -113,18 +121,6 @@ def build_architecture(d: int, hidden: tuple[int, ...] = (32, 16), use_batchnorm
     return Architecture(in_dim=d, feature_specs=tuple(specs))
 
 
-@dataclass(frozen=True)
-class BatchNormState:
-    """Snapshot view of one batch-norm layer's state."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float
-    epsilon: float
-
-
 @dataclass
 class ParamSet:
     """Trainable parameters plus batch-norm running statistics.
@@ -152,16 +148,6 @@ class ParamSet:
             bn_var={k: v.copy() for k, v in self.bn_var.items()},
             head_W=self.head_W.copy(),
             head_b=self.head_b.copy(),
-        )
-
-    def bn_state(self, arch: Architecture, layer: int) -> BatchNormState:
-        return BatchNormState(
-            gamma=self.feature[f"{layer}.gamma"],
-            beta=self.feature[f"{layer}.beta"],
-            running_mean=self.bn_mean[layer],
-            running_var=self.bn_var[layer],
-            momentum=arch.bn_momentum,
-            epsilon=arch.bn_eps,
         )
 
 
@@ -243,6 +229,64 @@ def _non_finite(what: str, layer: int, h: np.ndarray, client_ids) -> NumericErro
     return NumericError(f"non-finite {what}{at}", layer=layer, client=client)
 
 
+def _check_inputs(params: ParamSet, arch: Architecture, h: np.ndarray) -> None:
+    """The shape checks of :func:`forward`: the input against the
+    architecture, the parameters against both."""
+    if h.shape[-1] != arch.in_dim:
+        raise ConfigError(f"x has width {h.shape[-1]}, architecture expects {arch.in_dim}")
+    if h.shape[-2] < 1:
+        raise ConfigError("x must contain at least one sample")
+    if h.shape[:-2] != params.head_W.shape[:-2]:
+        raise ContractViolation("x and params disagree on the number of stacked models")
+    for i, spec in enumerate(arch.feature_specs):
+        if spec.kind == "dense":
+            W = params.feature[f"{i}.W"]
+            if W.shape[-2:] != (spec.in_dim, spec.out_dim):
+                raise ConfigError(f"layer {i} weight shape {W.shape} does not match spec")
+    if params.head_W.shape[-2] != arch.feature_out_dim:
+        raise ContractViolation(
+            f"head expects {params.head_W.shape[-2]} features, extractor emits {arch.feature_out_dim}"
+        )
+
+
+def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, client_ids):
+    """The layer math of :func:`forward` on checked inputs.  Also returns,
+    per batch-norm layer, the ``(centered, sqrt(var + eps))`` pair it
+    normalised with, which :func:`_backward` reuses."""
+    acts, norms = [h], {}
+    for i, spec in enumerate(arch.feature_specs):
+        if spec.kind == "dense":
+            h = h @ params.feature[f"{i}.W"] + params.feature[f"{i}.b"][..., None, :]
+        elif spec.kind == "batchnorm":
+            gamma = params.feature[f"{i}.gamma"][..., None, :]
+            beta = params.feature[f"{i}.beta"][..., None, :]
+            if train:
+                mu, centered, var = _batch_stats(h)
+                m = arch.bn_momentum
+                params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
+                params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
+            else:
+                centered = h - params.bn_mean[i][..., None, :]
+                var = params.bn_var[i][..., None, :]
+            std = np.sqrt(var + arch.bn_eps)
+            norms[i] = (centered, std)
+            h = gamma * (centered / std) + beta
+        elif spec.kind == "relu":
+            h = np.maximum(h, 0.0)
+        else:  # sigmoid
+            h = expit(h)
+        if not np.isfinite(h).all():
+            raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
+        acts.append(h)
+    logits = h @ params.head_W + params.head_b[..., None, :]
+    if not np.isfinite(logits).all():
+        raise _non_finite("head pre-activation", len(arch.feature_specs), logits, client_ids)
+    acts.append(logits)
+    out = expit(logits)
+    acts.append(out)
+    return acts, out, norms
+
+
 def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client_ids=None):
     """Run the network.  Returns ``(activations, output)``.
 
@@ -261,49 +305,8 @@ def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     h = _as_batch(x, "x")
-    if h.shape[-1] != arch.in_dim:
-        raise ConfigError(f"x has width {h.shape[-1]}, architecture expects {arch.in_dim}")
-    if h.shape[-2] < 1:
-        raise ConfigError("x must contain at least one sample")
-    if h.shape[:-2] != params.head_W.shape[:-2]:
-        raise ContractViolation("x and params disagree on the number of stacked models")
-    acts = [h]
-    for i, spec in enumerate(arch.feature_specs):
-        if spec.kind == "dense":
-            W = params.feature[f"{i}.W"]
-            b = params.feature[f"{i}.b"]
-            if W.shape[-2:] != (spec.in_dim, spec.out_dim):
-                raise ConfigError(f"layer {i} weight shape {W.shape} does not match spec")
-            h = h @ W + b[..., None, :]
-        elif spec.kind == "batchnorm":
-            gamma = params.feature[f"{i}.gamma"][..., None, :]
-            beta = params.feature[f"{i}.beta"][..., None, :]
-            if mode == "train":
-                mu, centered, var = _batch_stats(h)
-                m = arch.bn_momentum
-                params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
-                params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
-            else:
-                centered = h - params.bn_mean[i][..., None, :]
-                var = params.bn_var[i][..., None, :]
-            h = gamma * (centered / np.sqrt(var + arch.bn_eps)) + beta
-        elif spec.kind == "relu":
-            h = np.maximum(h, 0.0)
-        else:  # sigmoid
-            h = expit(h)
-        if not np.isfinite(h).all():
-            raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
-        acts.append(h)
-    if params.head_W.shape[-2] != arch.feature_out_dim:
-        raise ContractViolation(
-            f"head expects {params.head_W.shape[-2]} features, extractor emits {arch.feature_out_dim}"
-        )
-    logits = h @ params.head_W + params.head_b[..., None, :]
-    if not np.isfinite(logits).all():
-        raise _non_finite("head pre-activation", len(arch.feature_specs), logits, client_ids)
-    acts.append(logits)
-    out = expit(logits)
-    acts.append(out)
+    _check_inputs(params, arch, h)
+    acts, out, _ = _forward(params, arch, h, mode == "train", client_ids)
     return acts, out
 
 
@@ -341,6 +344,21 @@ def _check_pair(p, y) -> tuple[np.ndarray, np.ndarray]:
     return p, y
 
 
+def _check_labels(y: np.ndarray) -> None:
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ConfigError("labels must be exactly 0 or 1")
+
+
+def _bce(p: np.ndarray, y: np.ndarray):
+    """Clamped BCE averaged over every sample and column of ``p``, one
+    value per stacked model."""
+    p = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    bce = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    # reduce over a contiguous (..., columns, samples) layout: column-major
+    # per model, the order a 2-D call's column selection leaves it in
+    return np.ascontiguousarray(bce.swapaxes(-1, -2)).mean(axis=(-2, -1))
+
+
 def masked_bce_loss(p, y, mask):
     """Binary cross-entropy averaged over samples and the masked columns.
 
@@ -350,50 +368,42 @@ def masked_bce_loss(p, y, mask):
     model, each summed column by column exactly as a 2-D call sums it.
     """
     p, y = _check_pair(p, y)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ConfigError("labels must be exactly 0 or 1")
+    _check_labels(y)
     cols = _mask_cols(mask, p)
-    pc = np.clip(_take_cols(p, cols), BCE_CLAMP, 1.0 - BCE_CLAMP)
-    yc = _take_cols(y, cols)
-    bce = -(yc * np.log(pc) + (1.0 - yc) * np.log1p(-pc))
-    # reduce over a contiguous (..., columns, samples) layout: column-major
-    # per model, the order a 2-D call's column selection leaves it in
-    loss = np.ascontiguousarray(bce.swapaxes(-1, -2)).mean(axis=(-2, -1))
+    loss = _bce(_take_cols(p, cols), _take_cols(y, cols))
     return float(loss) if p.ndim == 2 else loss
 
 
-def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamGrad:
-    """Analytic gradients of :func:`masked_bce_loss` wrt every trainable
-    parameter.  ``activations`` must come from a matching train-mode
-    forward call on the same parameters.  Head columns outside the mask
-    receive exactly zero gradient.  Stacked inputs give stacked
-    gradients.
-    """
-    p, y = _check_pair(p, y)
-    nspecs = len(arch.feature_specs)
-    if len(activations) != nspecs + 3:
-        raise ContractViolation("activation list does not match the architecture")
-    if activations[0].shape[:-1] != p.shape[:-1]:
-        raise ContractViolation("activations are stale: batch size mismatch")
-    if p.shape[-1] != params.head_cols:
-        raise ContractViolation("p width does not match the head")
-    n = p.shape[-2]
-    cols = _mask_cols(mask, p)
-    g = np.zeros_like(p)
-    # Joint derivative of clamped BCE through the output sigmoid; the clamp
-    # is treated as the identity, which is exact away from saturation.
-    dg = (_take_cols(p, cols) - _take_cols(y, cols)) / (n * cols.shape[-1])
+def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int) -> np.ndarray:
+    """Gradient of :func:`_bce` of the loss columns ``p``, ``y`` wrt the
+    head pre-activations: the joint derivative through the output
+    sigmoid, the clamp treated as the identity (exact away from
+    saturation).  ``cols`` places the columns in a head of ``width``;
+    None means they are the whole head."""
+    g = (p - y) / (p.shape[-2] * p.shape[-1])
+    if cols is None:
+        return g
+    full = np.zeros(g.shape[:-1] + (width,))
     if cols.ndim == 1:
-        g[..., cols] = dg
+        full[..., cols] = g
     else:
-        np.put_along_axis(g, cols[:, None, :], dg, axis=-1)
+        np.put_along_axis(full, cols[:, None, :], g, axis=-1)
+    return full
 
-    feat_out = activations[nspecs]
-    grad_head_W = feat_out.swapaxes(-1, -2) @ g
+
+def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, norms,
+              heads_only: bool = False) -> ParamGrad:
+    """Backpropagate the logit gradient ``g``.  ``norms`` holds the
+    ``(centered, sqrt(var + eps))`` pair of each batch-norm layer.  With
+    ``heads_only`` the pass stops after the head: the feature gradients
+    stay empty."""
+    nspecs = len(arch.feature_specs)
+    grad_head_W = activations[nspecs].swapaxes(-1, -2) @ g
     grad_head_b = g.sum(axis=-2)
-    g = g @ params.head_W.swapaxes(-1, -2)
-
     grads: dict[str, np.ndarray] = {}
+    if heads_only:
+        return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
+    g = g @ params.head_W.swapaxes(-1, -2)
     for i in range(nspecs - 1, -1, -1):
         spec = arch.feature_specs[i]
         x_in = activations[i]
@@ -405,8 +415,8 @@ def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> P
         elif spec.kind == "batchnorm":
             gamma = params.feature[f"{i}.gamma"][..., None, :]
             nb = x_in.shape[-2]
-            _, centered, var = _batch_stats(x_in)
-            inv = 1.0 / np.sqrt(var + arch.bn_eps)
+            centered, std = norms[i]
+            inv = 1.0 / std
             xhat = centered * inv
             grads[f"{i}.gamma"] = (g * xhat).sum(axis=-2)
             grads[f"{i}.beta"] = g.sum(axis=-2)
@@ -424,36 +434,112 @@ def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> P
     return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
 
 
-def sgd_step(params: ParamSet, grads: ParamGrad, lr: float, frozen=frozenset()) -> ParamSet:
-    """One SGD step.  ``frozen`` names parameter groups to leave alone
-    (``feature_extractor``, ``head``).  Running statistics are never
-    touched.  Returns a new ParamSet; frozen groups keep their arrays."""
+def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamGrad:
+    """Analytic gradients of :func:`masked_bce_loss` wrt every trainable
+    parameter.  ``activations`` must come from a matching train-mode
+    forward call on the same parameters.  Head columns outside the mask
+    receive exactly zero gradient.  Stacked inputs give stacked
+    gradients.
+    """
+    p, y = _check_pair(p, y)
+    if len(activations) != len(arch.feature_specs) + 3:
+        raise ContractViolation("activation list does not match the architecture")
+    if activations[0].shape[:-1] != p.shape[:-1]:
+        raise ContractViolation("activations are stale: batch size mismatch")
+    if p.shape[-1] != params.head_cols:
+        raise ContractViolation("p width does not match the head")
+    cols = _mask_cols(mask, p)
+    g = _output_grad(_take_cols(p, cols), _take_cols(y, cols), cols, p.shape[-1])
+    norms = {}
+    for i in arch.bn_layers():
+        _, centered, var = _batch_stats(activations[i])
+        norms[i] = (centered, np.sqrt(var + arch.bn_eps))
+    return _backward(params, arch, activations, g, norms)
+
+
+def _check_sgd(lr: float, frozen) -> frozenset:
     frozen = frozenset(frozen)
     unknown = frozen - PARAM_GROUPS
     if unknown:
         raise ConfigError(f"unknown parameter group(s) {sorted(unknown)}")
     if lr < 0.0:
         raise ConfigError("lr must be non-negative")
-    if "feature_extractor" in frozen:
-        feature = dict(params.feature)
-    else:
-        feature = {}
+    return frozen
+
+
+def _sgd(params: ParamSet, grads: ParamGrad, lr: float, frozen: frozenset) -> None:
+    """The SGD update, in place: ``v -= lr * g`` is bitwise ``v - lr * g``."""
+    if "feature_extractor" not in frozen:
+        for k, v in params.feature.items():
+            v -= lr * grads.feature[k]
+    if "head" not in frozen:
+        params.head_W -= lr * grads.head_W
+        params.head_b -= lr * grads.head_b
+
+
+def sgd_step(params: ParamSet, grads: ParamGrad, lr: float, frozen=frozenset()) -> ParamSet:
+    """One SGD step.  ``frozen`` names parameter groups to leave alone
+    (``feature_extractor``, ``head``).  Running statistics are never
+    touched.  Returns a new ParamSet; frozen groups keep their arrays."""
+    frozen = _check_sgd(lr, frozen)
+    train_features = "feature_extractor" not in frozen
+    train_head = "head" not in frozen
+    if train_features:
         for k, v in params.feature.items():
             gk = grads.feature.get(k)
             if gk is None or gk.shape != v.shape:
                 raise ContractViolation(f"gradient missing or mis-shaped for {k}")
-            feature[k] = v - lr * gk
-    if "head" in frozen:
-        head_W, head_b = params.head_W, params.head_b
-    else:
-        if grads.head_W.shape != params.head_W.shape:
-            raise ContractViolation("head gradient shape mismatch")
-        head_W = params.head_W - lr * grads.head_W
-        head_b = params.head_b - lr * grads.head_b
-    return ParamSet(
-        feature=feature,
+    if train_head and grads.head_W.shape != params.head_W.shape:
+        raise ContractViolation("head gradient shape mismatch")
+    out = ParamSet(
+        feature={k: v.copy() if train_features else v for k, v in params.feature.items()},
         bn_mean=dict(params.bn_mean),
         bn_var=dict(params.bn_var),
-        head_W=head_W,
-        head_b=head_b,
+        head_W=params.head_W.copy() if train_head else params.head_W,
+        head_b=params.head_b.copy() if train_head else params.head_b,
     )
+    _sgd(out, grads, lr, frozen)
+    return out
+
+
+# --- lock-step training -------------------------------------------------------
+
+
+def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, frozen):
+    """Every check the four functions above make per call, made once for
+    a training set that :func:`train_step` then walks batch by batch:
+    ``x`` and ``y`` hold all of it, stacked like ``params``.  Returns
+    ``(cols, frozen)`` in the form :func:`train_step` takes; ``cols`` is
+    None when the mask names every head column."""
+    x, y = _as_batch(x, "x"), _as_batch(y, "y")
+    _check_inputs(params, arch, x)
+    if y.shape != x.shape[:-1] + (params.head_cols,):
+        raise ContractViolation(f"labels {y.shape} do not match inputs {x.shape} and the head")
+    _check_labels(y)
+    cols = _mask_cols(mask, y)
+    frozen = _check_sgd(lr, frozen)
+    if cols.ndim == 1 and cols.shape[0] == y.shape[-1]:
+        cols = None  # sorted, unique and in range: every column, in order
+    return cols, frozen
+
+
+def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids):
+    """One SGD step on a batch cut from inputs :func:`check_training`
+    passed, with the arguments it returned: bitwise :func:`forward`,
+    :func:`masked_bce_loss`, :func:`backward` and :func:`sgd_step` in a
+    row, but ``params`` is updated in place, batch-norm statistics are
+    computed once and a mask over every column is not applied.  With the
+    feature extractor frozen, backpropagation stops after the head.
+    Returns the loss, one per stacked model."""
+    acts, p, norms = _forward(params, arch, x, True, client_ids)
+    if cols is not None:
+        p, y = _take_cols(p, cols), _take_cols(y, cols)
+    loss = _bce(p, y)
+    if not np.isfinite(loss).all():
+        client = None if client_ids is None else client_ids[int(np.argmin(np.isfinite(loss)))]
+        at = "" if client is None else f" at client {client}"
+        raise NumericError(f"non-finite loss{at}", client=client)
+    heads_only = "feature_extractor" in frozen
+    g = _output_grad(p, y, cols, params.head_cols)
+    _sgd(params, _backward(params, arch, acts, g, norms, heads_only), lr, frozen)
+    return loss

@@ -4,20 +4,29 @@ import numpy as np
 import pytest
 
 from surgfed import (
+    METHODS,
     ClientState,
     ConfigError,
     ContractViolation,
+    ExperimentConfig,
     LabeledSet,
     NumericError,
     ParamSet,
+    ScenarioSpec,
+    backward,
     class_column,
+    forward,
+    generate_synthetic,
     head_warmup,
     init_model,
     load_checkpoint,
     local_train,
+    masked_bce_loss,
     params_equal,
     save_checkpoint,
     set_class_column,
+    sgd_step,
+    simulator,
     validation_loss,
 )
 
@@ -249,6 +258,104 @@ def test_group_with_per_client_loss_columns_equals_solo(tiny_arch) -> None:
         assert a.rng.random() == b.rng.random()
 
 
+# --- the lean lock-step step against the per-batch loop ---------------------
+
+
+def _oracle_train(c: ClientState, epochs: int, lr: float, batch_size: int, frozen, loss_mode: str):
+    """The per-batch loop, one client at a time, built only from the
+    public kernel: gather a batch, ``forward``, ``masked_bce_loss``,
+    ``backward``, ``sgd_step``.  Returns the per-epoch mean losses."""
+    cols = c.loss_columns(loss_mode)
+    params, losses = c.params.copy(), []
+    for _ in range(epochs):
+        order = c.rng.permutation(c.train.n)
+        total, batches = 0.0, 0
+        for start in range(0, c.train.n, batch_size):
+            idx = order[start : start + batch_size]
+            xb, yb = c.train.x[idx], c.train.y[idx]
+            acts, p = forward(params, c.arch, xb, "train", [c.id])
+            total += masked_bce_loss(p, yb, cols)
+            params = sgd_step(params, backward(params, c.arch, acts, p, yb, cols), lr, frozen)
+            batches += 1
+        losses.append(total / batches)
+    c.params = params
+    return losses
+
+
+def _oracle_local_train(c: ClientState, epochs: int, lr: float, batch_size: int, loss_mode: str):
+    losses = _oracle_train(c, epochs, lr, batch_size, frozenset(), loss_mode)
+    c.epoch_counter += epochs
+    c.last_train_loss = float(np.mean(losses))
+
+
+# sizes 3, 3, 3, 2: same-width groups, and under fl_partial_loss three
+# clients with different loss columns in one group (a per-model mask)
+ORACLE_SCENARIO = ScenarioSpec(
+    n_per_client=50, d=5, M=6, K=4, seed=3,
+    assignment=[[0, 1, 2], [0, 3, 4], [1, 2, 5], [3, 5]],
+)
+
+
+def _method_clients(method: str) -> list[ClientState]:
+    cfg = ExperimentConfig(scenario=ORACLE_SCENARIO, method=method, T=2)
+    data, arch = generate_synthetic(cfg.scenario), cfg.architecture()
+    if method == "centralized":
+        return [simulator._build_centralized(data, cfg, arch)]
+    return simulator._build_clients(data, cfg, arch)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_lean_step_equals_the_per_batch_oracle(method) -> None:
+    """Warmup, then E=2 in one call and E=1 in two calls through the
+    run's lock-step groups, each bit for bit what the per-batch loop of
+    the public kernel gives: parameters, batch-norm statistics, losses,
+    epoch counts and the next draw of every client's RNG stream.  The
+    batch size leaves a short last batch."""
+    loss_mode = simulator._loss_mode(method)
+    once, twice, oracle = _method_clients(method), _method_clients(method), _method_clients(method)
+    groups = simulator._client_groups(once, loss_mode)
+    if method == "fl_partial_loss":
+        assert any(len({c.loss_columns(loss_mode) for c in g}) > 1 for g in groups)
+    for g in groups:
+        head_warmup(g, 1, 0.02, 16, loss_mode)
+        local_train(g, 2, 0.05, 16, loss_mode)
+    for g in simulator._client_groups(twice, loss_mode):
+        head_warmup(g, 1, 0.02, 16, loss_mode)
+        local_train(g, 1, 0.05, 16, loss_mode)
+        local_train(g, 1, 0.05, 16, loss_mode)
+    for c in oracle:
+        _oracle_train(c, 1, 0.02, 16, frozenset({"feature_extractor"}), loss_mode)
+        _oracle_local_train(c, 2, 0.05, 16, loss_mode)
+    for a, b, o in zip(once, twice, oracle):
+        assert params_equal(a.params, o.params)
+        assert params_equal(b.params, o.params)
+        assert a.last_train_loss == o.last_train_loss
+        assert a.epoch_counter == b.epoch_counter == o.epoch_counter == 2
+        assert a.rng.random() == b.rng.random() == o.rng.random()
+
+
+@pytest.mark.parametrize("layer", [0, 3])
+def test_lean_step_numeric_error_matches_the_oracle(tiny_arch, layer) -> None:
+    """An inf weight in one client's dense layer: the group raises with
+    the layer and client the per-batch loop names, and every member keeps
+    the parameters it had before the call, batch-norm statistics included
+    (at layer 3 the failing forward pass has already updated layer 1's)."""
+    group, solo = _group(tiny_arch, classes=(0, 1)), _group(tiny_arch, classes=(0, 1))
+    for g in (group, solo):
+        g[2].params.feature[f"{layer}.W"][1, 0] = np.inf
+    before = [c.params.copy() for c in group]
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as lean:
+        local_train(group, 1, 0.05, 16)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as oracle:
+        for c in solo:
+            _oracle_local_train(c, 1, 0.05, 16, "local_classes")
+    assert (lean.value.layer, lean.value.client) == (oracle.value.layer, oracle.value.client)
+    assert (lean.value.layer, lean.value.client) == (layer, 22)
+    for c, snap in zip(group, before):
+        assert params_equal(c.params, snap)
+        assert c.epoch_counter == 0
+
+
 def test_validation_loss_is_pure(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     local_train([c], 1, 0.05, 16)
@@ -274,4 +381,22 @@ def test_checkpoint_rejects_foreign_files(tmp_path) -> None:
     path = tmp_path / "junk.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ConfigError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "feature,0.W,2.0,1,1.5,2.5",  # a non-integer shape
+        "feature,0.W",  # too few fields
+        "feature,0.W,2,2,1.5,2.5,3.5",  # three values for a 2 x 2 shape
+        "feature,0.b,3,0,1.5,2.5",  # two values for a length-3 vector
+        "feature,0.b,1,0,one",  # a value that is not a number
+        "bn_mean,first,1,0,0.5",  # a batch-norm row without a layer index
+    ],
+)
+def test_checkpoint_rejects_malformed_rows(tmp_path, row) -> None:
+    path = tmp_path / "model.csv"
+    path.write_text(f"surgfed-checkpoint-v1\nhead_b,head_b,1,0,0.5\n{row}\n")
+    with pytest.raises(ConfigError, match="line 3"):
         load_checkpoint(path)

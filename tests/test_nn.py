@@ -21,7 +21,7 @@ from surgfed import (
     sgd_step,
     sigmoid,
 )
-from surgfed.nn import BCE_CLAMP, LayerSpec, stack_params, unstack_params
+from surgfed.nn import BCE_CLAMP, LayerSpec, check_training, stack_params, unstack_params
 
 from conftest import random_params
 
@@ -439,6 +439,33 @@ def _grad_like(params, fill: float):
         head_W=np.full_like(params.head_W, fill),
         head_b=np.full_like(params.head_b, fill),
     )
+
+
+def test_check_training_validates_once_for_every_step(tiny_arch) -> None:
+    """The per-call checks of the four kernel functions, made once for a
+    whole stacked training set; a mask over every column comes back as
+    None, any other as its index array."""
+    params = stack_params([init_model(tiny_arch, 3, seed=s) for s in (1, 2)])
+    x = np.random.default_rng(3).normal(size=(2, 10, 4))
+    y = np.zeros((2, 10, 3))
+    assert check_training(params, tiny_arch, x, y, (2, 0, 1), 0.1, ()) == (None, frozenset())
+    cols, frozen = check_training(params, tiny_arch, x, y, np.array([[0, 2], [1, 2]]), 0.1, {"head"})
+    np.testing.assert_array_equal(cols, [[0, 2], [1, 2]])
+    assert frozen == frozenset({"head"})
+    np.testing.assert_array_equal(check_training(params, tiny_arch, x, y, [2, 0], 0.1, ())[0], [0, 2])
+    for bad in (
+        dict(x=x[..., :3]),  # width
+        dict(y=np.full((2, 10, 3), 0.5)),  # non-binary labels
+        dict(mask=[3]),  # column out of range
+        dict(mask=np.array([[1, 0], [0, 1]])),  # per-model row not increasing
+        dict(lr=-0.1),
+        dict(frozen={"backbone"}),
+    ):
+        args = dict(x=x, y=y, mask=[0], lr=0.1, frozen=()) | bad
+        with pytest.raises(ConfigError):
+            check_training(params, tiny_arch, **args)
+    with pytest.raises(ContractViolation):
+        check_training(params, tiny_arch, x, y[:, :9], [0], 0.1, ())
 
 
 def test_sgd_step_arithmetic() -> None:
