@@ -46,6 +46,7 @@ from .errors import ConfigError, ContractViolation, NumericError
 from .metrics import (
     EvalResult,
     TTestResult,
+    TestPlan,
     auroc,
     evaluate,
     paired_ttest,

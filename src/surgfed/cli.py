@@ -84,9 +84,16 @@ def _opt_number(obj, key: str, path: str, default):
     if key not in obj or obj[key] is None:
         return default
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-        raise ConfigError(f"field {path}.{key} must be a finite number")
-    return float(v)
+    error = ConfigError(f"field {path}.{key} must be a finite number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise error
+    try:
+        v = float(v)
+    except OverflowError:  # an integer beyond the float range
+        raise error from None
+    if not np.isfinite(v):
+        raise error
+    return v
 
 
 def _opt_bool(obj, key: str, path: str, default: bool) -> bool:

@@ -82,6 +82,8 @@ class ScenarioSpec:
             raise ConfigError("n_per_client must be at least 2")
         if self.d < 1 or self.M < 1 or self.K < 1:
             raise ConfigError("d, M and K must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.skew not in ("iid", "feature_shift"):
             raise ConfigError(f"unknown skew {self.skew!r}")
         if self.skew == "iid" and self.shift_sigma != 0.0:
@@ -102,6 +104,8 @@ class ScenarioSpec:
             )
             if len(self.assignment) != self.K:
                 raise ConfigError("assignment must list classes for every client")
+            # indices in range, no client without classes, no class without a client
+            ClassRegistry(range(self.M), self.assignment)
         else:
             if self.shared_count is None or self.unique_count is None:
                 raise ConfigError("need an assignment or both shared_count and unique_count")

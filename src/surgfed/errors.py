@@ -17,10 +17,13 @@ class NumericError(ArithmeticError):
 
     ``layer`` is the index of the layer that produced the value when the
     failure happened inside a forward pass, ``client`` the client id when
-    it happened during local training.
+    it happened during local training, and ``round`` the communication
+    round of the run it happened in (0 for the warmup).
     """
 
-    def __init__(self, message: str, layer: int | None = None, client: int | None = None):
+    def __init__(self, message: str, layer: int | None = None, client: int | None = None,
+                 round: int | None = None):
         super().__init__(message)
         self.layer = layer
         self.client = client
+        self.round = round

@@ -7,11 +7,20 @@ positive score in the sorted negatives; a second search counts ties,
 and runs only when there are any.  AUROC is undefined (None, never a
 made-up number) when the labels contain a single class or when a model
 cannot predict a class at all.
+
+The test labels never change within a run, so a :class:`TestPlan` works
+out once what every evaluation needs from them: label checks, each
+class's rows split into positives then negatives (``int32``, M x n: 4 MB
+at M=500, n=2000), its positive count, the degenerate classes and the
+sharing-profile groups.  :func:`evaluate` then costs one forward pass,
+one transpose of the scores and, per class, one gather in plan order,
+two in-place sorts and the U count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import betainc
@@ -40,18 +49,70 @@ def auroc(scores, labels) -> float | None:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    if np.isnan(scores).any():
-        return float("nan")  # NaN scores have no order, so U is undefined
-    pos = np.sort(scores[is_pos])
-    neg = np.sort(scores[~is_pos])
+    return _sorted_auroc(np.sort(scores[is_pos]), np.sort(scores[~is_pos]))
+
+
+def _sorted_auroc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """AUROC of non-empty, sorted positive and negative scores; NaN when
+    either holds a NaN (sorting puts NaN last), since NaN has no order."""
+    if math.isnan(pos[-1]) or math.isnan(neg[-1]):
+        return float("nan")
     # per positive: 2 * (negatives below) + (negatives tied), an exact integer
-    below = np.searchsorted(neg, pos, "left")
-    # a positive ties a negative iff the first negative not below it equals it
-    if np.any(neg[np.minimum(below, neg.size - 1)] == pos):
-        twice_u = below.sum() + np.searchsorted(neg, pos, "right").sum()
+    below = neg.searchsorted(pos, "left")
+    # a positive ties a negative iff the first negative not below it equals
+    # it; "clip" reads the largest negative, which is below, past the end
+    if (neg.take(below, mode="clip") == pos).any():
+        twice_u = below.sum() + neg.searchsorted(pos, "right").sum()
     else:
         twice_u = 2 * below.sum()
-    return float((twice_u / 2.0) / (n_pos * n_neg))
+    return float((twice_u / 2.0) / (pos.size * neg.size))
+
+
+@dataclass(frozen=True)
+class TestPlan:
+    """What scoring needs from one test set, worked out once.
+
+    Built from the test set and the registry: the labels are checked
+    against the registry width and for values other than 0 and 1 here,
+    not on every evaluation.  ``order[c]`` lists the rows positive for
+    class ``c`` and then its negatives, each in ascending row order, as
+    ``int32`` (an M x n array); ``n_pos[c]`` counts the positives.
+    ``degenerate`` holds the classes whose labels take one value, and
+    ``groups`` the sharing-profile classes by group name.
+    """
+
+    __test__ = False  # a library class, not a pytest test case
+
+    test: LabeledSet
+    registry: ClassRegistry
+    order: np.ndarray = field(repr=False)
+    n_pos: tuple[int, ...] = field(repr=False)
+    degenerate: frozenset[int]
+    groups: dict[str, tuple[int, ...]]
+
+    def __init__(self, test: LabeledSet, registry: ClassRegistry):
+        y = test.y
+        if y.shape[1] != registry.n_classes:
+            raise ContractViolation("test labels must cover every global class")
+        is_pos = y == 1.0
+        if not np.all(is_pos | (y == 0.0)):
+            raise ConfigError("labels must be exactly 0 or 1")
+        # a stable sort of "is negative" puts each class's positives first
+        is_neg = np.ascontiguousarray(~is_pos.T)
+        order = np.argsort(is_neg, axis=1, kind="stable").astype(np.int32)
+        n_pos = np.count_nonzero(is_pos, axis=0)
+        one_valued = np.flatnonzero((n_pos == 0) | (n_pos == test.n))
+        profile = sharing_profile(registry)
+        object.__setattr__(self, "test", test)
+        object.__setattr__(self, "registry", registry)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "n_pos", tuple(n_pos.tolist()))
+        object.__setattr__(self, "degenerate", frozenset(one_valued.tolist()))
+        object.__setattr__(self, "groups", {
+            "shared_by_all": profile.shared_by_all,
+            "partially_shared": profile.partially_shared,
+            "unique": profile.unique,
+        })
 
 
 @dataclass(frozen=True)
@@ -84,18 +145,19 @@ def _subset_mean(per_class, subset, uncovered) -> float | None:
     return float(np.mean(vals))
 
 
-def evaluate(params: ParamSet, arch: Architecture, model_classes, test: LabeledSet,
-             registry: ClassRegistry, class_subset=None) -> EvalResult:
-    """Score a model on the global test set.
+def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan,
+             class_subset=None) -> EvalResult:
+    """Score a model on the test set of ``plan``.
 
     ``model_classes`` are the global ids behind the model's head columns;
     ``class_subset`` restricts which classes are reported (default all).
+    Each per-class value is bitwise what :func:`auroc` gives on that
+    class's score column and labels.
     """
     model_classes = [int(c) for c in model_classes]
     if params.head_cols != len(model_classes):
         raise ContractViolation("model_classes must name every head column")
-    if test.y.shape[1] != registry.n_classes:
-        raise ContractViolation("test labels must cover every global class")
+    registry = plan.registry
     if class_subset is None:
         subset = list(range(registry.n_classes))
         custom = False
@@ -107,10 +169,9 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, test: LabeledS
             raise ConfigError("class_subset index out of range")
         custom = True
 
-    _, scores = forward(params, arch, test.x, "eval")
-    # one contiguous row per class: strided column slices read slower
+    _, scores = forward(params, arch, plan.test.x, "eval")
+    # one contiguous row per head column: strided column gathers read slower
     scores = np.ascontiguousarray(scores.T)
-    labels = np.ascontiguousarray(test.y.T)
     col_of = {c: j for j, c in enumerate(model_classes)}
     per_class: dict[int, float | None] = {}
     uncovered, degenerate = [], []
@@ -118,21 +179,20 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, test: LabeledS
         if c not in col_of:
             per_class[c] = None
             uncovered.append(c)
-            continue
-        value = auroc(scores[col_of[c]], labels[c])
-        per_class[c] = value
-        if value is None:
+        elif c in plan.degenerate:
+            per_class[c] = None
             degenerate.append(c)
+        else:
+            # positives then negatives, in the order auroc's masks pick them
+            row = scores[col_of[c]].take(plan.order[c])
+            pos, neg = row[:plan.n_pos[c]], row[plan.n_pos[c]:]
+            pos.sort()
+            neg.sort()
+            per_class[c] = _sorted_auroc(pos, neg)
 
-    profile = sharing_profile(registry)
-    groups = {
-        "shared_by_all": profile.shared_by_all,
-        "partially_shared": profile.partially_shared,
-        "unique": profile.unique,
-    }
     group_means = {
         name: _subset_mean(per_class, [c for c in members if c in per_class], uncovered)
-        for name, members in groups.items()
+        for name, members in plan.groups.items()
     }
     if custom:
         group_means["custom"] = _subset_mean(per_class, subset, uncovered)

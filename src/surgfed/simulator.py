@@ -49,8 +49,8 @@ from .data import (
     scatter_restricted,
     stats_split,
 )
-from .errors import ConfigError
-from .metrics import EvalResult, evaluate
+from .errors import ConfigError, NumericError
+from .metrics import EvalResult, TestPlan, evaluate
 from .model import (
     ClientState,
     head_warmup,
@@ -120,6 +120,8 @@ class ExperimentConfig:
             raise ConfigError("warmup_epochs must be non-negative")
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden widths must be positive")
+        if self.seeds is not None and min(self.seeds.init, self.seeds.shuffle) < 0:
+            raise ConfigError("seeds must be non-negative")
 
     def resolved_seeds(self) -> SeedBundle:
         return self.seeds if self.seeds is not None else default_seeds(self.scenario.seed)
@@ -144,13 +146,15 @@ class RoundReport:
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one run.  ``realized`` is :meth:`ScenarioData.realized`
-    of the data the run trained on, so its manifest needs no second draw."""
+    of the data the run trained on, so its manifest needs no second draw;
+    ``plan`` is the run's test-evaluation plan, reused by every score
+    taken from the result."""
 
     method: str
     config: ExperimentConfig
     arch: Architecture
     registry: ClassRegistry
-    test: LabeledSet
+    plan: TestPlan
     realized: dict
     reports: tuple[RoundReport, ...]
     best_round: int
@@ -162,16 +166,14 @@ class RunResult:
         if self.global_params is None:
             raise ConfigError(f"method {self.method!r} keeps no global model")
         return evaluate(
-            self.global_params, self.arch, range(self.registry.n_classes),
-            self.test, self.registry, class_subset,
+            self.global_params, self.arch, range(self.registry.n_classes), self.plan, class_subset,
         )
 
     def client_eval(self, k: int, class_subset=None) -> EvalResult:
         if self.client_params is None:
             raise ConfigError(f"method {self.method!r} keeps no per-client models")
         return evaluate(
-            self.client_params[k], self.arch, self.client_classes[k],
-            self.test, self.registry, class_subset,
+            self.client_params[k], self.arch, self.client_classes[k], self.plan, class_subset,
         )
 
 
@@ -302,7 +304,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     worker threads that train lock-step client groups side by side
     (results are identical for any value).
     ``round_hook(round, global_params, clients)`` is called after every
-    communication round."""
+    communication round.  A :class:`NumericError` leaves with the round it
+    happened in (0 for the warmup) in its ``round`` and its message."""
     if parallel < 1:
         raise ConfigError("parallel must be at least 1")
     data = generate_synthetic(config.scenario)
@@ -326,9 +329,6 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         pretrained_bn = collect_bn_stats(reference, arch, stats_split(config.scenario))
 
     groups = _client_groups(clients, loss_mode)
-    for g in groups:
-        head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, loss_mode)
-
     n_rounds = config.T // config.E
     reports: list[RoundReport] = []
     best_val = np.inf
@@ -336,8 +336,14 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     best_global: ParamSet | None = None
     best_clients: list[ParamSet] | None = None
 
+    r = 0  # the round a NumericError is reported in; 0 is the warmup
     pool = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
     try:
+        for g in groups:
+            head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, loss_mode)
+        # after the warmup, since perfbench's setup_s ends where the warmup starts
+        plan = TestPlan(data.test, registry)
+
         for r in range(1, n_rounds + 1):
             t0 = time.perf_counter()
             _train_all(groups, config.E, config.lr, config.batch_size, loss_mode, pool)
@@ -366,7 +372,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             val_losses = tuple(validation_loss(c, loss_mode) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
-                ev = evaluate(global_params, arch, range(M), data.test, registry)
+                ev = evaluate(global_params, arch, range(M), plan)
                 test_mean = ev.mean_auroc
                 test_per_class = tuple(ev.per_class[c] for c in range(M))
             else:
@@ -395,7 +401,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
 
         leftover = config.T - n_rounds * config.E
         if leftover:
+            r = n_rounds + 1  # the round these epochs would have ended
             _train_all(groups, leftover, config.lr, config.batch_size, loss_mode, pool)
+    except NumericError as exc:
+        raise NumericError(f"{exc} in round {r}", exc.layer, exc.client, r) from exc
     finally:
         if pool is not None:
             pool.shutdown()
@@ -406,7 +415,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         config=config,
         arch=arch,
         registry=registry,
-        test=data.test,
+        plan=plan,
         realized=data.realized(),
         reports=tuple(reports),
         best_round=best_round,

@@ -8,6 +8,7 @@ directly.  A rename or signature change those files cannot follow breaks
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -33,3 +34,44 @@ def test_tracer_and_microbenchmarks_bind_to_the_program() -> None:
         [sys.executable, "-c", _PROBE], cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_TRACED_RUN = """
+import json
+import sys
+
+import child
+import tracer
+from surgfed import cli
+
+t = tracer.Tracer()
+tracer.install(t)
+child._install_probes({"t_setup": None, "experiments": []}, t)
+assert cli.main(["run", sys.argv[1], "--out", sys.argv[2]]) == 0
+print(json.dumps(t.dump()["stats"]))
+"""
+
+
+def test_traced_run_keeps_the_round_loop_spans(tmp_path) -> None:
+    """``simulator.test_eval_s`` and ``metrics.evaluate_ms`` come from
+    ``simulator.evaluate`` spans opened directly under
+    ``simulator.run_experiment``, which ``child.py`` wraps; a run of T=2
+    rounds over K=2 clients must close two of them and 2*K validation
+    spans."""
+    K = 2
+    config = {
+        "scenario": {"n_per_client": 40, "d": 4, "M": 3, "K": K, "seed": 5,
+                     "assignment": [[0, 1], [1, 2]], "n_test": 50},
+        "method": "surgical", "T": 2, "E": 1, "warmup_epochs": 1, "hidden": [4],
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_RUN, str(cfg_path), str(tmp_path / "out")],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = {(name, parent): count for name, parent, count, _, _ in json.loads(proc.stdout)}
+    assert calls.get(("simulator.evaluate", "simulator.run_experiment")) == 2
+    assert calls.get(("simulator.val", "simulator.run_experiment")) == 2 * K

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from surgfed import ConfigError, ExperimentConfig, ScenarioSpec, SeedBundle
+from surgfed import METHODS, STRATEGIES, ConfigError, ExperimentConfig, ScenarioSpec, SeedBundle
 from surgfed.cli import (
     ABLATION_METHODS,
     config_to_dict,
@@ -100,6 +105,125 @@ def test_uncoercible_values_exit_2_before_compute(tmp_path, monkeypatch, bad) ->
     with pytest.raises(ConfigError):
         parse_config(cfg)
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
+
+
+# --- config fuzz: one field of a valid config made malformed -------------------
+
+_VALID = {**SMALL_CONFIG, "seeds": {"init": 1, "shuffle": 2}}
+_DELETE = object()  # marks a field removed from the config
+
+_NOT_A_NUMBER = st.one_of(st.text(), st.booleans(), st.lists(st.integers(), max_size=2),
+                          st.dictionaries(st.text(), st.integers(), max_size=1))
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, st.floats())
+
+
+def _ints_below(low):
+    return st.one_of(st.integers(max_value=low - 1), _NOT_AN_INT)
+
+
+def _numbers_outside(ok):
+    """Wrong types, non-finite values, integers beyond the float range,
+    and finite floats ``ok`` rejects."""
+    return st.one_of(
+        _NOT_A_NUMBER, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+        st.integers(min_value=2**1024), st.floats(allow_nan=False).filter(lambda v: not ok(v)),
+    )
+
+
+def _unknown(valid):
+    return st.one_of(st.text().filter(lambda v: v not in valid), st.integers(), st.none(), st.booleans())
+
+
+def _class_lists():
+    """Assignments with an index out of range, an empty or duplicated
+    client list, a class no client holds, the wrong client count or a
+    non-integer entry."""
+    return st.sampled_from([
+        [[0, 1, 2], [1, 2, 4]], [[0, 1, 2], [1, 2, -1]], [[0, 1, 2, 3], []], [[0, 1, 1], [2, 3]],
+        [[0, 1], [1, 2]], [[0, 1, 2, 3]], [[0, 1, 2], [1, 2, "3"]], [[0, 1, 2], [1, 2, 3.0]], "0,1", 7,
+    ])
+
+
+_MALFORMED = {
+    "method": _unknown(METHODS),
+    "strategy": _unknown(STRATEGIES),
+    "T": _ints_below(1),
+    "E": _ints_below(1),
+    "batch_size": _ints_below(1),
+    "warmup_epochs": _ints_below(0),
+    "lr": _numbers_outside(lambda v: v > 0.0),
+    "warmup_lr": _numbers_outside(lambda v: v > 0.0),
+    "hidden": st.one_of(st.lists(st.integers(max_value=0), min_size=1, max_size=3),
+                        st.lists(st.floats() | st.text(), min_size=1, max_size=2),
+                        st.text(), st.integers(), st.floats()),  # [] is valid: no hidden layer
+    "use_batchnorm": st.one_of(st.text(), st.integers(), st.floats(), st.none()),
+    "sample_weighted": st.one_of(st.text(), st.integers(), st.floats(), st.none()),
+    "seeds": st.one_of(st.text(), st.integers(), st.just({"init": 1}),
+                       st.just({"init": 1, "shuffle": 2, "extra": 3})),
+    "seeds.init": _ints_below(0),
+    "seeds.shuffle": _ints_below(0),
+    "scenario": st.one_of(st.text(), st.integers(), st.lists(st.integers(), max_size=2)),
+    "scenario.n_per_client": _ints_below(2),
+    "scenario.d": _ints_below(1),
+    "scenario.M": _ints_below(1),
+    "scenario.K": _ints_below(1),
+    "scenario.seed": _ints_below(0),
+    "scenario.n_test": _ints_below(2),
+    "scenario.assignment": _class_lists(),
+    "scenario.shared_count": st.integers(0, 4),  # counts and an assignment exclude each other
+    "scenario.skew": _unknown(("iid", "feature_shift")),
+    "scenario.shift_sigma": _numbers_outside(lambda v: v == 0.0),  # iid pins it to 0
+    "scenario.label_noise": _numbers_outside(lambda v: 0.0 <= v < 0.5),
+    "scenario.val_fraction": _numbers_outside(lambda v: 0.0 < v < 1.0),
+}
+_VALID_SNAPSHOT = config_to_dict(parse_config(_VALID))
+_KNOWN_FIELDS = {*_VALID_SNAPSHOT, *_VALID_SNAPSHOT["scenario"]}
+_REQUIRED_FIELDS = ("method", "scenario", "scenario.n_per_client", "scenario.d", "scenario.M",
+                    "scenario.K", "scenario.seed")
+
+
+def _mutation():
+    return st.one_of(
+        st.sampled_from(sorted(_MALFORMED)).flatmap(lambda f: st.tuples(st.just(f), _MALFORMED[f])),
+        st.tuples(st.sampled_from(_REQUIRED_FIELDS), st.just(_DELETE)),
+        st.tuples(
+            st.sampled_from(["", "scenario."]).flatmap(
+                lambda prefix: st.text(min_size=1).map(lambda k: prefix + k.replace(".", "_"))
+            ).filter(lambda f: f.rsplit(".", 1)[-1] not in _KNOWN_FIELDS),
+            st.integers(),
+        ),
+    )
+
+
+@given(_mutation())
+@settings(max_examples=300, deadline=None)
+def test_malformed_config_fuzz_exits_2_before_any_work(mutation) -> None:
+    """Every malformed field fails ``parse_config`` with ``ConfigError``
+    (no other exception type), and ``surgfed run`` exits 2 without
+    creating its output directory or starting to train."""
+    import surgfed.simulator as simulator
+
+    field, value = mutation
+    cfg = copy.deepcopy(_VALID)
+    *parents, key = field.split(".")
+    node = cfg
+    for p in parents:
+        node = node[p]
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    with pytest.raises(ConfigError):
+        parse_config(cfg)
+
+    trained = []
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        mp.setattr(simulator, "head_warmup", lambda *a, **k: trained.append(a))
+        mp.setattr(simulator, "_train_all", lambda *a, **k: trained.append(a))
+        out = Path(tmp) / "out"
+        assert main(["run", _write(Path(tmp), cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+    assert trained == []
 
 
 def test_manifest_hash_is_stable_and_sensitive() -> None:

@@ -11,6 +11,7 @@ from surgfed import (
     ContractViolation,
     LabeledSet,
     ParamSet,
+    TestPlan,
     auroc,
     build_architecture,
     evaluate,
@@ -138,7 +139,7 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
     # the model covers every other class, in a shuffled column order
     model_classes = [int(c) for c in rng.permutation(np.arange(0, M, 2))]
     params = init_model(arch, len(model_classes), seed=4, class_ids=model_classes)
-    ev = evaluate(params, arch, model_classes, test, reg)
+    ev = evaluate(params, arch, model_classes, TestPlan(test, reg))
     _, scores = forward(params, arch, x, "eval")
     assert sorted(ev.per_class) == list(range(M))
     for c in range(M):
@@ -149,6 +150,66 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
         assert _same_value(ev.per_class[c], expected), c
     assert ev.degenerate == (8,)
     assert ev.uncovered == tuple(c for c in range(M) if c not in model_classes)
+
+
+def _scalar_loop(scores, model_classes, y, classes):
+    """The per-class reference: :func:`auroc` on each covered class's
+    score column and label column, None where no column exists."""
+    return {
+        c: auroc(scores[:, model_classes.index(c)], y[:, c]) if c in model_classes else None
+        for c in classes
+    }
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_plan_evaluate_equals_scalar_auroc_loop(data) -> None:
+    """Scores are drawn directly (``forward`` is stubbed per parameter
+    set), so ties, +-0.0, infinities and NaN reach the plan's scoring;
+    one plan serves two parameter sets in turn."""
+    from unittest import mock
+
+    from surgfed import metrics
+
+    n = data.draw(st.integers(2, 40), label="n")
+    M = data.draw(st.integers(1, 6), label="M")
+    y = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 1), min_size=M, max_size=M), min_size=n, max_size=n,
+    ), label="y"), dtype=float)
+    for c in data.draw(st.sets(st.integers(0, M - 1)), label="degenerate"):
+        y[:, c] = data.draw(st.sampled_from([0.0, 1.0]))
+    reg = ClassRegistry([f"c{i}" for i in range(M)], [range(M)])
+    plan = TestPlan(LabeledSet(np.zeros((n, 1)), y, "test"), reg)
+    arch = build_architecture(1, hidden=())
+    # a shuffled, possibly partial column order: the other classes are uncovered
+    model_classes = data.draw(st.permutations(range(M)), label="columns")[
+        : data.draw(st.integers(1, M), label="width")
+    ]
+    subset = data.draw(st.none() | st.sets(st.integers(0, M - 1), min_size=1), label="subset")
+    models = [init_model(arch, len(model_classes), seed=s, class_ids=model_classes) for s in (1, 2)]
+    score_of = {
+        id(ps): np.array(data.draw(st.lists(
+            st.lists(_AWKWARD_SCORES, min_size=len(model_classes), max_size=len(model_classes)),
+            min_size=n, max_size=n,
+        ), label="scores"), dtype=float)
+        for ps in models
+    }
+
+    def drawn_scores(params, arch, x, mode):
+        return None, score_of[id(params)]
+
+    with mock.patch.object(metrics, "forward", drawn_scores):
+        for ps in models:
+            ev = evaluate(ps, arch, model_classes, plan, subset)
+            expected = _scalar_loop(score_of[id(ps)], model_classes, y,
+                                    range(M) if subset is None else sorted(subset))
+            assert list(ev.per_class) == list(expected)
+            for c, v in expected.items():
+                assert _same_value(ev.per_class[c], v), c
+            assert ev.uncovered == tuple(c for c in expected if c not in model_classes)
+            assert ev.degenerate == tuple(
+                c for c in expected if c in model_classes and y[:, c].min() == y[:, c].max()
+            )
 
 
 @given(
@@ -191,7 +252,7 @@ def _eval_fixture():
 def test_evaluate_full_model() -> None:
     arch, reg, test = _eval_fixture()
     params = init_model(arch, 3, seed=1)
-    ev = evaluate(params, arch, [0, 1, 2], test, reg)
+    ev = evaluate(params, arch, [0, 1, 2], TestPlan(test, reg))
     assert set(ev.per_class) == {0, 1, 2}
     assert all(v is not None for v in ev.per_class.values())
     assert ev.uncovered == () and ev.degenerate == ()
@@ -203,7 +264,7 @@ def test_evaluate_full_model() -> None:
 def test_evaluate_uncovered_classes_poison_the_mean() -> None:
     arch, reg, test = _eval_fixture()
     params = init_model(arch, 2, seed=1, class_ids=[0, 1])
-    ev = evaluate(params, arch, [0, 1], test, reg)
+    ev = evaluate(params, arch, [0, 1], TestPlan(test, reg))
     assert ev.per_class[2] is None
     assert ev.uncovered == (2,)
     assert ev.mean_auroc is None
@@ -218,7 +279,7 @@ def test_evaluate_degenerate_classes_are_excluded_not_poisonous() -> None:
     y[:, 2] = 1.0  # no negatives for class c
     test2 = LabeledSet(test.x, y, "test")
     params = init_model(arch, 3, seed=1)
-    ev = evaluate(params, arch, [0, 1, 2], test2, reg)
+    ev = evaluate(params, arch, [0, 1, 2], TestPlan(test2, reg))
     assert ev.degenerate == (2,)
     assert ev.per_class[2] is None
     expected = np.mean([ev.per_class[0], ev.per_class[1]])
@@ -228,24 +289,24 @@ def test_evaluate_degenerate_classes_are_excluded_not_poisonous() -> None:
 def test_evaluate_custom_subset() -> None:
     arch, reg, test = _eval_fixture()
     params = init_model(arch, 3, seed=1)
-    ev = evaluate(params, arch, [0, 1, 2], test, reg, class_subset=[1, 2])
+    ev = evaluate(params, arch, [0, 1, 2], TestPlan(test, reg), class_subset=[1, 2])
     assert set(ev.per_class) == {1, 2}
     assert "custom" in ev.group_means
     assert ev.group_means["custom"] == ev.mean_auroc
     with pytest.raises(ConfigError):
-        evaluate(params, arch, [0, 1, 2], test, reg, class_subset=[])
+        evaluate(params, arch, [0, 1, 2], TestPlan(test, reg), class_subset=[])
     with pytest.raises(ConfigError):
-        evaluate(params, arch, [0, 1, 2], test, reg, class_subset=[7])
+        evaluate(params, arch, [0, 1, 2], TestPlan(test, reg), class_subset=[7])
 
 
 def test_evaluate_contract_checks() -> None:
     arch, reg, test = _eval_fixture()
     params = init_model(arch, 3, seed=1)
     with pytest.raises(ContractViolation):
-        evaluate(params, arch, [0, 1], test, reg)
+        evaluate(params, arch, [0, 1], TestPlan(test, reg))
     short = LabeledSet(test.x, test.y[:, :2], "test")
     with pytest.raises(ContractViolation):
-        evaluate(params, arch, [0, 1, 2], short, reg)
+        evaluate(params, arch, [0, 1, 2], TestPlan(short, reg))
 
 
 # --- paired t-test -----------------------------------------------------------

@@ -10,10 +10,13 @@ from surgfed import (
     METHODS,
     ConfigError,
     ExperimentConfig,
+    NumericError,
     ScenarioSpec,
     SeedBundle,
+    auroc,
     default_seeds,
     effect_of_clients_scenarios,
+    forward,
     generate_synthetic,
     head_warmup,
     local_train,
@@ -103,6 +106,55 @@ def test_report_shape() -> None:
     assert result.best_round == int(
         np.argmin([r.mean_val_loss for r in result.reports]) + 1
     )
+
+
+def _bits(values):
+    return [None if v is None else np.float64(v).tobytes() for v in values]
+
+
+def test_test_scores_equal_a_fresh_scalar_loop() -> None:
+    """Every round's per-class test AUROC, scored through the run's test
+    plan, is bitwise ``auroc`` on that round's global model, one class
+    column at a time; so is the result's final evaluation."""
+    cfg = _cfg("surgical")
+    test = generate_synthetic(cfg.scenario).test
+    arch = cfg.architecture()
+
+    def scalar_loop(params):
+        _, scores = forward(params, arch, test.x, "eval")
+        return [auroc(scores[:, c], test.y[:, c]) for c in range(cfg.scenario.M)]
+
+    expected = []
+    result = run_experiment(cfg, round_hook=lambda r, gp, cs: expected.append(scalar_loop(gp)))
+    assert [_bits(rep.test_per_class) for rep in result.reports] == [_bits(e) for e in expected]
+    final = result.global_eval().per_class
+    assert _bits(final[c] for c in range(cfg.scenario.M)) == _bits(scalar_loop(result.global_params))
+
+
+def test_numeric_error_names_round_client_and_layer() -> None:
+    def poison(r, global_params, clients):
+        if r == 2:
+            clients[1].params.feature["0.W"][0, 0] = np.inf
+
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        run_experiment(_cfg("surgical"), round_hook=poison)
+    assert (err.value.round, err.value.client, err.value.layer) == (3, 1, 0)
+    assert "round 3" in str(err.value)
+
+
+def test_numeric_error_in_warmup_is_round_zero(monkeypatch) -> None:
+    build = simulator._build_clients
+
+    def poisoned(data, cfg, arch):
+        clients = build(data, cfg, arch)
+        clients[1].params.feature["0.W"][0, 0] = np.inf
+        return clients
+
+    monkeypatch.setattr(simulator, "_build_clients", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        run_experiment(_cfg("surgical"))
+    assert (err.value.round, err.value.client, err.value.layer) == (0, 1, 0)
+    assert "round 0" in str(err.value)
 
 
 def test_surgical_equals_classical_when_homogeneous() -> None:
