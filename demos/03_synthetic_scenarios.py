@@ -13,7 +13,6 @@ import numpy as np
 from surgfed import (
     ScenarioSpec,
     generate_synthetic,
-    mask_missing_as_negative,
     scatter_restricted,
 )
 
@@ -54,9 +53,7 @@ def main() -> None:
     y_full = data.test.y[:5]
     restricted = y_full[:, list(c0.classes)]
     widened = scatter_restricted(restricted, c0.classes, spec.M)
-    narrowed = mask_missing_as_negative(y_full, c0.classes)
     print(f"  scatter_restricted fills missing classes with 0: row 0 -> {widened[0].astype(int)}")
-    print(f"  mask_missing_as_negative agrees: {bool((widened == narrowed).all())}")
 
     again = generate_synthetic(spec)
     same = all(

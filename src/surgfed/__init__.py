@@ -14,12 +14,10 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .aggregation import (
-    GlobalModel,
     STRATEGIES,
     collect_bn_stats,
     fedavg_feature,
     fedavg_full,
-    fedbn_plus_feature,
     mean_arrays,
     reconstruct_client_head,
     server_update,
@@ -37,7 +35,6 @@ from .data import (
     effect_of_shared_classes_scenarios,
     generate_synthetic,
     load_labeled_set,
-    mask_missing_as_negative,
     resolve_assignment,
     scatter_restricted,
     stats_split,
@@ -88,7 +85,6 @@ from .registry import (
     sharing_profile,
 )
 from .simulator import (
-    BASELINES,
     METHODS,
     ExperimentConfig,
     RoundReport,
@@ -96,8 +92,6 @@ from .simulator import (
     SeedBundle,
     SuiteResult,
     default_seeds,
-    run_baseline,
     run_experiment,
     run_suite,
-    run_surgical,
 )

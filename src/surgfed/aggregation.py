@@ -1,10 +1,15 @@
-"""Server-side aggregation: feature averaging plus per-class head merging.
+"""Server-side aggregation: one rule for every exchanging method.
 
-The head is merged per class: global class c is the mean of that class's
-(weights, bias) column over exactly the clients that hold c, taken in
-ascending client order.  A class held by a single client passes through
-bit-exactly, and when every client holds every class the whole
-procedure reduces to plain federated averaging.
+:func:`server_update` is FedAvg with two knobs.  Every feature tensor is
+averaged over all clients.  Batch-norm running statistics are averaged
+as well (``fedavg``) or kept local by each client (``fedbn``,
+``fedbn_plus``).  The head is merged per class: global column c is the
+mean of that class's (weights, bias) column over exactly the clients
+whose head holds c, taken in ascending client order.  With the class
+registry that is the surgical merge; with a registry in which every
+client holds all M columns it is plain FedAvg of full-width heads; with
+no registry every head stays personal.  A class held by a single client
+passes through bit-exactly.
 
 All means follow one sequential rule, that of :func:`mean_arrays`, so
 the same inputs give bit-identical results on every code path.  The head
@@ -12,11 +17,12 @@ merge applies it to all classes at once: it walks the clients in index
 order and scatters each head's columns into (feature, M) accumulators,
 assigning a column at its first holder and adding it at every later
 one, then divides each column by its holder count or weight total.
+:func:`fedavg_full` and :func:`fedavg_feature` average whole parameter
+sets tensor by tensor; they are the independent FedAvg reference the
+tests compare :func:`server_update` against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +31,6 @@ from .nn import Architecture, ParamSet, forward
 from .registry import ClassRegistry, clients_with_class
 
 STRATEGIES = ("fedavg", "fedbn", "fedbn_plus")
-
-
-@dataclass
-class GlobalModel:
-    """Server-side model covering every global class."""
-
-    params: ParamSet
-    registry: ClassRegistry
-    round: int
 
 
 def mean_arrays(arrays, weights=None) -> np.ndarray:
@@ -85,26 +82,6 @@ def fedavg_feature(param_sets, weights=None):
         i: mean_arrays([ps.bn_var[i] for ps in param_sets], weights)
         for i in sorted(param_sets[0].bn_var)
     }
-    return feature, bn_mean, bn_var
-
-
-def fedbn_plus_feature(param_sets, pretrained_bn, weights=None):
-    """Average dense weights and batch-norm gamma/beta like fedavg, but
-    replace the global running statistics with pretrained ones.  Clients
-    keep their own local statistics (handled by the caller)."""
-    if not param_sets:
-        raise ConfigError("no clients to aggregate")
-    _check_same_feature_keys(param_sets)
-    feature = {
-        k: mean_arrays([ps.feature[k] for ps in param_sets], weights)
-        for k in sorted(param_sets[0].feature)
-    }
-    mean_stats, var_stats = pretrained_bn
-    for i in param_sets[0].bn_mean:
-        if i not in mean_stats or i not in var_stats:
-            raise ConfigError(f"pretrained statistics missing for batch-norm layer {i}")
-    bn_mean = {i: mean_stats[i].copy() for i in sorted(param_sets[0].bn_mean)}
-    bn_var = {i: var_stats[i].copy() for i in sorted(param_sets[0].bn_var)}
     return feature, bn_mean, bn_var
 
 
@@ -200,67 +177,89 @@ def fedavg_full(param_sets, weights=None) -> ParamSet:
     return ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
 
 
-def server_update(clients, registry: ClassRegistry, strategy: str = "fedavg",
-                  pretrained_bn=None, weights=None, round_idx: int = 0):
-    """One communication round of the selective scheme.
+def server_update(clients, registry: ClassRegistry | None, strategy: str = "fedavg",
+                  pretrained_bn=None, weights=None):
+    """One communication round.
 
-    Takes the clients' parameter sets (narrow heads, one column per held
-    class), builds the global model, and returns it together with the
-    per-client parameter sets to send back: the aggregated feature
-    extractor for everyone plus each client's slice of the global head.
+    Averages the clients' feature tensors and, under ``fedavg``, their
+    batch-norm running statistics; under ``fedbn`` and ``fedbn_plus``
+    every client keeps its own statistics.  ``registry`` names the head
+    columns of each client (``registry.client_classes[k]``), and each
+    global column is merged over its holders.  With ``registry=None``
+    every head stays personal and no global model is built, which is the
+    only case ``fedbn`` allows; otherwise the global model's statistics
+    are the averaged ones (``fedavg``) or ``pretrained_bn`` (``fedbn_plus``).
 
-    ``strategy`` controls the feature part: ``fedavg`` averages
-    everything including running statistics; ``fedbn_plus`` averages the
-    trainable tensors, pins the global statistics to ``pretrained_bn``
-    and lets every client keep its own local statistics.  ``fedbn`` keeps
-    no global model and is therefore only valid for personalised runs.
+    Returns ``(global ParamSet or None, sendbacks)``: one fresh parameter
+    set per client, holding the averaged feature tensors, the statistics
+    it keeps and its slice of the global head (its own head when heads
+    are personal).
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if strategy == "fedbn":
+    keep_global = registry is not None
+    if strategy == "fedbn" and keep_global:
         raise ConfigError("strategy 'fedbn' emits no global model; use it with the pfl method only")
+    if strategy == "fedbn_plus" and keep_global and pretrained_bn is None:
+        raise ConfigError("fedbn_plus requires pretrained batch-norm statistics")
     param_sets = [c.params for c in clients]
-    if len(param_sets) != registry.n_clients:
-        raise ContractViolation("one client state per registry client required")
-    for k, (c, ps) in enumerate(zip(clients, param_sets)):
-        if tuple(c.classes) != registry.client_classes[k]:
-            raise ContractViolation(f"client {k} classes do not match the registry")
-        if ps.head_cols != len(c.classes):
-            raise ContractViolation(f"client {k} head width does not match its class list")
+    if not param_sets:
+        raise ConfigError("no clients to aggregate")
+    _check_same_feature_keys(param_sets)
+    if keep_global:
+        if len(param_sets) != registry.n_clients:
+            raise ContractViolation("one client state per registry client required")
+        for k, (c, ps) in enumerate(zip(clients, param_sets)):
+            cols = registry.client_classes[k]
+            if not set(c.classes) <= set(cols):
+                raise ContractViolation(f"client {k} classes do not match the registry")
+            if ps.head_cols != len(cols):
+                raise ContractViolation(f"client {k} head width does not match the registry")
 
-    if strategy == "fedavg":
-        feature, bn_mean, bn_var = fedavg_feature(param_sets, weights)
-    else:
-        if pretrained_bn is None:
-            raise ConfigError("fedbn_plus requires pretrained batch-norm statistics")
-        feature, bn_mean, bn_var = fedbn_plus_feature(param_sets, pretrained_bn, weights)
+    feature = {
+        k: mean_arrays([ps.feature[k] for ps in param_sets], weights)
+        for k in sorted(param_sets[0].feature)
+    }
+    shared_stats = strategy == "fedavg"
+    if shared_stats:
+        bn_mean = {
+            i: mean_arrays([ps.bn_mean[i] for ps in param_sets], weights)
+            for i in sorted(param_sets[0].bn_mean)
+        }
+        bn_var = {
+            i: mean_arrays([ps.bn_var[i] for ps in param_sets], weights)
+            for i in sorted(param_sets[0].bn_var)
+        }
+    elif keep_global:
+        mean_stats, var_stats = pretrained_bn
+        for i in param_sets[0].bn_mean:
+            if i not in mean_stats or i not in var_stats:
+                raise ConfigError(f"pretrained statistics missing for batch-norm layer {i}")
+        bn_mean = {i: mean_stats[i].copy() for i in sorted(param_sets[0].bn_mean)}
+        bn_var = {i: var_stats[i].copy() for i in sorted(param_sets[0].bn_var)}
 
-    heads = [(ps.head_W, ps.head_b, clients[k].classes) for k, ps in enumerate(param_sets)]
-    global_W, global_b = surgical_head_update(heads, registry, weights)
-    global_params = ParamSet(
-        feature={k: v.copy() for k, v in feature.items()},
-        bn_mean={i: v.copy() for i, v in bn_mean.items()},
-        bn_var={i: v.copy() for i, v in bn_var.items()},
-        head_W=global_W,
-        head_b=global_b,
-    )
+    global_params = None
+    if keep_global:
+        heads = [(ps.head_W, ps.head_b, registry.client_classes[k]) for k, ps in enumerate(param_sets)]
+        global_W, global_b = surgical_head_update(heads, registry, weights)
+        global_params = ParamSet(
+            feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=global_W, head_b=global_b,
+        )
 
     sendbacks = []
     for k, ps in enumerate(param_sets):
-        w, b = reconstruct_client_head(global_W, global_b, registry, k)
-        if strategy == "fedavg":
-            local_mean = {i: v.copy() for i, v in bn_mean.items()}
-            local_var = {i: v.copy() for i, v in bn_var.items()}
+        if keep_global:
+            head_W, head_b = reconstruct_client_head(global_W, global_b, registry, k)
         else:
-            local_mean = {i: v.copy() for i, v in ps.bn_mean.items()}
-            local_var = {i: v.copy() for i, v in ps.bn_var.items()}
+            head_W, head_b = ps.head_W.copy(), ps.head_b.copy()
+        own_mean, own_var = (bn_mean, bn_var) if shared_stats else (ps.bn_mean, ps.bn_var)
         sendbacks.append(
             ParamSet(
                 feature={key: v.copy() for key, v in feature.items()},
-                bn_mean=local_mean,
-                bn_var=local_var,
-                head_W=w,
-                head_b=b,
+                bn_mean={i: v.copy() for i, v in own_mean.items()},
+                bn_var={i: v.copy() for i, v in own_var.items()},
+                head_W=head_W,
+                head_b=head_b,
             )
         )
-    return GlobalModel(params=global_params, registry=registry, round=round_idx), sendbacks
+    return global_params, sendbacks

@@ -73,10 +73,15 @@ _CONFIG_KEYS = {
 _REQUIRED_SCENARIO = ("n_per_client", "d", "M", "K", "seed")
 
 
+def _is_int64(v) -> bool:
+    """An integer (not a bool) that fits in a signed 64-bit integer."""
+    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
+
+
 def _need_int(obj, key: str, path: str) -> int:
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"field {path}.{key} must be an integer")
+    if not _is_int64(v):
+        raise ConfigError(f"field {path}.{key} must be an integer that fits in 64 bits")
     return v
 
 
@@ -106,10 +111,7 @@ def _opt_bool(obj, key: str, path: str, default: bool) -> bool:
 def _opt_int(obj, key: str, path: str, default):
     if key not in obj or obj[key] is None:
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"field {path}.{key} must be an integer")
-    return v
+    return _need_int(obj, key, path)
 
 
 def parse_scenario(obj, path: str = "scenario") -> ScenarioSpec:
@@ -124,7 +126,7 @@ def parse_scenario(obj, path: str = "scenario") -> ScenarioSpec:
     assignment = obj.get("assignment")
     if assignment is not None:
         if not isinstance(assignment, list) or not all(
-            isinstance(cs, list) and all(isinstance(c, int) and not isinstance(c, bool) for c in cs)
+            isinstance(cs, list) and all(_is_int64(c) for c in cs)
             for cs in assignment
         ):
             raise ConfigError(f"field {path}.assignment must be a list of class-index lists")
@@ -166,8 +168,8 @@ def parse_config(obj, path: str = "config") -> ExperimentConfig:
         seeds = SeedBundle(init=_need_int(sobj, "init", f"{path}.seeds"),
                            shuffle=_need_int(sobj, "shuffle", f"{path}.seeds"))
     hidden = obj.get("hidden", [32, 16])
-    if not isinstance(hidden, list) or not all(isinstance(h, int) and not isinstance(h, bool) for h in hidden):
-        raise ConfigError(f"field {path}.hidden must be a list of integers")
+    if not isinstance(hidden, list) or not all(_is_int64(h) for h in hidden):
+        raise ConfigError(f"field {path}.hidden must be a list of integers that fit in 64 bits")
     return ExperimentConfig(
         scenario=scenario,
         method=obj["method"],

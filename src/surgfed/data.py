@@ -259,23 +259,11 @@ def stats_split(spec: ScenarioSpec, n: int = 1024) -> np.ndarray:
     return np.random.default_rng([spec.seed, _TAG_STATS]).standard_normal((n, spec.d))
 
 
-def mask_missing_as_negative(y_full: np.ndarray, classes) -> np.ndarray:
-    """Full-width label view where every column outside ``classes`` is 0."""
-    y_full = np.asarray(y_full, dtype=np.float64)
-    if y_full.ndim != 2:
-        raise ConfigError("y_full must be 2-D")
-    cols = sorted({int(c) for c in classes})
-    if cols and (cols[0] < 0 or cols[-1] >= y_full.shape[1]):
-        raise ConfigError("class index out of range")
-    out = np.zeros_like(y_full)
-    out[:, cols] = y_full[:, cols]
-    return out
-
-
 def scatter_restricted(y_restricted: np.ndarray, classes, M: int) -> np.ndarray:
     """Inverse of restricting columns: place the restricted labels at
-    their global positions, zeros elsewhere.  Equals
-    :func:`mask_missing_as_negative` applied to the original full matrix."""
+    their global positions, zeros elsewhere.  Applied to the restricted
+    columns of a full label matrix, it zeroes every column outside
+    ``classes`` (missing labels read as negatives)."""
     y_restricted = np.asarray(y_restricted, dtype=np.float64)
     cols = sorted({int(c) for c in classes})
     if len(cols) != y_restricted.shape[1]:

@@ -1,18 +1,24 @@
 """Experiment driver: local epochs, communication rounds, checkpointing.
 
-One experiment trains K clients for T local epochs with a server
-exchange every E epochs (floor(T/E) rounds; leftover epochs still run
-but are never communicated).  The selected model is the round
-checkpoint with the lowest mean local validation BCE.
+One experiment trains K clients for floor(T/E) communication rounds of E
+local epochs each.  The selected model is the round checkpoint with the
+lowest mean local validation BCE.
 
 Methods
 -------
+``METHOD_TABLE`` holds one row per method, as in the README "Methods"
+table; the run reads every method difference from it:
+
 surgical          narrow heads, per-class selective head aggregation
 vanilla_fl        full-width heads, missing labels treated as negatives
 fl_partial_loss   full-width heads, loss masked to each client's classes
 pfl               feature aggregation only; personalised heads, no global model
 centralized       all data concatenated (missing-as-negative), one model
 individual        one standalone model per client, no communication
+
+Every method that exchanges parameters aggregates through one rule,
+:func:`surgfed.aggregation.server_update`; the row says over whom each
+head column is merged.
 
 Clients that share a shape (train size, head width and number of loss
 columns) train in lock-step: one stacked forward and backward pass per
@@ -27,20 +33,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregation import (
-    GlobalModel,
-    STRATEGIES,
-    collect_bn_stats,
-    fedavg_feature,
-    fedbn_plus_feature,
-    fedavg_full,
-    mean_arrays,
-    server_update,
-)
+from .aggregation import STRATEGIES, collect_bn_stats, mean_arrays, server_update  # noqa: F401
 from .data import (
     LabeledSet,
     ScenarioData,
@@ -61,10 +58,35 @@ from .model import (
 from .nn import Architecture, ParamSet, build_architecture
 from .registry import ClassRegistry
 
-METHODS = ("surgical", "vanilla_fl", "fl_partial_loss", "pfl", "centralized", "individual")
-BASELINES = tuple(m for m in METHODS if m != "surgical")
+
+@dataclass(frozen=True)
+class Method:
+    """One row of the method table."""
+
+    wide: bool          # head over all M classes, else one column per held class
+    loss_mode: str      # one of model.LOSS_MODES
+    heads: str          # contributors per head column: its "holders", "all" clients or "personal"
+    global_model: bool  # a global model is scored each round and checkpointed
+    exchanges: bool     # each round sends parameters through server_update and back
+
+    @property
+    def pooled(self) -> bool:
+        """A global model that is never exchanged is trained on the pooled data."""
+        return self.global_model and not self.exchanges
+
+
+METHOD_TABLE = {
+    #                         wide   loss_mode                heads       global exchanges
+    "surgical":        Method(False, "local_classes",         "holders",  True,  True),
+    "vanilla_fl":      Method(True,  "all_classes_negatives", "all",      True,  True),
+    "fl_partial_loss": Method(True,  "local_classes",         "all",      True,  True),
+    "pfl":             Method(False, "local_classes",         "personal", False, True),
+    "centralized":     Method(True,  "all_classes_negatives", "all",      True,  False),
+    "individual":      Method(False, "local_classes",         "personal", False, False),
+}
+METHODS = tuple(METHOD_TABLE)
 # methods that keep one model per client and no global model
-PERSONAL_METHODS = ("pfl", "individual")
+PERSONAL_METHODS = tuple(m for m, row in METHOD_TABLE.items() if not row.global_model)
 
 _TAG_INIT, _TAG_SHUFFLE = 101, 102
 
@@ -177,46 +199,48 @@ class RunResult:
         )
 
 
-def _loss_mode(method: str) -> str:
-    return "all_classes_negatives" if method in ("vanilla_fl", "centralized") else "local_classes"
-
-
 def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture) -> list[ClientState]:
+    """One client per site, with the head width of the method's table
+    row, or one client on every site's data pooled."""
+    row = METHOD_TABLE[cfg.method]
     seeds = cfg.resolved_seeds()
     M = data.registry.n_classes
-    wide = cfg.method in ("vanilla_fl", "fl_partial_loss")
-    clients = []
-    for k, cd in enumerate(data.clients):
-        if wide:
-            params = init_model(arch, M, seeds.init, class_ids=range(M))
+    sites = []
+    for cd in data.clients:
+        if row.wide:
             train = LabeledSet(cd.train.x, scatter_restricted(cd.train.y, cd.classes, M), "train")
             val = LabeledSet(cd.val.x, scatter_restricted(cd.val.y, cd.classes, M), "val")
+            sites.append((cd.classes, train, val))
         else:
-            params = init_model(arch, len(cd.classes), seeds.init, class_ids=cd.classes)
-            train, val = cd.train, cd.val
+            sites.append((cd.classes, cd.train, cd.val))
+    if row.pooled:
+        sites = [(
+            tuple(range(M)),
+            LabeledSet(np.vstack([t.x for _, t, _ in sites]), np.vstack([t.y for _, t, _ in sites]), "train"),
+            LabeledSet(np.vstack([v.x for _, _, v in sites]), np.vstack([v.y for _, _, v in sites]), "val"),
+        )]
+    clients = []
+    for k, (classes, train, val) in enumerate(sites):
+        head_ids = range(M) if row.wide else classes
         clients.append(
             ClientState(
-                id=k, arch=arch, params=params, classes=cd.classes,
-                train=train, val=val,
+                id=k, arch=arch, params=init_model(arch, len(head_ids), seeds.init, class_ids=head_ids),
+                classes=classes, train=train, val=val,
                 rng=np.random.default_rng([seeds.shuffle, k]),
             )
         )
     return clients
 
 
-def _build_centralized(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture) -> ClientState:
-    seeds = cfg.resolved_seeds()
-    M = data.registry.n_classes
-    params = init_model(arch, M, seeds.init, class_ids=range(M))
-    tx = np.vstack([cd.train.x for cd in data.clients])
-    ty = np.vstack([scatter_restricted(cd.train.y, cd.classes, M) for cd in data.clients])
-    vx = np.vstack([cd.val.x for cd in data.clients])
-    vy = np.vstack([scatter_restricted(cd.val.y, cd.classes, M) for cd in data.clients])
-    return ClientState(
-        id=0, arch=arch, params=params, classes=tuple(range(M)),
-        train=LabeledSet(tx, ty, "train"), val=LabeledSet(vx, vy, "val"),
-        rng=np.random.default_rng([seeds.shuffle, 0]),
-    )
+def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None:
+    """Who contributes to each head column in ``server_update``: the
+    class registry, a registry in which every client holds all M
+    columns, or None for personal heads."""
+    if row.heads == "holders":
+        return registry
+    if row.heads == "all":
+        return ClassRegistry(registry.global_classes, [range(registry.n_classes)] * registry.n_clients)
+    return None
 
 
 def _client_groups(clients, loss_mode: str) -> list[list[ClientState]]:
@@ -237,66 +261,10 @@ def _train_all(groups, epochs, lr, batch_size, loss_mode, pool) -> None:
         list(pool.map(lambda g: local_train(g, epochs, lr, batch_size, loss_mode), groups))
 
 
-def _average_feature_tensors(param_sets, weights=None):
-    return {
-        k: mean_arrays([ps.feature[k] for ps in param_sets], weights)
-        for k in sorted(param_sets[0].feature)
-    }
-
-
-def _full_fedavg_update(clients, strategy, pretrained_bn, weights):
-    """Classical aggregation for equal-width heads; returns the global
-    parameter set and the per-client sendbacks."""
-    param_sets = [c.params for c in clients]
-    if strategy == "fedavg":
-        gp = fedavg_full(param_sets, weights)
-        return gp, [gp.copy() for _ in clients]
-    feature, bn_mean, bn_var = fedbn_plus_feature(param_sets, pretrained_bn, weights)
-    head_W = mean_arrays([ps.head_W for ps in param_sets], weights)
-    head_b = mean_arrays([ps.head_b for ps in param_sets], weights)
-    gp = ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
-    sendbacks = [
-        ParamSet(
-            feature={k: v.copy() for k, v in feature.items()},
-            bn_mean={i: v.copy() for i, v in ps.bn_mean.items()},
-            bn_var={i: v.copy() for i, v in ps.bn_var.items()},
-            head_W=head_W.copy(),
-            head_b=head_b.copy(),
-        )
-        for ps in param_sets
-    ]
-    return gp, sendbacks
-
-
-def _pfl_update(clients, strategy, weights):
-    """Feature-only aggregation; heads and (except for fedavg) batch-norm
-    statistics stay personal."""
-    param_sets = [c.params for c in clients]
-    if strategy == "fedavg":
-        feature, bn_mean, bn_var = fedavg_feature(param_sets, weights)
-        sendbacks = []
-        for ps in param_sets:
-            sendbacks.append(
-                ParamSet(
-                    feature={k: v.copy() for k, v in feature.items()},
-                    bn_mean={i: v.copy() for i, v in bn_mean.items()},
-                    bn_var={i: v.copy() for i, v in bn_var.items()},
-                    head_W=ps.head_W,
-                    head_b=ps.head_b,
-                )
-            )
-        return sendbacks
-    feature = _average_feature_tensors(param_sets, weights)
-    return [
-        ParamSet(
-            feature={k: v.copy() for k, v in feature.items()},
-            bn_mean=ps.bn_mean,
-            bn_var=ps.bn_var,
-            head_W=ps.head_W,
-            head_b=ps.head_b,
-        )
-        for ps in param_sets
-    ]
+# perfbench/tracer.py wraps these names and mean_arrays here; they go once
+# the tracer is re-pointed (ROADMAP item 1).  Every method aggregates
+# through server_update.
+_full_fedavg_update = _pfl_update = server_update
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None) -> RunResult:
@@ -308,28 +276,22 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     happened in (0 for the warmup) in its ``round`` and its message."""
     if parallel < 1:
         raise ConfigError("parallel must be at least 1")
+    row = METHOD_TABLE[config.method]
     data = generate_synthetic(config.scenario)
     arch = config.architecture()
     registry = data.registry
     M = registry.n_classes
-    loss_mode = _loss_mode(config.method)
-    federated = config.method in ("surgical", "vanilla_fl", "fl_partial_loss", "pfl")
-
-    if config.method == "centralized":
-        clients = [_build_centralized(data, config, arch)]
-    else:
-        clients = _build_clients(data, config, arch)
-
+    clients = _build_clients(data, config, arch)
+    head_registry = _head_registry(row, registry)
     weights = [c.train.n for c in clients] if config.sample_weighted else None
 
     pretrained_bn = None
-    if config.strategy in ("fedbn_plus",) and federated:
+    if config.strategy == "fedbn_plus" and row.exchanges and row.global_model:
         seeds = config.resolved_seeds()
         reference = init_model(arch, M, seeds.init, class_ids=range(M))
         pretrained_bn = collect_bn_stats(reference, arch, stats_split(config.scenario))
 
-    groups = _client_groups(clients, loss_mode)
-    n_rounds = config.T // config.E
+    groups = _client_groups(clients, row.loss_mode)
     reports: list[RoundReport] = []
     best_val = np.inf
     best_round = 0
@@ -340,36 +302,24 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     pool = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
     try:
         for g in groups:
-            head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, loss_mode)
+            head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, row.loss_mode)
         # after the warmup, since perfbench's setup_s ends where the warmup starts
         plan = TestPlan(data.test, registry)
 
-        for r in range(1, n_rounds + 1):
+        for r in range(1, config.T // config.E + 1):
             t0 = time.perf_counter()
-            _train_all(groups, config.E, config.lr, config.batch_size, loss_mode, pool)
+            _train_all(groups, config.E, config.lr, config.batch_size, row.loss_mode, pool)
 
-            global_params: ParamSet | None = None
-            if config.method == "surgical":
-                gm, sendbacks = server_update(
-                    clients, registry, config.strategy, pretrained_bn, weights, r
+            if row.exchanges:
+                global_params, sendbacks = server_update(
+                    clients, head_registry, config.strategy, pretrained_bn, weights
                 )
-                global_params = gm.params
-            elif config.method in ("vanilla_fl", "fl_partial_loss"):
-                global_params, sendbacks = _full_fedavg_update(
-                    clients, config.strategy, pretrained_bn, weights
-                )
-            elif config.method == "pfl":
-                sendbacks = _pfl_update(clients, config.strategy, weights)
-            elif config.method == "centralized":
-                global_params = clients[0].params
-                sendbacks = None
-            else:  # individual
-                sendbacks = None
-            if sendbacks is not None:
                 for c, ps in zip(clients, sendbacks):
                     c.params = ps
+            else:
+                global_params = clients[0].params if row.global_model else None
 
-            val_losses = tuple(validation_loss(c, loss_mode) for c in clients)
+            val_losses = tuple(validation_loss(c, row.loss_mode) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
                 ev = evaluate(global_params, arch, range(M), plan)
@@ -394,22 +344,16 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             if mean_val < best_val:
                 best_val = mean_val
                 best_round = r
-                if global_params is not None:
+                if row.global_model:
                     best_global = global_params.copy()
-                if config.method in PERSONAL_METHODS:
+                else:
                     best_clients = [c.params.copy() for c in clients]
-
-        leftover = config.T - n_rounds * config.E
-        if leftover:
-            r = n_rounds + 1  # the round these epochs would have ended
-            _train_all(groups, leftover, config.lr, config.batch_size, loss_mode, pool)
     except NumericError as exc:
         raise NumericError(f"{exc} in round {r}", exc.layer, exc.client, r) from exc
     finally:
         if pool is not None:
             pool.shutdown()
 
-    keep_clients = config.method in PERSONAL_METHODS
     return RunResult(
         method=config.method,
         config=config,
@@ -420,21 +364,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         reports=tuple(reports),
         best_round=best_round,
         global_params=best_global,
-        client_params=tuple(best_clients) if keep_clients and best_clients else None,
+        client_params=tuple(best_clients) if best_clients else None,
         client_classes=tuple(c.classes for c in clients),
     )
-
-
-def run_surgical(config: ExperimentConfig, parallel: int = 1, round_hook=None) -> RunResult:
-    if config.method != "surgical":
-        raise ConfigError("run_surgical requires method 'surgical'")
-    return run_experiment(config, parallel, round_hook)
-
-
-def run_baseline(config: ExperimentConfig, parallel: int = 1, round_hook=None) -> RunResult:
-    if config.method not in BASELINES:
-        raise ConfigError(f"run_baseline requires one of {BASELINES}")
-    return run_experiment(config, parallel, round_hook)
 
 
 # --- suites -----------------------------------------------------------------

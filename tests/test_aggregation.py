@@ -10,18 +10,19 @@ from surgfed import (
     ClientState,
     ConfigError,
     ContractViolation,
+    STRATEGIES,
     LabeledSet,
     ParamSet,
     build_architecture,
     collect_bn_stats,
     fedavg_feature,
     fedavg_full,
-    fedbn_plus_feature,
     init_model,
     mean_arrays,
     params_equal,
     reconstruct_client_head,
     server_update,
+    simulator,
     surgical_head_update,
 )
 
@@ -291,19 +292,19 @@ def test_fedavg_feature_averages_everything(tiny_arch) -> None:
     np.testing.assert_array_equal(bn_var[1], mean_arrays([ps.bn_var[1] for ps in sets]))
 
 
-def test_fedbn_plus_pins_stats_to_pretrained(tiny_arch) -> None:
-    sets = [random_params(tiny_arch, 2, seed=s) for s in (4, 5)]
+def test_fedbn_plus_pins_stats_to_pretrained(small_registry, tiny_arch) -> None:
+    clients = _client_states(small_registry, tiny_arch, seed=26)
     pre_mean = {1: np.array([9.0] * 6)}
     pre_var = {1: np.array([0.25] * 6)}
-    feature, bn_mean, bn_var = fedbn_plus_feature(sets, (pre_mean, pre_var))
+    gp, _ = server_update(clients, small_registry, "fedbn_plus", pretrained_bn=(pre_mean, pre_var))
     np.testing.assert_array_equal(
-        feature["1.gamma"], mean_arrays([ps.feature["1.gamma"] for ps in sets])
+        gp.feature["1.gamma"], mean_arrays([c.params.feature["1.gamma"] for c in clients])
     )
-    np.testing.assert_array_equal(bn_mean[1], pre_mean[1])
-    np.testing.assert_array_equal(bn_var[1], pre_var[1])
-    assert bn_mean[1] is not pre_mean[1]
+    np.testing.assert_array_equal(gp.bn_mean[1], pre_mean[1])
+    np.testing.assert_array_equal(gp.bn_var[1], pre_var[1])
+    assert gp.bn_mean[1] is not pre_mean[1]
     with pytest.raises(ConfigError):
-        fedbn_plus_feature(sets, ({}, {}))
+        server_update(clients, small_registry, "fedbn_plus", pretrained_bn=({}, {}))
 
 
 def test_collect_bn_stats_matches_manual(tiny_arch) -> None:
@@ -367,26 +368,25 @@ def _client_states(registry: ClassRegistry, arch, seed: int):
 
 def test_server_update_round_trip(small_registry, tiny_arch) -> None:
     clients = _client_states(small_registry, tiny_arch, seed=21)
-    gm, sendbacks = server_update(clients, small_registry, round_idx=3)
-    assert gm.round == 3
-    assert gm.params.head_cols == small_registry.n_classes
+    gp, sendbacks = server_update(clients, small_registry)
+    assert gp.head_cols == small_registry.n_classes
     assert len(sendbacks) == 3
     for k, ps in enumerate(sendbacks):
         cs = small_registry.client_classes[k]
         assert ps.head_cols == len(cs)
-        np.testing.assert_array_equal(ps.head_W, gm.params.head_W[:, list(cs)])
+        np.testing.assert_array_equal(ps.head_W, gp.head_W[:, list(cs)])
         # everyone gets the averaged running statistics under fedavg
-        np.testing.assert_array_equal(ps.bn_mean[1], gm.params.bn_mean[1])
-        np.testing.assert_array_equal(ps.feature["0.W"], gm.params.feature["0.W"])
+        np.testing.assert_array_equal(ps.bn_mean[1], gp.bn_mean[1])
+        np.testing.assert_array_equal(ps.feature["0.W"], gp.feature["0.W"])
 
 
 def test_server_update_fedbn_plus_keeps_local_stats(small_registry, tiny_arch) -> None:
     clients = _client_states(small_registry, tiny_arch, seed=22)
     own_stats = [c.params.bn_mean[1].copy() for c in clients]
     pre = ({1: np.zeros(6)}, {1: np.ones(6)})
-    gm, sendbacks = server_update(clients, small_registry, "fedbn_plus", pretrained_bn=pre)
-    np.testing.assert_array_equal(gm.params.bn_mean[1], 0.0)
-    np.testing.assert_array_equal(gm.params.bn_var[1], 1.0)
+    gp, sendbacks = server_update(clients, small_registry, "fedbn_plus", pretrained_bn=pre)
+    np.testing.assert_array_equal(gp.bn_mean[1], 0.0)
+    np.testing.assert_array_equal(gp.bn_var[1], 1.0)
     for ps, stats in zip(sendbacks, own_stats):
         np.testing.assert_array_equal(ps.bn_mean[1], stats)
 
@@ -396,15 +396,13 @@ def test_server_update_idempotent_on_consensus(small_registry, tiny_arch) -> Non
     model.  Exact when the divisor is a power of two, within an ulp
     otherwise."""
     clients = _client_states(small_registry, tiny_arch, seed=23)
-    gm, sendbacks = server_update(clients, small_registry)
+    gp, sendbacks = server_update(clients, small_registry)
     for c, ps in zip(clients, sendbacks):
         c.params = ps
-    gm2, _ = server_update(clients, small_registry)
-    for key in gm.params.feature:
-        np.testing.assert_allclose(
-            gm2.params.feature[key], gm.params.feature[key], rtol=3e-16, atol=0.0
-        )
-    np.testing.assert_allclose(gm2.params.head_W, gm.params.head_W, rtol=3e-16, atol=0.0)
+    gp2, _ = server_update(clients, small_registry)
+    for key in gp.feature:
+        np.testing.assert_allclose(gp2.feature[key], gp.feature[key], rtol=3e-16, atol=0.0)
+    np.testing.assert_allclose(gp2.head_W, gp.head_W, rtol=3e-16, atol=0.0)
 
 
 def test_server_update_idempotent_exact_for_power_of_two() -> None:
@@ -414,7 +412,7 @@ def test_server_update_idempotent_exact_for_power_of_two() -> None:
     _, sendbacks = server_update(clients, reg)
     for c, ps in zip(clients, sendbacks):
         c.params = ps
-    gm2, sendbacks2 = server_update(clients, reg)
+    _, sendbacks2 = server_update(clients, reg)
     assert params_equal(sendbacks2[0], sendbacks[0])
     assert params_equal(sendbacks2[1], sendbacks[1])
 
@@ -432,3 +430,103 @@ def test_server_update_contracts(small_registry, tiny_arch) -> None:
         server_update(clients, small_registry)
     with pytest.raises(ContractViolation):
         server_update(clients[:2], small_registry)
+
+
+# --- every exchanging method against an independent FedAvg oracle --------------
+
+_EXCHANGING = tuple(m for m, row in simulator.METHOD_TABLE.items() if row.exchanges)
+_FULL_WIDTH = ("vanilla_fl", "fl_partial_loss")
+
+
+def _round_oracle(method, strategy, clients, registry, pretrained_bn, weights):
+    """One round of ``method`` written with whole-tensor FedAvg:
+    ``fedavg_feature`` for the feature extractor, ``fedavg_full`` for a
+    full-width head, one ``mean_arrays`` call per class for the surgical
+    head.  Returns ``(global ParamSet | None, sendbacks)``."""
+    sets = [c.params for c in clients]
+    feature, avg_mean, avg_var = fedavg_feature(sets, weights)
+    if strategy == "fedavg":
+        kept = [(avg_mean, avg_var)] * len(sets)
+        global_stats = (avg_mean, avg_var)
+    else:
+        kept = [(ps.bn_mean, ps.bn_var) for ps in sets]
+        global_stats = pretrained_bn
+    gp = None
+    if method == "pfl":
+        heads = [(ps.head_W, ps.head_b) for ps in sets]
+    elif method in _FULL_WIDTH:
+        full = fedavg_full(sets, weights)
+        heads = [(full.head_W, full.head_b)] * len(sets)
+        gp = full if strategy == "fedavg" else ParamSet(feature, *global_stats, full.head_W, full.head_b)
+    else:
+        W, b = _per_class_merge(
+            [(ps.head_W, ps.head_b, c.classes) for c, ps in zip(clients, sets)], registry, weights
+        )
+        heads = [(W[:, list(cs)], b[list(cs)]) for cs in registry.client_classes]
+        gp = ParamSet(feature, *global_stats, W, b)
+    sendbacks = [ParamSet(feature, *kept[k], *heads[k]) for k in range(len(sets))]
+    return gp, sendbacks
+
+
+def _assert_params_bitwise(got: ParamSet, want: ParamSet) -> None:
+    for group in ("feature", "bn_mean", "bn_var"):
+        g, w = getattr(got, group), getattr(want, group)
+        assert sorted(g) == sorted(w)
+        for key in g:
+            _assert_bitwise(g[key], w[key])
+    _assert_bitwise(got.head_W, want.head_W)
+    _assert_bitwise(got.head_b, want.head_b)
+
+
+@st.composite
+def round_cases(draw):
+    reg, _, _ = draw(oracle_merge_cases())
+    method = draw(st.sampled_from(_EXCHANGING))
+    strategy = draw(st.sampled_from([s for s in STRATEGIES if s != "fedbn" or method == "pfl"]))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    arch = build_architecture(3, hidden=(4,))
+    rng = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 1e-300, -1e300, 0.1, -0.3])
+    clients = []
+    for k, cs in enumerate(reg.client_classes):
+        params = random_params(arch, reg.n_classes if method in _FULL_WIDTH else len(cs), seed=seed + k)
+        for arr in [*params.feature.values(), *params.bn_mean.values(), params.head_W, params.head_b]:
+            arr[rng.random(arr.shape) < 0.3] = rng.choice(special)
+        n = draw(st.integers(min_value=1, max_value=300))
+        y = np.zeros((n, params.head_cols))
+        clients.append(
+            ClientState(
+                id=k, arch=arch, params=params, classes=cs,
+                train=LabeledSet(np.zeros((n, 3)), y), val=LabeledSet(np.zeros((1, 3)), y[:1], "val"),
+                rng=np.random.default_rng(k),
+            )
+        )
+    pretrained = tuple({i: rng.normal(size=v.shape) for i, v in clients[0].params.bn_mean.items()}
+                       for _ in range(2))
+    weights = [c.train.n for c in clients] if draw(st.booleans()) else None
+    return method, strategy, reg, clients, pretrained, weights
+
+
+@given(round_cases())
+@settings(max_examples=200, deadline=None)
+def test_server_update_equals_the_fedavg_oracle(case) -> None:
+    """``server_update``, called as the run calls it for each exchanging
+    method and strategy, with and without sample-count weights, is
+    bitwise the whole-tensor FedAvg oracle: the global model and every
+    sendback, none of which shares memory with a client's parameters."""
+    method, strategy, reg, clients, pretrained, weights = case
+    row = simulator.METHOD_TABLE[method]
+    got_global, got_sendbacks = server_update(
+        clients, simulator._head_registry(row, reg), strategy, pretrained, weights
+    )
+    want_global, want_sendbacks = _round_oracle(method, strategy, clients, reg, pretrained, weights)
+    assert (got_global is None) == (want_global is None) == (not row.global_model)
+    if want_global is not None:
+        _assert_params_bitwise(got_global, want_global)
+    assert len(got_sendbacks) == len(clients)
+    for c, got, want in zip(clients, got_sendbacks, want_sendbacks):
+        _assert_params_bitwise(got, want)
+        own = [*c.params.feature.values(), *c.params.bn_mean.values(), *c.params.bn_var.values(),
+               c.params.head_W, c.params.head_b]
+        sent = [*got.feature.values(), *got.bn_mean.values(), *got.bn_var.values(), got.head_W, got.head_b]
+        assert not any(np.shares_memory(a, b) for a in own for b in sent)

@@ -176,6 +176,11 @@ _MALFORMED = {
     "scenario.label_noise": _numbers_outside(lambda v: 0.0 <= v < 0.5),
     "scenario.val_fraction": _numbers_outside(lambda v: 0.0 < v < 1.0),
 }
+# every integer field, set beyond the signed 64-bit range
+_HUGE = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1))
+_INT_FIELDS = ("T", "E", "batch_size", "warmup_epochs", "seeds.init", "seeds.shuffle",
+               "scenario.n_per_client", "scenario.d", "scenario.M", "scenario.K", "scenario.seed",
+               "scenario.n_test", "scenario.shared_count", "scenario.unique_count")
 _VALID_SNAPSHOT = config_to_dict(parse_config(_VALID))
 _KNOWN_FIELDS = {*_VALID_SNAPSHOT, *_VALID_SNAPSHOT["scenario"]}
 _REQUIRED_FIELDS = ("method", "scenario", "scenario.n_per_client", "scenario.d", "scenario.M",
@@ -186,6 +191,11 @@ def _mutation():
     return st.one_of(
         st.sampled_from(sorted(_MALFORMED)).flatmap(lambda f: st.tuples(st.just(f), _MALFORMED[f])),
         st.tuples(st.sampled_from(_REQUIRED_FIELDS), st.just(_DELETE)),
+        st.one_of(
+            st.tuples(st.sampled_from(_INT_FIELDS), _HUGE),
+            st.tuples(st.just("hidden"), _HUGE.map(lambda v: [16, v])),
+            st.tuples(st.just("scenario.assignment"), _HUGE.map(lambda v: [[0, 1, 2], [1, 2, 3, v]])),
+        ),
         st.tuples(
             st.sampled_from(["", "scenario."]).flatmap(
                 lambda prefix: st.text(min_size=1).map(lambda k: prefix + k.replace(".", "_"))

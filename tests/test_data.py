@@ -16,7 +16,6 @@ from surgfed import (
     effect_of_shared_classes_scenarios,
     generate_synthetic,
     load_labeled_set,
-    mask_missing_as_negative,
     resolve_assignment,
     scatter_restricted,
     stats_split,
@@ -188,22 +187,15 @@ def test_stats_split_shape_and_determinism(tiny_scenario) -> None:
 
 
 def test_masking_equivalence() -> None:
+    """Scattering a full matrix's restricted columns back to full width
+    equals the full matrix with every column outside the class set
+    zeroed (missing labels read as negatives)."""
     rng = np.random.default_rng(2)
     y = (rng.random((9, 6)) < 0.5).astype(float)
     cs = (1, 4)
-    np.testing.assert_array_equal(
-        scatter_restricted(y[:, list(cs)], cs, 6),
-        mask_missing_as_negative(y, cs),
-    )
-
-
-def test_mask_missing_as_negative_zeroes_outside() -> None:
-    y = np.ones((3, 4))
-    out = mask_missing_as_negative(y, [0, 2])
-    np.testing.assert_array_equal(out[:, [0, 2]], 1.0)
-    np.testing.assert_array_equal(out[:, [1, 3]], 0.0)
-    with pytest.raises(ConfigError):
-        mask_missing_as_negative(y, [4])
+    zeroed = y.copy()
+    zeroed[:, [0, 2, 3, 5]] = 0.0
+    np.testing.assert_array_equal(scatter_restricted(y[:, list(cs)], cs, 6), zeroed)
 
 
 def test_scatter_restricted_validation() -> None:

@@ -298,10 +298,7 @@ ORACLE_SCENARIO = ScenarioSpec(
 
 def _method_clients(method: str) -> list[ClientState]:
     cfg = ExperimentConfig(scenario=ORACLE_SCENARIO, method=method, T=2)
-    data, arch = generate_synthetic(cfg.scenario), cfg.architecture()
-    if method == "centralized":
-        return [simulator._build_centralized(data, cfg, arch)]
-    return simulator._build_clients(data, cfg, arch)
+    return simulator._build_clients(generate_synthetic(cfg.scenario), cfg, cfg.architecture())
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -311,7 +308,7 @@ def test_lean_step_equals_the_per_batch_oracle(method) -> None:
     the public kernel gives: parameters, batch-norm statistics, losses,
     epoch counts and the next draw of every client's RNG stream.  The
     batch size leaves a short last batch."""
-    loss_mode = simulator._loss_mode(method)
+    loss_mode = simulator.METHOD_TABLE[method].loss_mode
     once, twice, oracle = _method_clients(method), _method_clients(method), _method_clients(method)
     groups = simulator._client_groups(once, loss_mode)
     if method == "fl_partial_loss":

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from surgfed import (
-    BASELINES,
     METHODS,
+    STRATEGIES,
     ConfigError,
     ExperimentConfig,
     NumericError,
@@ -21,10 +23,8 @@ from surgfed import (
     head_warmup,
     local_train,
     params_equal,
-    run_baseline,
     run_experiment,
     run_suite,
-    run_surgical,
     simulator,
 )
 
@@ -47,9 +47,9 @@ def _cfg(method: str, scenario=HETERO, **kw) -> ExperimentConfig:
 
 
 def test_method_lists() -> None:
-    assert "surgical" in METHODS
-    assert "surgical" not in BASELINES
-    assert set(BASELINES) | {"surgical"} == set(METHODS)
+    assert METHODS == tuple(simulator.METHOD_TABLE)
+    assert METHODS[0] == "surgical"
+    assert simulator.PERSONAL_METHODS == ("pfl", "individual")
 
 
 def test_config_validation() -> None:
@@ -90,8 +90,8 @@ def test_round_accounting() -> None:
 
     run_experiment(_cfg("surgical", T=10, E=3), round_hook=hook)
     assert seen == [1, 2, 3]
-    # 3 rounds of 3 epochs plus one trailing epoch that never communicates
-    assert all(c.epoch_counter == 10 for c in captured["clients"])
+    # 3 rounds of 3 epochs; the tenth epoch would never be communicated
+    assert all(c.epoch_counter == 9 for c in captured["clients"])
 
 
 def test_report_shape() -> None:
@@ -163,11 +163,11 @@ def test_surgical_equals_classical_when_homogeneous() -> None:
     round by round."""
     surgical_rounds = []
     vanilla_rounds = []
-    run_surgical(
+    run_experiment(
         _cfg("surgical", scenario=HOMOG),
         round_hook=lambda r, gp, cs: surgical_rounds.append(gp.copy()),
     )
-    run_baseline(
+    run_experiment(
         _cfg("vanilla_fl", scenario=HOMOG),
         round_hook=lambda r, gp, cs: vanilla_rounds.append(gp.copy()),
     )
@@ -206,11 +206,7 @@ def test_parallel_training_is_bit_identical() -> None:
 
 
 def _ladder_clients(cfg: ExperimentConfig):
-    data = generate_synthetic(cfg.scenario)
-    arch = cfg.architecture()
-    if cfg.method == "centralized":
-        return [simulator._build_centralized(data, cfg, arch)]
-    return simulator._build_clients(data, cfg, arch)
+    return simulator._build_clients(generate_synthetic(cfg.scenario), cfg, cfg.architecture())
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -221,7 +217,7 @@ def test_lock_step_groups_equal_one_client_calls(method) -> None:
     position of each client's RNG stream."""
     spec = effect_of_clients_scenarios(7000)[3]  # K=5
     cfg = ExperimentConfig(scenario=spec, method=method, T=2, warmup_epochs=1, lr=0.05)
-    loss_mode = simulator._loss_mode(method)
+    loss_mode = simulator.METHOD_TABLE[method].loss_mode
     grouped, solo = _ladder_clients(cfg), _ladder_clients(cfg)
     groups = simulator._client_groups(grouped, loss_mode)
     if method in ("surgical", "pfl", "individual"):
@@ -275,6 +271,24 @@ def test_pfl_fedbn_plus_localizes_statistics() -> None:
     assert not np.array_equal(first[0].bn_mean[1], first[1].bn_mean[1])
 
 
+def test_pfl_fedbn_plus_equals_pfl_fedbn(monkeypatch) -> None:
+    """pfl keeps no global model, so ``fedbn_plus`` has nothing to pin:
+    it runs bitwise as ``fedbn`` and never collects pretrained
+    statistics."""
+    def no_stats(*args, **kwargs):
+        raise AssertionError("collect_bn_stats called for a run without a global model")
+
+    monkeypatch.setattr(simulator, "collect_bn_stats", no_stats)
+    plus = run_experiment(_cfg("pfl", strategy="fedbn_plus", T=3))
+    plain = run_experiment(_cfg("pfl", strategy="fedbn", T=3))
+    assert plus.best_round == plain.best_round
+    assert all(params_equal(a, b) for a, b in zip(plus.client_params, plain.client_params, strict=True))
+    for a, b in zip(plus.reports, plain.reports, strict=True):
+        assert _bits(a.client_train_loss) == _bits(b.client_train_loss)
+        assert _bits(a.client_val_loss) == _bits(b.client_val_loss)
+        assert a.test_mean_auroc is b.test_mean_auroc is None
+
+
 def test_individual_clients_never_communicate() -> None:
     captured = []
     run_experiment(
@@ -293,13 +307,6 @@ def test_centralized_sees_every_class() -> None:
     assert ev.uncovered == ()
 
 
-def test_run_surgical_and_baseline_guards() -> None:
-    with pytest.raises(ConfigError):
-        run_surgical(_cfg("vanilla_fl"))
-    with pytest.raises(ConfigError):
-        run_baseline(_cfg("surgical"))
-
-
 def test_logistic_run_converges_on_easy_data() -> None:
     spec = ScenarioSpec(n_per_client=200, d=4, M=2, K=2, seed=19,
                         assignment=[[0, 1], [0, 1]], label_noise=0.0)
@@ -310,6 +317,67 @@ def test_logistic_run_converges_on_easy_data() -> None:
     last = result.reports[-1].mean_val_loss
     assert last < first
     assert result.global_eval().mean_auroc > 0.9
+
+
+# sha256 over rounds.csv and the checkpoints of every valid (method,
+# strategy, sample_weighted) run; T=5, E=2 leaves one epoch of the budget
+# after the last round, which no artifact may show
+PIN_SCENARIO = {"n_per_client": 40, "d": 4, "M": 4, "K": 3, "seed": 21,
+                "assignment": [[0, 1, 2], [0, 3], [1, 2, 3]]}
+PINNED_DIGESTS = {
+    "surgical/fedavg/0": "604f634f2a195ee93e9979c981f1739e0a3a2657e17309532b698d9ffd41136d",
+    "surgical/fedavg/1": "d0f14141ca9c97982a123c1df63b0ebc8fcc50d5812ee7b9db009a6f4fb24c10",
+    "surgical/fedbn_plus/0": "1293687b7134df3b32d323edea0099ce230a4e8569a8f4eed4ed12552da39721",
+    "surgical/fedbn_plus/1": "a5c3ef8371677edd147a0bbce755878476006bbe743756ec299eed7f7a80a3a4",
+    "vanilla_fl/fedavg/0": "6512d2f9cda1427ad1ebc7ebeb9be7f10cdab4aa3fb9d280a1193a2e8899e3f7",
+    "vanilla_fl/fedavg/1": "c12cc544b9894a725598bc4d0c325095d8b445f07803b0155e6794effa0e785d",
+    "vanilla_fl/fedbn_plus/0": "f4899e52c3064de83554f503d0a0abbe9a071a86f9eb17626cbff09abe07f357",
+    "vanilla_fl/fedbn_plus/1": "3c287c1e072a3ad4bf0985477c5c4c9b7989f8e689b33b39502623090f3b6508",
+    "fl_partial_loss/fedavg/0": "719eb84ff3fd49f95c6ba1c378b3dee8e8ae3565434e0a0db74537f98dddfee6",
+    "fl_partial_loss/fedavg/1": "7dd3a38d4c2bb5c6f684448fb8eadd6aa6b7af7cbfa1b6b8e86cb235fe514f82",
+    "fl_partial_loss/fedbn_plus/0": "9b21e7fbe642357e5b9e91ac360544115d54afeeb36a4b1ebcdcc2fcdb3bde7b",
+    "fl_partial_loss/fedbn_plus/1": "0182d3d72ec26a341e6e8ddb38f763e9f036ed04e5be047280da7c395d9c7fc6",
+    "pfl/fedavg/0": "73353d47ae568a2f33f335b1d6d705256e2166b3c557cb49aa9be1563e92e420",
+    "pfl/fedavg/1": "29a786cff5e726f2d2f58a6b04d795bcf823b34181f939b868b834ba6b424fed",
+    "pfl/fedbn/0": "6e1927cf86139a6bd1297aaf8c6f26d2908cf98adbac865adea5ea8d53ee627f",
+    "pfl/fedbn/1": "5df6168d8cc5a4c5070fea26e355c0b3ec4ebf43d66a88eb59ca374dd2c5fda8",
+    "pfl/fedbn_plus/0": "5abb8f8f6d3253020c7f5aed3f2616327bd6499de320b944817c36712bb8287b",
+    "pfl/fedbn_plus/1": "191fae7e56a29a651717fb98775bd17829858165ab6ffbcd46ee314697b72f14",
+    "centralized/fedavg/0": "f9e12d4eb1cc3db5bbd0fea3381a0c625d99a6be7541ecc672e6c06ad90d7615",
+    "centralized/fedavg/1": "95ce17c5357310ba01e44d8ceae8c71f0ebc98c28a38b18af72d3a940c935004",
+    "centralized/fedbn_plus/0": "25700133e16b4915bf5f91d1412fa7f4329470ec2d9063a9e0f0e3b79a3fd326",
+    "centralized/fedbn_plus/1": "50c693a03c9d0736ae5e32a28beac3c12cda37580eb70bf6248cad857cf36932",
+    "individual/fedavg/0": "67a08a0db50424ae6ad0bee8278d8e52c54fcf11e05e51047ce462db8c433537",
+    "individual/fedavg/1": "0153bf24e65b86331c5d18aafce23255845a5f0de84f614a75022222ae3bba83",
+    "individual/fedbn_plus/0": "35ae4793ab99b22655232b0fc6e40e10e681eeda2e912358800f098dfd2ca2dc",
+    "individual/fedbn_plus/1": "65d34ac65412da4bb66b0817fb029b7dd2ccadd7ad075cb09f812639ce4b9648",
+}
+
+
+def _artifact_digest(tmp_path, method: str, strategy: str, weighted: bool) -> str:
+    from surgfed.cli import main
+
+    cfg = {"scenario": PIN_SCENARIO, "method": method, "strategy": strategy,
+           "sample_weighted": weighted, "T": 5, "E": 2, "warmup_epochs": 1, "hidden": [5]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / f"{method}-{strategy}-{int(weighted)}"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for f in sorted(out.glob("*.csv")):  # rounds.csv and checkpoint*.csv
+        h.update(f.name.encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+def test_artifacts_match_the_pinned_digests(tmp_path) -> None:
+    valid = [
+        f"{m}/{s}/{w}" for m in METHODS for s in STRATEGIES for w in (0, 1)
+        if s != "fedbn" or m == "pfl"
+    ]
+    assert sorted(valid) == sorted(PINNED_DIGESTS)
+    for key in valid:
+        method, strategy, weighted = key.split("/")
+        assert _artifact_digest(tmp_path, method, strategy, weighted == "1") == PINNED_DIGESTS[key], key
 
 
 # --- suites -------------------------------------------------------------------
