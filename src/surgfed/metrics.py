@@ -2,19 +2,34 @@
 
 AUROC is the normalised Mann-Whitney U statistic: the share of
 (positive, negative) pairs the positive wins, tied scores credited one
-half.  U is counted exactly, without ranks, by binary search of each
-positive score in the sorted negatives; a second search counts ties,
-and runs only when there are any.  AUROC is undefined (None, never a
-made-up number) when the labels contain a single class or when a model
-cannot predict a class at all.
+half.  AUROC is undefined (None, never a made-up number) when the labels
+contain a single class or when a model cannot predict a class at all.
+
+U is counted exactly, in integers, by one sort per row of scores.  For
+a float64 score with +0.0 <= x < 2.0 the bit pattern read as an int64 is
+below 2**62 and orders exactly as the float does; equal floats have
+equal patterns.  So ``key = bits << 1 | label`` sorts by score, with a
+tied negative before a tied positive, and the i-th positive in sorted
+order sits after i positives and after every negative scored at or
+below it: the positives' positions sum to n_pos(n_pos-1)/2 plus
+Σ #{negatives <= p}, which is U when no positive ties a negative.
+:func:`_auroc_rows` scores up to ``_CHUNK`` rows per sort and sends a
+row down the exact path, :func:`_sorted_auroc` (binary search of each
+positive in the sorted negatives, ties counted by a second search), in
+two cases: its chunk holds a score outside [+0.0, 2.0) (-0.0, a negative,
+inf or NaN), and then the whole chunk goes; or two adjacent sorted keys
+differ by exactly 1, which every positive-negative tie produces (and, as
+a false alarm, a positive one float below a negative).  Both paths end
+in the same arithmetic, so every value is bitwise the same either way.
 
 The test labels never change within a run, so a :class:`TestPlan` works
-out once what every evaluation needs from them: label checks, each
-class's rows split into positives then negatives (``int32``, M x n: 4 MB
-at M=500, n=2000), its positive count, the degenerate classes and the
-sharing-profile groups.  :func:`evaluate` then costs one forward pass,
-one transpose of the scores and, per class, one gather in plan order,
-two in-place sorts and the U count.
+out once what every evaluation needs from them: label checks, an
+``int8`` label row per class (M x n: 1 MB at M=500, n=2000), the
+positive counts, the degenerate classes and the sharing-profile groups.
+:func:`evaluate` then costs one forward pass and, per chunk of 32 scored
+classes, one gather of their score columns into a bounded (32 x n)
+``int64`` buffer (0.5 MB at n=2000), one in-place row sort and a few
+whole-array passes.
 """
 
 from __future__ import annotations
@@ -32,6 +47,12 @@ from .registry import ClassRegistry, sharing_profile
 
 GROUP_NAMES = ("shared_by_all", "partially_shared", "unique")
 
+# rows of scores sorted together: bounds each (rows x n) buffer
+_CHUNK = 32
+# read as uint64, the bit patterns of +0.0 <= x < 2.0 lie below 2**62, the
+# pattern of 2.0; those of -0.0, negatives, x >= 2.0, inf and NaN do not
+_KEY_LIMIT = 1 << 62
+
 
 def auroc(scores, labels) -> float | None:
     """Probability that a random positive outranks a random negative,
@@ -46,10 +67,15 @@ def auroc(scores, labels) -> float | None:
     if not np.all(is_pos | (labels == 0.0)):
         raise ConfigError("labels must be exactly 0 or 1")
     n_pos = int(np.count_nonzero(is_pos))
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_pos == labels.size:
         return None
-    return _sorted_auroc(np.sort(scores[is_pos]), np.sort(scores[~is_pos]))
+    keys = scores.view(np.int64)[None].copy()
+    return float(_auroc_rows(keys, is_pos.view(np.int8)[None], np.array([n_pos]))[0])
+
+
+def _u_to_auroc(twice_u, n_pos, n_neg):
+    """AUROC from twice the Mann-Whitney U; works on scalars and arrays."""
+    return (twice_u / 2.0) / (n_pos * n_neg)
 
 
 def _sorted_auroc(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -65,7 +91,38 @@ def _sorted_auroc(pos: np.ndarray, neg: np.ndarray) -> float:
         twice_u = below.sum() + neg.searchsorted(pos, "right").sum()
     else:
         twice_u = 2 * below.sum()
-    return float((twice_u / 2.0) / (pos.size * neg.size))
+    return float(_u_to_auroc(twice_u, pos.size, neg.size))
+
+
+def _auroc_rows(keys: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
+    """AUROC of each row of scores against its 0/1 labels, as float64.
+
+    ``keys`` (m x n, ``int64``, C-contiguous) holds the float64 bit
+    patterns of the scores and is overwritten; ``labels`` (m x n,
+    ``int8``) and ``n_pos`` (m) give every row both label values.
+    """
+    m, n = keys.shape
+    if keys.view(np.uint64).max() >= _KEY_LIMIT:
+        scores = keys.view(np.float64)
+        out = np.empty(m)
+        for r in range(m):
+            is_pos = labels[r] == 1
+            out[r] = _sorted_auroc(np.sort(scores[r][is_pos]), np.sort(scores[r][~is_pos]))
+        return out
+    keys <<= 1
+    keys |= labels
+    keys.sort(axis=1)
+    # Σ over positives of #{negatives <= p}: their positions less the
+    # positives ahead of each
+    at_or_below = np.einsum("ij,j->i", keys & 1, np.arange(n)) - n_pos * (n_pos - 1) // 2
+    out = _u_to_auroc(2 * at_or_below, n_pos, n - n_pos)
+    # a tied negative sorts right before its positive, one key below it
+    for r in np.flatnonzero((np.diff(keys, axis=1) == 1).any(axis=1)):
+        row = keys[r]
+        is_pos = (row & 1).astype(bool)
+        scores = (row >> 1).view(np.float64)  # still sorted
+        out[r] = _sorted_auroc(scores[is_pos], scores[~is_pos])
+    return out
 
 
 @dataclass(frozen=True)
@@ -74,20 +131,21 @@ class TestPlan:
 
     Built from the test set and the registry: the labels are checked
     against the registry width and for values other than 0 and 1 here,
-    not on every evaluation.  ``order[c]`` lists the rows positive for
-    class ``c`` and then its negatives, each in ascending row order, as
-    ``int32`` (an M x n array); ``n_pos[c]`` counts the positives.
-    ``degenerate`` holds the classes whose labels take one value, and
-    ``groups`` the sharing-profile classes by group name.
+    not on every evaluation.  ``labels[c]`` is class ``c``'s label
+    column as a contiguous ``int8`` row (an M x n array, 1 MB at M=500,
+    n=2000), ready to be or-ed into the sort keys of :func:`_auroc_rows`;
+    ``n_pos[c]`` counts its positives.  ``degenerate[c]`` marks the
+    classes whose labels take one value, and ``groups`` holds the
+    sharing-profile classes by group name.
     """
 
     __test__ = False  # a library class, not a pytest test case
 
     test: LabeledSet
     registry: ClassRegistry
-    order: np.ndarray = field(repr=False)
-    n_pos: tuple[int, ...] = field(repr=False)
-    degenerate: frozenset[int]
+    labels: np.ndarray = field(repr=False)
+    n_pos: np.ndarray = field(repr=False)
+    degenerate: np.ndarray = field(repr=False)
     groups: dict[str, tuple[int, ...]]
 
     def __init__(self, test: LabeledSet, registry: ClassRegistry):
@@ -97,17 +155,13 @@ class TestPlan:
         is_pos = y == 1.0
         if not np.all(is_pos | (y == 0.0)):
             raise ConfigError("labels must be exactly 0 or 1")
-        # a stable sort of "is negative" puts each class's positives first
-        is_neg = np.ascontiguousarray(~is_pos.T)
-        order = np.argsort(is_neg, axis=1, kind="stable").astype(np.int32)
         n_pos = np.count_nonzero(is_pos, axis=0)
-        one_valued = np.flatnonzero((n_pos == 0) | (n_pos == test.n))
         profile = sharing_profile(registry)
         object.__setattr__(self, "test", test)
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "n_pos", tuple(n_pos.tolist()))
-        object.__setattr__(self, "degenerate", frozenset(one_valued.tolist()))
+        object.__setattr__(self, "labels", np.ascontiguousarray(is_pos.T).view(np.int8))
+        object.__setattr__(self, "n_pos", n_pos)
+        object.__setattr__(self, "degenerate", (n_pos == 0) | (n_pos == test.n))
         object.__setattr__(self, "groups", {
             "shared_by_all": profile.shared_by_all,
             "partially_shared": profile.partially_shared,
@@ -145,50 +199,64 @@ def _subset_mean(per_class, subset, uncovered) -> float | None:
     return float(np.mean(vals))
 
 
+def _class_ids(values, n_classes: int, what: str, error: type[Exception]) -> list[int]:
+    """``values`` as global class ids.  Each must be an integer in
+    [0, n_classes); anything else raises ``error``, never coerced."""
+    ids = []
+    for v in values:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise error(f"{what} entries must be integers, got {v!r}")
+        if not 0 <= v < n_classes:
+            raise error(f"{what} entry {v} is outside [0, {n_classes})")
+        ids.append(int(v))
+    return ids
+
+
 def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan,
              class_subset=None) -> EvalResult:
     """Score a model on the test set of ``plan``.
 
-    ``model_classes`` are the global ids behind the model's head columns;
-    ``class_subset`` restricts which classes are reported (default all).
-    Each per-class value is bitwise what :func:`auroc` gives on that
-    class's score column and labels.
+    ``model_classes`` are the distinct global ids behind the model's
+    head columns; ``class_subset`` restricts which classes are reported
+    (default all).  Both are checked before the forward pass.  Each
+    per-class value is bitwise what :func:`auroc` gives on that class's
+    score column and labels.
     """
-    model_classes = [int(c) for c in model_classes]
+    M = plan.registry.n_classes
+    model_classes = _class_ids(model_classes, M, "model_classes", ContractViolation)
+    if len(set(model_classes)) != len(model_classes):
+        raise ContractViolation("model_classes must not name a class twice")
     if params.head_cols != len(model_classes):
         raise ContractViolation("model_classes must name every head column")
-    registry = plan.registry
     if class_subset is None:
-        subset = list(range(registry.n_classes))
+        subset = list(range(M))
         custom = False
     else:
-        subset = sorted({int(c) for c in class_subset})
+        subset = sorted(set(_class_ids(class_subset, M, "class_subset", ConfigError)))
         if not subset:
             raise ConfigError("class_subset must not be empty")
-        if subset[0] < 0 or subset[-1] >= registry.n_classes:
-            raise ConfigError("class_subset index out of range")
         custom = True
 
     _, scores = forward(params, arch, plan.test.x, "eval")
-    # one contiguous row per head column: strided column gathers read slower
-    scores = np.ascontiguousarray(scores.T)
-    col_of = {c: j for j, c in enumerate(model_classes)}
-    per_class: dict[int, float | None] = {}
-    uncovered, degenerate = [], []
-    for c in subset:
-        if c not in col_of:
-            per_class[c] = None
-            uncovered.append(c)
-        elif c in plan.degenerate:
-            per_class[c] = None
-            degenerate.append(c)
-        else:
-            # positives then negatives, in the order auroc's masks pick them
-            row = scores[col_of[c]].take(plan.order[c])
-            pos, neg = row[:plan.n_pos[c]], row[plan.n_pos[c]:]
-            pos.sort()
-            neg.sort()
-            per_class[c] = _sorted_auroc(pos, neg)
+    col_of = np.full(M, -1)
+    col_of[model_classes] = np.arange(len(model_classes))
+    ids = np.array(subset)
+    cols = col_of[ids]
+    is_uncovered = cols < 0
+    is_degenerate = ~is_uncovered & plan.degenerate[ids]
+    scored = ~(is_uncovered | is_degenerate)
+    classes, cols = ids[scored], cols[scored]
+    values = np.empty(classes.size)
+    bits = scores.view(np.int64)
+    keys = np.empty((min(_CHUNK, classes.size), plan.test.n), np.int64)
+    for lo in range(0, classes.size, _CHUNK):
+        chunk = classes[lo:lo + _CHUNK]
+        rows = keys[:chunk.size]
+        rows[...] = bits[:, cols[lo:lo + _CHUNK]].T
+        values[lo:lo + _CHUNK] = _auroc_rows(rows, plan.labels[chunk], plan.n_pos[chunk])
+    per_class: dict[int, float | None] = dict.fromkeys(subset)
+    per_class.update(zip(classes.tolist(), values.tolist()))
+    uncovered = ids[is_uncovered].tolist()
 
     group_means = {
         name: _subset_mean(per_class, [c for c in members if c in per_class], uncovered)
@@ -201,7 +269,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
         mean_auroc=_subset_mean(per_class, subset, uncovered),
         group_means=group_means,
         uncovered=tuple(uncovered),
-        degenerate=tuple(degenerate),
+        degenerate=tuple(ids[is_degenerate].tolist()),
     )
 
 

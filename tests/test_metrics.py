@@ -309,6 +309,120 @@ def test_evaluate_contract_checks() -> None:
         evaluate(params, arch, [0, 1, 2], TestPlan(short, reg))
 
 
+def test_evaluate_rejects_bad_class_ids_before_scoring() -> None:
+    """A repeated, out-of-range or non-integer head id used to be read
+    from the wrong column, dropped or coerced; now it fails before the
+    forward pass, and so does such a ``class_subset`` entry."""
+    from unittest import mock
+
+    from surgfed import metrics
+
+    arch, reg, test = _eval_fixture()
+    params = init_model(arch, 3, seed=1)
+    plan = TestPlan(test, reg)
+    with mock.patch.object(metrics, "forward", side_effect=AssertionError("forward ran")):
+        for model_classes in ([0, 0, 1], [0, 1, 7], [0, 1, -1], [0, 1.5, 2], [0, True, 2],
+                              [0, "1", 2]):
+            with pytest.raises(ContractViolation):
+                evaluate(params, arch, model_classes, plan)
+        for subset in ([1.5], [0, -1], [3], [True], [np.float64(1.0)]):
+            with pytest.raises(ConfigError):
+                evaluate(params, arch, [0, 1, 2], plan, class_subset=subset)
+    # numpy integers are integers; a repeated subset entry is reported once
+    ev = evaluate(params, arch, np.array([2, 0, 1]), plan, class_subset=[np.int64(1), 1])
+    assert list(ev.per_class) == [1]
+
+
+_CHUNK_EDGES = (0, 30, 31, 32, 33, 63, 64, 65)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
+    """M spans several 32-class chunks, with uncovered and degenerate
+    classes placed near the chunk edges.  Each score column is tied
+    heavily across labels, continuous, or has each negative one float
+    above some positive (which trips the tie check without a tie); one
+    chunk may hold a single -0.0, 2.0 or NaN, which sends that chunk
+    alone down the exact path.  Every value must be bitwise the scalar
+    :func:`auroc` loop's and the exact path's on independently split,
+    sorted scores."""
+    from unittest import mock
+
+    from surgfed import metrics
+
+    n = data.draw(st.integers(2, 50), label="n")
+    M = data.draw(st.integers(33, 100), label="M")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    y = (rng.random((n, M)) < rng.uniform(0.1, 0.9, size=M)).astype(float)
+    y[0], y[-1] = 1.0, 0.0  # both labels in every class, until made degenerate
+    edges = [c for c in _CHUNK_EDGES if c < M]
+    for c in data.draw(st.sets(st.sampled_from(edges), max_size=3), label="degenerate"):
+        y[:, c] = data.draw(st.sampled_from([0.0, 1.0]))
+    dropped = data.draw(st.sets(st.sampled_from(edges), max_size=3), label="uncovered")
+    model_classes = [int(c) for c in rng.permutation(M) if c not in dropped]
+    reg = ClassRegistry([f"c{i}" for i in range(M)], [range(M)])
+    plan = TestPlan(LabeledSet(np.zeros((n, 1)), y, "test"), reg)
+    arch = build_architecture(1, hidden=())
+    params = init_model(arch, len(model_classes), seed=0, class_ids=model_classes)
+
+    scores = np.empty((n, len(model_classes)))
+    for j in range(len(model_classes)):
+        style = data.draw(st.sampled_from(["tied", "continuous", "neighbours"]))
+        if style == "tied":
+            scores[:, j] = rng.integers(0, 5, size=n) / 4.0
+        elif style == "continuous":
+            scores[:, j] = rng.random(n)
+        else:
+            # every negative one float above a positive's score: no tie
+            base = rng.choice([0.0, 0.3, 1.0 - 2.0**-53], size=n)
+            is_pos = y[:, model_classes[j]] == 1.0
+            scores[:, j] = np.where(is_pos, base, np.nextafter(base, 1.0))
+    planted = data.draw(st.sampled_from([None, -0.0, 2.0, np.nan]), label="planted")
+    if planted is not None:
+        row = data.draw(st.integers(0, n - 1))
+        scores[row, data.draw(st.integers(0, len(model_classes) - 1))] = planted
+    subset = data.draw(st.none() | st.sets(st.integers(0, M - 1), min_size=1), label="subset")
+    classes = range(M) if subset is None else sorted(subset)
+
+    with mock.patch.object(metrics, "forward", lambda *a: (None, scores)):
+        ev = evaluate(params, arch, model_classes, plan, subset)
+    expected = _scalar_loop(scores, model_classes, y, classes)
+    assert list(ev.per_class) == list(expected)
+    for c, v in expected.items():
+        assert _same_value(ev.per_class[c], v), c
+        if v is not None:
+            col, pos = scores[:, model_classes.index(c)], y[:, c] == 1.0
+            exact = metrics._sorted_auroc(np.sort(col[pos]), np.sort(col[~pos]))
+            assert _same_value(ev.per_class[c], exact), c
+    assert ev.uncovered == tuple(c for c in classes if c not in model_classes)
+    assert ev.degenerate == tuple(
+        c for c in classes if c in model_classes and y[:, c].min() == y[:, c].max()
+    )
+
+
+def test_evaluate_scores_a_seeded_model_without_the_exact_path() -> None:
+    """The exact path is correct, so a change that sent every class down
+    it would pass every value test; on an untied model no class may."""
+    from unittest import mock
+
+    from surgfed import metrics
+
+    M, n = 70, 400
+    arch = build_architecture(6, hidden=(8,))
+    reg = ClassRegistry([f"c{i:02d}" for i in range(M)], [range(M)])
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(n, 6))
+    y = (rng.random((n, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
+    params = init_model(arch, M, seed=5, class_ids=range(M))
+    plan = TestPlan(LabeledSet(x, y, "test"), reg)
+    with mock.patch.object(metrics, "_sorted_auroc", wraps=metrics._sorted_auroc) as exact:
+        ev = evaluate(params, arch, range(M), plan)
+    assert exact.call_count == 0
+    assert ev.uncovered == () and ev.degenerate == ()
+    assert all(0.0 <= v <= 1.0 for v in ev.per_class.values())
+
+
 # --- paired t-test -----------------------------------------------------------
 
 
