@@ -8,7 +8,8 @@ Subcommands::
 
 Global options: ``--seed`` replaces every seed in the config
 deterministically, ``--parallel-clients`` trains lock-step client groups
-on worker threads (bit-identical results).  The ``SURGFED_OUT_DIR``
+on worker threads (bit-identical results, but slower than one thread
+under lock-step training).  The ``SURGFED_OUT_DIR``
 environment variable overrides the output directory of any subcommand.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
@@ -22,10 +23,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
 import sys
+import typing
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,16 +40,14 @@ from .data import (  # noqa: F401 (perfbench/tracer.py wraps generate_synthetic 
     effect_of_shared_classes_scenarios,
     generate_synthetic,
 )
-from .errors import ConfigError
+from .errors import ConfigError, need_int
 from .metrics import EvalResult
 from .model import save_checkpoint
 from .registry import ClassRegistry
 from .simulator import (
-    METHODS,
     PERSONAL_METHODS,
     ExperimentConfig,
     RunResult,
-    SeedBundle,
     run_experiment,
     run_suite,
 )
@@ -61,174 +62,58 @@ ABLATION_LR = 0.05
 
 
 # --- config file handling ---------------------------------------------------
-
-_SCENARIO_KEYS = {
-    "n_per_client", "d", "M", "K", "seed", "assignment", "shared_count",
-    "unique_count", "skew", "shift_sigma", "label_noise", "n_test", "val_fraction",
-}
-_CONFIG_KEYS = {
-    "scenario", "method", "strategy", "T", "E", "lr", "batch_size",
-    "warmup_epochs", "warmup_lr", "hidden", "use_batchnorm", "sample_weighted", "seeds",
-}
-_REQUIRED_SCENARIO = ("n_per_client", "d", "M", "K", "seed")
+#
+# The config dataclasses are the schema: they check every field's type and
+# range themselves and store JSON lists as tuples.  Parsing only maps JSON
+# objects onto them and adds field paths.
 
 
-def _is_int64(v) -> bool:
-    """An integer (not a bool) that fits in a signed 64-bit integer."""
-    return isinstance(v, int) and not isinstance(v, bool) and -2**63 <= v < 2**63
-
-
-def _need_int(obj, key: str, path: str) -> int:
-    v = obj[key]
-    if not _is_int64(v):
-        raise ConfigError(f"field {path}.{key} must be an integer that fits in 64 bits")
-    return v
-
-
-def _opt_number(obj, key: str, path: str, default):
-    if key not in obj or obj[key] is None:
-        return default
-    v = obj[key]
-    error = ConfigError(f"field {path}.{key} must be a finite number")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise error
-    try:
-        v = float(v)
-    except OverflowError:  # an integer beyond the float range
-        raise error from None
-    if not np.isfinite(v):
-        raise error
-    return v
-
-
-def _opt_bool(obj, key: str, path: str, default: bool) -> bool:
-    v = obj.get(key, default)
-    if not isinstance(v, bool):
-        raise ConfigError(f"field {path}.{key} must be true or false")
-    return v
-
-
-def _opt_int(obj, key: str, path: str, default):
-    if key not in obj or obj[key] is None:
-        return default
-    return _need_int(obj, key, path)
-
-
-def parse_scenario(obj, path: str = "scenario") -> ScenarioSpec:
+def _check_keys(obj, keys: dict, path: str) -> None:
+    """Reject ``obj`` unless it is an object whose keys all appear in
+    ``keys`` and include every key that ``keys`` maps to True (required)."""
     if not isinstance(obj, dict):
         raise ConfigError(f"field {path} must be an object")
-    unknown = set(obj) - _SCENARIO_KEYS
+    unknown = sorted(set(obj) - set(keys))
     if unknown:
-        raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
-    for key in _REQUIRED_SCENARIO:
-        if key not in obj:
+        raise ConfigError(f"unknown field {path}.{unknown[0]}")
+    for key, required in keys.items():
+        if required and key not in obj:
             raise ConfigError(f"missing required field {path}.{key}")
-    assignment = obj.get("assignment")
-    if assignment is not None:
-        if not isinstance(assignment, list) or not all(
-            isinstance(cs, list) and all(_is_int64(c) for c in cs)
-            for cs in assignment
-        ):
-            raise ConfigError(f"field {path}.assignment must be a list of class-index lists")
-        assignment = tuple(tuple(cs) for cs in assignment)
-    return ScenarioSpec(
-        n_per_client=_need_int(obj, "n_per_client", path),
-        d=_need_int(obj, "d", path),
-        M=_need_int(obj, "M", path),
-        K=_need_int(obj, "K", path),
-        seed=_need_int(obj, "seed", path),
-        assignment=assignment,
-        shared_count=_opt_int(obj, "shared_count", path, None),
-        unique_count=_opt_int(obj, "unique_count", path, None),
-        skew=obj.get("skew", "iid"),
-        shift_sigma=_opt_number(obj, "shift_sigma", path, 0.0),
-        label_noise=_opt_number(obj, "label_noise", path, 0.05),
-        n_test=_opt_int(obj, "n_test", path, 2000),
-        val_fraction=_opt_number(obj, "val_fraction", path, 0.2),
-    )
+
+
+def _from_json(cls, obj, path: str):
+    """Build config dataclass ``cls`` from a JSON object, nested config
+    objects included, reporting every problem under its field path."""
+    _check_keys(obj, {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(cls)}, path)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in obj.items():
+        # a field typed as a config dataclass, alone or with None, holds a nested object
+        types = (hints[key], *typing.get_args(hints[key]))
+        nested = next((t for t in types if dataclasses.is_dataclass(t)), None)
+        if nested is not None and value is not None:
+            value = _from_json(nested, value, f"{path}.{key}")
+        kwargs[key] = value
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:  # name the field by its path in the file
+        raise ConfigError(f"{path}.{exc}" if exc.field else f"{path}: {exc}") from None
 
 
 def parse_config(obj, path: str = "config") -> ExperimentConfig:
     """Build an :class:`ExperimentConfig` from a parsed JSON object,
     reporting the offending field on any problem."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must be an object")
-    unknown = set(obj) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"unknown field {path}.{sorted(unknown)[0]}")
-    for key in ("method", "scenario"):
-        if key not in obj:
-            raise ConfigError(f"missing required field {path}.{key}")
-    scenario = parse_scenario(obj["scenario"], f"{path}.scenario")
-    seeds = None
-    if obj.get("seeds") is not None:
-        sobj = obj["seeds"]
-        if not isinstance(sobj, dict) or set(sobj) != {"init", "shuffle"}:
-            raise ConfigError(f"field {path}.seeds must be an object with keys init and shuffle")
-        seeds = SeedBundle(init=_need_int(sobj, "init", f"{path}.seeds"),
-                           shuffle=_need_int(sobj, "shuffle", f"{path}.seeds"))
-    hidden = obj.get("hidden", [32, 16])
-    if not isinstance(hidden, list) or not all(_is_int64(h) for h in hidden):
-        raise ConfigError(f"field {path}.hidden must be a list of integers that fit in 64 bits")
-    return ExperimentConfig(
-        scenario=scenario,
-        method=obj["method"],
-        strategy=obj.get("strategy", "fedavg"),
-        T=_opt_int(obj, "T", path, 100),
-        E=_opt_int(obj, "E", path, 1),
-        lr=_opt_number(obj, "lr", path, 0.01),
-        batch_size=_opt_int(obj, "batch_size", path, 32),
-        warmup_epochs=_opt_int(obj, "warmup_epochs", path, 5),
-        warmup_lr=_opt_number(obj, "warmup_lr", path, 0.01),
-        hidden=tuple(hidden),
-        use_batchnorm=_opt_bool(obj, "use_batchnorm", path, True),
-        sample_weighted=_opt_bool(obj, "sample_weighted", path, False),
-        seeds=seeds,
-    )
-
-
-def scenario_to_dict(spec: ScenarioSpec) -> dict:
-    return {
-        "n_per_client": spec.n_per_client,
-        "d": spec.d,
-        "M": spec.M,
-        "K": spec.K,
-        "seed": spec.seed,
-        "assignment": None if spec.assignment is None else [list(cs) for cs in spec.assignment],
-        "shared_count": spec.shared_count,
-        "unique_count": spec.unique_count,
-        "skew": spec.skew,
-        "shift_sigma": spec.shift_sigma,
-        "label_noise": spec.label_noise,
-        "n_test": spec.n_test,
-        "val_fraction": spec.val_fraction,
-    }
+    return _from_json(ExperimentConfig, obj, path)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical JSON form of a config; parse(serialise(x)) == x."""
-    return {
-        "scenario": scenario_to_dict(cfg.scenario),
-        "method": cfg.method,
-        "strategy": cfg.strategy,
-        "T": cfg.T,
-        "E": cfg.E,
-        "lr": cfg.lr,
-        "batch_size": cfg.batch_size,
-        "warmup_epochs": cfg.warmup_epochs,
-        "warmup_lr": cfg.warmup_lr,
-        "hidden": list(cfg.hidden),
-        "use_batchnorm": cfg.use_batchnorm,
-        "sample_weighted": cfg.sample_weighted,
-        "seeds": None if cfg.seeds is None else {"init": cfg.seeds.init, "shuffle": cfg.seeds.shuffle},
-    }
+    return json.loads(json.dumps(dataclasses.asdict(cfg)))
 
 
 def _apply_seed_override(cfg: ExperimentConfig, seed: int | None) -> ExperimentConfig:
     if seed is None:
         return cfg
-    if seed < 0:
-        raise ConfigError("--seed must be non-negative")
     return replace(cfg, scenario=replace(cfg.scenario, seed=seed), seeds=None)
 
 
@@ -347,12 +232,13 @@ def cmd_run(config_path, out_dir, seed: int | None = None, parallel: int = 1) ->
 def cmd_suite(suite_path, out_dir, seed: int | None = None, parallel: int = 1) -> int:
     with open(suite_path) as f:
         raw = json.load(f)
-    if not isinstance(raw, dict) or "members" not in raw:
-        raise ConfigError("suite file must be an object with a members list")
+    _check_keys(raw, {"members": True, "reference": False}, "suite")
     members = raw["members"]
     if not isinstance(members, list) or not members:
         raise ConfigError("field members must be a non-empty list of configs")
     reference = raw.get("reference", "surgical")
+    if not isinstance(reference, str):
+        raise ConfigError("field reference must be a string")
     configs = [
         _apply_seed_override(parse_config(m, f"members[{i}]"), seed)
         for i, m in enumerate(members)
@@ -398,25 +284,29 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, parallel: int = 1,
                  methods=ABLATION_METHODS, strategy: str = "fedavg") -> int:
     if kind not in ABLATION_KINDS:
         raise ConfigError(f"ablation kind must be one of {ABLATION_KINDS}")
-    if seeds < 1:
-        raise ConfigError("--seeds must be at least 1")
+    need_int(seeds, "--seeds", 1)
     methods = tuple(methods)
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r} in --methods")
+    if not methods:
+        raise ConfigError("--methods must name at least one method")
+    if len(set(methods)) < len(methods):
+        raise ConfigError("--methods must not name a method twice")
     base_seed = 7000 if seed is None else seed
-    T = 100 if epochs is None else epochs
     ladder = effect_of_clients_scenarios if kind == "clients" else effect_of_shared_classes_scenarios
-    # every rung is scored on the global model, so reject what cannot
-    # build one before any rung trains or any file is written
+    # one config per method, re-targeted at every rung; every rung is scored
+    # on the global model, so reject what cannot build one before any rung
+    # trains or any file is written
     first_spec = ladder(base_seed)[0]
-    for method in methods:
-        ExperimentConfig(scenario=first_spec, method=method, strategy=strategy, T=T, lr=ABLATION_LR)
-        if method in PERSONAL_METHODS:
-            raise ConfigError(f"method {method!r} keeps no global model; the ablation scores global models")
+    budget = {} if epochs is None else {"T": epochs}
+    templates = [
+        ExperimentConfig(scenario=first_spec, method=method, strategy=strategy, lr=ABLATION_LR, **budget)
+        for method in methods
+    ]
+    for cfg in templates:
+        if cfg.method in PERSONAL_METHODS:
+            raise ConfigError(f"method {cfg.method!r} keeps no global model, which the ablation scores")
 
     snapshot = {
-        "kind": kind, "base_seed": base_seed, "seeds": seeds, "epochs": T,
+        "kind": kind, "base_seed": base_seed, "seeds": seeds, "epochs": templates[0].T,
         "methods": list(methods), "strategy": strategy, "lr": ABLATION_LR,
     }
     run_id = manifest_hash(snapshot)
@@ -430,12 +320,11 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, parallel: int = 1,
         for spec in specs:
             rung = spec.K if kind == "clients" else _shared_count_of(spec)
             rows = []
-            for method in methods:
-                cfg = ExperimentConfig(scenario=spec, method=method, strategy=strategy, T=T, lr=ABLATION_LR)
-                result = run_experiment(cfg, parallel=parallel)
+            for template in templates:
+                result = run_experiment(replace(template, scenario=spec), parallel=parallel)
                 ev = result.global_eval()
-                rows.append((method, s, ev))
-                curve.setdefault(rung, {}).setdefault(method, []).append(ev.mean_auroc)
+                rows.append((template.method, s, ev))
+                curve.setdefault(rung, {}).setdefault(template.method, []).append(ev.mean_auroc)
             rung_path = out / f"{kind}_rung{rung:02d}_seed{s}.csv"
             with open(rung_path, "w", newline="") as f:
                 w = csv.writer(f, lineterminator="\n")
@@ -482,7 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help=f"output directory (overridden by ${OUT_DIR_ENV})")
         p.add_argument("--seed", type=int, default=None, help="replace every config seed deterministically")
         p.add_argument("--parallel-clients", type=int, default=1, metavar="N",
-                       help="worker threads, each training one lock-step client group (results are identical)")
+                       help="worker threads, each training one lock-step client group; results are "
+                            "identical, but more than 1 is slower under lock-step training")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
@@ -507,6 +397,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out_dir = os.environ.get(OUT_DIR_ENV) or args.out
     try:
+        if args.seed is not None:
+            need_int(args.seed, "--seed", 0)
+        need_int(args.parallel_clients, "--parallel-clients", 1)
         if args.command == "run":
             return cmd_run(args.config, out_dir, args.seed, args.parallel_clients)
         if args.command == "suite":

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, need_int, need_number
 from .registry import ClassRegistry
 
 _THRESHOLD_BAND = 0.8  # keeps per-class prevalence in roughly [0.2, 0.8]
@@ -61,6 +61,10 @@ class ScenarioSpec:
     from ``shared_count`` classes held by everyone plus ``unique_count``
     classes distributed one-per-client; in that case
     ``M == shared_count + unique_count`` must hold.
+
+    Construction checks every field and coerces none: integers must be
+    ints that fit in 64 bits, numbers finite (stored as float), and an
+    assignment a list of int lists (stored as tuples).
     """
 
     n_per_client: int
@@ -78,39 +82,40 @@ class ScenarioSpec:
     val_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.n_per_client < 2:
-            raise ConfigError("n_per_client must be at least 2")
-        if self.d < 1 or self.M < 1 or self.K < 1:
-            raise ConfigError("d, M and K must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.skew not in ("iid", "feature_shift"):
-            raise ConfigError(f"unknown skew {self.skew!r}")
+        for name, low in (("n_per_client", 2), ("d", 1), ("M", 1), ("K", 1), ("seed", 0), ("n_test", 2)):
+            need_int(getattr(self, name), name, low)
+        for name in ("shared_count", "unique_count"):
+            if getattr(self, name) is not None:
+                need_int(getattr(self, name), name, 0)
+        for name in ("shift_sigma", "label_noise", "val_fraction"):
+            object.__setattr__(self, name, need_number(getattr(self, name), name))
+        if not isinstance(self.skew, str) or self.skew not in ("iid", "feature_shift"):
+            raise ConfigError(f"must be 'iid' or 'feature_shift', got {self.skew!r}", "skew")
         if self.skew == "iid" and self.shift_sigma != 0.0:
-            raise ConfigError("iid scenarios must have shift_sigma == 0")
+            raise ConfigError("must be 0 in iid scenarios", "shift_sigma")
         if self.shift_sigma < 0.0:
-            raise ConfigError("shift_sigma must be non-negative")
+            raise ConfigError("must be non-negative", "shift_sigma")
         if not 0.0 <= self.label_noise < 0.5:
-            raise ConfigError("label_noise must lie in [0, 0.5)")
-        if self.n_test < 2:
-            raise ConfigError("n_test must be at least 2")
+            raise ConfigError("must lie in [0, 0.5)", "label_noise")
         if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must lie in (0, 1)")
+            raise ConfigError("must lie in (0, 1)", "val_fraction")
         if self.assignment is not None:
             if self.shared_count is not None or self.unique_count is not None:
                 raise ConfigError("give either an explicit assignment or generator counts, not both")
-            object.__setattr__(
-                self, "assignment", tuple(tuple(int(c) for c in cs) for cs in self.assignment)
-            )
+            if not isinstance(self.assignment, (list, tuple)) or not all(
+                isinstance(cs, (list, tuple)) for cs in self.assignment
+            ):
+                raise ConfigError("must be a list of class-index lists", "assignment")
+            object.__setattr__(self, "assignment", tuple(
+                tuple(need_int(c, f"assignment[{k}]") for c in cs) for k, cs in enumerate(self.assignment)
+            ))
             if len(self.assignment) != self.K:
-                raise ConfigError("assignment must list classes for every client")
+                raise ConfigError("must list classes for every client", "assignment")
             # indices in range, no client without classes, no class without a client
             ClassRegistry(range(self.M), self.assignment)
         else:
             if self.shared_count is None or self.unique_count is None:
                 raise ConfigError("need an assignment or both shared_count and unique_count")
-            if self.shared_count < 0 or self.unique_count < 0:
-                raise ConfigError("generator counts must be non-negative")
             if self.shared_count + self.unique_count != self.M:
                 raise ConfigError("shared_count + unique_count must equal M")
 

@@ -1,10 +1,45 @@
-"""Exception types shared by all surgfed modules."""
+"""Exception types shared by all surgfed modules, and the field checks
+every config dataclass runs on itself."""
 
 from __future__ import annotations
 
+import sys
+
 
 class ConfigError(ValueError):
-    """Bad user-supplied configuration: shapes, ranges, missing fields."""
+    """Bad user-supplied configuration: shapes, ranges, missing fields.
+
+    ``field`` names the offending field when one field is at fault, and
+    the message then begins with it."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message if field is None else f"{field} {message}")
+        self.field = field
+
+
+def need_int(value, field: str, low: int | None = None) -> int:
+    """``value`` if it is an integer (not a bool) that fits in a signed
+    64-bit integer and is at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
+        raise ConfigError("must be an integer that fits in 64 bits", field)
+    if low is not None and value < low:
+        raise ConfigError(f"must be at least {low}", field)
+    return value
+
+
+def need_number(value, field: str) -> float:
+    """``value`` as a float if it is a finite int or float (not a bool).
+    The range test also rejects NaN and integers beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError("must be a finite number", field)
+    return float(value)
+
+
+def need_flag(value, field: str) -> bool:
+    """``value`` if it is a real bool."""
+    if not isinstance(value, bool):
+        raise ConfigError("must be true or false", field)
+    return value
 
 
 class ContractViolation(RuntimeError):

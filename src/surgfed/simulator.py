@@ -25,8 +25,10 @@ columns) train in lock-step: one stacked forward and backward pass per
 step for the whole group, built once per run.  Every client keeps its
 own parameters and RNG stream, so each one ends bitwise where training
 it alone would; aggregation always walks clients in index order.  Worker
-threads (``parallel``) train different groups at the same time and
-change no result.
+threads (``parallel``) train different groups at the same time; they
+change no result but are a net loss under lock-step (README, "Command
+line"), and go once the benchmark harness stops passing ``parallel``
+positionally.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .data import (
     scatter_restricted,
     stats_split,
 )
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, need_flag, need_int, need_number
 from .metrics import EvalResult, TestPlan, evaluate
 from .model import (
     ClientState,
@@ -96,6 +98,10 @@ class SeedBundle:
     init: int
     shuffle: int
 
+    def __post_init__(self):
+        need_int(self.init, "init", 0)
+        need_int(self.shuffle, "shuffle", 0)
+
 
 def default_seeds(scenario_seed: int) -> SeedBundle:
     ss = np.random.SeedSequence([scenario_seed, _TAG_INIT]).generate_state(2)
@@ -104,7 +110,10 @@ def default_seeds(scenario_seed: int) -> SeedBundle:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one run needs; identical configs give identical runs."""
+    """Everything one run needs; identical configs give identical runs.
+
+    Construction checks every field as :class:`ScenarioSpec` does, so a
+    config built here and one parsed from JSON reject the same values."""
 
     scenario: ScenarioSpec
     method: str
@@ -121,29 +130,30 @@ class ExperimentConfig:
     seeds: SeedBundle | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if not isinstance(self.scenario, ScenarioSpec):
+            raise ConfigError("must be a ScenarioSpec", "scenario")
+        if not isinstance(self.method, str) or self.method not in METHODS:
+            raise ConfigError(f"must be one of {METHODS}, got {self.method!r}", "method")
+        if not isinstance(self.strategy, str) or self.strategy not in STRATEGIES:
+            raise ConfigError(f"must be one of {STRATEGIES}, got {self.strategy!r}", "strategy")
         if self.strategy == "fedbn" and self.method != "pfl":
             raise ConfigError("strategy 'fedbn' keeps no global model and is only valid with method 'pfl'")
-        if self.T < 1:
-            raise ConfigError("T must be positive")
-        if self.E < 1:
-            raise ConfigError("E must be positive")
+        for name, low in (("T", 1), ("E", 1), ("batch_size", 1), ("warmup_epochs", 0)):
+            need_int(getattr(self, name), name, low)
         if self.T < self.E:
             raise ConfigError("T must be at least E (no round would ever complete)")
-        if not (0.0 < self.lr < np.inf and 0.0 < self.warmup_lr < np.inf):
-            raise ConfigError("learning rates must be positive and finite")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.warmup_epochs < 0:
-            raise ConfigError("warmup_epochs must be non-negative")
-        if any(h < 1 for h in self.hidden):
-            raise ConfigError("hidden widths must be positive")
-        if self.seeds is not None and min(self.seeds.init, self.seeds.shuffle) < 0:
-            raise ConfigError("seeds must be non-negative")
+        for name in ("lr", "warmup_lr"):
+            object.__setattr__(self, name, need_number(getattr(self, name), name))
+            if getattr(self, name) <= 0.0:
+                raise ConfigError("must be positive", name)
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ConfigError("must be a list of layer widths", "hidden")
+        widths = tuple(need_int(h, f"hidden[{i}]", 1) for i, h in enumerate(self.hidden))
+        object.__setattr__(self, "hidden", widths)
+        need_flag(self.use_batchnorm, "use_batchnorm")
+        need_flag(self.sample_weighted, "sample_weighted")
+        if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
+            raise ConfigError("must be a SeedBundle or None", "seeds")
 
     def resolved_seeds(self) -> SeedBundle:
         return self.seeds if self.seeds is not None else default_seeds(self.scenario.seed)
@@ -270,12 +280,11 @@ _full_fedavg_update = _pfl_update = server_update
 def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None) -> RunResult:
     """Run one experiment end to end.  ``parallel`` sets the number of
     worker threads that train lock-step client groups side by side
-    (results are identical for any value).
+    (identical results, but slower than one; see the module docstring).
     ``round_hook(round, global_params, clients)`` is called after every
     communication round.  A :class:`NumericError` leaves with the round it
     happened in (0 for the warmup) in its ``round`` and its message."""
-    if parallel < 1:
-        raise ConfigError("parallel must be at least 1")
+    need_int(parallel, "parallel", 1)
     row = METHOD_TABLE[config.method]
     data = generate_synthetic(config.scenario)
     arch = config.architecture()
@@ -427,6 +436,7 @@ def run_suite(configs, reference: str = "surgical", parallel: int = 1):
     from .metrics import paired_ttest, significance_stars
     from .registry import sharing_profile
 
+    need_int(parallel, "parallel", 1)
     configs = list(configs)
     if not configs:
         raise ConfigError("suite needs at least one member config")

@@ -6,10 +6,11 @@ import json
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgfed import METHODS, STRATEGIES, ConfigError, ExperimentConfig, ScenarioSpec, SeedBundle
@@ -183,6 +184,9 @@ _INT_FIELDS = ("T", "E", "batch_size", "warmup_epochs", "seeds.init", "seeds.shu
                "scenario.n_test", "scenario.shared_count", "scenario.unique_count")
 _VALID_SNAPSHOT = config_to_dict(parse_config(_VALID))
 _KNOWN_FIELDS = {*_VALID_SNAPSHOT, *_VALID_SNAPSHOT["scenario"]}
+_FIELD_PATHS = ({f.name for f in fields(ExperimentConfig)}
+                | {f"scenario.{f.name}" for f in fields(ScenarioSpec)}
+                | {f"seeds.{f.name}" for f in fields(SeedBundle)})
 _REQUIRED_FIELDS = ("method", "scenario", "scenario.n_per_client", "scenario.d", "scenario.M",
                     "scenario.K", "scenario.seed")
 
@@ -205,15 +209,19 @@ def _mutation():
     )
 
 
-@given(_mutation())
-@settings(max_examples=300, deadline=None)
-def test_malformed_config_fuzz_exits_2_before_any_work(mutation) -> None:
-    """Every malformed field fails ``parse_config`` with ``ConfigError``
-    (no other exception type), and ``surgfed run`` exits 2 without
-    creating its output directory or starting to train."""
-    import surgfed.simulator as simulator
+def _construct(cfg):
+    """``cfg`` built straight from the dataclasses, as an API caller
+    builds it: lists stay lists, nothing goes through ``parse_config``."""
+    scenario, seeds = cfg["scenario"], cfg.get("seeds")
+    return ExperimentConfig(**{
+        **cfg,
+        "scenario": ScenarioSpec(**scenario) if isinstance(scenario, dict) else scenario,
+        "seeds": SeedBundle(**seeds) if isinstance(seeds, dict) else seeds,
+    })
 
-    field, value = mutation
+
+def _mutated(field, value):
+    """A copy of the valid config with ``field`` set to ``value`` (or removed)."""
     cfg = copy.deepcopy(_VALID)
     *parents, key = field.split(".")
     node = cfg
@@ -223,8 +231,55 @@ def test_malformed_config_fuzz_exits_2_before_any_work(mutation) -> None:
         del node[key]
     else:
         node[key] = value
+    return cfg
+
+
+def _rejected_by_both_entry_points(field, value):
+    """Assert that ``parse_config`` rejects the mutated config and, for a
+    bad value of a known field, so does building the dataclasses directly;
+    a missing or unknown key is a ``TypeError`` of that call, so only JSON
+    can carry it.  Returns the mutated config."""
+    cfg = _mutated(field, value)
     with pytest.raises(ConfigError):
         parse_config(cfg)
+    if value is not _DELETE and field in _FIELD_PATHS and not (field == "seeds" and isinstance(value, dict)):
+        with pytest.raises(ConfigError):
+            _construct(cfg)
+    return cfg
+
+
+def test_direct_construction_matches_parsing() -> None:
+    assert _construct(_VALID) == parse_config(_VALID)
+
+
+@pytest.mark.parametrize("field", sorted(_MALFORMED))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_every_fuzzed_field_is_rejected_by_both_entry_points(field, data) -> None:
+    """Each row of the mutation table on its own, so that no field's check
+    depends on the fuzz below happening to draw it."""
+    _rejected_by_both_entry_points(field, data.draw(_MALFORMED[field]))
+
+
+# each of these was accepted at construction before the dataclasses checked
+# their own fields: trained with a coerced value or failed mid-run
+@example(("hidden", [1.5, 4]))
+@example(("scenario.assignment", [[0.7, 1, 2], [1, 2, 3]]))
+@example(("T", 2.5))
+@example(("batch_size", 3.5))
+@example(("scenario.n_per_client", 60.5))
+@example(("scenario.n_test", 100.0))
+@example(("E", True))
+@given(_mutation())
+@settings(max_examples=300, deadline=None)
+def test_malformed_config_fuzz_exits_2_before_any_work(mutation) -> None:
+    """Every malformed field fails ``parse_config`` and, where an API
+    caller can pass it, the dataclasses with ``ConfigError`` (no other
+    exception type), and ``surgfed run`` exits 2 without creating its
+    output directory or starting to train."""
+    import surgfed.simulator as simulator
+
+    cfg = _rejected_by_both_entry_points(*mutation)
 
     trained = []
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
@@ -360,9 +415,25 @@ def test_suite_failure_sets_exit_code(tmp_path) -> None:
     assert failed_row[4] == "1"
 
 
-def test_suite_rejects_malformed_file(tmp_path) -> None:
-    assert main(["suite", _write(tmp_path, {"members": []}, "s.json"), "--out", str(tmp_path / "o")]) == 2
-    assert main(["suite", _write(tmp_path, [1, 2], "s2.json"), "--out", str(tmp_path / "o")]) == 2
+def test_suite_rejects_malformed_file(tmp_path, monkeypatch) -> None:
+    """A suite file's top level holds a non-empty ``members`` list and an
+    optional ``reference`` string, nothing else; anything else exits 2
+    before any member trains or any output exists."""
+    import surgfed.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+    out = tmp_path / "o"
+    two = [SMALL_CONFIG, {**SMALL_CONFIG, "method": "vanilla_fl"}]
+    for i, suite in enumerate([
+        {"members": []},
+        [1, 2],
+        {"members": two, "refrence": "vanilla_fl"},  # used to run with reference "surgical"
+        {"members": two, "reference": ["vanilla_fl"]},
+    ]):
+        assert main(["suite", _write(tmp_path, suite, f"s{i}.json"), "--out", str(out)]) == 2
+    assert calls == []
+    assert not out.exists()
 
 
 # --- ablation ------------------------------------------------------------------
@@ -396,9 +467,43 @@ def test_ablation_shared_reduced(tmp_path) -> None:
     assert rungs == [0, 1, 2, 4, 8, 12, 14]
 
 
-def test_ablation_validation(tmp_path) -> None:
-    assert main(["ablation", "clients", "--out", str(tmp_path), "--seeds", "0"]) == 2
-    assert main(["ablation", "clients", "--out", str(tmp_path), "--methods", "surgical,telepathy"]) == 2
+def test_ablation_validation(tmp_path, monkeypatch) -> None:
+    import surgfed.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    assert main(["ablation", "clients", "--out", str(out), "--seeds", "0"]) == 2
+    assert main(["ablation", "clients", "--out", str(out), "--methods", "surgical,telepathy"]) == 2
+    # an empty list would write header-only tables, a repeated method every row twice
+    assert main(["ablation", "clients", "--out", str(out), "--methods", ","]) == 2
+    twice = ["--methods", "surgical,surgical", "--seeds", "2"]
+    assert main(["ablation", "clients", "--out", str(out), *twice]) == 2
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", [["--seed", "-1"], ["--seed", str(2**70)], ["--parallel-clients", "0"]],
+                         ids=["negative-seed", "seed-beyond-int64", "no-worker-threads"])
+@pytest.mark.parametrize("command", ["run", "suite", "ablation"])
+def test_bad_global_options_exit_2_before_any_output(tmp_path, monkeypatch, command, option) -> None:
+    """``--seed`` must be a non-negative 64-bit integer and
+    ``--parallel-clients`` at least 1, for every subcommand, checked before
+    any run starts or any output directory is made."""
+    import surgfed.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: calls.append(a))
+    target = {
+        "run": ["run", _write(tmp_path, SMALL_CONFIG)],
+        "suite": ["suite", _write(tmp_path, {"members": [SMALL_CONFIG]}, "suite.json")],
+        "ablation": ["ablation", "shared", "--seeds", "1"],
+    }[command]
+    out = tmp_path / "out"
+    assert main([*target, "--out", str(out), *option]) == 2
+    assert calls == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
