@@ -26,10 +26,10 @@ The test labels never change within a run, so a :class:`TestPlan` works
 out once what every evaluation needs from them: label checks, an
 ``int8`` label row per class (M x n: 1 MB at M=500, n=2000), the
 positive counts, the degenerate classes and the sharing-profile groups.
-:func:`evaluate` then costs one forward pass and, per chunk of 32 scored
-classes, one gather of their score columns into a bounded (32 x n)
-``int64`` buffer (0.5 MB at n=2000), one in-place row sort and a few
-whole-array passes.
+:func:`evaluate` then costs one forward pass, into buffers the caller
+may own, and, per chunk of 32 scored classes, one gather of their score
+columns into a bounded (32 x n) ``int64`` buffer (0.5 MB at n=2000), one
+in-place row sort and a few whole-array passes.
 """
 
 from __future__ import annotations
@@ -213,14 +213,15 @@ def _class_ids(values, n_classes: int, what: str, error: type[Exception]) -> lis
 
 
 def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan,
-             class_subset=None) -> EvalResult:
+             class_subset=None, bufs=None) -> EvalResult:
     """Score a model on the test set of ``plan``.
 
     ``model_classes`` are the distinct global ids behind the model's
     head columns; ``class_subset`` restricts which classes are reported
     (default all).  Both are checked before the forward pass.  Each
     per-class value is bitwise what :func:`auroc` gives on that class's
-    score column and labels.
+    score column and labels.  The forward pass runs in ``bufs``, if given
+    (:func:`surgfed.nn.eval_buffers` at the test size and head width).
     """
     M = plan.registry.n_classes
     model_classes = _class_ids(model_classes, M, "model_classes", ContractViolation)
@@ -237,7 +238,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
             raise ConfigError("class_subset must not be empty")
         custom = True
 
-    _, scores = forward(params, arch, plan.test.x, "eval")
+    _, scores = forward(params, arch, plan.test.x, "eval", bufs=bufs)
     col_of = np.full(M, -1)
     col_of[model_classes] = np.arange(len(model_classes))
     ids = np.array(subset)

@@ -5,10 +5,11 @@ extractor, and each head column is drawn from a stream keyed by
 (seed, global class id).  Two clients that share a class therefore start
 from identical columns regardless of how wide their heads are.
 
-Local SGD trains a group of same-shape clients in lock-step on a private
-stacked copy of their parameters.  Shapes, labels, loss columns, the
-learning rate and the frozen groups are checked once per training call,
-not per batch; each step then runs :func:`surgfed.nn.train_step`.
+Local SGD trains a :class:`ClientGroup` of same-shape clients in
+lock-step on a stacked copy of their parameters, gathering each epoch's
+shuffled rows into buffers the group owns.  Shapes, labels, loss columns,
+the learning rate and the frozen groups are checked once per training
+call, not per batch; each step then runs :func:`surgfed.nn.train_step`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .nn import (
     ParamSet,
     backward,
     check_training,
+    eval_buffers,
     forward,
     masked_bce_loss,
     sgd_step,
@@ -143,19 +145,33 @@ class ClientState:
         return self.classes
 
 
-def _train_epoch(group, params: ParamSet, x, y, cols, lr: float, batch_size: int, frozen):
-    """One lock-step epoch of a group, on inputs ``check_training`` has
-    passed.  ``params``, ``x`` and ``y`` are stacked along a leading
-    client axis and ``params`` is updated in place; every client draws
-    its batch order from its own RNG stream.  Returns each client's mean
-    batch loss."""
-    arch, ids = group[0].arch, [c.id for c in group]
-    K, n = x.shape[:2]
-    # row indices into the (K * n, ...) flattened data, one row per client
-    rows = np.stack([c.rng.permutation(n) for c in group]) + n * np.arange(K)[:, None]
-    # gather the shuffled rows once; every batch is a view
-    x, y = x.reshape(K * n, -1)[rows], y.reshape(K * n, -1)[rows]
-    total, batches = np.zeros(K), 0
+class ClientGroup(list):
+    """Clients that train in lock-step, with the buffers each epoch
+    gathers their shuffled training rows into: ``x`` is (K, n, d), ``y``
+    is (K, n, c), and slice k always holds a row permutation of client k's
+    training set.  The simulator builds one per group per run; a plain
+    list passed to a training call is wrapped in one for that call."""
+
+    def __init__(self, clients):
+        super().__init__(clients)
+        self.x = np.stack([c.train.x for c in self])
+        self.y = np.stack([c.train.y for c in self])
+
+
+def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_size: int, frozen):
+    """One lock-step epoch of a group whose buffers ``check_training`` has
+    passed.  ``params`` is stacked along a leading client axis and updated
+    in place; every client draws its batch order from its own RNG stream.
+    Returns each client's mean batch loss."""
+    arch, ids, x, y = group[0].arch, [c.id for c in group], group.x, group.y
+    n = x.shape[1]
+    # shuffle each client's rows into its slice once; every batch is a view.
+    # "clip" spares the copy of out that "raise" makes; the rows are in range
+    for k, c in enumerate(group):
+        rows = c.rng.permutation(n)
+        np.take(c.train.x, rows, axis=0, out=x[k], mode="clip")
+        np.take(c.train.y, rows, axis=0, out=y[k], mode="clip")
+    total, batches = np.zeros(len(group)), 0
     for start in range(0, n, batch_size):
         end = start + batch_size
         total += train_step(params, arch, x[:, start:end], y[:, start:end], cols, lr, frozen, ids)
@@ -182,10 +198,9 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mo
     # one shared mask, or one row of loss columns per client
     mask = columns[0] if len(set(columns)) == 1 else np.array(columns, dtype=np.intp)
     params = stack_params([c.params for c in group])
-    x = np.stack([c.train.x for c in group])
-    y = np.stack([c.train.y for c in group])
-    cols, frozen = check_training(params, first.arch, x, y, mask, lr, frozen)
-    losses = [_train_epoch(group, params, x, y, cols, lr, batch_size, frozen) for _ in range(epochs)]
+    group = group if isinstance(group, ClientGroup) else ClientGroup(group)
+    cols, frozen = check_training(params, first.arch, group.x, group.y, mask, lr, frozen)
+    losses = [_train_epoch(group, params, cols, lr, batch_size, frozen) for _ in range(epochs)]
     for c, ps in zip(group, unstack_params(params)):
         c.params = ps
     return losses
@@ -229,9 +244,10 @@ def local_train(group, epochs: int, lr: float, batch_size: int,
 
 
 def validation_loss(client: ClientState, loss_mode: str = "local_classes") -> float:
-    """Masked BCE on the client's validation split, eval mode."""
+    """Masked BCE on the client's validation split, eval mode, in place."""
     cols = client.loss_columns(loss_mode)
-    _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id])
+    bufs = eval_buffers(client.arch, client.val.n, client.params.head_cols)
+    _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id], bufs)
     return masked_bce_loss(p, client.val.y, cols)
 
 

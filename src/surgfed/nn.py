@@ -18,7 +18,8 @@ call and then runs a private core that holds the layer math.  Training
 calls the cores directly: :func:`check_training` makes every check once
 for a whole training set, and :func:`train_step` runs one step on a
 batch of it.  Only the finiteness checks, which depend on the values,
-stay in every step.
+stay in every step.  :func:`forward` can also write into buffers the
+caller owns (:func:`eval_buffers`) and then allocates no activations.
 """
 
 from __future__ import annotations
@@ -249,45 +250,62 @@ def _check_inputs(params: ParamSet, arch: Architecture, h: np.ndarray) -> None:
         )
 
 
-def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, client_ids):
+def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, client_ids,
+             bufs=None):
     """The layer math of :func:`forward` on checked inputs.  Also returns,
     per batch-norm layer, the ``(centered, sqrt(var + eps))`` pair it
-    normalised with, which :func:`_backward` reuses."""
-    acts, norms = [h], {}
+    normalised with, which :func:`_backward` reuses after a train-mode
+    pass.  With ``bufs`` (from :func:`eval_buffers`) dense layers and the
+    head write into the next buffer and the other layers work in place,
+    never on the input."""
+    x, acts, norms = h, [h], {}
+    bufs = None if bufs is None else iter(bufs)
     for i, spec in enumerate(arch.feature_specs):
+        # where the layer writes: a new array, the next buffer or in place
+        out = None if bufs is None else next(bufs) if spec.kind == "dense" or h is x else h
         if spec.kind == "dense":
-            h = h @ params.feature[f"{i}.W"] + params.feature[f"{i}.b"][..., None, :]
+            h = np.matmul(h, params.feature[f"{i}.W"], out=out)
+            h += params.feature[f"{i}.b"][..., None, :]
         elif spec.kind == "batchnorm":
-            gamma = params.feature[f"{i}.gamma"][..., None, :]
-            beta = params.feature[f"{i}.beta"][..., None, :]
             if train:
                 mu, centered, var = _batch_stats(h)
                 m = arch.bn_momentum
                 params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
                 params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
             else:
-                centered = h - params.bn_mean[i][..., None, :]
+                centered = np.subtract(h, params.bn_mean[i][..., None, :], out=out)
                 var = params.bn_var[i][..., None, :]
-            std = np.sqrt(var + arch.bn_eps)
-            norms[i] = (centered, std)
-            h = gamma * (centered / std) + beta
+            norms[i] = (centered, np.sqrt(var + arch.bn_eps))
+            # gamma * (centered / std) + beta, one term at a time
+            h = np.divide(centered, norms[i][1], out=out)
+            h *= params.feature[f"{i}.gamma"][..., None, :]
+            h += params.feature[f"{i}.beta"][..., None, :]
         elif spec.kind == "relu":
-            h = np.maximum(h, 0.0)
+            h = np.maximum(h, 0.0, out=out)
         else:  # sigmoid
-            h = expit(h)
+            h = expit(h, out=out)
         if not np.isfinite(h).all():
             raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
         acts.append(h)
-    logits = h @ params.head_W + params.head_b[..., None, :]
+    logits = np.matmul(h, params.head_W, out=None if bufs is None else next(bufs))
+    logits += params.head_b[..., None, :]
     if not np.isfinite(logits).all():
         raise _non_finite("head pre-activation", len(arch.feature_specs), logits, client_ids)
-    acts.append(logits)
-    out = expit(logits)
-    acts.append(out)
+    out = expit(logits, out=None if bufs is None else logits)
+    acts += [logits, out]
     return acts, out, norms
 
 
-def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client_ids=None):
+def eval_buffers(arch: Architecture, n: int, head_cols: int) -> list[np.ndarray]:
+    """Work arrays for :func:`forward` calls on ``n`` rows with a head of
+    ``head_cols`` columns: one per dense layer and the head, and one at
+    the input width when the first feature layer is not dense."""
+    widths = [s.out_dim for i, s in enumerate(arch.feature_specs) if i == 0 or s.kind == "dense"]
+    return [np.empty((n, w)) for w in widths + [head_cols]]
+
+
+def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client_ids=None,
+            bufs=None):
     """Run the network.  Returns ``(activations, output)``.
 
     ``activations[0]`` is the input, then one entry per feature layer,
@@ -300,14 +318,17 @@ def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client
     stacked along a leading axis of every tensor in ``params``.  Each
     model's slice is bitwise what a call with that model alone gives.
     ``client_ids`` (one per model) name the failing client in a
-    :class:`NumericError`.
+    :class:`NumericError`.  With ``bufs`` from :func:`eval_buffers` (2-D
+    ``x`` only) the pass allocates no activations: it returns None for
+    them and the last buffer as the output, which the next call into the
+    same buffers overwrites.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     h = _as_batch(x, "x")
     _check_inputs(params, arch, h)
-    acts, out, _ = _forward(params, arch, h, mode == "train", client_ids)
-    return acts, out
+    acts, out, _ = _forward(params, arch, h, mode == "train", client_ids, bufs)
+    return (acts if bufs is None else None), out
 
 
 def _mask_cols(mask, p: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ positionally.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,13 +52,14 @@ from .data import (
 from .errors import ConfigError, NumericError, need_flag, need_int, need_number
 from .metrics import EvalResult, TestPlan, evaluate
 from .model import (
+    ClientGroup,
     ClientState,
     head_warmup,
     init_model,
     local_train,
     validation_loss,
 )
-from .nn import Architecture, ParamSet, build_architecture
+from .nn import Architecture, ParamSet, build_architecture, eval_buffers
 from .registry import ClassRegistry
 
 
@@ -113,7 +115,8 @@ class ExperimentConfig:
     """Everything one run needs; identical configs give identical runs.
 
     Construction checks every field as :class:`ScenarioSpec` does, so a
-    config built here and one parsed from JSON reject the same values."""
+    config built here and one parsed from JSON reject the same values,
+    and rejects a run whose arrays would not fit in physical memory."""
 
     scenario: ScenarioSpec
     method: str
@@ -154,6 +157,14 @@ class ExperimentConfig:
         need_flag(self.sample_weighted, "sample_weighted")
         if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
             raise ConfigError("must be a SeedBundle or None", "seeds")
+        # float64 client data and its gather buffers, the test set and its
+        # forward-pass buffers; rejected here rather than by numpy mid-run
+        s = self.scenario
+        need = 8 * (2 * s.K * s.n_per_client * (s.d + s.M) + s.n_test * (s.d + 2 * s.M + sum(widths)))
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > have:
+            raise ConfigError(f"needs an estimated {need / 2**30:,.1f} GiB of arrays, more than the "
+                              f"{have / 2**30:,.1f} GiB of physical memory", "scenario")
 
     def resolved_seeds(self) -> SeedBundle:
         return self.seeds if self.seeds is not None else default_seeds(self.scenario.seed)
@@ -253,14 +264,14 @@ def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None
     return None
 
 
-def _client_groups(clients, loss_mode: str) -> list[list[ClientState]]:
+def _client_groups(clients, loss_mode: str) -> list[ClientGroup]:
     """Clients that can train in lock-step, in order of their first
-    member's id."""
+    member's id; each group owns its gather buffers for the run."""
     groups: dict[tuple, list[ClientState]] = {}
     for c in clients:
         key = (c.train.n, c.params.head_cols, len(c.loss_columns(loss_mode)))
         groups.setdefault(key, []).append(c)
-    return list(groups.values())
+    return [ClientGroup(g) for g in groups.values()]
 
 
 def _train_all(groups, epochs, lr, batch_size, loss_mode, pool) -> None:
@@ -314,6 +325,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, row.loss_mode)
         # after the warmup, since perfbench's setup_s ends where the warmup starts
         plan = TestPlan(data.test, registry)
+        bufs = eval_buffers(arch, plan.test.n, M)  # the run's test-set forward pass
 
         for r in range(1, config.T // config.E + 1):
             t0 = time.perf_counter()
@@ -331,7 +343,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             val_losses = tuple(validation_loss(c, row.loss_mode) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
-                ev = evaluate(global_params, arch, range(M), plan)
+                ev = evaluate(global_params, arch, range(M), plan, bufs=bufs)
                 test_mean = ev.mean_auroc
                 test_per_class = tuple(ev.per_class[c] for c in range(M))
             else:

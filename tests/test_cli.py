@@ -182,6 +182,8 @@ _HUGE = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1
 _INT_FIELDS = ("T", "E", "batch_size", "warmup_epochs", "seeds.init", "seeds.shuffle",
                "scenario.n_per_client", "scenario.d", "scenario.M", "scenario.K", "scenario.seed",
                "scenario.n_test", "scenario.shared_count", "scenario.unique_count")
+# sizes within 64 bits whose arrays outgrow any machine's memory
+_OVERSIZED = st.integers(min_value=2**40, max_value=2**62)
 _VALID_SNAPSHOT = config_to_dict(parse_config(_VALID))
 _KNOWN_FIELDS = {*_VALID_SNAPSHOT, *_VALID_SNAPSHOT["scenario"]}
 _FIELD_PATHS = ({f.name for f in fields(ExperimentConfig)}
@@ -199,6 +201,10 @@ def _mutation():
             st.tuples(st.sampled_from(_INT_FIELDS), _HUGE),
             st.tuples(st.just("hidden"), _HUGE.map(lambda v: [16, v])),
             st.tuples(st.just("scenario.assignment"), _HUGE.map(lambda v: [[0, 1, 2], [1, 2, 3, v]])),
+        ),
+        st.one_of(
+            st.tuples(st.sampled_from(["scenario.n_per_client", "scenario.n_test", "scenario.d"]), _OVERSIZED),
+            st.tuples(st.just("hidden"), _OVERSIZED.map(lambda v: [v])),
         ),
         st.tuples(
             st.sampled_from(["", "scenario."]).flatmap(
@@ -270,6 +276,9 @@ def test_every_fuzzed_field_is_rejected_by_both_entry_points(field, data) -> Non
 @example(("scenario.n_per_client", 60.5))
 @example(("scenario.n_test", 100.0))
 @example(("E", True))
+# accepted before the run's array footprint was checked; numpy raised
+# MemoryError for a 160 TiB array once the run had started
+@example(("scenario.n_per_client", 2**40))
 @given(_mutation())
 @settings(max_examples=300, deadline=None)
 def test_malformed_config_fuzz_exits_2_before_any_work(mutation) -> None:

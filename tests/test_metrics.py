@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surgfed import (
+    Architecture,
     ClassRegistry,
     ConfigError,
     ContractViolation,
@@ -13,13 +16,18 @@ from surgfed import (
     ParamSet,
     TestPlan,
     auroc,
+    batchnorm,
     build_architecture,
+    dense,
     evaluate,
     forward,
     init_model,
     paired_ttest,
+    relu,
+    sigmoid,
     significance_stars,
 )
+from surgfed.nn import eval_buffers
 
 
 def _pair_count_auroc(scores, labels) -> float | None:
@@ -152,6 +160,38 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
     assert ev.uncovered == tuple(c for c in range(M) if c not in model_classes)
 
 
+@pytest.mark.parametrize("specs", [
+    (relu(6), dense(6, 5)),
+    (batchnorm(6), dense(6, 5), relu(5)),
+    (dense(6, 5), sigmoid(5), dense(5, 4), batchnorm(4), relu(4)),
+    (),
+], ids=["relu-first", "batchnorm-first", "sigmoid", "logistic"])
+def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
+    """The forward pass into caller-owned buffers works in place, but
+    never on the test inputs: after ``evaluate`` the inputs hold the same
+    bits and the last buffer holds, bit for bit, the scores of a forward
+    call without buffers.  A result taken earlier is unchanged by a later
+    evaluation into the same buffers, and each equals the unbuffered one."""
+    M, rng = 4, np.random.default_rng(8)
+    arch = Architecture(6, specs)
+    x = rng.normal(size=(200, 6))
+    y = (rng.random((200, M)) < 0.4).astype(float)
+    plan = TestPlan(LabeledSet(x, y, "test"), ClassRegistry([f"c{i}" for i in range(M)], [range(M)]))
+    bufs, results = eval_buffers(arch, plan.test.n, M), []
+    for seed in (1, 2):
+        params = init_model(arch, M, seed=seed)
+        for i in arch.bn_layers():  # move batch norm away from the identity
+            for stat in (params.bn_mean[i], params.bn_var[i], params.feature[f"{i}.beta"]):
+                stat += rng.uniform(0.1, 1.0, stat.shape)
+        evaluated = evaluate(params, arch, range(M), plan, bufs=bufs)
+        assert plan.test.x.tobytes() == x.tobytes() and plan.test.x is x
+        assert bufs[-1].tobytes() == forward(params, arch, x, "eval")[1].tobytes()
+        assert evaluated == evaluate(params, arch, range(M), plan)
+        results.append((evaluated, copy.deepcopy(evaluated)))
+    assert all(ev == snapshot for ev, snapshot in results)
+    assert results[0][0] != results[1][0]
+
+
 def _scalar_loop(scores, model_classes, y, classes):
     """The per-class reference: :func:`auroc` on each covered class's
     score column and label column, None where no column exists."""
@@ -195,7 +235,7 @@ def test_plan_evaluate_equals_scalar_auroc_loop(data) -> None:
         for ps in models
     }
 
-    def drawn_scores(params, arch, x, mode):
+    def drawn_scores(params, arch, x, mode, bufs=None):
         return None, score_of[id(params)]
 
     with mock.patch.object(metrics, "forward", drawn_scores):
@@ -385,7 +425,7 @@ def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
     subset = data.draw(st.none() | st.sets(st.integers(0, M - 1), min_size=1), label="subset")
     classes = range(M) if subset is None else sorted(subset)
 
-    with mock.patch.object(metrics, "forward", lambda *a: (None, scores)):
+    with mock.patch.object(metrics, "forward", lambda *a, **k: (None, scores)):
         ev = evaluate(params, arch, model_classes, plan, subset)
     expected = _scalar_loop(scores, model_classes, y, classes)
     assert list(ev.per_class) == list(expected)
