@@ -9,8 +9,6 @@ from __future__ import annotations
 from surgfed import (
     ClassRegistry,
     clients_with_class,
-    global_to_local,
-    local_to_global,
     sharing_profile,
 )
 
@@ -34,11 +32,10 @@ def main() -> None:
         print(f"  class {c:2d} ({names[c]}): owners {owners} -> column {kind}")
 
     print("\ncolumn bookkeeping for client 1 (classes sorted ascending):")
+    own = registry.client_classes[1]
     for c in (7, 12, 19):
-        j = global_to_local(registry, 1, c)
-        assert local_to_global(registry, 1, j) == c
-        print(f"  global class {c:2d} lives in local column {j}")
-    print(f"  class 0 is absent there: {global_to_local(registry, 1, 0)}")
+        print(f"  global class {c:2d} lives in local column {own.index(c)}")
+    print(f"  class 0 is absent there: {0 not in own}")
 
     lonely = ClassRegistry(["a", "b"], [(0, 1)])
     print(f"\na single client shares everything: {sharing_profile(lonely).shared_by_all}")

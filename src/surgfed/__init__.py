@@ -16,10 +16,7 @@ __version__ = "0.1.0"
 from .aggregation import (
     STRATEGIES,
     collect_bn_stats,
-    fedavg_feature,
-    fedavg_full,
     mean_arrays,
-    reconstruct_client_head,
     server_update,
     surgical_head_update,
 )
@@ -30,11 +27,9 @@ from .data import (
     LabeledSet,
     ScenarioData,
     ScenarioSpec,
-    dump_labeled_set,
     effect_of_clients_scenarios,
     effect_of_shared_classes_scenarios,
     generate_synthetic,
-    load_labeled_set,
     resolve_assignment,
     scatter_restricted,
     stats_split,
@@ -51,13 +46,11 @@ from .metrics import (
 )
 from .model import (
     ClientState,
-    class_column,
     head_warmup,
     init_model,
     load_checkpoint,
     local_train,
     save_checkpoint,
-    set_class_column,
     validation_loss,
 )
 from .nn import (
@@ -74,14 +67,11 @@ from .nn import (
     params_equal,
     relu,
     sgd_step,
-    sigmoid,
 )
 from .registry import (
     ClassRegistry,
     SharingProfile,
     clients_with_class,
-    global_to_local,
-    local_to_global,
     sharing_profile,
 )
 from .simulator import (

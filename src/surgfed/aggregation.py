@@ -17,9 +17,9 @@ merge applies it to all classes at once: it walks the clients in index
 order and scatters each head's columns into (feature, M) accumulators,
 assigning a column at its first holder and adding it at every later
 one, then divides each column by its holder count or weight total.
-:func:`fedavg_full` and :func:`fedavg_feature` average whole parameter
-sets tensor by tensor; they are the independent FedAvg reference the
-tests compare :func:`server_update` against.
+The independent FedAvg reference, whole parameter sets averaged tensor
+by tensor, lives in the tests, which compare :func:`server_update`
+against it.
 """
 
 from __future__ import annotations
@@ -62,27 +62,6 @@ def _check_same_feature_keys(param_sets) -> None:
     for ps in param_sets[1:]:
         if set(ps.feature) != keys:
             raise ContractViolation("clients disagree on feature parameter names")
-
-
-def fedavg_feature(param_sets, weights=None):
-    """Average every feature tensor, including batch-norm gamma/beta and
-    the running statistics.  Returns ``(feature, bn_mean, bn_var)``."""
-    if not param_sets:
-        raise ConfigError("no clients to aggregate")
-    _check_same_feature_keys(param_sets)
-    feature = {
-        k: mean_arrays([ps.feature[k] for ps in param_sets], weights)
-        for k in sorted(param_sets[0].feature)
-    }
-    bn_mean = {
-        i: mean_arrays([ps.bn_mean[i] for ps in param_sets], weights)
-        for i in sorted(param_sets[0].bn_mean)
-    }
-    bn_var = {
-        i: mean_arrays([ps.bn_var[i] for ps in param_sets], weights)
-        for i in sorted(param_sets[0].bn_var)
-    }
-    return feature, bn_mean, bn_var
 
 
 def collect_bn_stats(params: ParamSet, arch: Architecture, x) -> tuple[dict, dict]:
@@ -148,33 +127,6 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
     global_W /= divisor
     global_b /= divisor
     return global_W, global_b
-
-
-def reconstruct_client_head(global_W, global_b, registry: ClassRegistry, k: int):
-    """Client k's head: the global columns for its classes, in sorted
-    class order (copies, not views)."""
-    if not 0 <= k < registry.n_clients:
-        raise ConfigError(f"client index {k} out of range")
-    if global_W.shape[1] != registry.n_classes or global_b.shape != (registry.n_classes,):
-        raise ContractViolation("global head width does not match the registry")
-    cols = list(registry.client_classes[k])
-    return global_W[:, cols].copy(), global_b[cols].copy()
-
-
-def fedavg_full(param_sets, weights=None) -> ParamSet:
-    """Plain federated averaging of entire parameter sets (heads must all
-    have the same width).  This is the classical baseline aggregation and
-    is kept as an independent path from the per-class merge."""
-    if not param_sets:
-        raise ConfigError("no clients to aggregate")
-    width = param_sets[0].head_cols
-    for ps in param_sets[1:]:
-        if ps.head_cols != width:
-            raise ContractViolation("fedavg_full needs equal head widths")
-    feature, bn_mean, bn_var = fedavg_feature(param_sets, weights)
-    head_W = mean_arrays([ps.head_W for ps in param_sets], weights)
-    head_b = mean_arrays([ps.head_b for ps in param_sets], weights)
-    return ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
 
 
 def server_update(clients, registry: ClassRegistry | None, strategy: str = "fedavg",
@@ -249,7 +201,10 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     sendbacks = []
     for k, ps in enumerate(param_sets):
         if keep_global:
-            head_W, head_b = reconstruct_client_head(global_W, global_b, registry, k)
+            # a C-ordered copy: the fancy index alone gives an F-ordered
+            # array, on which BLAS takes another path and rounds differently
+            cols = list(registry.client_classes[k])
+            head_W, head_b = global_W[:, cols].copy(), global_b[cols]
         else:
             head_W, head_b = ps.head_W.copy(), ps.head_b.copy()
         own_mean, own_var = (bn_mean, bn_var) if shared_stats else (ps.bn_mean, ps.bn_var)

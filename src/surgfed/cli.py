@@ -43,9 +43,10 @@ from .data import (  # noqa: F401 (perfbench/tracer.py wraps generate_synthetic 
 from .errors import ConfigError, need_int
 from .metrics import EvalResult
 from .model import save_checkpoint
-from .registry import ClassRegistry
+from .registry import GROUP_NAMES, ClassRegistry
 from .simulator import (
     PERSONAL_METHODS,
+    SUITE_GROUPS,
     ExperimentConfig,
     RunResult,
     run_experiment,
@@ -250,14 +251,14 @@ def cmd_suite(suite_path, out_dir, seed: int | None = None, parallel: int = 1) -
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["run_id", "label", "method", "reference", "failed"]
-    for g in ("all", "shared_by_all", "partially_shared", "unique"):
+    for g in SUITE_GROUPS:
         header += [f"{g}_mean", f"{g}_sd", f"{g}_n", f"{g}_p", f"{g}_stars"]
     with open(out / "comparison.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for row in suite.rows:
             cells = [run_id, row.label, row.method, int(row.is_reference), int(row.failed)]
-            for g in ("all", "shared_by_all", "partially_shared", "unique"):
+            for g in SUITE_GROUPS:
                 st = row.groups[g]
                 cells += [_fmt(st.mean), _fmt(st.sd), st.n, _fmt(st.p), st.stars]
             w.writerow(cells)
@@ -328,15 +329,11 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, parallel: int = 1,
             rung_path = out / f"{kind}_rung{rung:02d}_seed{s}.csv"
             with open(rung_path, "w", newline="") as f:
                 w = csv.writer(f, lineterminator="\n")
-                w.writerow(
-                    ["run_id", "rung", "seed", "method", "mean_auroc",
-                     "shared_by_all_mean", "partially_shared_mean", "unique_mean"]
-                )
+                w.writerow(["run_id", "rung", "seed", "method", "mean_auroc"]
+                           + [f"{g}_mean" for g in GROUP_NAMES])
                 for method, s_, ev in rows:
-                    w.writerow(
-                        [run_id, rung, s_, method, _fmt(ev.mean_auroc)]
-                        + [_fmt(ev.group_means[g]) for g in ("shared_by_all", "partially_shared", "unique")]
-                    )
+                    w.writerow([run_id, rung, s_, method, _fmt(ev.mean_auroc)]
+                               + [_fmt(ev.group_means[g]) for g in GROUP_NAMES])
 
     with open(out / "summary.csv", "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")

@@ -9,10 +9,7 @@ feature shift).  The global test set is drawn before any client data.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +29,6 @@ class LabeledSet:
 
     x: np.ndarray
     y: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -178,10 +174,8 @@ def resolve_assignment(spec: ScenarioSpec) -> tuple[tuple[int, ...], ...]:
 
 def _labels_for(x: np.ndarray, u: np.ndarray, tau: np.ndarray, noise: float, rng) -> np.ndarray:
     y = (x @ u.T > tau).astype(np.float64)
-    if noise > 0.0:
-        flips = rng.random(y.shape) < noise
-    else:
-        flips = rng.random(y.shape) < 0.0  # keep the stream aligned across noise settings
+    # drawn at every noise level, 0 included, so the stream stays aligned
+    flips = rng.random(y.shape) < noise
     return np.where(flips, 1.0 - y, y)
 
 
@@ -246,11 +240,11 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
                 clients.append(
                     ClientData(
                         classes=tuple(cs),
-                        train=LabeledSet(xs[k][:n_train], ys[k][:n_train][:, cs], "train"),
-                        val=LabeledSet(xs[k][n_train:], ys[k][n_train:][:, cs], "val"),
+                        train=LabeledSet(xs[k][:n_train], ys[k][:n_train][:, cs]),
+                        val=LabeledSet(xs[k][n_train:], ys[k][n_train:][:, cs]),
                     )
                 )
-            return ScenarioData(registry=registry, test=LabeledSet(x_test, y_test, "test"), clients=tuple(clients))
+            return ScenarioData(registry=registry, test=LabeledSet(x_test, y_test), clients=tuple(clients))
     raise ConfigError(
         f"could not satisfy the one-positive-one-negative invariant in "
         f"{_MAX_THRESHOLD_ATTEMPTS} threshold draws; splits are too small "
@@ -353,43 +347,3 @@ def effect_of_shared_classes_scenarios(base_seed: int, label_noise: float = 0.05
         )
     return tuple(specs)
 
-
-# --- dataset dump / load ---------------------------------------------------
-
-
-def dump_labeled_set(ls: LabeledSet, directory, prefix: str = "data") -> None:
-    """Write x/y CSVs plus a small JSON manifest.  Floats use 17
-    significant digits so a reload is bit-exact."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / f"{prefix}_x.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for row in ls.x:
-            w.writerow([f"{v:.17g}" for v in row])
-    with open(directory / f"{prefix}_y.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for row in ls.y:
-            w.writerow([str(int(v)) for v in row])
-    manifest = {
-        "n": int(ls.n),
-        "d": int(ls.x.shape[1]),
-        "n_classes": int(ls.y.shape[1]),
-        "split": ls.split,
-    }
-    with open(directory / f"{prefix}_manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_labeled_set(directory, prefix: str = "data") -> LabeledSet:
-    directory = Path(directory)
-    with open(directory / f"{prefix}_manifest.json") as f:
-        manifest = json.load(f)
-    with open(directory / f"{prefix}_x.csv", newline="") as f:
-        x = np.array([[float(v) for v in row] for row in csv.reader(f)], dtype=np.float64)
-    with open(directory / f"{prefix}_y.csv", newline="") as f:
-        y = np.array([[float(v) for v in row] for row in csv.reader(f)], dtype=np.float64)
-    ls = LabeledSet(x, y, manifest["split"])
-    if ls.n != manifest["n"] or ls.x.shape[1] != manifest["d"] or ls.y.shape[1] != manifest["n_classes"]:
-        raise ConfigError("dataset files do not match their manifest")
-    return ls

@@ -43,9 +43,7 @@ from scipy.special import betainc
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation
 from .nn import Architecture, ParamSet, forward
-from .registry import ClassRegistry, sharing_profile
-
-GROUP_NAMES = ("shared_by_all", "partially_shared", "unique")
+from .registry import GROUP_NAMES, ClassRegistry, need_class_ids, sharing_profile
 
 # rows of scores sorted together: bounds each (rows x n) buffer
 _CHUNK = 32
@@ -162,11 +160,7 @@ class TestPlan:
         object.__setattr__(self, "labels", np.ascontiguousarray(is_pos.T).view(np.int8))
         object.__setattr__(self, "n_pos", n_pos)
         object.__setattr__(self, "degenerate", (n_pos == 0) | (n_pos == test.n))
-        object.__setattr__(self, "groups", {
-            "shared_by_all": profile.shared_by_all,
-            "partially_shared": profile.partially_shared,
-            "unique": profile.unique,
-        })
+        object.__setattr__(self, "groups", {g: getattr(profile, g) for g in GROUP_NAMES})
 
 
 @dataclass(frozen=True)
@@ -199,19 +193,6 @@ def _subset_mean(per_class, subset, uncovered) -> float | None:
     return float(np.mean(vals))
 
 
-def _class_ids(values, n_classes: int, what: str, error: type[Exception]) -> list[int]:
-    """``values`` as global class ids.  Each must be an integer in
-    [0, n_classes); anything else raises ``error``, never coerced."""
-    ids = []
-    for v in values:
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-            raise error(f"{what} entries must be integers, got {v!r}")
-        if not 0 <= v < n_classes:
-            raise error(f"{what} entry {v} is outside [0, {n_classes})")
-        ids.append(int(v))
-    return ids
-
-
 def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan,
              class_subset=None, bufs=None) -> EvalResult:
     """Score a model on the test set of ``plan``.
@@ -224,7 +205,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
     (:func:`surgfed.nn.eval_buffers` at the test size and head width).
     """
     M = plan.registry.n_classes
-    model_classes = _class_ids(model_classes, M, "model_classes", ContractViolation)
+    model_classes = need_class_ids(model_classes, "model_classes", M, ContractViolation)
     if len(set(model_classes)) != len(model_classes):
         raise ContractViolation("model_classes must not name a class twice")
     if params.head_cols != len(model_classes):
@@ -233,7 +214,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
         subset = list(range(M))
         custom = False
     else:
-        subset = sorted(set(_class_ids(class_subset, M, "class_subset", ConfigError)))
+        subset = sorted(set(need_class_ids(class_subset, "class_subset", M)))
         if not subset:
             raise ConfigError("class_subset must not be empty")
         custom = True

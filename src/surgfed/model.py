@@ -1,4 +1,4 @@
-"""Client-side model state: init, per-class head columns, local SGD.
+"""Client-side model state: init with per-class head columns, local SGD.
 
 Every client in an experiment shares one init seed for the feature
 extractor, and each head column is drawn from a stream keyed by
@@ -15,13 +15,14 @@ call, not per batch; each step then runs :func:`surgfed.nn.train_step`.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation
+from .registry import need_class_ids
 # backward and sgd_step are not called here: perfbench/tracer.py wraps them
 # under this module's names
 from .nn import (
@@ -59,9 +60,7 @@ def init_model(arch: Architecture, head_classes: int, seed: int, class_ids=None)
     """
     if head_classes < 1:
         raise ConfigError("head_classes must be positive")
-    if class_ids is None:
-        class_ids = list(range(head_classes))
-    class_ids = [int(c) for c in class_ids]
+    class_ids = need_class_ids(range(head_classes) if class_ids is None else class_ids, "class_ids")
     if len(class_ids) != head_classes:
         raise ConfigError("class_ids must have one entry per head column")
 
@@ -86,25 +85,6 @@ def init_model(arch: Architecture, head_classes: int, seed: int, class_ids=None)
         head_W[:, j] = _glorot(col_rng, n_feat, 1, n_feat)
     head_b = np.zeros(head_classes)
     return ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
-
-
-def class_column(params: ParamSet, j: int) -> np.ndarray:
-    """Head column j with its bias appended (length feature_dim + 1)."""
-    if not 0 <= j < params.head_cols:
-        raise ConfigError(f"head has no column {j}")
-    return np.concatenate([params.head_W[:, j], [params.head_b[j]]])
-
-
-def set_class_column(params: ParamSet, j: int, column: np.ndarray) -> None:
-    """Write a (weights, bias) column back; exact inverse of
-    :func:`class_column`."""
-    column = np.asarray(column, dtype=np.float64)
-    if not 0 <= j < params.head_cols:
-        raise ConfigError(f"head has no column {j}")
-    if column.shape != (params.head_W.shape[0] + 1,):
-        raise ConfigError("column length must be feature_dim + 1")
-    params.head_W[:, j] = column[:-1]
-    params.head_b[j] = column[-1]
 
 
 @dataclass

@@ -7,9 +7,10 @@ both: matmuls run over the leading axes and every reduction is over
 ``axis=-2``, so each model's slice of a stacked call is bitwise what a
 call with that model alone gives.
 
-A model is a stack of feature layers (dense, batchnorm, relu, sigmoid)
-followed by an implicit classification head: one dense layer plus a
-sigmoid.  The head's parameters live in their own fields of
+A model is a stack of feature layers (dense, batchnorm, relu) followed
+by an implicit classification head: one dense layer plus a sigmoid.
+Batch norm uses a fixed momentum and epsilon (``BN_MOMENTUM``,
+``BN_EPS``).  The head's parameters live in their own fields of
 :class:`ParamSet` so they can be aggregated per class.
 
 Each public function (:func:`forward`, :func:`masked_bce_loss`,
@@ -32,8 +33,10 @@ from scipy.special import expit
 from .errors import ConfigError, ContractViolation, NumericError
 
 BCE_CLAMP = 1e-7
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
-LAYER_KINDS = ("dense", "batchnorm", "relu", "sigmoid")
+LAYER_KINDS = ("dense", "batchnorm", "relu")
 PARAM_GROUPS = frozenset({"feature_extractor", "head"})
 
 
@@ -64,10 +67,6 @@ def relu(dim: int) -> LayerSpec:
     return LayerSpec("relu", dim, dim)
 
 
-def sigmoid(dim: int) -> LayerSpec:
-    return LayerSpec("sigmoid", dim, dim)
-
-
 @dataclass(frozen=True)
 class Architecture:
     """Feature-extractor layer stack for inputs of width ``in_dim``.
@@ -78,16 +77,10 @@ class Architecture:
 
     in_dim: int
     feature_specs: tuple[LayerSpec, ...] = ()
-    bn_momentum: float = 0.1
-    bn_eps: float = 1e-5
 
     def __post_init__(self):
         if self.in_dim < 1:
             raise ConfigError("in_dim must be positive")
-        if not 0.0 < self.bn_momentum < 1.0:
-            raise ConfigError("bn_momentum must lie in (0, 1)")
-        if self.bn_eps <= 0.0:
-            raise ConfigError("bn_eps must be positive")
         object.__setattr__(self, "feature_specs", tuple(self.feature_specs))
         w = self.in_dim
         for spec in self.feature_specs:
@@ -269,21 +262,19 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
         elif spec.kind == "batchnorm":
             if train:
                 mu, centered, var = _batch_stats(h)
-                m = arch.bn_momentum
+                m = BN_MOMENTUM
                 params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
                 params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
             else:
                 centered = np.subtract(h, params.bn_mean[i][..., None, :], out=out)
                 var = params.bn_var[i][..., None, :]
-            norms[i] = (centered, np.sqrt(var + arch.bn_eps))
+            norms[i] = (centered, np.sqrt(var + BN_EPS))
             # gamma * (centered / std) + beta, one term at a time
             h = np.divide(centered, norms[i][1], out=out)
             h *= params.feature[f"{i}.gamma"][..., None, :]
             h += params.feature[f"{i}.beta"][..., None, :]
-        elif spec.kind == "relu":
+        else:  # relu
             h = np.maximum(h, 0.0, out=out)
-        else:  # sigmoid
-            h = expit(h, out=out)
         if not np.isfinite(h).all():
             raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
         acts.append(h)
@@ -447,11 +438,8 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
                 - dxhat.sum(axis=-2, keepdims=True)
                 - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
             )
-        elif spec.kind == "relu":
+        else:  # relu
             g = g * (x_in > 0.0)
-        else:  # sigmoid
-            s = activations[i + 1]
-            g = g * s * (1.0 - s)
     return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
 
 
@@ -474,7 +462,7 @@ def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> P
     norms = {}
     for i in arch.bn_layers():
         _, centered, var = _batch_stats(activations[i])
-        norms[i] = (centered, np.sqrt(var + arch.bn_eps))
+        norms[i] = (centered, np.sqrt(var + BN_EPS))
     return _backward(params, arch, activations, g, norms)
 
 

@@ -6,9 +6,28 @@ in the package works with integer indices into ``global_classes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 from .errors import ConfigError
+
+
+def need_class_ids(values, what: str, n_classes: int | None = None,
+                   error: type[Exception] = ConfigError) -> list[int]:
+    """``values`` as global class ids.  Each must be an integer (a numpy
+    integer too, never a bool) in [0, n_classes), or at least 0 when
+    ``n_classes`` is None; anything else raises ``error``, never coerced."""
+    ids = []
+    for v in values:
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+            raise error(f"{what} entries must be integers, got {v!r}")
+        if v < 0:
+            raise error(f"{what} entry {v} is negative")
+        if n_classes is not None and v >= n_classes:
+            raise error(f"{what} entry {v} is outside [0, {n_classes})")
+        ids.append(int(v))
+    return ids
 
 
 @dataclass(frozen=True)
@@ -34,14 +53,11 @@ class ClassRegistry:
             raise ConfigError("duplicate global class names")
         clients = []
         for k, cs in enumerate(client_classes):
-            cs = tuple(int(c) for c in cs)
+            cs = need_class_ids(cs, f"client {k} classes", len(names))
             if len(cs) == 0:
                 raise ConfigError(f"client {k} has an empty class list")
             if len(set(cs)) != len(cs):
                 raise ConfigError(f"client {k} lists a class twice")
-            for c in cs:
-                if not 0 <= c < len(names):
-                    raise ConfigError(f"client {k} references unknown class index {c}")
             clients.append(tuple(sorted(cs)))
         if len(clients) == 0:
             raise ConfigError("registry needs at least one client")
@@ -79,32 +95,15 @@ class SharingProfile:
     unique: tuple[int, ...]
 
 
+# the sharing groups in table order: every per-group CSV column follows it
+GROUP_NAMES = tuple(f.name for f in fields(SharingProfile))
+
+
 def clients_with_class(registry: ClassRegistry, c: int) -> tuple[int, ...]:
     """Ascending ids of the clients that hold global class ``c``."""
     if not 0 <= c < registry.n_classes:
         raise ConfigError(f"class index {c} out of range")
     return registry.holders[c]
-
-
-def local_to_global(registry: ClassRegistry, k: int, j: int) -> int:
-    """Global index of client ``k``'s ``j``-th local class."""
-    _check_client(registry, k)
-    cs = registry.client_classes[k]
-    if not 0 <= j < len(cs):
-        raise ConfigError(f"client {k} has no local class {j}")
-    return cs[j]
-
-
-def global_to_local(registry: ClassRegistry, k: int, c: int) -> int | None:
-    """Local column of global class ``c`` at client ``k``, None if absent."""
-    _check_client(registry, k)
-    if not 0 <= c < registry.n_classes:
-        raise ConfigError(f"class index {c} out of range")
-    cs = registry.client_classes[k]
-    try:
-        return cs.index(c)
-    except ValueError:
-        return None
 
 
 def sharing_profile(registry: ClassRegistry) -> SharingProfile:
@@ -120,7 +119,3 @@ def sharing_profile(registry: ClassRegistry) -> SharingProfile:
             partial.append(c)
     return SharingProfile(tuple(shared), tuple(partial), tuple(unique))
 
-
-def _check_client(registry: ClassRegistry, k: int) -> None:
-    if not 0 <= k < registry.n_clients:
-        raise ConfigError(f"client index {k} out of range")

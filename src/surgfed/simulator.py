@@ -60,7 +60,7 @@ from .model import (
     validation_loss,
 )
 from .nn import Architecture, ParamSet, build_architecture, eval_buffers
-from .registry import ClassRegistry
+from .registry import GROUP_NAMES, ClassRegistry
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,9 @@ METHODS = tuple(METHOD_TABLE)
 PERSONAL_METHODS = tuple(m for m, row in METHOD_TABLE.items() if not row.global_model)
 
 _TAG_INIT, _TAG_SHUFFLE = 101, 102
+
+# the largest epoch budget, T or warmup_epochs, a config may ask for
+MAX_EPOCHS = 100_000
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,9 @@ class ExperimentConfig:
             raise ConfigError("strategy 'fedbn' keeps no global model and is only valid with method 'pfl'")
         for name, low in (("T", 1), ("E", 1), ("batch_size", 1), ("warmup_epochs", 0)):
             need_int(getattr(self, name), name, low)
+        for name in ("T", "warmup_epochs"):
+            if getattr(self, name) > MAX_EPOCHS:
+                raise ConfigError(f"must be at most {MAX_EPOCHS}", name)
         if self.T < self.E:
             raise ConfigError("T must be at least E (no round would ever complete)")
         for name in ("lr", "warmup_lr"):
@@ -229,16 +235,16 @@ def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture
     sites = []
     for cd in data.clients:
         if row.wide:
-            train = LabeledSet(cd.train.x, scatter_restricted(cd.train.y, cd.classes, M), "train")
-            val = LabeledSet(cd.val.x, scatter_restricted(cd.val.y, cd.classes, M), "val")
+            train = LabeledSet(cd.train.x, scatter_restricted(cd.train.y, cd.classes, M))
+            val = LabeledSet(cd.val.x, scatter_restricted(cd.val.y, cd.classes, M))
             sites.append((cd.classes, train, val))
         else:
             sites.append((cd.classes, cd.train, cd.val))
     if row.pooled:
         sites = [(
             tuple(range(M)),
-            LabeledSet(np.vstack([t.x for _, t, _ in sites]), np.vstack([t.y for _, t, _ in sites]), "train"),
-            LabeledSet(np.vstack([v.x for _, _, v in sites]), np.vstack([v.y for _, _, v in sites]), "val"),
+            LabeledSet(np.vstack([t.x for _, t, _ in sites]), np.vstack([t.y for _, t, _ in sites])),
+            LabeledSet(np.vstack([v.x for _, _, v in sites]), np.vstack([v.y for _, _, v in sites])),
         )]
     clients = []
     for k, (classes, train, val) in enumerate(sites):
@@ -392,7 +398,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
 
 # --- suites -----------------------------------------------------------------
 
-SUITE_GROUPS = ("all", "shared_by_all", "partially_shared", "unique")
+SUITE_GROUPS = ("all", *GROUP_NAMES)
 
 
 @dataclass(frozen=True)
@@ -446,7 +452,6 @@ def run_suite(configs, reference: str = "surgical", parallel: int = 1):
     the reference method over the classes both runs define.
     """
     from .metrics import paired_ttest, significance_stars
-    from .registry import sharing_profile
 
     need_int(parallel, "parallel", 1)
     configs = list(configs)
@@ -473,13 +478,7 @@ def run_suite(configs, reference: str = "surgical", parallel: int = 1):
         raise ConfigError("the reference run failed; no comparison is possible")
     ref_result = results[ref_idx]
     ref_vector = _per_class_vector(ref_result)
-    profile = sharing_profile(ref_result.registry)
-    group_classes = {
-        "all": tuple(range(ref_result.registry.n_classes)),
-        "shared_by_all": profile.shared_by_all,
-        "partially_shared": profile.partially_shared,
-        "unique": profile.unique,
-    }
+    group_classes = {"all": tuple(range(ref_result.registry.n_classes)), **ref_result.plan.groups}
 
     seen: dict[str, int] = {}
     rows = []

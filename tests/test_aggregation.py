@@ -15,12 +15,9 @@ from surgfed import (
     ParamSet,
     build_architecture,
     collect_bn_stats,
-    fedavg_feature,
-    fedavg_full,
     init_model,
     mean_arrays,
     params_equal,
-    reconstruct_client_head,
     server_update,
     simulator,
     surgical_head_update,
@@ -35,6 +32,32 @@ def _heads_for(registry: ClassRegistry, n_feat: int, seed: int):
     for cs in registry.client_classes:
         heads.append((rng.normal(size=(n_feat, len(cs))), rng.normal(size=len(cs)), cs))
     return heads
+
+
+# --- the independent FedAvg reference -------------------------------------------
+
+
+def fedavg_feature(param_sets, weights=None):
+    """Average every feature tensor, including batch-norm gamma/beta and
+    the running statistics, one ``mean_arrays`` call per tensor.
+    Returns ``(feature, bn_mean, bn_var)``."""
+    def average(group):
+        names = sorted(getattr(param_sets[0], group))
+        return {k: mean_arrays([getattr(ps, group)[k] for ps in param_sets], weights) for k in names}
+
+    return average("feature"), average("bn_mean"), average("bn_var")
+
+
+def fedavg_full(param_sets, weights=None) -> ParamSet:
+    """Plain federated averaging of entire parameter sets, heads of equal
+    width included: the classical aggregation, written independently of
+    the per-class merge."""
+    if len({ps.head_cols for ps in param_sets}) != 1:
+        raise ContractViolation("fedavg_full needs equal head widths")
+    feature, bn_mean, bn_var = fedavg_feature(param_sets, weights)
+    head_W = mean_arrays([ps.head_W for ps in param_sets], weights)
+    head_b = mean_arrays([ps.head_b for ps in param_sets], weights)
+    return ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
 
 
 # --- mean_arrays ------------------------------------------------------------
@@ -330,21 +353,6 @@ def test_fedavg_full_requires_equal_widths(tiny_arch) -> None:
         fedavg_full([a, b])
 
 
-def test_reconstruct_client_head(small_registry) -> None:
-    rng = np.random.default_rng(10)
-    W = rng.normal(size=(4, 5))
-    b = rng.normal(size=5)
-    w2, b2 = reconstruct_client_head(W, b, small_registry, 2)
-    np.testing.assert_array_equal(w2, W[:, [0, 4]])
-    np.testing.assert_array_equal(b2, b[[0, 4]])
-    w2[:, 0] = 0.0  # a copy, not a view
-    assert not np.array_equal(w2[:, 0], W[:, 0])
-    with pytest.raises(ConfigError):
-        reconstruct_client_head(W, b, small_registry, 5)
-    with pytest.raises(ContractViolation):
-        reconstruct_client_head(W[:, :3], b[:3], small_registry, 0)
-
-
 # --- full server round ---------------------------------------------------------
 
 
@@ -359,7 +367,7 @@ def _client_states(registry: ClassRegistry, arch, seed: int):
         states.append(
             ClientState(
                 id=k, arch=arch, params=params, classes=cs,
-                train=LabeledSet(x, y), val=LabeledSet(x, y, "val"),
+                train=LabeledSet(x, y), val=LabeledSet(x, y),
                 rng=np.random.default_rng(k),
             )
         )
@@ -378,6 +386,23 @@ def test_server_update_round_trip(small_registry, tiny_arch) -> None:
         # everyone gets the averaged running statistics under fedavg
         np.testing.assert_array_equal(ps.bn_mean[1], gp.bn_mean[1])
         np.testing.assert_array_equal(ps.feature["0.W"], gp.feature["0.W"])
+
+
+def test_reconstruct_client_head(small_registry, tiny_arch) -> None:
+    """``server_update`` rebuilds each client's head from the global
+    columns of its classes, in sorted class order, as a copy in C order:
+    a fancy-indexed slice of the global head is F-ordered, and the
+    matmuls of the next round take another BLAS path on it and round
+    differently."""
+    clients = _client_states(small_registry, tiny_arch, seed=27)
+    gp, sendbacks = server_update(clients, small_registry)
+    for k, ps in enumerate(sendbacks):
+        cols = list(small_registry.client_classes[k])
+        np.testing.assert_array_equal(ps.head_W, gp.head_W[:, cols])
+        np.testing.assert_array_equal(ps.head_b, gp.head_b[cols])
+        assert ps.head_W.flags.c_contiguous and ps.head_b.flags.c_contiguous
+        assert not np.shares_memory(ps.head_W, gp.head_W)
+        assert not np.shares_memory(ps.head_b, gp.head_b)
 
 
 def test_server_update_fedbn_plus_keeps_local_stats(small_registry, tiny_arch) -> None:
@@ -497,7 +522,7 @@ def round_cases(draw):
         clients.append(
             ClientState(
                 id=k, arch=arch, params=params, classes=cs,
-                train=LabeledSet(np.zeros((n, 3)), y), val=LabeledSet(np.zeros((1, 3)), y[:1], "val"),
+                train=LabeledSet(np.zeros((n, 3)), y), val=LabeledSet(np.zeros((1, 3)), y[:1]),
                 rng=np.random.default_rng(k),
             )
         )

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surgfed import METHODS, STRATEGIES, ConfigError, ExperimentConfig, ScenarioSpec, SeedBundle
+from surgfed.simulator import MAX_EPOCHS
 from surgfed.cli import (
     ABLATION_METHODS,
     config_to_dict,
@@ -184,6 +185,8 @@ _INT_FIELDS = ("T", "E", "batch_size", "warmup_epochs", "seeds.init", "seeds.shu
                "scenario.n_test", "scenario.shared_count", "scenario.unique_count")
 # sizes within 64 bits whose arrays outgrow any machine's memory
 _OVERSIZED = st.integers(min_value=2**40, max_value=2**62)
+# epoch budgets within 64 bits that would train for ever
+_ENDLESS = st.integers(min_value=MAX_EPOCHS + 1, max_value=2**63 - 1)
 _VALID_SNAPSHOT = config_to_dict(parse_config(_VALID))
 _KNOWN_FIELDS = {*_VALID_SNAPSHOT, *_VALID_SNAPSHOT["scenario"]}
 _FIELD_PATHS = ({f.name for f in fields(ExperimentConfig)}
@@ -206,6 +209,7 @@ def _mutation():
             st.tuples(st.sampled_from(["scenario.n_per_client", "scenario.n_test", "scenario.d"]), _OVERSIZED),
             st.tuples(st.just("hidden"), _OVERSIZED.map(lambda v: [v])),
         ),
+        st.tuples(st.sampled_from(["T", "warmup_epochs"]), _ENDLESS),
         st.tuples(
             st.sampled_from(["", "scenario."]).flatmap(
                 lambda prefix: st.text(min_size=1).map(lambda k: prefix + k.replace(".", "_"))
@@ -279,6 +283,9 @@ def test_every_fuzzed_field_is_rejected_by_both_entry_points(field, data) -> Non
 # accepted before the run's array footprint was checked; numpy raised
 # MemoryError for a 160 TiB array once the run had started
 @example(("scenario.n_per_client", 2**40))
+# accepted before the epoch budget was capped, and then trained for ever
+@example(("T", 2**62))
+@example(("warmup_epochs", MAX_EPOCHS + 1))
 @given(_mutation())
 @settings(max_examples=300, deadline=None)
 def test_malformed_config_fuzz_exits_2_before_any_work(mutation) -> None:

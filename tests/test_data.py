@@ -11,11 +11,9 @@ from surgfed import (
     ConfigError,
     LabeledSet,
     ScenarioSpec,
-    dump_labeled_set,
     effect_of_clients_scenarios,
     effect_of_shared_classes_scenarios,
     generate_synthetic,
-    load_labeled_set,
     resolve_assignment,
     scatter_restricted,
     stats_split,
@@ -32,8 +30,8 @@ def test_labeled_set_validation() -> None:
         LabeledSet(np.full((2, 2), np.nan), np.zeros((2, 1)))
     with pytest.raises(ConfigError):
         LabeledSet(np.zeros((2, 2)), np.full((2, 1), 0.5))
-    ls = LabeledSet(np.zeros((2, 2)), np.ones((2, 1)), "val")
-    assert ls.n == 2 and ls.split == "val"
+    ls = LabeledSet(np.zeros((2, 2)), np.ones((2, 1)))
+    assert ls.n == 2
 
 
 def test_spec_validation() -> None:
@@ -241,15 +239,3 @@ def test_shared_ladder_counts_and_identical_features() -> None:
     for ca, cb in zip(a.clients, b.clients):
         np.testing.assert_array_equal(ca.train.x, cb.train.x)
 
-
-# --- persistence ---------------------------------------------------------------
-
-
-def test_labeled_set_round_trip(tmp_path) -> None:
-    rng = np.random.default_rng(31)
-    ls = LabeledSet(rng.normal(size=(7, 3)), (rng.random((7, 2)) < 0.5).astype(float), "test")
-    dump_labeled_set(ls, tmp_path, prefix="t")
-    back = load_labeled_set(tmp_path, prefix="t")
-    np.testing.assert_array_equal(back.x, ls.x)
-    np.testing.assert_array_equal(back.y, ls.y)
-    assert back.split == "test"

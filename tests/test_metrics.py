@@ -24,7 +24,6 @@ from surgfed import (
     init_model,
     paired_ttest,
     relu,
-    sigmoid,
     significance_stars,
 )
 from surgfed.nn import eval_buffers
@@ -143,7 +142,7 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
     x = rng.normal(size=(300, 6))
     y = (rng.random((300, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
     y[:, 8] = 0.0  # degenerate: no positives
-    test = LabeledSet(x, y, "test")
+    test = LabeledSet(x, y)
     # the model covers every other class, in a shuffled column order
     model_classes = [int(c) for c in rng.permutation(np.arange(0, M, 2))]
     params = init_model(arch, len(model_classes), seed=4, class_ids=model_classes)
@@ -163,9 +162,9 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
 @pytest.mark.parametrize("specs", [
     (relu(6), dense(6, 5)),
     (batchnorm(6), dense(6, 5), relu(5)),
-    (dense(6, 5), sigmoid(5), dense(5, 4), batchnorm(4), relu(4)),
+    (dense(6, 5), relu(5), dense(5, 4), batchnorm(4), relu(4)),
     (),
-], ids=["relu-first", "batchnorm-first", "sigmoid", "logistic"])
+], ids=["relu-first", "batchnorm-first", "dense-first", "logistic"])
 def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
     """The forward pass into caller-owned buffers works in place, but
     never on the test inputs: after ``evaluate`` the inputs hold the same
@@ -176,7 +175,7 @@ def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
     arch = Architecture(6, specs)
     x = rng.normal(size=(200, 6))
     y = (rng.random((200, M)) < 0.4).astype(float)
-    plan = TestPlan(LabeledSet(x, y, "test"), ClassRegistry([f"c{i}" for i in range(M)], [range(M)]))
+    plan = TestPlan(LabeledSet(x, y), ClassRegistry([f"c{i}" for i in range(M)], [range(M)]))
     bufs, results = eval_buffers(arch, plan.test.n, M), []
     for seed in (1, 2):
         params = init_model(arch, M, seed=seed)
@@ -219,7 +218,7 @@ def test_plan_evaluate_equals_scalar_auroc_loop(data) -> None:
     for c in data.draw(st.sets(st.integers(0, M - 1)), label="degenerate"):
         y[:, c] = data.draw(st.sampled_from([0.0, 1.0]))
     reg = ClassRegistry([f"c{i}" for i in range(M)], [range(M)])
-    plan = TestPlan(LabeledSet(np.zeros((n, 1)), y, "test"), reg)
+    plan = TestPlan(LabeledSet(np.zeros((n, 1)), y), reg)
     arch = build_architecture(1, hidden=())
     # a shuffled, possibly partial column order: the other classes are uncovered
     model_classes = data.draw(st.permutations(range(M)), label="columns")[
@@ -285,7 +284,7 @@ def _eval_fixture():
     y = (rng.random((40, 3)) < 0.5).astype(float)
     y[0] = 1.0
     y[1] = 0.0
-    test = LabeledSet(x, y, "test")
+    test = LabeledSet(x, y)
     return arch, reg, test
 
 
@@ -317,7 +316,7 @@ def test_evaluate_degenerate_classes_are_excluded_not_poisonous() -> None:
     arch, reg, test = _eval_fixture()
     y = test.y.copy()
     y[:, 2] = 1.0  # no negatives for class c
-    test2 = LabeledSet(test.x, y, "test")
+    test2 = LabeledSet(test.x, y)
     params = init_model(arch, 3, seed=1)
     ev = evaluate(params, arch, [0, 1, 2], TestPlan(test2, reg))
     assert ev.degenerate == (2,)
@@ -344,7 +343,7 @@ def test_evaluate_contract_checks() -> None:
     params = init_model(arch, 3, seed=1)
     with pytest.raises(ContractViolation):
         evaluate(params, arch, [0, 1], TestPlan(test, reg))
-    short = LabeledSet(test.x, test.y[:, :2], "test")
+    short = LabeledSet(test.x, test.y[:, :2])
     with pytest.raises(ContractViolation):
         evaluate(params, arch, [0, 1, 2], TestPlan(short, reg))
 
@@ -402,7 +401,7 @@ def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
     dropped = data.draw(st.sets(st.sampled_from(edges), max_size=3), label="uncovered")
     model_classes = [int(c) for c in rng.permutation(M) if c not in dropped]
     reg = ClassRegistry([f"c{i}" for i in range(M)], [range(M)])
-    plan = TestPlan(LabeledSet(np.zeros((n, 1)), y, "test"), reg)
+    plan = TestPlan(LabeledSet(np.zeros((n, 1)), y), reg)
     arch = build_architecture(1, hidden=())
     params = init_model(arch, len(model_classes), seed=0, class_ids=model_classes)
 
@@ -455,7 +454,7 @@ def test_evaluate_scores_a_seeded_model_without_the_exact_path() -> None:
     x = rng.normal(size=(n, 6))
     y = (rng.random((n, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
     params = init_model(arch, M, seed=5, class_ids=range(M))
-    plan = TestPlan(LabeledSet(x, y, "test"), reg)
+    plan = TestPlan(LabeledSet(x, y), reg)
     with mock.patch.object(metrics, "_sorted_auroc", wraps=metrics._sorted_auroc) as exact:
         ev = evaluate(params, arch, range(M), plan)
     assert exact.call_count == 0

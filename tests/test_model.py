@@ -11,10 +11,8 @@ from surgfed import (
     ExperimentConfig,
     LabeledSet,
     NumericError,
-    ParamSet,
     ScenarioSpec,
     backward,
-    class_column,
     forward,
     generate_synthetic,
     head_warmup,
@@ -24,7 +22,6 @@ from surgfed import (
     masked_bce_loss,
     params_equal,
     save_checkpoint,
-    set_class_column,
     sgd_step,
     simulator,
     validation_loss,
@@ -43,7 +40,7 @@ def _client(arch, classes, seed=0, n=48, width=None, stream=7) -> ClientState:
     params = init_model(arch, m, seed=seed, class_ids=range(m) if width else classes)
     return ClientState(
         id=0, arch=arch, params=params, classes=tuple(classes),
-        train=LabeledSet(x[: n - 8], y[: n - 8]), val=LabeledSet(x[n - 8 :], y[n - 8 :], "val"),
+        train=LabeledSet(x[: n - 8], y[: n - 8]), val=LabeledSet(x[n - 8 :], y[n - 8 :]),
         rng=np.random.default_rng([stream, 0]),
     )
 
@@ -96,36 +93,6 @@ def test_init_validation(tiny_arch) -> None:
         init_model(tiny_arch, 0, seed=0)
     with pytest.raises(ConfigError):
         init_model(tiny_arch, 2, seed=0, class_ids=[1])
-
-
-# --- head column accessors -----------------------------------------------------
-
-
-def test_class_column_layout() -> None:
-    params = ParamSet(
-        feature={}, bn_mean={}, bn_var={},
-        head_W=np.array([[1.0, 3.0], [2.0, 4.0]]),
-        head_b=np.array([5.0, 6.0]),
-    )
-    np.testing.assert_array_equal(class_column(params, 0), [1.0, 2.0, 5.0])
-    np.testing.assert_array_equal(class_column(params, 1), [3.0, 4.0, 6.0])
-
-
-def test_set_class_column_round_trip() -> None:
-    params = ParamSet(
-        feature={}, bn_mean={}, bn_var={},
-        head_W=np.zeros((3, 2)), head_b=np.zeros(2),
-    )
-    col = np.array([1.0, 2.0, 3.0, 4.0])
-    set_class_column(params, 1, col)
-    np.testing.assert_array_equal(class_column(params, 1), col)
-    np.testing.assert_array_equal(params.head_W[:, 0], 0.0)
-    with pytest.raises(ConfigError):
-        set_class_column(params, 2, col)
-    with pytest.raises(ConfigError):
-        set_class_column(params, 0, col[:-1])
-    with pytest.raises(ConfigError):
-        class_column(params, -1)
 
 
 # --- client state ----------------------------------------------------------

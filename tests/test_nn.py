@@ -19,9 +19,8 @@ from surgfed import (
     params_equal,
     relu,
     sgd_step,
-    sigmoid,
 )
-from surgfed.nn import BCE_CLAMP, LayerSpec, check_training, stack_params, unstack_params
+from surgfed.nn import BCE_CLAMP, BN_EPS, BN_MOMENTUM, LayerSpec, check_training, stack_params, unstack_params
 
 from conftest import random_params
 
@@ -41,13 +40,6 @@ def test_layer_spec_validation() -> None:
 def test_architecture_chain_must_connect() -> None:
     with pytest.raises(ConfigError, match="width"):
         Architecture(in_dim=4, feature_specs=(dense(4, 6), relu(5)))
-
-
-def test_architecture_bad_momentum() -> None:
-    with pytest.raises(ConfigError):
-        Architecture(in_dim=4, bn_momentum=0.0)
-    with pytest.raises(ConfigError):
-        Architecture(in_dim=4, bn_eps=0.0)
 
 
 def test_default_backbone_layout() -> None:
@@ -110,7 +102,7 @@ def _forward_oracle(params: ParamSet, arch: Architecture, x: np.ndarray, mode: s
                 var = list(params.bn_var[i])
             h = [
                 [
-                    gamma[o] * (row[o] - mu[o]) / np.sqrt(var[o] + arch.bn_eps) + beta[o]
+                    gamma[o] * (row[o] - mu[o]) / np.sqrt(var[o] + BN_EPS) + beta[o]
                     for o in range(spec.out_dim)
                 ]
                 for row in h
@@ -165,7 +157,7 @@ def test_train_mode_updates_running_stats() -> None:
     mu = x.mean(axis=0)
     var = x.var(axis=0)
     forward(params, arch, x, "train")
-    m = arch.bn_momentum
+    m = BN_MOMENTUM
     np.testing.assert_array_equal(params.bn_mean[0], (1 - m) * 0.0 + m * mu)
     np.testing.assert_array_equal(params.bn_var[0], (1 - m) * 1.0 + m * var)
     # a second batch folds into the same running estimate
@@ -180,7 +172,7 @@ def test_eval_uses_running_stats_not_batch() -> None:
     params.bn_var[0] = np.array([4.0, 4.0])
     x = np.zeros((3, 2))
     acts, _ = forward(params, arch, x, "eval")
-    expected = (0.0 - params.bn_mean[0]) / np.sqrt(4.0 + arch.bn_eps)
+    expected = (0.0 - params.bn_mean[0]) / np.sqrt(4.0 + BN_EPS)
     np.testing.assert_allclose(acts[1], np.tile(expected, (3, 1)), rtol=1e-12)
 
 
@@ -402,18 +394,6 @@ def test_gradients_match_finite_differences(tiny_arch) -> None:
     acts, p = forward(params.copy(), tiny_arch, x, "train")
     analytic = backward(params, tiny_arch, acts, p, y, cols)
     numeric = _numeric_gradient(params, tiny_arch, x, y, cols)
-    assert _max_rel_err(analytic, numeric) < 1e-4
-
-
-def test_gradients_with_sigmoid_feature_layer() -> None:
-    arch = Architecture(in_dim=3, feature_specs=(dense(3, 4), sigmoid(4)))
-    params = random_params(arch, 2, seed=23)
-    rng = np.random.default_rng(24)
-    x = rng.normal(size=(6, 3))
-    y = (rng.random((6, 2)) < 0.5).astype(float)
-    acts, p = forward(params.copy(), arch, x, "train")
-    analytic = backward(params, arch, acts, p, y, [0, 1])
-    numeric = _numeric_gradient(params, arch, x, y, [0, 1])
     assert _max_rel_err(analytic, numeric) < 1e-4
 
 

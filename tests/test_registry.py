@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,8 +9,7 @@ from surgfed import (
     ClassRegistry,
     ConfigError,
     clients_with_class,
-    global_to_local,
-    local_to_global,
+    init_model,
     sharing_profile,
 )
 
@@ -51,6 +51,23 @@ def test_rejects_unknown_index() -> None:
         ClassRegistry(["a", "b"], [(0, 5)])
 
 
+def test_class_ids_are_checked_not_coerced(tiny_arch) -> None:
+    """A bool, float or string class id used to be read through ``int``:
+    ``[1.9, 0]`` became classes 0 and 1 and ``class_ids=[0.5]`` drew
+    column 0's initial weights.  Numpy integers are still ids."""
+    for bad in ([[1.9, 0], [True]], [["1", 0]], [[0, 1.0]], [[0, np.float64(1.0)]]):
+        with pytest.raises(ConfigError, match="must be integers"):
+            ClassRegistry(["a", "b"], bad)
+    reg = ClassRegistry(["a", "b"], [[np.int64(1), np.int32(0)], [np.uint8(1)]])
+    assert reg.client_classes == ((0, 1), (1,))
+    assert all(type(c) is int for cs in reg.client_classes for c in cs)
+    for bad in ([0.5], [True], ["0"], [-1]):
+        with pytest.raises(ConfigError):
+            init_model(tiny_arch, 1, seed=0, class_ids=bad)
+    np.testing.assert_array_equal(init_model(tiny_arch, 1, seed=0, class_ids=[np.int64(3)]).head_W,
+                                  init_model(tiny_arch, 1, seed=0, class_ids=[3]).head_W)
+
+
 def test_rejects_uncovered_class() -> None:
     with pytest.raises(ConfigError, match="held by no client"):
         ClassRegistry(["a", "b", "c"], [(0,), (1,)])
@@ -68,17 +85,6 @@ def test_clients_with_class_ascending(small_registry) -> None:
     assert clients_with_class(small_registry, 4) == (2,)
     with pytest.raises(ConfigError):
         clients_with_class(small_registry, 5)
-
-
-def test_local_global_maps(small_registry) -> None:
-    assert local_to_global(small_registry, 0, 2) == 2
-    assert local_to_global(small_registry, 2, 1) == 4
-    assert global_to_local(small_registry, 1, 3) == 2
-    assert global_to_local(small_registry, 0, 4) is None
-    with pytest.raises(ConfigError):
-        local_to_global(small_registry, 0, 3)
-    with pytest.raises(ConfigError):
-        global_to_local(small_registry, 9, 0)
 
 
 def test_sharing_profile(small_registry) -> None:
@@ -135,21 +141,6 @@ def test_profile_partitions_the_classes(reg) -> None:
     prof = sharing_profile(reg)
     combined = sorted(prof.shared_by_all + prof.partially_shared + prof.unique)
     assert combined == list(range(reg.n_classes))
-
-
-@given(registries())
-@settings(max_examples=150, deadline=None)
-def test_local_global_round_trip(reg) -> None:
-    for k in range(reg.n_clients):
-        for j in range(len(reg.client_classes[k])):
-            c = local_to_global(reg, k, j)
-            assert global_to_local(reg, k, c) == j
-        for c in range(reg.n_classes):
-            j = global_to_local(reg, k, c)
-            if j is not None:
-                assert local_to_global(reg, k, j) == c
-            else:
-                assert c not in reg.client_classes[k]
 
 
 @given(registries())
