@@ -5,6 +5,12 @@ positive for c iff x . u_c > tau_c, after which each label flips with an
 independent noise probability.  Clients draw from a standard normal,
 optionally offset by a per-client mean of fixed magnitude (institutional
 feature shift).  The global test set is drawn before any client data.
+
+A client annotates only its own classes, so its labels are kept only
+for those: each client's labels are drawn over all M classes and cut to
+its columns before the next client's are drawn.  Generation holds at
+most one client's full-width label matrix at a time, besides the test
+set's.
 """
 
 from __future__ import annotations
@@ -59,8 +65,9 @@ class ScenarioSpec:
     ``M == shared_count + unique_count`` must hold.
 
     Construction checks every field and coerces none: integers must be
-    ints that fit in 64 bits, numbers finite (stored as float), and an
-    assignment a list of int lists (stored as tuples).
+    ints or numpy integers that fit in 64 bits (stored as int), numbers
+    finite (stored as float), and an assignment a list of integer lists
+    (stored as tuples of int).
     """
 
     n_per_client: int
@@ -79,10 +86,10 @@ class ScenarioSpec:
 
     def __post_init__(self):
         for name, low in (("n_per_client", 2), ("d", 1), ("M", 1), ("K", 1), ("seed", 0), ("n_test", 2)):
-            need_int(getattr(self, name), name, low)
+            object.__setattr__(self, name, need_int(getattr(self, name), name, low))
         for name in ("shared_count", "unique_count"):
             if getattr(self, name) is not None:
-                need_int(getattr(self, name), name, 0)
+                object.__setattr__(self, name, need_int(getattr(self, name), name, 0))
         for name in ("shift_sigma", "label_noise", "val_fraction"):
             object.__setattr__(self, name, need_number(getattr(self, name), name))
         if not isinstance(self.skew, str) or self.skew not in ("iid", "feature_shift"):
@@ -179,9 +186,8 @@ def _labels_for(x: np.ndarray, u: np.ndarray, tau: np.ndarray, noise: float, rng
     return np.where(flips, 1.0 - y, y)
 
 
-def _both_labels_present(y: np.ndarray, cols) -> bool:
-    sub = y[:, list(cols)]
-    return bool(np.all(sub.max(axis=0) == 1.0) and np.all(sub.min(axis=0) == 0.0))
+def _both_labels_present(y: np.ndarray) -> bool:
+    return bool(np.all(y.max(axis=0) == 1.0) and np.all(y.min(axis=0) == 0.0))
 
 
 def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
@@ -191,7 +197,8 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
     depend on the class assignment, so two specs differing only in their
     assignment share the same x matrices.  Thresholds (and the noise
     flips) are redrawn up to 100 times until every class has both labels
-    in every split it appears in.
+    in every split it appears in; each attempt draws tau, the test
+    labels, then clients 0..K-1 in order, all before any check.
     """
     assignment = resolve_assignment(spec)
     registry = ClassRegistry(
@@ -222,29 +229,26 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
     for attempt in range(_MAX_THRESHOLD_ATTEMPTS):
         tau = truth_rng.uniform(-_THRESHOLD_BAND, _THRESHOLD_BAND, spec.M)
         y_test = _labels_for(x_test, u, tau, spec.label_noise, truth_rng)
-        ys = [_labels_for(xk, u, tau, spec.label_noise, truth_rng) for xk in xs]
-        ok = _both_labels_present(y_test, range(spec.M))
-        if ok:
-            for k in range(spec.K):
-                cs = assignment[k]
-                if not (
-                    _both_labels_present(ys[k][:n_train], cs)
-                    and _both_labels_present(ys[k][n_train:], cs)
-                ):
-                    ok = False
-                    break
-        if ok:
-            clients = []
-            for k in range(spec.K):
-                cs = list(assignment[k])
-                clients.append(
-                    ClientData(
-                        classes=tuple(cs),
-                        train=LabeledSet(xs[k][:n_train], ys[k][:n_train][:, cs]),
-                        val=LabeledSet(xs[k][n_train:], ys[k][n_train:][:, cs]),
-                    )
+        # the cuts keep the layout fancy indexing gives them: the order of
+        # later reductions over the labels, and so their bits, depend on it
+        kept = []
+        for k, xk in enumerate(xs):
+            yk = _labels_for(xk, u, tau, spec.label_noise, truth_rng)
+            cs = list(assignment[k])
+            kept.append((yk[:n_train][:, cs], yk[n_train:][:, cs]))
+            del yk
+        if _both_labels_present(y_test) and all(
+            _both_labels_present(y_train) and _both_labels_present(y_val) for y_train, y_val in kept
+        ):
+            clients = tuple(
+                ClientData(
+                    classes=assignment[k],
+                    train=LabeledSet(xs[k][:n_train], y_train),
+                    val=LabeledSet(xs[k][n_train:], y_val),
                 )
-            return ScenarioData(registry=registry, test=LabeledSet(x_test, y_test), clients=tuple(clients))
+                for k, (y_train, y_val) in enumerate(kept)
+            )
+            return ScenarioData(registry=registry, test=LabeledSet(x_test, y_test), clients=clients)
     raise ConfigError(
         f"could not satisfy the one-positive-one-negative invariant in "
         f"{_MAX_THRESHOLD_ATTEMPTS} threshold draws; splits are too small "

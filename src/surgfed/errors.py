@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 
 class ConfigError(ValueError):
     """Bad user-supplied configuration: shapes, ranges, missing fields.
@@ -18,9 +20,13 @@ class ConfigError(ValueError):
 
 
 def need_int(value, field: str, low: int | None = None) -> int:
-    """``value`` if it is an integer (not a bool) that fits in a signed
-    64-bit integer and is at least ``low``."""
-    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
+    """``value`` as an int if it is an integer, a numpy integer too (not
+    a bool of either kind), that fits in a signed 64-bit integer and is
+    at least ``low``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ConfigError("must be an integer that fits in 64 bits", field)
+    value = int(value)
+    if not -2**63 <= value < 2**63:
         raise ConfigError("must be an integer that fits in 64 bits", field)
     if low is not None and value < low:
         raise ConfigError(f"must be at least {low}", field)

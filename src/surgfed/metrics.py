@@ -12,15 +12,17 @@ equal patterns.  So ``key = bits << 1 | label`` sorts by score, with a
 tied negative before a tied positive, and the i-th positive in sorted
 order sits after i positives and after every negative scored at or
 below it: the positives' positions sum to n_pos(n_pos-1)/2 plus
-Σ #{negatives <= p}, which is U when no positive ties a negative.
-:func:`_auroc_rows` scores up to ``_CHUNK`` rows per sort and sends a
-row down the exact path, :func:`_sorted_auroc` (binary search of each
-positive in the sorted negatives, ties counted by a second search), in
-two cases: its chunk holds a score outside [+0.0, 2.0) (-0.0, a negative,
-inf or NaN), and then the whole chunk goes; or two adjacent sorted keys
-differ by exactly 1, which every positive-negative tie produces (and, as
-a false alarm, a positive one float below a negative).  Both paths end
-in the same arithmetic, so every value is bitwise the same either way.
+Σ #{negatives <= p}, which is U plus half the tied (positive, negative)
+pairs.  Those pairs are counted from the sorted keys alone, on the
+adjacent keys of equal score (:func:`_tied_pairs`), and taken back.
+Ties are common: a sample whose last ReLU layer is all zero scores the
+bias of every class, and late rounds of some runs produce such samples.
+:func:`_auroc_rows` scores up to ``_CHUNK`` rows per sort; a chunk that
+holds a score outside [+0.0, 2.0) (-0.0, a negative, inf or NaN) goes
+down the exact path instead, :func:`_sorted_auroc` (binary search of
+each positive in the sorted negatives, ties counted by a second search).
+Both paths end in the same arithmetic, so every value is bitwise the
+same either way.
 
 The test labels never change within a run, so a :class:`TestPlan` works
 out once what every evaluation needs from them: label checks, an
@@ -113,14 +115,36 @@ def _auroc_rows(keys: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.n
     # Σ over positives of #{negatives <= p}: their positions less the
     # positives ahead of each
     at_or_below = np.einsum("ij,j->i", keys & 1, np.arange(n)) - n_pos * (n_pos - 1) // 2
-    out = _u_to_auroc(2 * at_or_below, n_pos, n - n_pos)
-    # a tied negative sorts right before its positive, one key below it
-    for r in np.flatnonzero((np.diff(keys, axis=1) == 1).any(axis=1)):
-        row = keys[r]
-        is_pos = (row & 1).astype(bool)
-        scores = (row >> 1).view(np.float64)  # still sorted
-        out[r] = _sorted_auroc(scores[is_pos], scores[~is_pos])
-    return out
+    return _u_to_auroc(2 * at_or_below - _tied_pairs(keys), n_pos, n - n_pos)
+
+
+def _tied_pairs(keys: np.ndarray) -> np.ndarray:
+    """Per row of sorted keys ``bits << 1 | label``, the number of
+    (positive, negative) pairs with equal scores, as ``int64``.
+
+    The keys of one score form a run, negatives (2b) before positives
+    (2b + 1), so adjacent keys of a run differ by 0, or by 1 where the
+    negatives end; a step of 1 from a positive leads to the next score.
+    Only these steps are visited.  Over its steps, a run's negatives are
+    the negative lower keys and its positives the positive upper keys
+    (a mixed run starts with a negative and ends with a positive), and
+    it holds their product of tied pairs.
+    """
+    tied = np.zeros(keys.shape[0], np.int64)
+    step = np.diff(keys, axis=1)
+    close = step <= 1
+    if not close.any():
+        return tied
+    r, j = np.nonzero(close)
+    lower = keys[r, j] & 1
+    same = (step[r, j] == 0) | (lower == 0)
+    r, j, lower = r[same], j[same], lower[same]
+    if r.size:
+        starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (j[1:] != j[:-1] + 1)])
+        negatives = np.add.reduceat(1 - lower, starts)
+        positives = np.add.reduceat(keys[r, j + 1] & 1, starts)
+        np.add.at(tied, r[starts], negatives * positives)
+    return tied
 
 
 @dataclass(frozen=True)
@@ -129,17 +153,20 @@ class TestPlan:
 
     Built from the test set and the registry: the labels are checked
     against the registry width and for values other than 0 and 1 here,
-    not on every evaluation.  ``labels[c]`` is class ``c``'s label
-    column as a contiguous ``int8`` row (an M x n array, 1 MB at M=500,
-    n=2000), ready to be or-ed into the sort keys of :func:`_auroc_rows`;
-    ``n_pos[c]`` counts its positives.  ``degenerate[c]`` marks the
-    classes whose labels take one value, and ``groups`` holds the
-    sharing-profile classes by group name.
+    not on every evaluation.  The plan keeps the test features ``x``
+    (``n`` rows) and, in place of the float64 label matrix (8 MB at
+    M=500, n=2000), ``labels``: class ``c``'s label column as a
+    contiguous ``int8`` row (an M x n array, 1 MB there), ready to be
+    or-ed into the sort keys of :func:`_auroc_rows`.  ``n_pos[c]``
+    counts its positives, ``degenerate[c]`` marks the classes whose
+    labels take one value, and ``groups`` holds the sharing-profile
+    classes by group name.
     """
 
     __test__ = False  # a library class, not a pytest test case
 
-    test: LabeledSet
+    x: np.ndarray = field(repr=False)
+    n: int
     registry: ClassRegistry
     labels: np.ndarray = field(repr=False)
     n_pos: np.ndarray = field(repr=False)
@@ -155,7 +182,8 @@ class TestPlan:
             raise ConfigError("labels must be exactly 0 or 1")
         n_pos = np.count_nonzero(is_pos, axis=0)
         profile = sharing_profile(registry)
-        object.__setattr__(self, "test", test)
+        object.__setattr__(self, "x", test.x)
+        object.__setattr__(self, "n", test.n)
         object.__setattr__(self, "registry", registry)
         object.__setattr__(self, "labels", np.ascontiguousarray(is_pos.T).view(np.int8))
         object.__setattr__(self, "n_pos", n_pos)
@@ -219,7 +247,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
             raise ConfigError("class_subset must not be empty")
         custom = True
 
-    _, scores = forward(params, arch, plan.test.x, "eval", bufs=bufs)
+    _, scores = forward(params, arch, plan.x, "eval", bufs=bufs)
     col_of = np.full(M, -1)
     col_of[model_classes] = np.arange(len(model_classes))
     ids = np.array(subset)
@@ -230,7 +258,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
     classes, cols = ids[scored], cols[scored]
     values = np.empty(classes.size)
     bits = scores.view(np.int64)
-    keys = np.empty((min(_CHUNK, classes.size), plan.test.n), np.int64)
+    keys = np.empty((min(_CHUNK, classes.size), plan.n), np.int64)
     for lo in range(0, classes.size, _CHUNK):
         chunk = classes[lo:lo + _CHUNK]
         rows = keys[:chunk.size]

@@ -135,13 +135,16 @@ class ParamSet:
     def head_cols(self) -> int:
         return self.head_W.shape[-1]
 
-    def copy(self) -> "ParamSet":
+    def copy(self, head_cols=None) -> "ParamSet":
+        """A deep copy, C-ordered; ``head_cols`` keeps only those head
+        columns, in that order."""
+        cols = slice(None) if head_cols is None else list(head_cols)
         return ParamSet(
             feature={k: v.copy() for k, v in self.feature.items()},
             bn_mean={k: v.copy() for k, v in self.bn_mean.items()},
             bn_var={k: v.copy() for k, v in self.bn_var.items()},
-            head_W=self.head_W.copy(),
-            head_b=self.head_b.copy(),
+            head_W=self.head_W[:, cols].copy(),
+            head_b=self.head_b[cols].copy(),
         )
 
 

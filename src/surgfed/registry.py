@@ -8,25 +8,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, need_int
 
 
 def need_class_ids(values, what: str, n_classes: int | None = None,
                    error: type[Exception] = ConfigError) -> list[int]:
-    """``values`` as global class ids.  Each must be an integer (a numpy
-    integer too, never a bool) in [0, n_classes), or at least 0 when
-    ``n_classes`` is None; anything else raises ``error``, never coerced."""
+    """``values`` as global class ids.  Each must pass :func:`need_int`
+    and lie in [0, n_classes), or be at least 0 when ``n_classes`` is
+    None; anything else raises ``error``, never coerced."""
     ids = []
     for v in values:
-        if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
-            raise error(f"{what} entries must be integers, got {v!r}")
-        if v < 0:
-            raise error(f"{what} entry {v} is negative")
-        if n_classes is not None and v >= n_classes:
-            raise error(f"{what} entry {v} is outside [0, {n_classes})")
-        ids.append(int(v))
+        try:
+            c = need_int(v, what)
+        except ConfigError:
+            raise error(f"{what} entries must be integers, got {v!r}") from None
+        if c < 0:
+            raise error(f"{what} entry {c} is negative")
+        if n_classes is not None and c >= n_classes:
+            raise error(f"{what} entry {c} is outside [0, {n_classes})")
+        ids.append(c)
     return ids
 
 

@@ -104,8 +104,8 @@ class SeedBundle:
     shuffle: int
 
     def __post_init__(self):
-        need_int(self.init, "init", 0)
-        need_int(self.shuffle, "shuffle", 0)
+        object.__setattr__(self, "init", need_int(self.init, "init", 0))
+        object.__setattr__(self, "shuffle", need_int(self.shuffle, "shuffle", 0))
 
 
 def default_seeds(scenario_seed: int) -> SeedBundle:
@@ -145,7 +145,7 @@ class ExperimentConfig:
         if self.strategy == "fedbn" and self.method != "pfl":
             raise ConfigError("strategy 'fedbn' keeps no global model and is only valid with method 'pfl'")
         for name, low in (("T", 1), ("E", 1), ("batch_size", 1), ("warmup_epochs", 0)):
-            need_int(getattr(self, name), name, low)
+            object.__setattr__(self, name, need_int(getattr(self, name), name, low))
         for name in ("T", "warmup_epochs"):
             if getattr(self, name) > MAX_EPOCHS:
                 raise ConfigError(f"must be at most {MAX_EPOCHS}", name)
@@ -164,7 +164,9 @@ class ExperimentConfig:
         if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
             raise ConfigError("must be a SeedBundle or None", "seeds")
         # float64 client data and its gather buffers, the test set and its
-        # forward-pass buffers; rejected here rather than by numpy mid-run
+        # forward-pass buffers; rejected here rather than by numpy mid-run.
+        # An upper bound: it counts every client's labels M wide, which
+        # only wide-head methods hold, so it over-counts narrow-head runs
         s = self.scenario
         need = 8 * (2 * s.K * s.n_per_client * (s.d + s.M) + s.n_test * (s.d + 2 * s.M + sum(widths)))
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -228,10 +230,14 @@ class RunResult:
 
 def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture) -> list[ClientState]:
     """One client per site, with the head width of the method's table
-    row, or one client on every site's data pooled."""
+    row, or one client on every site's data pooled.  Every head column
+    is drawn once, in one M-column init; each client starts from copies
+    of its feature tensors and of its own head columns, bitwise what
+    :func:`init_model` draws for the client's class ids."""
     row = METHOD_TABLE[cfg.method]
     seeds = cfg.resolved_seeds()
     M = data.registry.n_classes
+    init = init_model(arch, M, seeds.init, class_ids=range(M))
     sites = []
     for cd in data.clients:
         if row.wide:
@@ -248,10 +254,9 @@ def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture
         )]
     clients = []
     for k, (classes, train, val) in enumerate(sites):
-        head_ids = range(M) if row.wide else classes
         clients.append(
             ClientState(
-                id=k, arch=arch, params=init_model(arch, len(head_ids), seeds.init, class_ids=head_ids),
+                id=k, arch=arch, params=init.copy(None if row.wide else classes),
                 classes=classes, train=train, val=val,
                 rng=np.random.default_rng([seeds.shuffle, k]),
             )
@@ -313,9 +318,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
 
     pretrained_bn = None
     if config.strategy == "fedbn_plus" and row.exchanges and row.global_model:
-        seeds = config.resolved_seeds()
-        reference = init_model(arch, M, seeds.init, class_ids=range(M))
-        pretrained_bn = collect_bn_stats(reference, arch, stats_split(config.scenario))
+        # batch-norm inputs come from the feature extractor alone, and every
+        # client starts from the same one
+        pretrained_bn = collect_bn_stats(clients[0].params, arch, stats_split(config.scenario))
 
     groups = _client_groups(clients, row.loss_mode)
     reports: list[RoundReport] = []
@@ -331,7 +336,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, row.loss_mode)
         # after the warmup, since perfbench's setup_s ends where the warmup starts
         plan = TestPlan(data.test, registry)
-        bufs = eval_buffers(arch, plan.test.n, M)  # the run's test-set forward pass
+        # the plan and the clients hold all the run reads from here on; the
+        # float64 test labels and any labels the clients copied go with data
+        realized = data.realized()
+        del data
+        bufs = eval_buffers(arch, plan.n, M)  # the run's test-set forward pass
 
         for r in range(1, config.T // config.E + 1):
             t0 = time.perf_counter()
@@ -387,7 +396,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         arch=arch,
         registry=registry,
         plan=plan,
-        realized=data.realized(),
+        realized=realized,
         reports=tuple(reports),
         best_round=best_round,
         global_params=best_global,

@@ -70,6 +70,34 @@ def test_parse_config_round_trip() -> None:
     assert parse_config(config_to_dict(cfg)) == cfg
 
 
+def test_numpy_integers_are_accepted_as_ints() -> None:
+    """A config built from numpy integers, as a script computing an
+    assignment makes them, equals the one built from ints and
+    serialises the same; bools of either kind are still no integers."""
+    import numpy as np
+
+    def cfg(i, assignment):
+        return ExperimentConfig(
+            scenario=ScenarioSpec(n_per_client=i(40), d=i(4), M=i(3), K=i(2), seed=i(5), assignment=assignment),
+            method="surgical", T=i(4), batch_size=i(8), hidden=(i(6),),
+            seeds=SeedBundle(init=i(1), shuffle=i(2)),
+        )
+
+    plain = cfg(int, [[0, 1], [1, 2]])
+    numpy = cfg(np.int64, [[np.int64(0), np.int32(1)], list(np.arange(1, 3, dtype=np.uint8))])
+    assert numpy == plain
+    assert config_to_dict(numpy) == config_to_dict(plain)
+    assert json.dumps(config_to_dict(numpy)) == json.dumps(config_to_dict(plain))
+    assert parse_config(config_to_dict(numpy)) == plain
+    for flag in (True, np.True_):
+        with pytest.raises(ConfigError, match="assignment"):
+            ScenarioSpec(n_per_client=40, d=4, M=3, K=2, seed=5, assignment=[[0, flag], [1, 2]])
+        with pytest.raises(ConfigError, match="seed"):
+            ScenarioSpec(n_per_client=40, d=4, M=3, K=2, seed=flag, assignment=[[0, 1], [1, 2]])
+    with pytest.raises(ConfigError, match="fits in 64 bits"):
+        ScenarioSpec(n_per_client=40, d=4, M=3, K=2, seed=np.uint64(2**63), assignment=[[0, 1], [1, 2]])
+
+
 def test_parse_config_reports_field_paths() -> None:
     with pytest.raises(ConfigError, match="config.method"):
         parse_config({"scenario": SMALL_CONFIG["scenario"]})
@@ -575,11 +603,19 @@ def test_ablation_default_method_list() -> None:
 
 
 def test_console_script_is_installed(tmp_path) -> None:
+    """The module entry point of the package these tests import, not of
+    whatever copy the caller's environment would find first."""
+    import os
+
+    import surgfed
+
     cfg_path = _write(tmp_path, SMALL_CONFIG)
     out = tmp_path / "out"
+    src = str(Path(surgfed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "surgfed.cli", "run", cfg_path, "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "rounds.csv").exists()

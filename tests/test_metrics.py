@@ -176,14 +176,14 @@ def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
     x = rng.normal(size=(200, 6))
     y = (rng.random((200, M)) < 0.4).astype(float)
     plan = TestPlan(LabeledSet(x, y), ClassRegistry([f"c{i}" for i in range(M)], [range(M)]))
-    bufs, results = eval_buffers(arch, plan.test.n, M), []
+    bufs, results = eval_buffers(arch, plan.n, M), []
     for seed in (1, 2):
         params = init_model(arch, M, seed=seed)
         for i in arch.bn_layers():  # move batch norm away from the identity
             for stat in (params.bn_mean[i], params.bn_var[i], params.feature[f"{i}.beta"]):
                 stat += rng.uniform(0.1, 1.0, stat.shape)
         evaluated = evaluate(params, arch, range(M), plan, bufs=bufs)
-        assert plan.test.x.tobytes() == x.tobytes() and plan.test.x is x
+        assert plan.x.tobytes() == x.tobytes() and plan.x is x
         assert bufs[-1].tobytes() == forward(params, arch, x, "eval")[1].tobytes()
         assert evaluated == evaluate(params, arch, range(M), plan)
         results.append((evaluated, copy.deepcopy(evaluated)))
@@ -460,6 +460,41 @@ def test_evaluate_scores_a_seeded_model_without_the_exact_path() -> None:
     assert exact.call_count == 0
     assert ev.uncovered == () and ev.degenerate == ()
     assert all(0.0 <= v <= 1.0 for v in ev.per_class.values())
+
+
+def test_evaluate_scores_a_tied_model_without_the_exact_path() -> None:
+    """A sample whose last ReLU layer is all zero scores every class at
+    the class's bias, and samples with equal inputs score equally, so
+    every class holds tied positive-negative pairs.  The ties are counted
+    from the sorted keys: no class goes down the exact path, and every
+    value is bitwise the scalar :func:`auroc` loop's and the exact
+    path's on independently split, sorted scores."""
+    from unittest import mock
+
+    from surgfed import metrics
+
+    M, n = 70, 400
+    arch = build_architecture(6, hidden=(8,))
+    reg = ClassRegistry([f"c{i:02d}" for i in range(M)], [range(M)])
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(n, 6))
+    x[::5] = 0.0  # every feature unit at zero: the head bias alone
+    x[2::5] = rng.normal(size=6)  # one more tied group, at other scores
+    y = (rng.random((n, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
+    params = init_model(arch, M, seed=5, class_ids=range(M))
+    plan = TestPlan(LabeledSet(x, y), reg)
+    with mock.patch.object(metrics, "_sorted_auroc", wraps=metrics._sorted_auroc) as exact:
+        ev = evaluate(params, arch, range(M), plan)
+    assert exact.call_count == 0
+    _, scores = forward(params, arch, x, "eval")
+    mixed = [c for c in range(M) if len(set(y[::5, c])) == 2 and len(set(y[2::5, c])) == 2]
+    assert len(mixed) > M // 2
+    assert all(np.unique(scores[::5, c]).size == 1 for c in range(M))
+    assert ev.uncovered == () and ev.degenerate == ()
+    for c, v in _scalar_loop(scores, list(range(M)), y, range(M)).items():
+        pos = y[:, c] == 1.0
+        oracle = metrics._sorted_auroc(np.sort(scores[pos, c]), np.sort(scores[~pos, c]))
+        assert _same_value(ev.per_class[c], v) and _same_value(v, oracle), c
 
 
 # --- paired t-test -----------------------------------------------------------

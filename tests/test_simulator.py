@@ -238,6 +238,52 @@ def test_round_loop_reuses_its_large_arrays() -> None:
     assert max(rises) <= 722 * 1024, rises
 
 
+def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
+    """Once the test plan holds the test set, the run keeps no reference
+    to the generated scenario, so its float64 test labels (and, for
+    wide-head methods, the clients' restricted labels) are freed before
+    round 1."""
+    import weakref
+
+    for method in ("surgical", "vanilla_fl"):
+        drawn, dead = [], []
+
+        def draw(spec):
+            data = generate_synthetic(spec)
+            drawn.append(weakref.ref(data))
+            return data
+
+        monkeypatch.setattr(simulator, "generate_synthetic", draw)
+        run_experiment(_cfg(method, T=2), round_hook=lambda r, gp, cs: dead.append(drawn[0]() is None))
+        assert len(drawn) == 1 and dead == [True, True], method
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_clients_start_from_their_own_init(method) -> None:
+    """Each client's parameters are copied from one M-column init, and
+    are bitwise and in layout what ``init_model`` draws for the client's
+    head columns."""
+    from surgfed import init_model
+
+    cfg = _cfg(method)
+    arch = cfg.architecture()
+    clients = simulator._build_clients(generate_synthetic(cfg.scenario), cfg, arch)
+    M, seed = cfg.scenario.M, cfg.resolved_seeds().init
+    wide = simulator.METHOD_TABLE[method].wide
+
+    def tensors(ps):
+        return [ps.head_W, ps.head_b, *ps.feature.values(), *ps.bn_mean.values(), *ps.bn_var.values()]
+
+    for c in clients:
+        ids = range(M) if wide else c.classes
+        drawn = init_model(arch, len(ids), seed, class_ids=ids)
+        assert params_equal(c.params, drawn), c.id
+        for a, b in zip(tensors(c.params), tensors(drawn), strict=True):
+            assert a.tobytes() == b.tobytes() and a.flags.c_contiguous, c.id
+    owned = [id(a) for c in clients for a in tensors(c.params)]
+    assert len(set(owned)) == len(owned)  # no two clients share an array
+
+
 def test_runs_share_no_state() -> None:
     """A run's buffers are its own: the reference run gives the same
     reports and best parameters before and after runs of other shapes
