@@ -11,12 +11,13 @@ client holds all M columns it is plain FedAvg of full-width heads; with
 no registry every head stays personal.  A class held by a single client
 passes through bit-exactly.
 
-All means follow one sequential rule, that of :func:`mean_arrays`, so
-the same inputs give bit-identical results on every code path.  The head
-merge applies it to all classes at once: it walks the clients in index
-order and scatters each head's columns into (feature, M) accumulators,
-assigning a column at its first holder and adding it at every later
-one, then divides each column by its holder count or weight total.
+All means are one rule, FedAvg's weighted mean as :func:`mean_arrays`
+sums it, left to right in client order; no weights means unit weights,
+which give the plain mean bit for bit.  The head merge applies it to all
+classes at once: it walks the clients in order, scatters each weighted
+head's columns into (feature, M) accumulators (assigned at a column's
+first holder, added at every later one) and their weights into per-class
+totals, then divides.
 The independent FedAvg reference, whole parameter sets averaged tensor
 by tensor, lives in the tests, which compare :func:`server_update`
 against it.
@@ -28,23 +29,19 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .nn import Architecture, ParamSet, forward
-from .registry import ClassRegistry, clients_with_class
+# perfbench/tracer.py wraps clients_with_class under this module's name
+from .registry import ClassRegistry, clients_with_class  # noqa: F401
 
 STRATEGIES = ("fedavg", "fedbn", "fedbn_plus")
 
 
 def mean_arrays(arrays, weights=None) -> np.ndarray:
-    """Mean of equally-shaped arrays with a fixed left-to-right
-    accumulation order (index order = client order)."""
+    """Weighted mean of equally-shaped arrays, summed left to right
+    (index order = client order).  No weights means unit weights, the
+    plain mean bit for bit: ``x * 1.0`` is ``x``, a sum of n ones is n."""
     if len(arrays) == 0:
         raise ConfigError("cannot average an empty list")
-    if weights is None:
-        acc = np.array(arrays[0], dtype=np.float64, copy=True)
-        for a in arrays[1:]:
-            acc += a
-        acc /= len(arrays)
-        return acc
-    weights = [float(w) for w in weights]
+    weights = [1.0] * len(arrays) if weights is None else [float(w) for w in weights]
     if len(weights) != len(arrays):
         raise ConfigError("one weight per array required")
     total = sum(weights)
@@ -79,9 +76,9 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
     ``heads[k]`` is ``(head_W, head_b, classes)`` for client k, with one
     column per held class in sorted class order.  Global column c is the
     mean of the (weights, bias) columns of the clients holding c, in
-    ascending client order; the bias travels with its column.  Every
-    column is bitwise what :func:`mean_arrays` gives on its holders'
-    columns.
+    ascending client order, weighted by ``weights`` (1.0 each if None);
+    the bias travels with its column.  Every column is bitwise what
+    :func:`mean_arrays` gives on its holders' columns.
     """
     if len(heads) != registry.n_clients:
         raise ContractViolation("one head per registry client required")
@@ -97,24 +94,15 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
         elif W.shape[0] != n_feat:
             raise ContractViolation("heads disagree on feature width")
     M = registry.n_classes
-    if weights is None:
-        divisor = np.array([len(ks) for ks in registry.holders], dtype=np.float64)
-    else:
-        weights = [float(w) for w in weights]
-        if len(weights) != registry.n_clients:
-            raise ConfigError("one weight per client required")
-        # the builtin sum over each class's holders, as mean_arrays takes it
-        divisor = np.array([
-            sum([weights[k] for k in clients_with_class(registry, c)]) for c in range(M)
-        ])
-        if np.any(divisor <= 0.0):
-            raise ConfigError("weights must sum to a positive value")
+    weights = [1.0] * len(heads) if weights is None else [float(w) for w in weights]
+    if len(weights) != registry.n_clients:
+        raise ConfigError("one weight per client required")
     global_W = np.empty((n_feat, M))
     global_b = np.empty(M)
+    divisor = np.zeros(M)  # per-class weight totals, summed in client order
     seen = np.zeros(M, dtype=bool)
-    for k, (W, b, _) in enumerate(heads):
-        if weights is not None:
-            W, b = W * weights[k], b * weights[k]
+    for k, ((W, b, _), w) in enumerate(zip(heads, weights)):
+        W, b = W * w, b * w
         cols = np.asarray(registry.client_classes[k])
         later = seen[cols]
         # a first holder's column is copied, never added to zero: 0.0 + -0.0 is +0.0
@@ -123,7 +111,10 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
         global_b[cols[first]] = b[first]
         global_W[:, cols[later]] += W[:, later]
         global_b[cols[later]] += b[later]
+        divisor[cols] += w
         seen[cols] = True
+    if np.any(divisor <= 0.0):
+        raise ConfigError("weights must sum to a positive value")
     global_W /= divisor
     global_b /= divisor
     return global_W, global_b
@@ -168,20 +159,15 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
             if ps.head_cols != len(cols):
                 raise ContractViolation(f"client {k} head width does not match the registry")
 
-    feature = {
-        k: mean_arrays([ps.feature[k] for ps in param_sets], weights)
-        for k in sorted(param_sets[0].feature)
-    }
+    def average(group: str) -> dict:
+        """Every tensor of ``group`` (a ParamSet field), averaged over the clients."""
+        return {key: mean_arrays([getattr(ps, group)[key] for ps in param_sets], weights)
+                for key in sorted(getattr(param_sets[0], group))}
+
+    feature = average("feature")
     shared_stats = strategy == "fedavg"
     if shared_stats:
-        bn_mean = {
-            i: mean_arrays([ps.bn_mean[i] for ps in param_sets], weights)
-            for i in sorted(param_sets[0].bn_mean)
-        }
-        bn_var = {
-            i: mean_arrays([ps.bn_var[i] for ps in param_sets], weights)
-            for i in sorted(param_sets[0].bn_var)
-        }
+        bn_mean, bn_var = average("bn_mean"), average("bn_var")
     elif keep_global:
         mean_stats, var_stats = pretrained_bn
         for i in param_sets[0].bn_mean:

@@ -67,7 +67,8 @@ class ScenarioSpec:
     Construction checks every field and coerces none: integers must be
     ints or numpy integers that fit in 64 bits (stored as int), numbers
     finite (stored as float), and an assignment a list of integer lists
-    (stored as tuples of int).
+    (stored as tuples of int).  Each client keeps ``n_val`` validation and
+    ``n_train`` training rows; a split leaving no training row is rejected.
     """
 
     n_per_client: int
@@ -102,6 +103,8 @@ class ScenarioSpec:
             raise ConfigError("must lie in [0, 0.5)", "label_noise")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("must lie in (0, 1)", "val_fraction")
+        if self.n_train < 1:
+            raise ConfigError(f"leaves no training sample of n_per_client={self.n_per_client}", "val_fraction")
         if self.assignment is not None:
             if self.shared_count is not None or self.unique_count is not None:
                 raise ConfigError("give either an explicit assignment or generator counts, not both")
@@ -121,6 +124,15 @@ class ScenarioSpec:
                 raise ConfigError("need an assignment or both shared_count and unique_count")
             if self.shared_count + self.unique_count != self.M:
                 raise ConfigError("shared_count + unique_count must equal M")
+
+    # properties, not fields: they stay out of the serialised config and its hash
+    @property
+    def n_val(self) -> int:
+        return max(1, round(self.n_per_client * self.val_fraction))
+
+    @property
+    def n_train(self) -> int:
+        return self.n_per_client - self.n_val
 
 
 @dataclass(frozen=True)
@@ -180,10 +192,10 @@ def resolve_assignment(spec: ScenarioSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def _labels_for(x: np.ndarray, u: np.ndarray, tau: np.ndarray, noise: float, rng) -> np.ndarray:
-    y = (x @ u.T > tau).astype(np.float64)
+    y = x @ u.T > tau
     # drawn at every noise level, 0 included, so the stream stays aligned
-    flips = rng.random(y.shape) < noise
-    return np.where(flips, 1.0 - y, y)
+    y ^= rng.random(y.shape) < noise
+    return y.astype(np.float64)
 
 
 def _both_labels_present(y: np.ndarray) -> bool:
@@ -221,11 +233,7 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
         xk = xk + spec.shift_sigma * direction
         xs.append(xk)
 
-    n_val = max(1, int(round(spec.n_per_client * spec.val_fraction)))
-    n_train = spec.n_per_client - n_val
-    if n_train < 1:
-        raise ConfigError("val_fraction leaves no training samples")
-
+    n_train = spec.n_train
     for attempt in range(_MAX_THRESHOLD_ATTEMPTS):
         tau = truth_rng.uniform(-_THRESHOLD_BAND, _THRESHOLD_BAND, spec.M)
         y_test = _labels_for(x_test, u, tau, spec.label_noise, truth_rng)
@@ -252,7 +260,7 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
     raise ConfigError(
         f"could not satisfy the one-positive-one-negative invariant in "
         f"{_MAX_THRESHOLD_ATTEMPTS} threshold draws; splits are too small "
-        f"(n_per_client={spec.n_per_client}, val={n_val})"
+        f"(n_per_client={spec.n_per_client}, val={spec.n_val})"
     )
 
 

@@ -34,9 +34,13 @@ def need_int(value, field: str, low: int | None = None) -> int:
 
 
 def need_number(value, field: str) -> float:
-    """``value`` as a float if it is a finite int or float (not a bool).
-    The range test also rejects NaN and integers beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+    """``value`` as a float if it is a finite int or float, a numpy integer
+    or floating value too (not a bool of either kind).  The range test
+    also rejects NaN and integers beyond the float range."""
+    if isinstance(value, (np.integer, np.floating)):
+        value = value.item()  # an int or a float; a long double stays one
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.floating))
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError("must be a finite number", field)
     return float(value)
 

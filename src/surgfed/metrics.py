@@ -17,12 +17,11 @@ pairs.  Those pairs are counted from the sorted keys alone, on the
 adjacent keys of equal score (:func:`_tied_pairs`), and taken back.
 Ties are common: a sample whose last ReLU layer is all zero scores the
 bias of every class, and late rounds of some runs produce such samples.
-:func:`_auroc_rows` scores up to ``_CHUNK`` rows per sort; a chunk that
-holds a score outside [+0.0, 2.0) (-0.0, a negative, inf or NaN) goes
-down the exact path instead, :func:`_sorted_auroc` (binary search of
-each positive in the sorted negatives, ties counted by a second search).
-Both paths end in the same arithmetic, so every value is bitwise the
-same either way.
+:func:`_auroc_rows`, the one AUROC kernel, scores up to ``_CHUNK`` rows
+per sort.  A model's scores lie in [+0.0, 1.0]; a chunk holding a score
+outside [+0.0, 2.0) (-0.0, a negative, a value >= 2.0, an infinity) has
+its scores replaced by their dense ranks first, which order and tie as
+the floats do, -0.0 and +0.0 alike.  A row holding a NaN scores NaN.
 
 The test labels never change within a run, so a :class:`TestPlan` works
 out once what every evaluation needs from them: label checks, an
@@ -36,7 +35,6 @@ in-place row sort and a few whole-array passes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,25 +71,10 @@ def auroc(scores, labels) -> float | None:
     return float(_auroc_rows(keys, is_pos.view(np.int8)[None], np.array([n_pos]))[0])
 
 
-def _u_to_auroc(twice_u, n_pos, n_neg):
-    """AUROC from twice the Mann-Whitney U; works on scalars and arrays."""
-    return (twice_u / 2.0) / (n_pos * n_neg)
-
-
-def _sorted_auroc(pos: np.ndarray, neg: np.ndarray) -> float:
-    """AUROC of non-empty, sorted positive and negative scores; NaN when
-    either holds a NaN (sorting puts NaN last), since NaN has no order."""
-    if math.isnan(pos[-1]) or math.isnan(neg[-1]):
-        return float("nan")
-    # per positive: 2 * (negatives below) + (negatives tied), an exact integer
-    below = neg.searchsorted(pos, "left")
-    # a positive ties a negative iff the first negative not below it equals
-    # it; "clip" reads the largest negative, which is below, past the end
-    if (neg.take(below, mode="clip") == pos).any():
-        twice_u = below.sum() + neg.searchsorted(pos, "right").sum()
-    else:
-        twice_u = 2 * below.sum()
-    return float(_u_to_auroc(twice_u, pos.size, neg.size))
+def _dense_ranks(scores: np.ndarray) -> np.ndarray:
+    """Dense ranks of ``scores``, in their shape: equal floats (-0.0 and
+    +0.0 too) share a rank, and ranks order as the floats do."""
+    return np.unique(scores, return_inverse=True)[1].reshape(scores.shape)
 
 
 def _auroc_rows(keys: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.ndarray:
@@ -99,23 +82,23 @@ def _auroc_rows(keys: np.ndarray, labels: np.ndarray, n_pos: np.ndarray) -> np.n
 
     ``keys`` (m x n, ``int64``, C-contiguous) holds the float64 bit
     patterns of the scores and is overwritten; ``labels`` (m x n,
-    ``int8``) and ``n_pos`` (m) give every row both label values.
+    ``int8``) and ``n_pos`` (m) give every row both label values.  A
+    row holding a NaN scores NaN.
     """
-    m, n = keys.shape
+    n = keys.shape[1]
+    has_nan = False
     if keys.view(np.uint64).max() >= _KEY_LIMIT:
         scores = keys.view(np.float64)
-        out = np.empty(m)
-        for r in range(m):
-            is_pos = labels[r] == 1
-            out[r] = _sorted_auroc(np.sort(scores[r][is_pos]), np.sort(scores[r][~is_pos]))
-        return out
+        has_nan = np.isnan(scores).any(axis=1)
+        keys[...] = _dense_ranks(scores)
     keys <<= 1
     keys |= labels
     keys.sort(axis=1)
     # Σ over positives of #{negatives <= p}: their positions less the
     # positives ahead of each
     at_or_below = np.einsum("ij,j->i", keys & 1, np.arange(n)) - n_pos * (n_pos - 1) // 2
-    return _u_to_auroc(2 * at_or_below - _tied_pairs(keys), n_pos, n - n_pos)
+    twice_u = 2 * at_or_below - _tied_pairs(keys)
+    return np.where(has_nan, np.nan, (twice_u / 2.0) / (n_pos * (n - n_pos)))
 
 
 def _tied_pairs(keys: np.ndarray) -> np.ndarray:
@@ -210,13 +193,8 @@ class EvalResult:
 
 
 def _subset_mean(per_class, subset, uncovered) -> float | None:
-    subset = list(subset)
-    if not subset:
-        return None
-    if any(c in uncovered for c in subset):
-        return None
     vals = [per_class[c] for c in subset if per_class[c] is not None]
-    if not vals:
+    if not vals or any(c in uncovered for c in subset):
         return None
     return float(np.mean(vals))
 

@@ -504,14 +504,16 @@ def _assert_params_bitwise(got: ParamSet, want: ParamSet) -> None:
 
 
 @st.composite
-def round_cases(draw):
+def round_cases(draw, method=None, strategy=None, special=(0.0, -0.0, 1e-300, -1e300, 0.1, -0.3)):
+    """A round's inputs; ``method`` and ``strategy`` are drawn unless
+    given, and ``special`` values are planted in every tensor."""
     reg, _, _ = draw(oracle_merge_cases())
-    method = draw(st.sampled_from(_EXCHANGING))
-    strategy = draw(st.sampled_from([s for s in STRATEGIES if s != "fedbn" or method == "pfl"]))
+    method = method or draw(st.sampled_from(_EXCHANGING))
+    strategy = strategy or draw(st.sampled_from([s for s in STRATEGIES if s != "fedbn" or method == "pfl"]))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     arch = build_architecture(3, hidden=(4,))
     rng = np.random.default_rng(seed)
-    special = np.array([0.0, -0.0, 1e-300, -1e300, 0.1, -0.3])
+    special = np.array(special)
     clients = []
     for k, cs in enumerate(reg.client_classes):
         params = random_params(arch, reg.n_classes if method in _FULL_WIDTH else len(cs), seed=seed + k)
@@ -555,3 +557,64 @@ def test_server_update_equals_the_fedavg_oracle(case) -> None:
                c.params.head_W, c.params.head_b]
         sent = [*got.feature.values(), *got.bn_mean.values(), *got.bn_var.values(), got.head_W, got.head_b]
         assert not any(np.shares_memory(a, b) for a in own for b in sent)
+
+
+# --- weights=None is the weighted rule with unit weights --------------------------
+
+# values whose sums and products are sensitive to sign, order, underflow
+# (5e-324 is the smallest subnormal) and overflow
+_EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, np.inf, -np.inf)
+_ROUNDS = [(m, s) for m in _EXCHANGING for s in STRATEGIES if s != "fedbn" or m == "pfl"]
+
+
+def _plant_extremes(rng, arrays) -> None:
+    for arr in arrays:
+        spots = rng.random(arr.shape) < 0.4
+        arr[spots] = rng.choice(_EXTREMES, size=int(spots.sum()))
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_mean_arrays_without_weights_is_the_unit_weighted_mean(K, width, seed) -> None:
+    """Bitwise, for every value a tensor can hold: ``weights=None`` gives
+    what ``[1.0] * K`` gives, and both give the plain left-to-right sum
+    divided by K."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(2, width)) for _ in range(K)]
+    _plant_extremes(rng, arrays)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, 1e300 + 1e300
+        plain = arrays[0].copy()
+        for a in arrays[1:]:
+            plain += a
+        plain /= K
+        _assert_bitwise(mean_arrays(arrays), mean_arrays(arrays, [1.0] * K))
+        _assert_bitwise(mean_arrays(arrays), plain)
+
+
+@given(oracle_merge_cases(), st.integers(0, 2**31))
+@settings(max_examples=200, deadline=None)
+def test_head_merge_without_weights_is_the_unit_weighted_merge(case, seed) -> None:
+    reg, heads, _ = case
+    _plant_extremes(np.random.default_rng(seed), [a for W, b, _ in heads for a in (W, b)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        W, b = surgical_head_update(heads, reg)
+        W1, b1 = surgical_head_update(heads, reg, [1.0] * reg.n_clients)
+    _assert_bitwise(W, W1)
+    _assert_bitwise(b, b1)
+
+
+@pytest.mark.parametrize("method,strategy", _ROUNDS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_server_update_without_weights_is_the_unit_weighted_round(method, strategy, data) -> None:
+    """Every exchanging method under every strategy it runs with: the
+    global model and each sendback are bitwise those of unit weights."""
+    _, _, reg, clients, pretrained, _ = data.draw(round_cases(method, strategy, _EXTREMES))
+    head_registry = simulator._head_registry(simulator.METHOD_TABLE[method], reg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        plain = server_update(clients, head_registry, strategy, pretrained)
+        unit = server_update(clients, head_registry, strategy, pretrained, [1.0] * len(clients))
+    assert (plain[0] is None) == (unit[0] is None)
+    for got, want in zip([plain[0], *plain[1]], [unit[0], *unit[1]]):
+        if want is not None:
+            _assert_params_bitwise(got, want)

@@ -98,6 +98,30 @@ def test_numpy_integers_are_accepted_as_ints() -> None:
         ScenarioSpec(n_per_client=40, d=4, M=3, K=2, seed=np.uint64(2**63), assignment=[[0, 1], [1, 2]])
 
 
+def test_numpy_numbers_are_accepted_as_floats() -> None:
+    """Every number field takes numpy integer and floating values: the
+    config equals the one built from ``float(v)`` and round-trips through
+    its serialised form; bools of either kind are no numbers."""
+    import numpy as np
+
+    def cfg(v):
+        return ExperimentConfig(
+            scenario=ScenarioSpec(n_per_client=40, d=4, M=3, K=2, seed=5, assignment=[[0, 1], [1, 2]],
+                                  skew="feature_shift", shift_sigma=v, label_noise=v / 4, val_fraction=v / 2),
+            method="surgical", lr=v, warmup_lr=v,
+        )
+
+    for v in (np.float32(0.05), np.float16(0.25), np.float64(0.3), np.int64(1), np.uint8(1), np.int32(1)):
+        numpy, plain = cfg(v), cfg(float(v))
+        assert numpy == plain, v
+        assert type(numpy.lr) is float and type(numpy.scenario.shift_sigma) is float
+        assert parse_config(config_to_dict(numpy)) == plain
+        assert json.dumps(config_to_dict(numpy)) == json.dumps(config_to_dict(plain))
+    for bad in (True, np.True_, np.float32("nan"), np.float32("inf")):
+        with pytest.raises(ConfigError, match="lr must be a finite number"):
+            ExperimentConfig(scenario=cfg(0.1).scenario, method="surgical", lr=bad)
+
+
 def test_parse_config_reports_field_paths() -> None:
     with pytest.raises(ConfigError, match="config.method"):
         parse_config({"scenario": SMALL_CONFIG["scenario"]})
@@ -204,7 +228,8 @@ _MALFORMED = {
     "scenario.skew": _unknown(("iid", "feature_shift")),
     "scenario.shift_sigma": _numbers_outside(lambda v: v == 0.0),  # iid pins it to 0
     "scenario.label_noise": _numbers_outside(lambda v: 0.0 <= v < 0.5),
-    "scenario.val_fraction": _numbers_outside(lambda v: 0.0 < v < 1.0),
+    # with n_per_client 60, fractions of 0.9917 and above leave no training row
+    "scenario.val_fraction": _numbers_outside(lambda v: 0.0 < v < 1.0 and round(60 * v) < 60),
 }
 # every integer field, set beyond the signed 64-bit range
 _HUGE = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1))
@@ -308,6 +333,8 @@ def test_every_fuzzed_field_is_rejected_by_both_entry_points(field, data) -> Non
 @example(("scenario.n_per_client", 60.5))
 @example(("scenario.n_test", 100.0))
 @example(("E", True))
+# a split with no training rows: accepted until data generation refused it
+@example(("scenario", {**SMALL_CONFIG["scenario"], "n_per_client": 2, "val_fraction": 0.9}))
 # accepted before the run's array footprint was checked; numpy raised
 # MemoryError for a 160 TiB array once the run had started
 @example(("scenario.n_per_client", 2**40))
@@ -457,6 +484,18 @@ def test_suite_failure_sets_exit_code(tmp_path) -> None:
     rows = _read_rows(out / "comparison.csv")
     failed_row = [r for r in rows[1:] if r[1] == "vanilla_fl"][0]
     assert failed_row[4] == "1"
+
+
+def test_suite_with_a_member_split_leaving_no_training_rows_exits_2(tmp_path) -> None:
+    """A member whose ``val_fraction`` leaves no training row is a config
+    error: the suite exits 2 before its first member trains, and writes
+    nothing."""
+    empty_split = {**SMALL_CONFIG, "method": "vanilla_fl",
+                   "scenario": {**SMALL_CONFIG["scenario"], "n_per_client": 2, "val_fraction": 0.9}}
+    out = tmp_path / "out"
+    suite = _write(tmp_path, {"members": [SMALL_CONFIG, empty_split]}, "suite.json")
+    assert main(["suite", suite, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_suite_rejects_malformed_file(tmp_path, monkeypatch) -> None:

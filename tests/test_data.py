@@ -144,6 +144,53 @@ def test_generation_peak_stays_near_what_it_keeps() -> None:
     assert peak - kept <= 2.5 * 2**20, (kept, peak)
 
 
+def _labels_by_formula(x, u, tau, noise, rng):
+    """The label draw as three full float64 temporaries wrote it."""
+    y = (x @ u.T > tau).astype(np.float64)
+    flips = rng.random(y.shape) < noise
+    return np.where(flips, 1.0 - y, y)
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise) -> None:
+    """``_labels_for`` flips boolean labels in place: the same draws give
+    the formula's labels bit for bit, C-ordered, and its traced peak stays
+    within 1.5x of the bytes it returns (the formula's is about 3x)."""
+    import tracemalloc
+
+    from surgfed.data import _labels_for
+
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2000, 20))
+    u = rng.standard_normal((500, 20))
+    tau = rng.uniform(-0.8, 0.8, 500)
+    expected = _labels_by_formula(x, u, tau, noise, np.random.default_rng(9))
+    tracemalloc.start()
+    try:
+        got = _labels_for(x, u, tau, noise, np.random.default_rng(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == expected.tobytes()
+    assert peak <= 1.5 * got.nbytes, (peak, got.nbytes)
+
+
+def test_a_split_without_training_rows_is_rejected_at_construction() -> None:
+    """The split sizes are derived from the spec; a ``val_fraction`` that
+    leaves no training row fails when the spec is built, not when the
+    data is drawn, and the sizes are what the clients get."""
+    with pytest.raises(ConfigError, match="val_fraction"):
+        ScenarioSpec(n_per_client=2, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.9)
+    with pytest.raises(ConfigError, match="val_fraction"):
+        ScenarioSpec(n_per_client=60, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.995)
+    spec = ScenarioSpec(n_per_client=60, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.99)
+    assert (spec.n_val, spec.n_train) == (59, 1)
+    spec = ScenarioSpec(n_per_client=60, d=3, M=2, K=2, seed=0, assignment=[[0, 1], [0, 1]], val_fraction=0.3)
+    data = generate_synthetic(spec)
+    assert all((cd.val.n, cd.train.n) == (spec.n_val, spec.n_train) == (18, 42) for cd in data.clients)
+
+
 def test_infeasible_split_raises() -> None:
     # a single validation row can never show both label values
     spec = ScenarioSpec(n_per_client=2, d=3, M=2, K=1, seed=0, assignment=[[0, 1]])

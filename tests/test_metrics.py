@@ -81,6 +81,18 @@ def _rankdata_auroc(scores, labels) -> float:
     return float(u / (n_pos * (labels.size - n_pos)))
 
 
+def _sorted_auroc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """Binary-search oracle, independent of the integer-sort kernel: the
+    AUROC of non-empty, sorted positive and negative scores from two
+    searches of each positive in the negatives, NaN when either holds a
+    NaN (sorting puts NaN last), since NaN has no order."""
+    if np.isnan(pos[-1]) or np.isnan(neg[-1]):
+        return float("nan")
+    # per positive: 2 * (negatives below) + (negatives tied), an exact integer
+    twice_u = neg.searchsorted(pos, "left").sum() + neg.searchsorted(pos, "right").sum()
+    return float((twice_u / 2.0) / (pos.size * neg.size))
+
+
 def test_auroc_matches_pair_counting_with_ties() -> None:
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -383,9 +395,9 @@ def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
     heavily across labels, continuous, or has each negative one float
     above some positive (which trips the tie check without a tie); one
     chunk may hold a single -0.0, 2.0 or NaN, which sends that chunk
-    alone down the exact path.  Every value must be bitwise the scalar
-    :func:`auroc` loop's and the exact path's on independently split,
-    sorted scores."""
+    alone through the rank step.  Every value must be bitwise the scalar
+    :func:`auroc` loop's and the binary-search oracle's on independently
+    split, sorted scores."""
     from unittest import mock
 
     from surgfed import metrics
@@ -432,8 +444,8 @@ def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
         assert _same_value(ev.per_class[c], v), c
         if v is not None:
             col, pos = scores[:, model_classes.index(c)], y[:, c] == 1.0
-            exact = metrics._sorted_auroc(np.sort(col[pos]), np.sort(col[~pos]))
-            assert _same_value(ev.per_class[c], exact), c
+            oracle = _sorted_auroc(np.sort(col[pos]), np.sort(col[~pos]))
+            assert _same_value(ev.per_class[c], oracle), c
     assert ev.uncovered == tuple(c for c in classes if c not in model_classes)
     assert ev.degenerate == tuple(
         c for c in classes if c in model_classes and y[:, c].min() == y[:, c].max()
@@ -441,8 +453,9 @@ def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
 
 
 def test_evaluate_scores_a_seeded_model_without_the_exact_path() -> None:
-    """The exact path is correct, so a change that sent every class down
-    it would pass every value test; on an untied model no class may."""
+    """The rank step is exact, so a change that ranked every chunk would
+    pass every value test; a model's scores lie in [+0.0, 1.0], so no
+    chunk may be ranked: every class is scored by its bit patterns."""
     from unittest import mock
 
     from surgfed import metrics
@@ -455,9 +468,9 @@ def test_evaluate_scores_a_seeded_model_without_the_exact_path() -> None:
     y = (rng.random((n, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
     params = init_model(arch, M, seed=5, class_ids=range(M))
     plan = TestPlan(LabeledSet(x, y), reg)
-    with mock.patch.object(metrics, "_sorted_auroc", wraps=metrics._sorted_auroc) as exact:
+    with mock.patch.object(metrics, "_dense_ranks", wraps=metrics._dense_ranks) as ranked:
         ev = evaluate(params, arch, range(M), plan)
-    assert exact.call_count == 0
+    assert ranked.call_count == 0
     assert ev.uncovered == () and ev.degenerate == ()
     assert all(0.0 <= v <= 1.0 for v in ev.per_class.values())
 
@@ -466,9 +479,9 @@ def test_evaluate_scores_a_tied_model_without_the_exact_path() -> None:
     """A sample whose last ReLU layer is all zero scores every class at
     the class's bias, and samples with equal inputs score equally, so
     every class holds tied positive-negative pairs.  The ties are counted
-    from the sorted keys: no class goes down the exact path, and every
-    value is bitwise the scalar :func:`auroc` loop's and the exact
-    path's on independently split, sorted scores."""
+    from the sorted bit-pattern keys: no chunk is ranked, and every value
+    is bitwise the scalar :func:`auroc` loop's and the binary-search
+    oracle's on independently split, sorted scores."""
     from unittest import mock
 
     from surgfed import metrics
@@ -483,9 +496,9 @@ def test_evaluate_scores_a_tied_model_without_the_exact_path() -> None:
     y = (rng.random((n, M)) < rng.uniform(0.05, 0.6, size=M)).astype(float)
     params = init_model(arch, M, seed=5, class_ids=range(M))
     plan = TestPlan(LabeledSet(x, y), reg)
-    with mock.patch.object(metrics, "_sorted_auroc", wraps=metrics._sorted_auroc) as exact:
+    with mock.patch.object(metrics, "_dense_ranks", wraps=metrics._dense_ranks) as ranked:
         ev = evaluate(params, arch, range(M), plan)
-    assert exact.call_count == 0
+    assert ranked.call_count == 0
     _, scores = forward(params, arch, x, "eval")
     mixed = [c for c in range(M) if len(set(y[::5, c])) == 2 and len(set(y[2::5, c])) == 2]
     assert len(mixed) > M // 2
@@ -493,8 +506,31 @@ def test_evaluate_scores_a_tied_model_without_the_exact_path() -> None:
     assert ev.uncovered == () and ev.degenerate == ()
     for c, v in _scalar_loop(scores, list(range(M)), y, range(M)).items():
         pos = y[:, c] == 1.0
-        oracle = metrics._sorted_auroc(np.sort(scores[pos, c]), np.sort(scores[~pos, c]))
+        oracle = _sorted_auroc(np.sort(scores[pos, c]), np.sort(scores[~pos, c]))
         assert _same_value(ev.per_class[c], v) and _same_value(v, oracle), c
+
+
+def test_scores_outside_the_bit_range_are_ranked() -> None:
+    """-0.0, negatives, values >= 2.0 and infinities have bit patterns
+    that do not order as the floats do: such a row is ranked once, then
+    scored by the same sort, bitwise as the binary-search oracle.  -0.0
+    ties +0.0, and a NaN makes the row NaN."""
+    from unittest import mock
+
+    from surgfed import metrics
+
+    labels = np.array([0, 1, 0, 1, 1, 0, 0, 1], dtype=float)
+    base = np.array([0.0, 0.0, 0.5, 0.25, 1.0, 0.75, 0.25, 0.5])
+    for planted in (-0.0, -1.0, 2.0, 6.0, np.inf, -np.inf, np.nan):
+        scores = base.copy()
+        scores[0] = planted
+        with mock.patch.object(metrics, "_dense_ranks", wraps=metrics._dense_ranks) as ranked:
+            got = auroc(scores, labels)
+        assert ranked.call_count == 1, planted
+        pos = labels == 1.0
+        assert _same_value(got, _sorted_auroc(np.sort(scores[pos]), np.sort(scores[~pos]))), planted
+    assert auroc(np.where(base == 0.0, -0.0, base), labels) == auroc(base, labels)
+    assert np.isnan(auroc(np.r_[base[:-1], np.nan], labels))
 
 
 # --- paired t-test -----------------------------------------------------------
