@@ -7,9 +7,8 @@ Subcommands::
     surgfed ablation <clients|shared> --out <dir>   scenario ladders
 
 Global options: ``--seed`` replaces every seed in the config
-deterministically, ``--parallel-clients`` trains lock-step client groups
-on worker threads (bit-identical results, but slower than one thread
-under lock-step training).  The ``SURGFED_OUT_DIR``
+deterministically; ``--parallel-clients`` is checked (at least 1) and
+ignored, since every run trains on one thread.  The ``SURGFED_OUT_DIR``
 environment variable overrides the output directory of any subcommand.
 
 Exit codes: 0 success, 1 runtime failure, 2 invalid configuration.
@@ -220,17 +219,17 @@ def _write_run_outputs(out_dir: Path, result: RunResult, manifest: dict) -> None
             save_checkpoint(ps, out_dir / f"checkpoint_client{k}.csv")
 
 
-def cmd_run(config_path, out_dir, seed: int | None = None, parallel: int = 1) -> int:
+def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
     with open(config_path) as f:
         raw = json.load(f)
     cfg = _apply_seed_override(parse_config(raw), seed)
-    result = run_experiment(cfg, parallel=parallel)
+    result = run_experiment(cfg)
     manifest = build_manifest(result)
     _write_run_outputs(Path(out_dir), result, manifest)
     return 0
 
 
-def cmd_suite(suite_path, out_dir, seed: int | None = None, parallel: int = 1) -> int:
+def cmd_suite(suite_path, out_dir, seed: int | None = None) -> int:
     with open(suite_path) as f:
         raw = json.load(f)
     _check_keys(raw, {"members": True, "reference": False}, "suite")
@@ -246,7 +245,7 @@ def cmd_suite(suite_path, out_dir, seed: int | None = None, parallel: int = 1) -
     ]
     snapshot = {"reference": reference, "members": [config_to_dict(c) for c in configs]}
     run_id = manifest_hash(snapshot)
-    suite, results = run_suite(configs, reference=reference, parallel=parallel)
+    suite, results = run_suite(configs, reference=reference)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -280,8 +279,7 @@ def cmd_suite(suite_path, out_dir, seed: int | None = None, parallel: int = 1) -
     return 1 if any(row.failed for row in suite.rows) else 0
 
 
-def cmd_ablation(kind, out_dir, seed: int | None = None, parallel: int = 1,
-                 seeds: int = 3, epochs: int | None = None,
+def cmd_ablation(kind, out_dir, seed: int | None = None, seeds: int = 3, epochs: int | None = None,
                  methods=ABLATION_METHODS, strategy: str = "fedavg") -> int:
     if kind not in ABLATION_KINDS:
         raise ConfigError(f"ablation kind must be one of {ABLATION_KINDS}")
@@ -322,7 +320,7 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, parallel: int = 1,
             rung = spec.K if kind == "clients" else _shared_count_of(spec)
             rows = []
             for template in templates:
-                result = run_experiment(replace(template, scenario=spec), parallel=parallel)
+                result = run_experiment(replace(template, scenario=spec))
                 ev = result.global_eval()
                 rows.append((template.method, s, ev))
                 curve.setdefault(rung, {}).setdefault(template.method, []).append(ev.mean_auroc)
@@ -368,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help=f"output directory (overridden by ${OUT_DIR_ENV})")
         p.add_argument("--seed", type=int, default=None, help="replace every config seed deterministically")
         p.add_argument("--parallel-clients", type=int, default=1, metavar="N",
-                       help="worker threads, each training one lock-step client group; results are "
-                            "identical, but more than 1 is slower under lock-step training")
+                       help="checked (at least 1) and ignored: every run trains on one thread")
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
@@ -398,14 +395,12 @@ def main(argv=None) -> int:
             need_int(args.seed, "--seed", 0)
         need_int(args.parallel_clients, "--parallel-clients", 1)
         if args.command == "run":
-            return cmd_run(args.config, out_dir, args.seed, args.parallel_clients)
+            return cmd_run(args.config, out_dir, args.seed)
         if args.command == "suite":
-            return cmd_suite(args.suite, out_dir, args.seed, args.parallel_clients)
+            return cmd_suite(args.suite, out_dir, args.seed)
         methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-        return cmd_ablation(
-            args.kind, out_dir, args.seed, args.parallel_clients,
-            seeds=args.seeds, epochs=args.epochs, methods=methods, strategy=args.strategy,
-        )
+        return cmd_ablation(args.kind, out_dir, args.seed, seeds=args.seeds, epochs=args.epochs,
+                            methods=methods, strategy=args.strategy)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

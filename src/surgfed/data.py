@@ -68,7 +68,7 @@ class ScenarioSpec:
     ints or numpy integers that fit in 64 bits (stored as int), numbers
     finite (stored as float), and an assignment a list of integer lists
     (stored as tuples of int).  Each client keeps ``n_val`` validation and
-    ``n_train`` training rows; a split leaving no training row is rejected.
+    ``n_train`` training rows; a split of fewer than 2 rows is rejected.
     """
 
     n_per_client: int
@@ -103,8 +103,9 @@ class ScenarioSpec:
             raise ConfigError("must lie in [0, 0.5)", "label_noise")
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("must lie in (0, 1)", "val_fraction")
-        if self.n_train < 1:
-            raise ConfigError(f"leaves no training sample of n_per_client={self.n_per_client}", "val_fraction")
+        if self.n_val < 2 or self.n_train < 2:  # a split of one row never holds both labels
+            raise ConfigError(f"splits n_per_client={self.n_per_client} into {self.n_val} validation and "
+                              f"{self.n_train} training rows; each needs at least 2", "val_fraction")
         if self.assignment is not None:
             if self.shared_count is not None or self.unique_count is not None:
                 raise ConfigError("give either an explicit assignment or generator counts, not both")
@@ -128,7 +129,7 @@ class ScenarioSpec:
     # properties, not fields: they stay out of the serialised config and its hash
     @property
     def n_val(self) -> int:
-        return max(1, round(self.n_per_client * self.val_fraction))
+        return round(self.n_per_client * self.val_fraction)
 
     @property
     def n_train(self) -> int:
@@ -259,7 +260,7 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
             return ScenarioData(registry=registry, test=LabeledSet(x_test, y_test), clients=clients)
     raise ConfigError(
         f"could not satisfy the one-positive-one-negative invariant in "
-        f"{_MAX_THRESHOLD_ATTEMPTS} threshold draws; splits are too small "
+        f"{_MAX_THRESHOLD_ATTEMPTS} threshold draws; splits are too small or too shifted "
         f"(n_per_client={spec.n_per_client}, val={spec.n_val})"
     )
 

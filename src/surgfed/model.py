@@ -41,8 +41,6 @@ from .nn import (
 
 _TAG_FEATURE, _TAG_HEAD = 1, 2
 
-LOSS_MODES = ("local_classes", "all_classes_negatives")
-
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -94,7 +92,9 @@ class ClientState:
     ``classes`` are the sorted global ids the client holds.  The head is
     normally one column per held class; missing-as-negative and masked
     loss baselines widen it to the full class set, in which case the
-    label views are full width as well.
+    label views are full width as well.  ``loss_cols`` are the head
+    columns every training and validation loss covers, fixed when the
+    client is built; None means the columns of the client's classes.
     """
 
     id: int
@@ -106,23 +106,16 @@ class ClientState:
     rng: np.random.Generator
     epoch_counter: int = 0
     last_train_loss: float = float("nan")
+    loss_cols: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.train.y.shape[1] != self.params.head_cols:
-            raise ContractViolation("label view width does not match the head")
-        if self.params.head_cols < len(self.classes):
-            raise ContractViolation("head narrower than the client's class list")
-
-    def loss_columns(self, loss_mode: str) -> tuple[int, ...]:
-        """Head columns the training loss covers under a loss mode."""
-        if loss_mode not in LOSS_MODES:
-            raise ConfigError(f"unknown loss_mode {loss_mode!r}")
         width = self.params.head_cols
-        if loss_mode == "all_classes_negatives":
-            return tuple(range(width))
-        if width == len(self.classes):
-            return tuple(range(width))
-        return self.classes
+        if self.train.y.shape[1] != width:
+            raise ContractViolation("label view width does not match the head")
+        if width < len(self.classes):
+            raise ContractViolation("head narrower than the client's class list")
+        if self.loss_cols is None:
+            self.loss_cols = tuple(range(width)) if width == len(self.classes) else self.classes
 
 
 class ClientGroup(list):
@@ -159,7 +152,7 @@ def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_si
     return total / batches
 
 
-def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mode: str):
+def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
     """Run ``epochs`` lock-step epochs on a private stacked copy of the
     group's parameters and write each client's slice back; a call that
     raises leaves every client's parameters as they were.  Inputs are
@@ -168,7 +161,7 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mo
     if not group:
         raise ConfigError("a training group needs at least one client")
     first = group[0]
-    columns = [c.loss_columns(loss_mode) for c in group]
+    columns = [c.loss_cols for c in group]
     for c, own in zip(group, columns):
         if (c.arch != first.arch or c.train.n != first.train.n
                 or c.params.head_cols != first.params.head_cols or len(own) != len(columns[0])):
@@ -186,8 +179,7 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen, loss_mo
     return losses
 
 
-def head_warmup(group, warmup_epochs: int, warmup_lr: float, batch_size: int,
-                loss_mode: str = "local_classes"):
+def head_warmup(group, warmup_epochs: int, warmup_lr: float, batch_size: int):
     """Train only the heads of a group of same-shape clients for a few
     epochs; feature extractors stay frozen but batch-norm running
     statistics do update.  Zero epochs is a no-op."""
@@ -196,13 +188,11 @@ def head_warmup(group, warmup_epochs: int, warmup_lr: float, batch_size: int,
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
     if warmup_epochs:
-        _train_group(group, warmup_epochs, warmup_lr, batch_size,
-                     frozenset({"feature_extractor"}), loss_mode)
+        _train_group(group, warmup_epochs, warmup_lr, batch_size, frozenset({"feature_extractor"}))
     return group
 
 
-def local_train(group, epochs: int, lr: float, batch_size: int,
-                loss_mode: str = "local_classes"):
+def local_train(group, epochs: int, lr: float, batch_size: int):
     """Run ``epochs`` full passes of mini-batch SGD on every client of a
     group, in lock-step.
 
@@ -216,19 +206,19 @@ def local_train(group, epochs: int, lr: float, batch_size: int,
         raise ConfigError("epochs must be at least 1")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    losses = _train_group(group, epochs, lr, batch_size, frozenset(), loss_mode)
+    losses = _train_group(group, epochs, lr, batch_size, frozenset())
     for k, c in enumerate(group):
         c.epoch_counter += epochs
         c.last_train_loss = float(np.mean([loss[k] for loss in losses]))
     return group
 
 
-def validation_loss(client: ClientState, loss_mode: str = "local_classes") -> float:
-    """Masked BCE on the client's validation split, eval mode, in place."""
-    cols = client.loss_columns(loss_mode)
+def validation_loss(client: ClientState) -> float:
+    """Masked BCE over the client's loss columns on its validation split,
+    eval mode, in place."""
     bufs = eval_buffers(client.arch, client.val.n, client.params.head_cols)
     _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id], bufs)
-    return masked_bce_loss(p, client.val.y, cols)
+    return masked_bce_loss(p, client.val.y, client.loss_cols)
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -268,6 +268,10 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
                 m = BN_MOMENTUM
                 params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
                 params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
+                for stat in (params.bn_mean[i], params.bn_var[i]):
+                    if not np.isfinite(stat).all():
+                        raise _non_finite(f"batch-norm running statistic of layer {i}", i,
+                                          stat[..., None, :], client_ids)
             else:
                 centered = np.subtract(h, params.bn_mean[i][..., None, :], out=out)
                 var = params.bn_var[i][..., None, :]

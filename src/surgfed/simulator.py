@@ -23,19 +23,15 @@ head column is merged.
 Clients that share a shape (train size, head width and number of loss
 columns) train in lock-step: one stacked forward and backward pass per
 step for the whole group, built once per run.  Every client keeps its
-own parameters and RNG stream, so each one ends bitwise where training
-it alone would; aggregation always walks clients in index order.  Worker
-threads (``parallel``) train different groups at the same time; they
-change no result but are a net loss under lock-step (README, "Command
-line"), and go once the benchmark harness stops passing ``parallel``
-positionally.
+own parameters, loss columns and RNG stream, so each one ends bitwise
+where training it alone would; groups train one after another on one
+thread, and aggregation always walks clients in index order.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +64,7 @@ class Method:
     """One row of the method table."""
 
     wide: bool          # head over all M classes, else one column per held class
-    loss_mode: str      # one of model.LOSS_MODES
+    loss_mode: str      # "local_classes", or "all_classes_negatives": every head column
     heads: str          # contributors per head column: its "holders", "all" clients or "personal"
     global_model: bool  # a global model is scored each round and checkpointed
     exchanges: bool     # each round sends parameters through server_update and back
@@ -233,7 +229,8 @@ def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture
     row, or one client on every site's data pooled.  Every head column
     is drawn once, in one M-column init; each client starts from copies
     of its feature tensors and of its own head columns, bitwise what
-    :func:`init_model` draws for the client's class ids."""
+    :func:`init_model` draws for the client's class ids.  The row's
+    ``loss_mode`` fixes each client's loss columns here."""
     row = METHOD_TABLE[cfg.method]
     seeds = cfg.resolved_seeds()
     M = data.registry.n_classes
@@ -252,13 +249,14 @@ def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture
             LabeledSet(np.vstack([t.x for _, t, _ in sites]), np.vstack([t.y for _, t, _ in sites])),
             LabeledSet(np.vstack([v.x for _, _, v in sites]), np.vstack([v.y for _, _, v in sites])),
         )]
+    loss_cols = tuple(range(M)) if row.loss_mode == "all_classes_negatives" else None
     clients = []
     for k, (classes, train, val) in enumerate(sites):
         clients.append(
             ClientState(
                 id=k, arch=arch, params=init.copy(None if row.wide else classes),
                 classes=classes, train=train, val=val,
-                rng=np.random.default_rng([seeds.shuffle, k]),
+                rng=np.random.default_rng([seeds.shuffle, k]), loss_cols=loss_cols,
             )
         )
     return clients
@@ -275,22 +273,18 @@ def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None
     return None
 
 
-def _client_groups(clients, loss_mode: str) -> list[ClientGroup]:
+def _client_groups(clients) -> list[ClientGroup]:
     """Clients that can train in lock-step, in order of their first
     member's id; each group owns its gather buffers for the run."""
     groups: dict[tuple, list[ClientState]] = {}
     for c in clients:
-        key = (c.train.n, c.params.head_cols, len(c.loss_columns(loss_mode)))
-        groups.setdefault(key, []).append(c)
+        groups.setdefault((c.train.n, c.params.head_cols, len(c.loss_cols)), []).append(c)
     return [ClientGroup(g) for g in groups.values()]
 
 
-def _train_all(groups, epochs, lr, batch_size, loss_mode, pool) -> None:
-    if pool is None:
-        for g in groups:
-            local_train(g, epochs, lr, batch_size, loss_mode)
-    else:
-        list(pool.map(lambda g: local_train(g, epochs, lr, batch_size, loss_mode), groups))
+def _train_all(groups, epochs, lr, batch_size) -> None:
+    for g in groups:
+        local_train(g, epochs, lr, batch_size)
 
 
 # perfbench/tracer.py wraps these names and mean_arrays here; they go once
@@ -300,12 +294,11 @@ _full_fedavg_update = _pfl_update = server_update
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None) -> RunResult:
-    """Run one experiment end to end.  ``parallel`` sets the number of
-    worker threads that train lock-step client groups side by side
-    (identical results, but slower than one; see the module docstring).
-    ``round_hook(round, global_params, clients)`` is called after every
-    communication round.  A :class:`NumericError` leaves with the round it
-    happened in (0 for the warmup) in its ``round`` and its message."""
+    """Run one experiment end to end on one thread; ``parallel`` is
+    checked (at least 1) and changes nothing.  ``round_hook(round,
+    global_params, clients)`` is called after every communication round.
+    A :class:`NumericError` leaves with the round it happened in (0 for
+    the warmup) in its ``round`` and its message."""
     need_int(parallel, "parallel", 1)
     row = METHOD_TABLE[config.method]
     data = generate_synthetic(config.scenario)
@@ -322,7 +315,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         # client starts from the same one
         pretrained_bn = collect_bn_stats(clients[0].params, arch, stats_split(config.scenario))
 
-    groups = _client_groups(clients, row.loss_mode)
+    groups = _client_groups(clients)
     reports: list[RoundReport] = []
     best_val = np.inf
     best_round = 0
@@ -330,10 +323,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     best_clients: list[ParamSet] | None = None
 
     r = 0  # the round a NumericError is reported in; 0 is the warmup
-    pool = ThreadPoolExecutor(max_workers=parallel) if parallel > 1 else None
     try:
         for g in groups:
-            head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size, row.loss_mode)
+            head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size)
         # after the warmup, since perfbench's setup_s ends where the warmup starts
         plan = TestPlan(data.test, registry)
         # the plan and the clients hold all the run reads from here on; the
@@ -344,7 +336,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
 
         for r in range(1, config.T // config.E + 1):
             t0 = time.perf_counter()
-            _train_all(groups, config.E, config.lr, config.batch_size, row.loss_mode, pool)
+            _train_all(groups, config.E, config.lr, config.batch_size)
 
             if row.exchanges:
                 global_params, sendbacks = server_update(
@@ -355,7 +347,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             else:
                 global_params = clients[0].params if row.global_model else None
 
-            val_losses = tuple(validation_loss(c, row.loss_mode) for c in clients)
+            val_losses = tuple(validation_loss(c) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
                 ev = evaluate(global_params, arch, range(M), plan, bufs=bufs)
@@ -386,9 +378,6 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
                     best_clients = [c.params.copy() for c in clients]
     except NumericError as exc:
         raise NumericError(f"{exc} in round {r}", exc.layer, exc.client, r) from exc
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     return RunResult(
         method=config.method,
@@ -452,7 +441,7 @@ def _per_class_vector(result: RunResult) -> dict[int, float | None]:
     return {c: (float(np.mean(v)) if v else None) for c, v in per_class.items()}
 
 
-def run_suite(configs, reference: str = "surgical", parallel: int = 1):
+def run_suite(configs, reference: str = "surgical"):
     """Run several methods on comparable scenarios and build one table.
 
     Returns ``(SuiteResult, list[RunResult | None])``; a member that
@@ -462,7 +451,6 @@ def run_suite(configs, reference: str = "surgical", parallel: int = 1):
     """
     from .metrics import paired_ttest, significance_stars
 
-    need_int(parallel, "parallel", 1)
     configs = list(configs)
     if not configs:
         raise ConfigError("suite needs at least one member config")
@@ -473,7 +461,7 @@ def run_suite(configs, reference: str = "surgical", parallel: int = 1):
     errors: list[str | None] = []
     for cfg in configs:
         try:
-            results.append(run_experiment(cfg, parallel))
+            results.append(run_experiment(cfg))
             errors.append(None)
         except Exception as exc:  # member failure must not sink the suite
             results.append(None)

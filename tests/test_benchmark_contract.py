@@ -57,7 +57,9 @@ def test_traced_run_keeps_the_round_loop_spans(tmp_path) -> None:
     ``simulator.evaluate`` spans opened directly under
     ``simulator.run_experiment``, which ``child.py`` wraps; a run of T=2
     rounds over K=2 clients must close two of them and 2*K validation
-    spans."""
+    spans.  ``simulator.train_s`` and ``model.local_train_s`` come from
+    one ``simulator.train`` span a round, holding one ``local_train``
+    span per lock-step group; the two clients share a shape, so one."""
     K = 2
     config = {
         "scenario": {"n_per_client": 40, "d": 4, "M": 3, "K": K, "seed": 5,
@@ -75,3 +77,5 @@ def test_traced_run_keeps_the_round_loop_spans(tmp_path) -> None:
     calls = {(name, parent): count for name, parent, count, _, _ in json.loads(proc.stdout)}
     assert calls.get(("simulator.evaluate", "simulator.run_experiment")) == 2
     assert calls.get(("simulator.val", "simulator.run_experiment")) == 2 * K
+    assert calls.get(("simulator.train", "simulator.run_experiment")) == 2
+    assert calls.get(("model.local_train", "simulator.train")) == 2

@@ -9,6 +9,7 @@ import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -74,8 +75,6 @@ def test_numpy_integers_are_accepted_as_ints() -> None:
     """A config built from numpy integers, as a script computing an
     assignment makes them, equals the one built from ints and
     serialises the same; bools of either kind are still no integers."""
-    import numpy as np
-
     def cfg(i, assignment):
         return ExperimentConfig(
             scenario=ScenarioSpec(n_per_client=i(40), d=i(4), M=i(3), K=i(2), seed=i(5), assignment=assignment),
@@ -102,11 +101,9 @@ def test_numpy_numbers_are_accepted_as_floats() -> None:
     """Every number field takes numpy integer and floating values: the
     config equals the one built from ``float(v)`` and round-trips through
     its serialised form; bools of either kind are no numbers."""
-    import numpy as np
-
     def cfg(v):
         return ExperimentConfig(
-            scenario=ScenarioSpec(n_per_client=40, d=4, M=3, K=2, seed=5, assignment=[[0, 1], [1, 2]],
+            scenario=ScenarioSpec(n_per_client=80, d=4, M=3, K=2, seed=5, assignment=[[0, 1], [1, 2]],
                                   skew="feature_shift", shift_sigma=v, label_noise=v / 4, val_fraction=v / 2),
             method="surgical", lr=v, warmup_lr=v,
         )
@@ -228,8 +225,9 @@ _MALFORMED = {
     "scenario.skew": _unknown(("iid", "feature_shift")),
     "scenario.shift_sigma": _numbers_outside(lambda v: v == 0.0),  # iid pins it to 0
     "scenario.label_noise": _numbers_outside(lambda v: 0.0 <= v < 0.5),
-    # with n_per_client 60, fractions of 0.9917 and above leave no training row
-    "scenario.val_fraction": _numbers_outside(lambda v: 0.0 < v < 1.0 and round(60 * v) < 60),
+    # with n_per_client 60, fractions below 0.025 or above 0.975 leave a split
+    # of fewer than 2 rows
+    "scenario.val_fraction": _numbers_outside(lambda v: 0.0 < v < 1.0 and 2 <= round(60 * v) <= 58),
 }
 # every integer field, set beyond the signed 64-bit range
 _HUGE = st.one_of(st.integers(min_value=2**63), st.integers(max_value=-2**63 - 1))
@@ -335,6 +333,8 @@ def test_every_fuzzed_field_is_rejected_by_both_entry_points(field, data) -> Non
 @example(("E", True))
 # a split with no training rows: accepted until data generation refused it
 @example(("scenario", {**SMALL_CONFIG["scenario"], "n_per_client": 2, "val_fraction": 0.9}))
+# one validation row, which never holds both labels: generation refused it
+@example(("scenario", {**SMALL_CONFIG["scenario"], "n_per_client": 4}))
 # accepted before the run's array footprint was checked; numpy raised
 # MemoryError for a 160 TiB array once the run had started
 @example(("scenario.n_per_client", 2**40))
@@ -471,14 +471,12 @@ def test_suite_outputs(tmp_path) -> None:
 
 
 def test_suite_failure_sets_exit_code(tmp_path) -> None:
-    doomed = {
-        **SMALL_CONFIG,
-        "method": "vanilla_fl",
-        "scenario": {**SMALL_CONFIG["scenario"], "n_per_client": 2},
-    }
+    # this step size overflows the weights: a NumericError in round 1
+    doomed = {**SMALL_CONFIG, "method": "vanilla_fl", "lr": 1e200}
     suite = {"members": [SMALL_CONFIG, doomed]}
     out = tmp_path / "out"
-    assert main(["suite", _write(tmp_path, suite, "suite.json"), "--out", str(out)]) == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["suite", _write(tmp_path, suite, "suite.json"), "--out", str(out)]) == 1
     meta = json.loads((out / "suite.json").read_text())
     assert meta["failed"] == ["vanilla_fl"]
     rows = _read_rows(out / "comparison.csv")

@@ -178,23 +178,34 @@ def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise) -> None:
 
 def test_a_split_without_training_rows_is_rejected_at_construction() -> None:
     """The split sizes are derived from the spec; a ``val_fraction`` that
-    leaves no training row fails when the spec is built, not when the
+    leaves fewer than 2 validation or training rows (a split of one row
+    never holds both labels) fails when the spec is built, not when the
     data is drawn, and the sizes are what the clients get."""
     with pytest.raises(ConfigError, match="val_fraction"):
         ScenarioSpec(n_per_client=2, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.9)
     with pytest.raises(ConfigError, match="val_fraction"):
         ScenarioSpec(n_per_client=60, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.995)
-    spec = ScenarioSpec(n_per_client=60, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.99)
-    assert (spec.n_val, spec.n_train) == (59, 1)
+    for n in range(2, 8):  # one validation row at the default fraction
+        with pytest.raises(ConfigError, match="val_fraction"):
+            ScenarioSpec(n_per_client=n, d=3, M=2, K=1, seed=0, assignment=[[0, 1]])
+    with pytest.raises(ConfigError, match="val_fraction"):
+        ScenarioSpec(n_per_client=60, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.99)
+    spec = ScenarioSpec(n_per_client=60, d=3, M=2, K=1, seed=0, assignment=[[0, 1]], val_fraction=0.97)
+    assert (spec.n_val, spec.n_train) == (58, 2)
+    spec = ScenarioSpec(n_per_client=8, d=3, M=2, K=1, seed=0, assignment=[[0, 1]])
+    assert (spec.n_val, spec.n_train) == (2, 6)
     spec = ScenarioSpec(n_per_client=60, d=3, M=2, K=2, seed=0, assignment=[[0, 1], [0, 1]], val_fraction=0.3)
     data = generate_synthetic(spec)
     assert all((cd.val.n, cd.train.n) == (spec.n_val, spec.n_train) == (18, 42) for cd in data.clients)
 
 
 def test_infeasible_split_raises() -> None:
-    # a single validation row can never show both label values
-    spec = ScenarioSpec(n_per_client=2, d=3, M=2, K=1, seed=0, assignment=[[0, 1]])
-    with pytest.raises(ConfigError, match="invariant"):
+    # a shift this large puts every row of a client on one side of each
+    # class's threshold; only label noise can give a split both values,
+    # and at this seed none of the 100 draws does
+    spec = ScenarioSpec(n_per_client=40, d=3, M=3, K=2, seed=1, assignment=[[0, 1], [1, 2]],
+                        skew="feature_shift", shift_sigma=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError, match="invariant"):
         generate_synthetic(spec)
 
 

@@ -13,6 +13,7 @@ from surgfed import (
     NumericError,
     ScenarioSpec,
     backward,
+    effect_of_clients_scenarios,
     forward,
     generate_synthetic,
     head_warmup,
@@ -105,15 +106,34 @@ def test_client_width_contracts(tiny_arch) -> None:
         _client(tiny_arch, classes=(0, 1, 2), width=2)
 
 
+def _loss_columns_rule(c: ClientState, loss_mode: str) -> tuple[int, ...]:
+    """The loss columns a method's ``loss_mode`` gives a client: every
+    head column for missing-as-negative, else the columns of its classes."""
+    width = c.params.head_cols
+    if loss_mode == "all_classes_negatives" or width == len(c.classes):
+        return tuple(range(width))
+    return c.classes
+
+
 def test_loss_columns_modes(tiny_arch) -> None:
-    narrow = _client(tiny_arch, classes=(1, 3))
-    assert narrow.loss_columns("local_classes") == (0, 1)
-    assert narrow.loss_columns("all_classes_negatives") == (0, 1)
-    wide = _client(tiny_arch, classes=(1, 3), width=5)
-    assert wide.loss_columns("local_classes") == (1, 3)
-    assert wide.loss_columns("all_classes_negatives") == (0, 1, 2, 3, 4)
+    """Every client of every method, on the oracle scenario and the K=5
+    ladder rung, holds the loss columns its method's ``loss_mode`` gives;
+    a client built without any holds the columns of its classes, and
+    columns outside the head fail at the first training or validation
+    call."""
+    for spec in (ORACLE_SCENARIO, effect_of_clients_scenarios(7000)[3]):  # K=4, K=5
+        for method in METHODS:
+            loss_mode = simulator.METHOD_TABLE[method].loss_mode
+            for c in _method_clients(method, spec):
+                assert c.loss_cols == _loss_columns_rule(c, loss_mode), (method, c.id)
+    assert _client(tiny_arch, classes=(1, 3)).loss_cols == (0, 1)
+    assert _client(tiny_arch, classes=(1, 3), width=5).loss_cols == (1, 3)
+    bad = _client(tiny_arch, classes=(1, 3), width=5)
+    bad.loss_cols = (1, 5)
     with pytest.raises(ConfigError):
-        narrow.loss_columns("everything")
+        local_train([bad], 1, 0.05, 16)
+    with pytest.raises(ConfigError):
+        validation_loss(bad)
 
 
 # --- training ------------------------------------------------------------------
@@ -163,8 +183,9 @@ def test_full_coverage_modes_agree(tiny_arch) -> None:
     # when a client holds every class the two loss modes are the same thing
     a = _client(tiny_arch, classes=(0, 1, 2), stream=5)
     b = _client(tiny_arch, classes=(0, 1, 2), stream=5)
-    local_train([a], 2, 0.05, 16, loss_mode="local_classes")
-    local_train([b], 2, 0.05, 16, loss_mode="all_classes_negatives")
+    b.loss_cols = (0, 1, 2)  # what missing-as-negative methods give a client
+    local_train([a], 2, 0.05, 16)
+    local_train([b], 2, 0.05, 16)
     assert params_equal(a.params, b.params)
 
 
@@ -228,11 +249,11 @@ def test_group_with_per_client_loss_columns_equals_solo(tiny_arch) -> None:
 # --- the lean lock-step step against the per-batch loop ---------------------
 
 
-def _oracle_train(c: ClientState, epochs: int, lr: float, batch_size: int, frozen, loss_mode: str):
+def _oracle_train(c: ClientState, epochs: int, lr: float, batch_size: int, frozen):
     """The per-batch loop, one client at a time, built only from the
     public kernel: gather a batch, ``forward``, ``masked_bce_loss``,
     ``backward``, ``sgd_step``.  Returns the per-epoch mean losses."""
-    cols = c.loss_columns(loss_mode)
+    cols = c.loss_cols
     params, losses = c.params.copy(), []
     for _ in range(epochs):
         order = c.rng.permutation(c.train.n)
@@ -249,8 +270,8 @@ def _oracle_train(c: ClientState, epochs: int, lr: float, batch_size: int, froze
     return losses
 
 
-def _oracle_local_train(c: ClientState, epochs: int, lr: float, batch_size: int, loss_mode: str):
-    losses = _oracle_train(c, epochs, lr, batch_size, frozenset(), loss_mode)
+def _oracle_local_train(c: ClientState, epochs: int, lr: float, batch_size: int):
+    losses = _oracle_train(c, epochs, lr, batch_size, frozenset())
     c.epoch_counter += epochs
     c.last_train_loss = float(np.mean(losses))
 
@@ -263,8 +284,8 @@ ORACLE_SCENARIO = ScenarioSpec(
 )
 
 
-def _method_clients(method: str) -> list[ClientState]:
-    cfg = ExperimentConfig(scenario=ORACLE_SCENARIO, method=method, T=2)
+def _method_clients(method: str, scenario=ORACLE_SCENARIO) -> list[ClientState]:
+    cfg = ExperimentConfig(scenario=scenario, method=method, T=2)
     return simulator._build_clients(generate_synthetic(cfg.scenario), cfg, cfg.architecture())
 
 
@@ -275,21 +296,20 @@ def test_lean_step_equals_the_per_batch_oracle(method) -> None:
     the public kernel gives: parameters, batch-norm statistics, losses,
     epoch counts and the next draw of every client's RNG stream.  The
     batch size leaves a short last batch."""
-    loss_mode = simulator.METHOD_TABLE[method].loss_mode
     once, twice, oracle = _method_clients(method), _method_clients(method), _method_clients(method)
-    groups = simulator._client_groups(once, loss_mode)
+    groups = simulator._client_groups(once)
     if method == "fl_partial_loss":
-        assert any(len({c.loss_columns(loss_mode) for c in g}) > 1 for g in groups)
+        assert any(len({c.loss_cols for c in g}) > 1 for g in groups)
     for g in groups:
-        head_warmup(g, 1, 0.02, 16, loss_mode)
-        local_train(g, 2, 0.05, 16, loss_mode)
-    for g in simulator._client_groups(twice, loss_mode):
-        head_warmup(g, 1, 0.02, 16, loss_mode)
-        local_train(g, 1, 0.05, 16, loss_mode)
-        local_train(g, 1, 0.05, 16, loss_mode)
+        head_warmup(g, 1, 0.02, 16)
+        local_train(g, 2, 0.05, 16)
+    for g in simulator._client_groups(twice):
+        head_warmup(g, 1, 0.02, 16)
+        local_train(g, 1, 0.05, 16)
+        local_train(g, 1, 0.05, 16)
     for c in oracle:
-        _oracle_train(c, 1, 0.02, 16, frozenset({"feature_extractor"}), loss_mode)
-        _oracle_local_train(c, 2, 0.05, 16, loss_mode)
+        _oracle_train(c, 1, 0.02, 16, frozenset({"feature_extractor"}))
+        _oracle_local_train(c, 2, 0.05, 16)
     for a, b, o in zip(once, twice, oracle):
         assert params_equal(a.params, o.params)
         assert params_equal(b.params, o.params)
@@ -312,7 +332,7 @@ def test_lean_step_numeric_error_matches_the_oracle(tiny_arch, layer) -> None:
         local_train(group, 1, 0.05, 16)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as oracle:
         for c in solo:
-            _oracle_local_train(c, 1, 0.05, 16, "local_classes")
+            _oracle_local_train(c, 1, 0.05, 16)
     assert (lean.value.layer, lean.value.client) == (oracle.value.layer, oracle.value.client)
     assert (lean.value.layer, lean.value.client) == (layer, 22)
     for c, snap in zip(group, before):

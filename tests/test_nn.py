@@ -301,6 +301,20 @@ def test_stacked_forward_names_the_failing_client(tiny_arch) -> None:
     assert err.value.client == 6
 
 
+def test_stacked_forward_names_the_client_with_non_finite_running_statistics(tiny_arch) -> None:
+    """An input so large its batch variance overflows normalises to
+    finite zeros, but folds an inf into the running variance: the
+    train-mode pass raises at the batch-norm layer and names the first
+    client that holds it."""
+    models = [init_model(tiny_arch, 2, seed=0) for _ in range(3)]
+    x = np.random.default_rng(1).normal(size=(3, 4, 4))
+    x[1:] *= 1e300
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+        forward(stack_params(models), tiny_arch, x, "train", [5, 6, 7])
+    assert (err.value.layer, err.value.client) == (1, 6)
+    assert "running statistic" in str(err.value)
+
+
 def test_stacked_mask_validation(tiny_arch) -> None:
     p = np.full((2, 3, 4), 0.5)
     y = np.zeros((2, 3, 4))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -166,6 +167,20 @@ def test_numeric_error_in_warmup_is_round_zero(monkeypatch) -> None:
     assert "round 0" in str(err.value)
 
 
+def test_non_finite_batch_norm_statistics_stop_the_run() -> None:
+    """A shift this large overflows the batch variance, which batch norm
+    turns into zero activations; the running variance it folds in is
+    inf.  The run stops in the warmup and names the layer and the first
+    bad client, rather than scoring chance AUROC with an inf in its
+    checkpoint."""
+    spec = ScenarioSpec(n_per_client=40, d=3, M=3, K=2, seed=0, assignment=[[0, 1], [1, 2]],
+                        skew="feature_shift", shift_sigma=1e300)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as err:
+        run_experiment(_cfg("surgical", scenario=spec, T=2, warmup_epochs=5))
+    assert (err.value.round, err.value.client, err.value.layer) == (0, 0, 1)
+    assert "batch-norm running statistic" in str(err.value)
+
+
 def test_surgical_equals_classical_when_homogeneous() -> None:
     """With every class everywhere the per-class merge degenerates to
     plain averaging: the two code paths must stay in bitwise lockstep
@@ -207,11 +222,19 @@ def test_rerun_is_bit_identical() -> None:
 
 
 def test_parallel_training_is_bit_identical() -> None:
+    """``parallel`` is checked and changes nothing: the run starts no
+    thread and gives the same bits."""
+    before = threading.active_count()
+    seen = []
     seq = run_experiment(_cfg("surgical"), parallel=1)
-    par = run_experiment(_cfg("surgical"), parallel=3)
+    par = run_experiment(_cfg("surgical"), parallel=3,
+                         round_hook=lambda *_: seen.append(threading.active_count()))
     assert params_equal(seq.global_params, par.global_params)
     for ra, rb in zip(seq.reports, par.reports):
         assert ra.client_train_loss == rb.client_train_loss
+    assert seen and set(seen) == {before}
+    with pytest.raises(ConfigError):
+        run_experiment(_cfg("surgical"), parallel=0)
 
 
 def test_round_loop_reuses_its_large_arrays() -> None:
@@ -328,18 +351,17 @@ def test_lock_step_groups_equal_one_client_calls(method) -> None:
     position of each client's RNG stream."""
     spec = effect_of_clients_scenarios(7000)[3]  # K=5
     cfg = ExperimentConfig(scenario=spec, method=method, T=2, warmup_epochs=1, lr=0.05)
-    loss_mode = simulator.METHOD_TABLE[method].loss_mode
     grouped, solo = _ladder_clients(cfg), _ladder_clients(cfg)
-    groups = simulator._client_groups(grouped, loss_mode)
+    groups = simulator._client_groups(grouped)
     if method in ("surgical", "pfl", "individual"):
         widths = {c.params.head_cols for c in grouped}
         assert 1 < len(groups) < len(grouped) and len(widths) > 1  # mixed widths, shared groups
     for g in groups:
-        head_warmup(g, 1, 0.01, 32, loss_mode)
-        local_train(g, 2, 0.05, 32, loss_mode)
+        head_warmup(g, 1, 0.01, 32)
+        local_train(g, 2, 0.05, 32)
     for c in solo:
-        head_warmup([c], 1, 0.01, 32, loss_mode)
-        local_train([c], 2, 0.05, 32, loss_mode)
+        head_warmup([c], 1, 0.01, 32)
+        local_train([c], 2, 0.05, 32)
     for a, b in zip(grouped, solo):
         assert params_equal(a.params, b.params)
         assert a.last_train_loss == b.last_train_loss
@@ -521,10 +543,10 @@ def test_suite_duplicate_method_labels() -> None:
 
 
 def test_suite_member_failure_is_recorded() -> None:
-    # a two-sample client cannot satisfy the split invariant, so this
-    # member blows up at data generation time
-    doomed = replace(HETERO, n_per_client=2)
-    suite, results = run_suite([_cfg("surgical"), _cfg("vanilla_fl", scenario=doomed)])
+    # this step size overflows the weights, so the member raises a
+    # NumericError in round 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        suite, results = run_suite([_cfg("surgical"), _cfg("vanilla_fl", lr=1e200)])
     assert not suite.rows[0].failed
     assert suite.rows[1].failed
     assert suite.rows[1].groups["all"].stars == "failed"
@@ -532,9 +554,8 @@ def test_suite_member_failure_is_recorded() -> None:
 
 
 def test_suite_requires_a_live_reference() -> None:
-    doomed = replace(HETERO, n_per_client=2)
-    with pytest.raises(ConfigError):
-        run_suite([_cfg("surgical", scenario=doomed), _cfg("vanilla_fl")])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConfigError):
+        run_suite([_cfg("surgical", lr=1e200), _cfg("vanilla_fl")])
     with pytest.raises(ConfigError):
         run_suite([_cfg("vanilla_fl")], reference="surgical")
     with pytest.raises(ConfigError):
