@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, NumericError
 from .nn import Architecture, ParamSet, forward
 # perfbench/tracer.py wraps clients_with_class under this module's name
 from .registry import ClassRegistry, clients_with_class  # noqa: F401
@@ -120,6 +120,16 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
     return global_W, global_b
 
 
+def _need_finite(merged: np.ndarray, parts, name: str, layer: int | None = None) -> None:
+    """A weighted mean of finite tensors can still overflow, in ``W * w``
+    or in the sum.  When the merged tensor holds a non-finite value that
+    none of the ``parts`` merged into it held, the server made it: raise
+    :class:`NumericError` naming the tensor and the server.  Parts that
+    already held one pass through as the mean gives them."""
+    if not np.isfinite(merged).all() and all(np.isfinite(a).all() for a in parts):
+        raise NumericError(f"non-finite averaged {name} on the server", layer=layer)
+
+
 def server_update(clients, registry: ClassRegistry | None, strategy: str = "fedavg",
                   pretrained_bn=None, weights=None):
     """One communication round.
@@ -132,6 +142,10 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     every head stays personal and no global model is built, which is the
     only case ``fedbn`` allows; otherwise the global model's statistics
     are the averaged ones (``fedavg``) or ``pretrained_bn`` (``fedbn_plus``).
+    Every averaged tensor and the merged head are checked once: a
+    non-finite value that the merge made from finite inputs raises
+    :class:`NumericError` naming the tensor and the server (``client``
+    None).
 
     Returns ``(global ParamSet or None, sendbacks)``: one fresh parameter
     set per client, holding the averaged feature tensors, the statistics
@@ -160,9 +174,14 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
                 raise ContractViolation(f"client {k} head width does not match the registry")
 
     def average(group: str) -> dict:
-        """Every tensor of ``group`` (a ParamSet field), averaged over the clients."""
-        return {key: mean_arrays([getattr(ps, group)[key] for ps in param_sets], weights)
-                for key in sorted(getattr(param_sets[0], group))}
+        """Every tensor of ``group`` (a ParamSet field), averaged over the
+        clients and checked; the layer is the key's leading index."""
+        out = {}
+        for key in sorted(getattr(param_sets[0], group)):
+            parts = [getattr(ps, group)[key] for ps in param_sets]
+            out[key] = mean_arrays(parts, weights)
+            _need_finite(out[key], parts, f"{group}[{key!r}]", int(str(key).split(".")[0]))
+        return out
 
     feature = average("feature")
     shared_stats = strategy == "fedavg"
@@ -180,6 +199,8 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     if keep_global:
         heads = [(ps.head_W, ps.head_b, registry.client_classes[k]) for k, ps in enumerate(param_sets)]
         global_W, global_b = surgical_head_update(heads, registry, weights)
+        _need_finite(global_W, [ps.head_W for ps in param_sets], "head_W")
+        _need_finite(global_b, [ps.head_b for ps in param_sets], "head_b")
         global_params = ParamSet(
             feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=global_W, head_b=global_b,
         )

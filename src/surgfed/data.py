@@ -10,7 +10,9 @@ A client annotates only its own classes, so its labels are kept only
 for those: each client's labels are drawn over all M classes and cut to
 its columns before the next client's are drawn.  Generation holds at
 most one client's full-width label matrix at a time, besides the test
-set's.
+set's.  Labels are ``int8`` 0/1 from the draw on, one byte each: for
+0/1 values every product and difference the training and scoring code
+forms with them gives the bits float64 labels would.
 """
 
 from __future__ import annotations
@@ -31,24 +33,27 @@ _TAG_TRUTH, _TAG_TEST, _TAG_CLIENT, _TAG_SHIFT, _TAG_STATS = 11, 12, 13, 14, 15
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature matrix plus binary label matrix for one split."""
+    """Feature matrix plus binary label matrix for one split.  The
+    labels must be exactly 0 or 1, whatever their dtype, and are kept
+    as ``int8``."""
 
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
+        y = np.asarray(self.y)
         if x.ndim != 2 or y.ndim != 2:
             raise ConfigError("x and y must be 2-D")
         if x.shape[0] != y.shape[0]:
             raise ConfigError("x and y disagree on the number of samples")
         if not np.isfinite(x).all():
             raise ConfigError("x contains non-finite values")
-        if not np.all((y == 0.0) | (y == 1.0)):
+        # checked before the cast, which would turn 0.5 into 0
+        if not np.all((y == 0) | (y == 1)):
             raise ConfigError("labels must be exactly 0 or 1")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", y.astype(np.int8, copy=False))
 
     @property
     def n(self) -> int:
@@ -196,11 +201,11 @@ def _labels_for(x: np.ndarray, u: np.ndarray, tau: np.ndarray, noise: float, rng
     y = x @ u.T > tau
     # drawn at every noise level, 0 included, so the stream stays aligned
     y ^= rng.random(y.shape) < noise
-    return y.astype(np.float64)
+    return y.view(np.int8)
 
 
 def _both_labels_present(y: np.ndarray) -> bool:
-    return bool(np.all(y.max(axis=0) == 1.0) and np.all(y.min(axis=0) == 0.0))
+    return bool(np.all(y.max(axis=0) == 1) and np.all(y.min(axis=0) == 0))
 
 
 def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
@@ -238,8 +243,6 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
     for attempt in range(_MAX_THRESHOLD_ATTEMPTS):
         tau = truth_rng.uniform(-_THRESHOLD_BAND, _THRESHOLD_BAND, spec.M)
         y_test = _labels_for(x_test, u, tau, spec.label_noise, truth_rng)
-        # the cuts keep the layout fancy indexing gives them: the order of
-        # later reductions over the labels, and so their bits, depend on it
         kept = []
         for k, xk in enumerate(xs):
             yk = _labels_for(xk, u, tau, spec.label_noise, truth_rng)
@@ -273,16 +276,16 @@ def stats_split(spec: ScenarioSpec, n: int = 1024) -> np.ndarray:
 
 def scatter_restricted(y_restricted: np.ndarray, classes, M: int) -> np.ndarray:
     """Inverse of restricting columns: place the restricted labels at
-    their global positions, zeros elsewhere.  Applied to the restricted
-    columns of a full label matrix, it zeroes every column outside
-    ``classes`` (missing labels read as negatives)."""
-    y_restricted = np.asarray(y_restricted, dtype=np.float64)
+    their global positions, zeros elsewhere, in their dtype.  Applied to
+    the restricted columns of a full label matrix, it zeroes every column
+    outside ``classes`` (missing labels read as negatives)."""
+    y_restricted = np.asarray(y_restricted)
     cols = sorted({int(c) for c in classes})
     if len(cols) != y_restricted.shape[1]:
         raise ConfigError("classes must match the restricted width")
     if cols and cols[-1] >= M:
         raise ConfigError("class index out of range")
-    out = np.zeros((y_restricted.shape[0], M), dtype=np.float64)
+    out = np.zeros((y_restricted.shape[0], M), dtype=y_restricted.dtype)
     out[:, cols] = y_restricted
     return out
 

@@ -56,13 +56,13 @@ def auroc(scores, labels) -> float | None:
     """Probability that a random positive outranks a random negative,
     ties counted one half.  None when only one label value is present."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
-    labels = np.asarray(labels, dtype=np.float64).ravel()
+    labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ConfigError("scores and labels must have the same length")
     if scores.size == 0:
         raise ConfigError("cannot compute AUROC of an empty set")
-    is_pos = labels == 1.0
-    if not np.all(is_pos | (labels == 0.0)):
+    is_pos = labels == 1
+    if not np.all(is_pos | (labels == 0)):
         raise ConfigError("labels must be exactly 0 or 1")
     n_pos = int(np.count_nonzero(is_pos))
     if n_pos == 0 or n_pos == labels.size:
@@ -137,13 +137,13 @@ class TestPlan:
     Built from the test set and the registry: the labels are checked
     against the registry width and for values other than 0 and 1 here,
     not on every evaluation.  The plan keeps the test features ``x``
-    (``n`` rows) and, in place of the float64 label matrix (8 MB at
-    M=500, n=2000), ``labels``: class ``c``'s label column as a
-    contiguous ``int8`` row (an M x n array, 1 MB there), ready to be
-    or-ed into the sort keys of :func:`_auroc_rows`.  ``n_pos[c]``
-    counts its positives, ``degenerate[c]`` marks the classes whose
-    labels take one value, and ``groups`` holds the sharing-profile
-    classes by group name.
+    (``n`` rows) and, in place of the test set's ``int8`` label matrix,
+    ``labels``: class ``c``'s label column as a contiguous ``int8`` row
+    (an M x n array, 1 MB at M=500, n=2000), ready to be or-ed into the
+    sort keys of :func:`_auroc_rows`.  ``n_pos[c]`` counts its
+    positives, ``degenerate[c]`` marks the classes whose labels take one
+    value, and ``groups`` holds the sharing-profile classes by group
+    name.
     """
 
     __test__ = False  # a library class, not a pytest test case
@@ -160,15 +160,15 @@ class TestPlan:
         y = test.y
         if y.shape[1] != registry.n_classes:
             raise ContractViolation("test labels must cover every global class")
-        is_pos = y == 1.0
-        if not np.all(is_pos | (y == 0.0)):
+        if not np.all((y == 0) | (y == 1)):
             raise ConfigError("labels must be exactly 0 or 1")
-        n_pos = np.count_nonzero(is_pos, axis=0)
+        labels = np.ascontiguousarray(y.T, dtype=np.int8)
+        n_pos = np.count_nonzero(labels, axis=1)
         profile = sharing_profile(registry)
         object.__setattr__(self, "x", test.x)
         object.__setattr__(self, "n", test.n)
         object.__setattr__(self, "registry", registry)
-        object.__setattr__(self, "labels", np.ascontiguousarray(is_pos.T).view(np.int8))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "n_pos", n_pos)
         object.__setattr__(self, "degenerate", (n_pos == 0) | (n_pos == test.n))
         object.__setattr__(self, "groups", {g: getattr(profile, g) for g in GROUP_NAMES})

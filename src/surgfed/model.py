@@ -121,9 +121,10 @@ class ClientState:
 class ClientGroup(list):
     """Clients that train in lock-step, with the buffers each epoch
     gathers their shuffled training rows into: ``x`` is (K, n, d), ``y``
-    is (K, n, c), and slice k always holds a row permutation of client k's
-    training set.  The simulator builds one per group per run; a plain
-    list passed to a training call is wrapped in one for that call."""
+    is (K, n, c) in the labels' dtype (``int8``), and slice k always
+    holds a row permutation of client k's training set.  The simulator
+    builds one per group per run; a plain list passed to a training call
+    is wrapped in one for that call."""
 
     def __init__(self, clients):
         super().__init__(clients)

@@ -1,11 +1,14 @@
 """Minimal dense-network kernel: forward, masked BCE, backprop, SGD.
 
-Everything is float64.  One model works on 2-D arrays (samples in rows);
-K same-shape models train in lock-step when every tensor, parameters
-included, carries a leading model axis.  The kernel is written once for
-both: matmuls run over the leading axes and every reduction is over
-``axis=-2``, so each model's slice of a stacked call is bitwise what a
-call with that model alone gives.
+Parameters, activations and losses are float64.  Labels may be of any
+numeric dtype holding exactly 0 and 1 (runs keep them as ``int8``) and
+are never widened: for 0/1 labels the loss and its gradient are bitwise
+what float64 labels give.  One model works on 2-D arrays (samples in
+rows); K same-shape models train in lock-step when every tensor,
+parameters included, carries a leading model axis.  The kernel is
+written once for both: matmuls run over the leading axes and every
+reduction is over ``axis=-2``, so each model's slice of a stacked call
+is bitwise what a call with that model alone gives.
 
 A model is a stack of feature layers (dense, batchnorm, relu) followed
 by an implicit classification head: one dense layer plus a sigmoid.
@@ -198,8 +201,8 @@ def unstack_params(stacked: ParamSet) -> list[ParamSet]:
     ]
 
 
-def _as_batch(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
+def _as_batch(x, name: str, dtype=np.float64) -> np.ndarray:
+    a = np.asarray(x, dtype=dtype)
     if a.ndim not in (2, 3):
         raise ConfigError(f"{name} must be a 2-D array or a stack of them, got shape {a.shape}")
     return a
@@ -266,9 +269,10 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
             if train:
                 mu, centered, var = _batch_stats(h)
                 m = BN_MOMENTUM
-                params.bn_mean[i][...] = (1.0 - m) * params.bn_mean[i] + m * mu[..., 0, :]
-                params.bn_var[i][...] = (1.0 - m) * params.bn_var[i] + m * var[..., 0, :]
-                for stat in (params.bn_mean[i], params.bn_var[i]):
+                for stat, new in ((params.bn_mean[i], mu), (params.bn_var[i], var)):
+                    # bitwise (1 - m) * stat + m * new, in place
+                    stat *= 1.0 - m
+                    stat += m * new[..., 0, :]
                     if not np.isfinite(stat).all():
                         raise _non_finite(f"batch-norm running statistic of layer {i}", i,
                                           stat[..., None, :], client_ids)
@@ -282,7 +286,8 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
             h += params.feature[f"{i}.beta"][..., None, :]
         else:  # relu
             h = np.maximum(h, 0.0, out=out)
-        if not np.isfinite(h).all():
+        # past layer 0 a relu's input was checked, and max(x, 0) of a finite x is finite
+        if (spec.kind != "relu" or i == 0) and not np.isfinite(h).all():
             raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
         acts.append(h)
     logits = np.matmul(h, params.head_W, out=None if bufs is None else next(bufs))
@@ -357,25 +362,33 @@ def _take_cols(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 def _check_pair(p, y) -> tuple[np.ndarray, np.ndarray]:
     p = _as_batch(p, "p")
-    y = _as_batch(y, "y")
+    y = _as_batch(y, "y", None)
     if p.shape != y.shape:
         raise ConfigError(f"p {p.shape} and y {y.shape} differ in shape")
     return p, y
 
 
 def _check_labels(y: np.ndarray) -> None:
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not np.all((y == 0) | (y == 1)):
         raise ConfigError("labels must be exactly 0 or 1")
 
 
 def _bce(p: np.ndarray, y: np.ndarray):
     """Clamped BCE averaged over every sample and column of ``p``, one
-    value per stacked model."""
-    p = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    bce = -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
+    value per stacked model, for 0/1 labels ``y`` of any dtype.
+
+    Bitwise ``mean(-(y * log p + (1 - y) * log1p(-p)))``: for y in {0, 1}
+    the term it drops is a signed zero, and the mean of the negated
+    terms is the negated mean."""
+    q = np.maximum(p, BCE_CLAMP)  # the clamp, into a new array
+    np.minimum(q, 1.0 - BCE_CLAMP, out=q)
+    log_p = np.log(q)
+    np.log1p(np.negative(q, out=q), out=q)
+    np.copyto(q, log_p, where=y == 1)  # where(y == 1, log p, log1p(-p))
     # reduce over a contiguous (..., columns, samples) layout: column-major
     # per model, the order a 2-D call's column selection leaves it in
-    return np.ascontiguousarray(bce.swapaxes(-1, -2)).mean(axis=(-2, -1))
+    total = np.add.reduce(np.ascontiguousarray(q.swapaxes(-1, -2)), axis=(-2, -1))
+    return -(total / (q.shape[-2] * q.shape[-1]))
 
 
 def masked_bce_loss(p, y, mask):
@@ -418,7 +431,7 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
     stay empty."""
     nspecs = len(arch.feature_specs)
     grad_head_W = activations[nspecs].swapaxes(-1, -2) @ g
-    grad_head_b = g.sum(axis=-2)
+    grad_head_b = np.add.reduce(g, axis=-2)
     grads: dict[str, np.ndarray] = {}
     if heads_only:
         return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
@@ -428,7 +441,7 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
         x_in = activations[i]
         if spec.kind == "dense":
             grads[f"{i}.W"] = x_in.swapaxes(-1, -2) @ g
-            grads[f"{i}.b"] = g.sum(axis=-2)
+            grads[f"{i}.b"] = np.add.reduce(g, axis=-2)
             if i > 0:  # the input gradient of the first layer has no use
                 g = g @ params.feature[f"{i}.W"].swapaxes(-1, -2)
         elif spec.kind == "batchnorm":
@@ -437,13 +450,13 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
             centered, std = norms[i]
             inv = 1.0 / std
             xhat = centered * inv
-            grads[f"{i}.gamma"] = (g * xhat).sum(axis=-2)
-            grads[f"{i}.beta"] = g.sum(axis=-2)
+            grads[f"{i}.gamma"] = np.add.reduce(g * xhat, axis=-2)
+            grads[f"{i}.beta"] = np.add.reduce(g, axis=-2)
             dxhat = g * gamma
             g = (inv / nb) * (
                 nb * dxhat
-                - dxhat.sum(axis=-2, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-2, keepdims=True)
+                - np.add.reduce(dxhat, axis=-2, keepdims=True)
+                - xhat * np.add.reduce(dxhat * xhat, axis=-2, keepdims=True)
             )
         else:  # relu
             g = g * (x_in > 0.0)
@@ -527,7 +540,7 @@ def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, 
     ``x`` and ``y`` hold all of it, stacked like ``params``.  Returns
     ``(cols, frozen)`` in the form :func:`train_step` takes; ``cols`` is
     None when the mask names every head column."""
-    x, y = _as_batch(x, "x"), _as_batch(y, "y")
+    x, y = _as_batch(x, "x"), _as_batch(y, "y", None)
     _check_inputs(params, arch, x)
     if y.shape != x.shape[:-1] + (params.head_cols,):
         raise ContractViolation(f"labels {y.shape} do not match inputs {x.shape} and the head")

@@ -159,12 +159,13 @@ class ExperimentConfig:
         need_flag(self.sample_weighted, "sample_weighted")
         if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
             raise ConfigError("must be a SeedBundle or None", "seeds")
-        # float64 client data and its gather buffers, the test set and its
-        # forward-pass buffers; rejected here rather than by numpy mid-run.
-        # An upper bound: it counts every client's labels M wide, which
-        # only wide-head methods hold, so it over-counts narrow-head runs
+        # client data and its gather buffers, the test set and its
+        # forward-pass buffers, float64 but for the int8 labels; rejected
+        # here rather than by numpy mid-run.  An upper bound: it counts
+        # every client's labels M wide, which only wide-head methods hold
         s = self.scenario
-        need = 8 * (2 * s.K * s.n_per_client * (s.d + s.M) + s.n_test * (s.d + 2 * s.M + sum(widths)))
+        need = (8 * (2 * s.K * s.n_per_client * s.d + s.n_test * (s.d + s.M + sum(widths)))
+                + 2 * s.K * s.n_per_client * s.M + s.n_test * s.M)
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
             raise ConfigError(f"needs an estimated {need / 2**30:,.1f} GiB of arrays, more than the "
@@ -329,7 +330,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         # after the warmup, since perfbench's setup_s ends where the warmup starts
         plan = TestPlan(data.test, registry)
         # the plan and the clients hold all the run reads from here on; the
-        # float64 test labels and any labels the clients copied go with data
+        # test labels and any labels the clients copied go with data
         realized = data.realized()
         del data
         bufs = eval_buffers(arch, plan.n, M)  # the run's test-set forward pass

@@ -12,6 +12,7 @@ from surgfed import (
     ContractViolation,
     STRATEGIES,
     LabeledSet,
+    NumericError,
     ParamSet,
     build_architecture,
     collect_bn_stats,
@@ -455,6 +456,29 @@ def test_server_update_contracts(small_registry, tiny_arch) -> None:
         server_update(clients, small_registry)
     with pytest.raises(ContractViolation):
         server_update(clients[:2], small_registry)
+
+
+def test_server_update_names_the_server_when_the_merge_overflows() -> None:
+    """Finite client tensors whose weighted mean is not finite: with
+    weights 1600, ``W * w`` of a head near 1e306 is inf.  The round
+    raises ``NumericError`` naming the merged tensor and the server, with
+    no client; a feature tensor names its layer too.  At unit weights the
+    same heads merge to a finite mean."""
+    reg = ClassRegistry(["a", "b"], [(0, 1), (0, 1)])
+    arch = build_architecture(3, hidden=(4, 2), use_batchnorm=False)
+    clients = _client_states(reg, arch, seed=26)
+    for c in clients:
+        c.params.head_W[...] = 1e306
+    gp, _ = server_update(clients, reg)
+    np.testing.assert_array_equal(gp.head_W, 1e306)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="head_W on the server") as err:
+        server_update(clients, reg, weights=[1600, 1600])
+    assert (err.value.client, err.value.layer) == (None, None)
+    for c in clients:
+        c.params.feature["2.W"][0, 0] = 1e306
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match=r"feature\['2.W'\] on the server") as err:
+        server_update(clients, reg, weights=[1600, 1600])
+    assert (err.value.client, err.value.layer) == (None, 2)
 
 
 # --- every exchanging method against an independent FedAvg oracle --------------

@@ -158,6 +158,40 @@ def test_uncoercible_values_exit_2_before_compute(tmp_path, monkeypatch, bad) ->
     assert main(["run", _write(tmp_path, cfg), "--out", str(tmp_path / "x")]) == 2
 
 
+def test_memory_estimate_counts_labels_at_one_byte(tmp_path, monkeypatch) -> None:
+    """A config is rejected when its estimated arrays exceed physical
+    memory: 8·(2·K·n·d + n_test·(d + M + Σhidden)) bytes of float64 data
+    and buffers plus 2·K·n·M + n_test·M bytes of int8 labels.  A machine
+    of exactly that size takes the config, also one that float64 labels
+    would have overfilled; one byte less exits 2 before any work."""
+    import surgfed.cli as cli
+    from surgfed import simulator
+
+    s = SMALL_CONFIG["scenario"]
+    K, n, d, M, n_test, hidden = s["K"], s["n_per_client"], s["d"], s["M"], 2000, (32, 16)
+    need = 8 * (2 * K * n * d + n_test * (d + M + sum(hidden))) + 2 * K * n * M + n_test * M
+    float64_need = 8 * (2 * K * n * (d + M) + n_test * (d + 2 * M + sum(hidden)))
+    assert need < float64_need
+
+    def machine(nbytes):
+        monkeypatch.setattr(simulator.os, "sysconf",
+                            lambda name: {"SC_PHYS_PAGES": nbytes, "SC_PAGE_SIZE": 1}[name])
+
+    for have in (need, float64_need - 1):
+        machine(have)
+        parse_config(SMALL_CONFIG)
+
+    def no_compute(*args, **kwargs):
+        raise AssertionError("compute started before the config was rejected")
+
+    monkeypatch.setattr(cli, "generate_synthetic", no_compute)
+    monkeypatch.setattr(cli, "run_experiment", no_compute)
+    machine(need - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        parse_config(SMALL_CONFIG)
+    assert main(["run", _write(tmp_path, SMALL_CONFIG), "--out", str(tmp_path / "x")]) == 2
+
+
 # --- config fuzz: one field of a valid config made malformed -------------------
 
 _VALID = {**SMALL_CONFIG, "seeds": {"init": 1, "shuffle": 2}}

@@ -34,6 +34,28 @@ def test_labeled_set_validation() -> None:
     assert ls.n == 2
 
 
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.nan, 256, -255])
+def test_labeled_set_rejects_non_binary_labels_before_any_conversion(bad) -> None:
+    """Labels are checked for exactly 0 and 1 in the dtype they arrive
+    in, before they are stored as ``int8``: the cast would read 0.5 as 0
+    and 256 as 0, and give NaN no defined value."""
+    y = np.zeros((3, 2), dtype=np.float64 if isinstance(bad, float) else np.int64)
+    y[1, 1] = bad
+    with pytest.raises(ConfigError, match="exactly 0 or 1"):
+        LabeledSet(np.zeros((3, 2)), y)
+
+
+def test_labeled_set_keeps_its_labels_as_int8() -> None:
+    """0/1 labels of any dtype are kept as ``int8``; ``int8`` labels are
+    kept as they are, not copied."""
+    for y in ([[1, 0], [0, 1]], np.eye(2), np.eye(2, dtype=bool), np.eye(2, dtype=np.uint16)):
+        ls = LabeledSet(np.zeros((2, 2)), y)
+        assert ls.y.dtype == np.int8
+        np.testing.assert_array_equal(ls.y, np.eye(2))
+    y = np.eye(2, dtype=np.int8)
+    assert LabeledSet(np.zeros((2, 2)), y).y is y
+
+
 def test_spec_validation() -> None:
     base = dict(n_per_client=50, d=4, M=3, K=2, seed=0)
     with pytest.raises(ConfigError):
@@ -153,9 +175,10 @@ def _labels_by_formula(x, u, tau, noise, rng):
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
 def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise) -> None:
-    """``_labels_for`` flips boolean labels in place: the same draws give
-    the formula's labels bit for bit, C-ordered, and its traced peak stays
-    within 1.5x of the bytes it returns (the formula's is about 3x)."""
+    """``_labels_for`` flips boolean labels in place and returns them as
+    ``int8``: the same draws give the formula's values, C-ordered, and its
+    traced peak stays within 1.5x of the bytes float64 labels would take
+    (the formula's is about 3x)."""
     import tracemalloc
 
     from surgfed.data import _labels_for
@@ -171,9 +194,9 @@ def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise) -> None:
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert got.dtype == np.float64 and got.flags.c_contiguous
-    assert got.tobytes() == expected.tobytes()
-    assert peak <= 1.5 * got.nbytes, (peak, got.nbytes)
+    assert got.dtype == np.int8 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, expected)
+    assert peak <= 1.5 * got.size * 8, (peak, got.size * 8)
 
 
 def test_a_split_without_training_rows_is_rejected_at_construction() -> None:

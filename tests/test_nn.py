@@ -422,6 +422,48 @@ def test_backward_rejects_stale_activations(tiny_arch) -> None:
         backward(params, tiny_arch, acts, p[:2], y[:2], [0])
 
 
+def test_loss_of_int8_labels_is_the_float64_formula_bit_for_bit() -> None:
+    """For 0/1 labels the loss and its output gradient are bitwise the
+    float64 formula's, whatever the labels' dtype: clamped BCE averaged
+    column by column, and ``p - y`` over the count."""
+    rng = np.random.default_rng(5)
+    p = rng.random((3, 17, 6))
+    p[0, :4, 0] = (0.0, 1.0, BCE_CLAMP / 2, 1.0 - BCE_CLAMP / 2)
+    y = (rng.random(p.shape) < 0.5).astype(np.int8)
+    yf = y.astype(np.float64)
+    pc = np.clip(p, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    bce = -(yf * np.log(pc) + (1.0 - yf) * np.log1p(-pc))
+    for cols in ([0, 1, 2, 3, 4, 5], [1, 4]):
+        want = np.ascontiguousarray(bce[..., cols].swapaxes(-1, -2)).mean(axis=(-2, -1))
+        for labels in (y, yf, y.astype(bool)):
+            assert masked_bce_loss(p, labels, cols).tobytes() == want.tobytes()
+            for k in range(3):
+                assert np.float64(masked_bce_loss(p[k], labels[k], cols)).tobytes() == want[k].tobytes()
+    arch = Architecture(in_dim=2)
+    params = init_model(arch, 6, seed=1)
+    acts, out = forward(params, arch, rng.normal(size=(17, 2)))
+    g8, g64 = (backward(params, arch, acts, out, labels, range(6)) for labels in (y[0], yf[0]))
+    assert g8.head_W.tobytes() == g64.head_W.tobytes() and g8.head_b.tobytes() == g64.head_b.tobytes()
+
+
+def test_check_training_reads_the_labels_where_they_lie(tiny_arch) -> None:
+    """``check_training`` checks a stacked ``int8`` label set in place: its
+    traced peak stays below the bytes a float64 copy of the stack takes."""
+    import tracemalloc
+
+    params = stack_params([init_model(tiny_arch, 3, seed=s) for s in (1, 2)])
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(2, 20_000, 4))
+    y = (rng.random((2, 20_000, 3)) < 0.5).astype(np.int8)
+    tracemalloc.start()
+    try:
+        assert check_training(params, tiny_arch, x, y, (0, 1, 2), 0.1, ()) == (None, frozenset())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < y.size * 8, (peak, y.size * 8)
+
+
 # --- SGD ------------------------------------------------------------------
 
 
