@@ -9,7 +9,10 @@ whose head holds c, taken in ascending client order.  With the class
 registry that is the surgical merge; with a registry in which every
 client holds all M columns it is plain FedAvg of full-width heads; with
 no registry every head stays personal.  A class held by a single client
-passes through bit-exactly.
+passes through bit-exactly.  Each client gets back the round's model
+cut to its own columns, one :meth:`ParamSet.copy` of the averaged
+features, the statistics it keeps and the merged (or its own) head: the
+cut that builds each client's initial model from the M-column init.
 
 All means are one rule, FedAvg's weighted mean as :func:`mean_arrays`
 sums it, left to right in client order; no weights means unit weights,
@@ -207,21 +210,10 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
 
     sendbacks = []
     for k, ps in enumerate(param_sets):
+        own_stats = (bn_mean, bn_var) if shared_stats else (ps.bn_mean, ps.bn_var)
         if keep_global:
-            # a C-ordered copy: the fancy index alone gives an F-ordered
-            # array, on which BLAS takes another path and rounds differently
-            cols = list(registry.client_classes[k])
-            head_W, head_b = global_W[:, cols].copy(), global_b[cols]
+            head, cols = (global_W, global_b), registry.client_classes[k]
         else:
-            head_W, head_b = ps.head_W.copy(), ps.head_b.copy()
-        own_mean, own_var = (bn_mean, bn_var) if shared_stats else (ps.bn_mean, ps.bn_var)
-        sendbacks.append(
-            ParamSet(
-                feature={key: v.copy() for key, v in feature.items()},
-                bn_mean={i: v.copy() for i, v in own_mean.items()},
-                bn_var={i: v.copy() for i, v in own_var.items()},
-                head_W=head_W,
-                head_b=head_b,
-            )
-        )
+            head, cols = (ps.head_W, ps.head_b), None
+        sendbacks.append(ParamSet(feature, *own_stats, *head).copy(cols))
     return global_params, sendbacks

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, need_int, need_number
-from .registry import ClassRegistry
+from .errors import ConfigError, need_binary, need_int, need_number
+from .registry import ClassRegistry, need_class_ids
 
 _THRESHOLD_BAND = 0.8  # keeps per-class prevalence in roughly [0.2, 0.8]
 _MAX_THRESHOLD_ATTEMPTS = 100
@@ -49,9 +49,7 @@ class LabeledSet:
             raise ConfigError("x and y disagree on the number of samples")
         if not np.isfinite(x).all():
             raise ConfigError("x contains non-finite values")
-        # checked before the cast, which would turn 0.5 into 0
-        if not np.all((y == 0) | (y == 1)):
-            raise ConfigError("labels must be exactly 0 or 1")
+        need_binary(y)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y.astype(np.int8, copy=False))
 
@@ -280,11 +278,11 @@ def scatter_restricted(y_restricted: np.ndarray, classes, M: int) -> np.ndarray:
     the restricted columns of a full label matrix, it zeroes every column
     outside ``classes`` (missing labels read as negatives)."""
     y_restricted = np.asarray(y_restricted)
-    cols = sorted({int(c) for c in classes})
+    cols = sorted(need_class_ids(classes, "classes", M))
+    if len(set(cols)) != len(cols):
+        raise ConfigError("classes must not name a class twice")
     if len(cols) != y_restricted.shape[1]:
         raise ConfigError("classes must match the restricted width")
-    if cols and cols[-1] >= M:
-        raise ConfigError("class index out of range")
     out = np.zeros((y_restricted.shape[0], M), dtype=y_restricted.dtype)
     out[:, cols] = y_restricted
     return out

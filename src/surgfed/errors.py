@@ -52,6 +52,16 @@ def need_flag(value, field: str) -> bool:
     return value
 
 
+def need_binary(labels: np.ndarray) -> np.ndarray:
+    """``labels == 1`` if every entry of ``labels`` is exactly 0 or 1,
+    whatever its dtype; checked before any cast, which would turn 0.5
+    into 0."""
+    is_pos = labels == 1
+    if not np.all(is_pos | (labels == 0)):
+        raise ConfigError("labels must be exactly 0 or 1")
+    return is_pos
+
+
 class ContractViolation(RuntimeError):
     """Internal inconsistency between objects that should agree (stale
     activations, head width not matching a registry, and so on)."""

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .data import LabeledSet
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, need_binary
 from .nn import Architecture, ParamSet, forward
 from .registry import GROUP_NAMES, ClassRegistry, need_class_ids, sharing_profile
 
@@ -61,9 +61,7 @@ def auroc(scores, labels) -> float | None:
         raise ConfigError("scores and labels must have the same length")
     if scores.size == 0:
         raise ConfigError("cannot compute AUROC of an empty set")
-    is_pos = labels == 1
-    if not np.all(is_pos | (labels == 0)):
-        raise ConfigError("labels must be exactly 0 or 1")
+    is_pos = need_binary(labels)
     n_pos = int(np.count_nonzero(is_pos))
     if n_pos == 0 or n_pos == labels.size:
         return None
@@ -160,8 +158,7 @@ class TestPlan:
         y = test.y
         if y.shape[1] != registry.n_classes:
             raise ContractViolation("test labels must cover every global class")
-        if not np.all((y == 0) | (y == 1)):
-            raise ConfigError("labels must be exactly 0 or 1")
+        need_binary(y)
         labels = np.ascontiguousarray(y.T, dtype=np.int8)
         n_pos = np.count_nonzero(labels, axis=1)
         profile = sharing_profile(registry)

@@ -82,6 +82,8 @@ def init_model(arch: Architecture, head_classes: int, seed: int, class_ids=None)
         col_rng = np.random.default_rng([seed, _TAG_HEAD, c])
         head_W[:, j] = _glorot(col_rng, n_feat, 1, n_feat)
     head_b = np.zeros(head_classes)
+    # feature names in walk order, the order every copy of the set keeps
+    feature = dict(sorted(feature.items()))
     return ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
 
 
@@ -232,35 +234,20 @@ def save_checkpoint(params: ParamSet, path) -> None:
     row-major values at 17 significant digits (bit-exact on reload)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for name in sorted(params.feature):
-        rows.append(("feature", name, params.feature[name]))
-    for i in sorted(params.bn_mean):
-        rows.append(("bn_mean", str(i), params.bn_mean[i]))
-        rows.append(("bn_var", str(i), params.bn_var[i]))
-    rows.append(("head_W", "head_W", params.head_W))
-    rows.append(("head_b", "head_b", params.head_b))
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow([_CKPT_HEADER])
-        for group, name, arr in rows:
-            if arr.ndim == 1:
-                shape = (arr.shape[0], 0)
-            else:
-                shape = arr.shape
-            w.writerow(
-                [group, name, shape[0], shape[1]] + [f"{v:.17g}" for v in np.ravel(arr)]
-            )
+        for group, key, arr in params.tensors():
+            shape = (arr.shape[0], 0) if arr.ndim == 1 else arr.shape
+            name = group if key is None else str(key)
+            w.writerow([group, name, shape[0], shape[1]] + [f"{v:.17g}" for v in np.ravel(arr)])
 
 
 def load_checkpoint(path) -> ParamSet:
     """Inverse of :func:`save_checkpoint`.  A malformed row is a
     :class:`ConfigError` that names its line."""
     path = Path(path)
-    feature: dict[str, np.ndarray] = {}
-    bn_mean: dict[int, np.ndarray] = {}
-    bn_var: dict[int, np.ndarray] = {}
-    head_W = head_b = None
+    rows = []
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
@@ -281,18 +268,10 @@ def load_checkpoint(path) -> ParamSet:
             arr = vals if cols_ == 0 else vals.reshape(rows_, cols_)
             if group in ("bn_mean", "bn_var") and not name.isdecimal():
                 raise ConfigError(f"{where}: a batch-norm row must name a layer index, got {name!r}")
-            if group == "feature":
-                feature[name] = arr
-            elif group == "bn_mean":
-                bn_mean[int(name)] = arr
-            elif group == "bn_var":
-                bn_var[int(name)] = arr
-            elif group == "head_W":
-                head_W = arr
-            elif group == "head_b":
-                head_b = arr
-            else:
+            if group not in ("feature", "bn_mean", "bn_var", "head_W", "head_b"):
                 raise ConfigError(f"unknown checkpoint row group {group!r}")
-    if head_W is None or head_b is None:
+            key = None if group.startswith("head") else name if group == "feature" else int(name)
+            rows.append((group, key, arr))
+    if not {"head_W", "head_b"} <= {g for g, _, _ in rows}:
         raise ConfigError("checkpoint is missing the head")
-    return ParamSet(feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=head_W, head_b=head_b)
+    return ParamSet.from_tensors(rows)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import ConfigError, ContractViolation, NumericError
+from .errors import ConfigError, ContractViolation, NumericError, need_binary
 
 BCE_CLAMP = 1e-7
 BN_MOMENTUM = 0.1
@@ -126,6 +126,10 @@ class ParamSet:
     "{layer}.beta"`` to arrays; ``bn_mean`` / ``bn_var`` hold the running
     statistics keyed by feature-layer index.  ``head_W`` is
     (feature_out_dim, n_head_classes) and ``head_b`` its bias row.
+
+    :meth:`tensors` is the one walk over the five fields and
+    :meth:`from_tensors` its inverse; copying, comparing, stacking,
+    unstacking and checkpointing all go through them.
     """
 
     feature: dict[str, np.ndarray]
@@ -138,16 +142,50 @@ class ParamSet:
     def head_cols(self) -> int:
         return self.head_W.shape[-1]
 
+    def tensors(self):
+        """Every tensor once, as ``(group, key, array)`` in checkpoint row
+        order: feature tensors by name, each batch-norm layer's mean and
+        variance by layer index, then ``head_W`` and ``head_b`` (key None)."""
+        for key in sorted(self.feature):
+            yield "feature", key, self.feature[key]
+        for i in sorted(self.bn_mean):
+            yield "bn_mean", i, self.bn_mean[i]
+            yield "bn_var", i, self.bn_var[i]
+        yield "head_W", None, self.head_W
+        yield "head_b", None, self.head_b
+
+    @classmethod
+    def from_tensors(cls, rows) -> "ParamSet":
+        """The set whose :meth:`tensors` are ``rows``."""
+        fields = {"feature": {}, "bn_mean": {}, "bn_var": {}}
+        for group, key, a in rows:
+            if key is None:
+                fields[group] = a
+            else:
+                fields[group][key] = a
+        return cls(**fields)
+
+    def map(self, fn, *others) -> "ParamSet":
+        """A new set holding ``fn(t, *ts)`` for every tensor ``t`` of this
+        set, ``ts`` being the same-named tensors of ``others``; a set that
+        names other tensors is a :class:`ContractViolation`."""
+        rows = []
+        for walk in zip(self.tensors(), *(o.tensors() for o in others)):
+            group, key, _ = walk[0]
+            for other_group, other_key, _ in walk[1:]:
+                if other_group != group or other_key != key:
+                    raise ContractViolation("parameter sets name different tensors")
+            rows.append((group, key, fn(*[a for _, _, a in walk])))
+        return ParamSet.from_tensors(rows)
+
     def copy(self, head_cols=None) -> "ParamSet":
         """A deep copy, C-ordered; ``head_cols`` keeps only those head
         columns, in that order."""
+        # C-ordered: the fancy index alone gives an F-ordered array, on
+        # which BLAS takes another path and rounds differently
         cols = slice(None) if head_cols is None else list(head_cols)
-        return ParamSet(
-            feature={k: v.copy() for k, v in self.feature.items()},
-            bn_mean={k: v.copy() for k, v in self.bn_mean.items()},
-            bn_var={k: v.copy() for k, v in self.bn_var.items()},
-            head_W=self.head_W[:, cols].copy(),
-            head_b=self.head_b[cols].copy(),
+        return ParamSet.from_tensors(
+            (g, k, (a[..., cols] if k is None else a).copy()) for g, k, a in self.tensors()
         )
 
 
@@ -160,45 +198,22 @@ class ParamGrad:
 
 def params_equal(a: ParamSet, b: ParamSet) -> bool:
     """Bitwise equality of two parameter sets (stats included)."""
-    if set(a.feature) != set(b.feature) or set(a.bn_mean) != set(b.bn_mean):
-        return False
-    for k in a.feature:
-        if not np.array_equal(a.feature[k], b.feature[k]):
-            return False
-    for k in a.bn_mean:
-        if not np.array_equal(a.bn_mean[k], b.bn_mean[k]):
-            return False
-        if not np.array_equal(a.bn_var[k], b.bn_var[k]):
-            return False
-    return np.array_equal(a.head_W, b.head_W) and np.array_equal(a.head_b, b.head_b)
+    wa, wb = list(a.tensors()), list(b.tensors())
+    return [w[:2] for w in wa] == [w[:2] for w in wb] and all(
+        np.array_equal(x, y) for (_, _, x), (_, _, y) in zip(wa, wb)
+    )
 
 
 def stack_params(param_sets) -> ParamSet:
     """Same-shape parameter sets as one set whose tensors carry a leading
     model axis (copies, in the given order)."""
-    first = param_sets[0]
-    return ParamSet(
-        feature={k: np.stack([ps.feature[k] for ps in param_sets]) for k in first.feature},
-        bn_mean={i: np.stack([ps.bn_mean[i] for ps in param_sets]) for i in first.bn_mean},
-        bn_var={i: np.stack([ps.bn_var[i] for ps in param_sets]) for i in first.bn_var},
-        head_W=np.stack([ps.head_W for ps in param_sets]),
-        head_b=np.stack([ps.head_b for ps in param_sets]),
-    )
+    return param_sets[0].map(lambda *ts: np.stack(ts), *param_sets[1:])
 
 
 def unstack_params(stacked: ParamSet) -> list[ParamSet]:
     """Inverse of :func:`stack_params`: one set per model, each a view of
     its own slice of the stacked tensors."""
-    return [
-        ParamSet(
-            feature={key: v[k] for key, v in stacked.feature.items()},
-            bn_mean={i: v[k] for i, v in stacked.bn_mean.items()},
-            bn_var={i: v[k] for i, v in stacked.bn_var.items()},
-            head_W=stacked.head_W[k],
-            head_b=stacked.head_b[k],
-        )
-        for k in range(stacked.head_W.shape[0])
-    ]
+    return [stacked.map(lambda a: a[k]) for k in range(stacked.head_W.shape[0])]
 
 
 def _as_batch(x, name: str, dtype=np.float64) -> np.ndarray:
@@ -218,7 +233,7 @@ def _batch_stats(h: np.ndarray):
     return mu, centered, np.add.reduce(centered * centered, axis=-2, keepdims=True) / n
 
 
-def _non_finite(what: str, layer: int, h: np.ndarray, client_ids) -> NumericError:
+def _non_finite(what: str, layer: int | None, h: np.ndarray, client_ids) -> NumericError:
     """The error for a non-finite ``h``, naming the first model (lowest
     stack index) that holds such a value."""
     client = None
@@ -334,27 +349,33 @@ def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client
     return (acts if bufs is None else None), out
 
 
-def _mask_cols(mask, p: np.ndarray) -> np.ndarray:
-    """The masked columns as an index array: ``(lc,)`` when one mask
-    serves every model, ``(K, lc)`` with one row per stacked model.  A
-    shared mask is sorted and de-duplicated; per-model rows must already
-    be strictly increasing."""
-    if isinstance(mask, np.ndarray) and mask.ndim == 2:
-        if p.ndim != 3 or mask.shape[0] != p.shape[0]:
-            raise ConfigError("a per-model mask needs one row per stacked model")
-        cols = mask
-        if cols.shape[1] and np.any(cols[:, 1:] <= cols[:, :-1]):
-            raise ConfigError("per-model mask rows must be strictly increasing")
-    else:
-        cols = np.array(sorted({int(c) for c in mask}), dtype=np.intp)
-    if cols.shape[-1] == 0:
-        raise ConfigError("mask must name at least one class column")
+def _mask_cols(mask, p: np.ndarray) -> np.ndarray | None:
+    """The masked columns as an integer index array: ``(lc,)`` when one
+    mask serves every model, ``(K, lc)`` with one row per stacked model;
+    None when they are every column of ``p``, in order.  A shared mask is
+    sorted and de-duplicated; per-model rows must already be strictly
+    increasing.  Entries must be of an integer dtype (bool is not one):
+    a float, bool or string is never read as a column."""
+    cols = np.asarray(mask)
+    if cols.ndim not in (1, 2) or cols.size == 0:
+        raise ConfigError("mask must name at least one class column, in a row or one row per model")
+    if not np.issubdtype(cols.dtype, np.integer):
+        raise ConfigError(f"mask entries must be integers, got dtype {cols.dtype}")
     if cols.min() < 0 or cols.max() >= p.shape[-1]:
         raise ConfigError(f"mask column out of range for width {p.shape[-1]}")
-    return cols
+    if cols.ndim == 1:
+        cols = np.unique(cols)
+    elif p.ndim != 3 or cols.shape[0] != p.shape[0]:
+        raise ConfigError("a per-model mask needs one row per stacked model")
+    elif np.any(cols[:, 1:] <= cols[:, :-1]):
+        raise ConfigError("per-model mask rows must be strictly increasing")
+    # sorted, unique and in range: as wide as p means every column, in order
+    return None if cols.shape[-1] == p.shape[-1] else cols
 
 
-def _take_cols(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+def _take_cols(a: np.ndarray, cols) -> np.ndarray:
+    if cols is None:
+        return a
     if cols.ndim == 1:
         return a[..., cols]
     return np.take_along_axis(a, cols[:, None, :], axis=-1)
@@ -366,11 +387,6 @@ def _check_pair(p, y) -> tuple[np.ndarray, np.ndarray]:
     if p.shape != y.shape:
         raise ConfigError(f"p {p.shape} and y {y.shape} differ in shape")
     return p, y
-
-
-def _check_labels(y: np.ndarray) -> None:
-    if not np.all((y == 0) | (y == 1)):
-        raise ConfigError("labels must be exactly 0 or 1")
 
 
 def _bce(p: np.ndarray, y: np.ndarray):
@@ -400,7 +416,7 @@ def masked_bce_loss(p, y, mask):
     model, each summed column by column exactly as a 2-D call sums it.
     """
     p, y = _check_pair(p, y)
-    _check_labels(y)
+    need_binary(y)
     cols = _mask_cols(mask, p)
     loss = _bce(_take_cols(p, cols), _take_cols(y, cols))
     return float(loss) if p.ndim == 2 else loss
@@ -520,13 +536,8 @@ def sgd_step(params: ParamSet, grads: ParamGrad, lr: float, frozen=frozenset()) 
                 raise ContractViolation(f"gradient missing or mis-shaped for {k}")
     if train_head and grads.head_W.shape != params.head_W.shape:
         raise ContractViolation("head gradient shape mismatch")
-    out = ParamSet(
-        feature={k: v.copy() if train_features else v for k, v in params.feature.items()},
-        bn_mean=dict(params.bn_mean),
-        bn_var=dict(params.bn_var),
-        head_W=params.head_W.copy() if train_head else params.head_W,
-        head_b=params.head_b.copy() if train_head else params.head_b,
-    )
+    trained = {"feature": train_features, "head_W": train_head, "head_b": train_head}
+    out = ParamSet.from_tensors((g, k, a.copy() if trained.get(g) else a) for g, k, a in params.tensors())
     _sgd(out, grads, lr, frozen)
     return out
 
@@ -544,12 +555,8 @@ def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, 
     _check_inputs(params, arch, x)
     if y.shape != x.shape[:-1] + (params.head_cols,):
         raise ContractViolation(f"labels {y.shape} do not match inputs {x.shape} and the head")
-    _check_labels(y)
-    cols = _mask_cols(mask, y)
-    frozen = _check_sgd(lr, frozen)
-    if cols.ndim == 1 and cols.shape[0] == y.shape[-1]:
-        cols = None  # sorted, unique and in range: every column, in order
-    return cols, frozen
+    need_binary(y)
+    return _mask_cols(mask, y), _check_sgd(lr, frozen)
 
 
 def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids):
@@ -565,9 +572,7 @@ def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, froz
         p, y = _take_cols(p, cols), _take_cols(y, cols)
     loss = _bce(p, y)
     if not np.isfinite(loss).all():
-        client = None if client_ids is None else client_ids[int(np.argmin(np.isfinite(loss)))]
-        at = "" if client is None else f" at client {client}"
-        raise NumericError(f"non-finite loss{at}", client=client)
+        raise _non_finite("loss", None, loss[..., None, None], client_ids)
     heads_only = "feature_extractor" in frozen
     g = _output_grad(p, y, cols, params.head_cols)
     _sgd(params, _backward(params, arch, acts, g, norms, heads_only), lr, frozen)

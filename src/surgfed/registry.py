@@ -100,10 +100,9 @@ GROUP_NAMES = tuple(f.name for f in fields(SharingProfile))
 
 
 def clients_with_class(registry: ClassRegistry, c: int) -> tuple[int, ...]:
-    """Ascending ids of the clients that hold global class ``c``."""
-    if not 0 <= c < registry.n_classes:
-        raise ConfigError(f"class index {c} out of range")
-    return registry.holders[c]
+    """Ascending ids of the clients that hold global class ``c``, an
+    integer id (never a bool or a float) in range."""
+    return registry.holders[need_class_ids([c], "class index", registry.n_classes)[0]]
 
 
 def sharing_profile(registry: ClassRegistry) -> SharingProfile:

@@ -373,10 +373,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             if mean_val < best_val:
                 best_val = mean_val
                 best_round = r
+                # no copies: nothing writes a round's parameters after it
                 if row.global_model:
-                    best_global = global_params.copy()
+                    best_global = global_params
                 else:
-                    best_clients = [c.params.copy() for c in clients]
+                    best_clients = [c.params for c in clients]
     except NumericError as exc:
         raise NumericError(f"{exc} in round {r}", exc.layer, exc.client, r) from exc
 

@@ -340,3 +340,20 @@ def test_shared_ladder_counts_and_identical_features() -> None:
     for ca, cb in zip(a.clients, b.clients):
         np.testing.assert_array_equal(ca.train.x, cb.train.x)
 
+
+
+@pytest.mark.parametrize("classes", [[0.7], [True], ["2"], [-1], [np.float64(1.0)]])
+def test_scatter_restricted_takes_class_ids_as_they_are(classes) -> None:
+    """An id that is not an integer in [0, M) used to be read through
+    ``int``: ``[0.7]`` filled column 0, ``[True]`` column 1, ``["2"]``
+    column 2, and ``[-1]`` the last column."""
+    with pytest.raises(ConfigError):
+        scatter_restricted(np.ones((3, 1), dtype=np.int8), classes, 4)
+    out = scatter_restricted(np.ones((3, 1), dtype=np.int8), [np.int64(2)], 4)
+    np.testing.assert_array_equal(out, np.tile([0, 0, 1, 0], (3, 1)))
+
+
+def test_scatter_restricted_rejects_a_class_named_twice() -> None:
+    """``[1, 1, 0]`` used to pass for 2-wide labels, its repeat dropped."""
+    with pytest.raises(ConfigError, match="twice"):
+        scatter_restricted(np.ones((3, 2), dtype=np.int8), [1, 1, 0], 4)

@@ -603,3 +603,25 @@ def test_significance_stars() -> None:
     assert significance_stars(0.0) == "***"
     with pytest.raises(ConfigError):
         significance_stars(1.5)
+
+
+def test_every_label_check_is_one_check_with_one_message(tiny_arch) -> None:
+    """Test sets, test plans, the loss, the training check and AUROC
+    refuse a label that is not exactly 0 or 1 with the same error."""
+    from types import SimpleNamespace
+
+    from surgfed import masked_bce_loss
+    from surgfed.nn import check_training, stack_params
+
+    y = np.array([[0.0, 1.0], [0.5, 0.0]])
+    params = stack_params([init_model(tiny_arch, 2, seed=0)])
+    calls = [
+        lambda: LabeledSet(np.zeros((2, 4)), y),
+        lambda: TestPlan(SimpleNamespace(x=np.zeros((2, 4)), y=y, n=2), ClassRegistry(["a", "b"], [[0, 1]])),
+        lambda: masked_bce_loss(np.full((2, 2), 0.5), y, [0, 1]),
+        lambda: check_training(params, tiny_arch, np.zeros((1, 2, 4)), y[None], [0, 1], 0.1, ()),
+        lambda: auroc([0.1, 0.2, 0.3, 0.4], y.ravel()),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"^labels must be exactly 0 or 1$"):
+            call()

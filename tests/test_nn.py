@@ -567,3 +567,129 @@ def test_params_equal_detects_each_field(tiny_arch) -> None:
     c = a.copy()
     c.bn_var[1][0] *= 2.0
     assert not params_equal(a, c)
+
+
+# --- mask normalization ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("mask", [[0.5], ["1"], [True], [1.0, 2.0], np.array([0, 1], dtype=np.float64)])
+def test_loss_masks_are_integer_ids_never_coerced(mask) -> None:
+    """A mask entry that is not an integer used to be read through
+    ``int``: ``[0.5]`` masked column 0, ``["1"]`` and ``[True]`` column
+    1.  Masks of any integer dtype still work."""
+    p, y = np.full((2, 3), 0.5), np.zeros((2, 3))
+    with pytest.raises(ConfigError, match="integers"):
+        masked_bce_loss(p, y, mask)
+    for ok in ([1], np.array([1], dtype=np.uint8), (np.int32(1),)):
+        assert masked_bce_loss(p, y, ok) == masked_bce_loss(p, y, [1])
+
+
+@pytest.mark.parametrize("mask", [np.array([[0.0, 1.0], [1.0, 2.0]]), np.array([[False, True], [True, True]])])
+def test_per_model_masks_of_floats_or_bools_are_config_errors(tiny_arch, mask) -> None:
+    """A float or bool 2-D mask used to reach the index and raise
+    ``IndexError``; it is refused with the message every mask gets."""
+    p, y = np.full((2, 3, 4), 0.5), np.zeros((2, 3, 4))
+    with pytest.raises(ConfigError, match="integers"):
+        masked_bce_loss(p, y, mask)
+    params = stack_params([init_model(tiny_arch, 4, seed=s) for s in (1, 2)])
+    with pytest.raises(ConfigError, match="integers"):
+        check_training(params, tiny_arch, np.zeros((2, 3, 4)), y, mask, 0.1, ())
+
+
+def test_a_mask_over_every_column_copies_nothing(monkeypatch) -> None:
+    """A shared mask naming every column in any order, with repeats, or a
+    per-model mask whose rows are every column, leaves ``p`` and ``y``
+    uncut: the loss reads the arrays it was given, with the value an
+    explicit cut gives, and the gradient is the whole-head gradient."""
+    import surgfed.nn as nn
+
+    rng = np.random.default_rng(5)
+    p = rng.uniform(0.05, 0.95, size=(2, 7, 3))
+    y = (rng.random((2, 7, 3)) < 0.5).astype(np.int8)
+    seen = []
+    bce = nn._bce
+
+    def spy(p_in, y_in):
+        seen.append((p_in, y_in))
+        return bce(p_in, y_in)
+
+    monkeypatch.setattr(nn, "_bce", spy)
+    for mask in ([2, 0, 1, 0], np.array([[0, 1, 2], [0, 1, 2]])):
+        assert nn._mask_cols(mask, p) is None
+        loss = masked_bce_loss(p, y, mask)
+        assert seen[-1][0] is p and seen[-1][1] is y
+        np.testing.assert_array_equal(loss, bce(p[..., [0, 1, 2]], y[..., [0, 1, 2]]))
+    assert nn._mask_cols([0, 2], p).tolist() == [0, 2]
+
+
+def test_non_finite_loss_names_the_first_bad_client(monkeypatch, tiny_arch) -> None:
+    """The non-finite-loss error of a lock-step step is the one every
+    other non-finite value gets: it names the lowest-index model."""
+    import surgfed.nn as nn
+
+    params = stack_params([init_model(tiny_arch, 2, seed=s) for s in (1, 2, 3)])
+    x = np.random.default_rng(0).normal(size=(3, 4, 4))
+    monkeypatch.setattr(nn, "_bce", lambda p, y: np.array([0.5, np.nan, np.inf]))
+    with pytest.raises(NumericError, match="^non-finite loss at client 6$") as err:
+        nn.train_step(params, tiny_arch, x, np.zeros((3, 4, 2), np.int8), None, 0.1,
+                      frozenset(), [5, 6, 7])
+    assert (err.value.client, err.value.layer) == (6, None)
+
+
+# --- the walk over a parameter set ----------------------------------------------
+
+
+def test_walk_yields_every_array_once_in_checkpoint_row_order(tiny_arch, tmp_path) -> None:
+    from surgfed.model import save_checkpoint
+
+    params = random_params(tiny_arch, 3, seed=8)
+    walk = list(params.tensors())
+    held = (list(params.feature.values()) + list(params.bn_mean.values())
+            + list(params.bn_var.values()) + [params.head_W, params.head_b])
+    assert sorted(id(a) for _, _, a in walk) == sorted(id(a) for a in held)
+    path = tmp_path / "model.csv"
+    save_checkpoint(params, path)
+    rows = [line.split(",")[:2] for line in path.read_text().splitlines()[1:]]
+    assert rows == [[g, g if k is None else str(k)] for g, k, _ in walk]
+    rebuilt = ParamSet.from_tensors(walk).tensors()
+    assert [(g, k, id(a)) for g, k, a in rebuilt] == [(g, k, id(a)) for g, k, a in walk]
+
+
+def test_params_nbytes_is_the_walks_byte_sum(tiny_arch) -> None:
+    """The benchmark's byte count and the walk see the same tensors, so
+    a new field that one of them misses fails here."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    single = random_params(tiny_arch, 3, seed=1)
+    for ps in (single, stack_params([single, random_params(tiny_arch, 3, seed=2)])):
+        assert tracer.params_nbytes(ps) == sum(a.nbytes for _, _, a in ps.tensors())
+
+
+def test_changing_any_single_tensor_breaks_params_equal(tiny_arch) -> None:
+    params = random_params(tiny_arch, 3, seed=4)
+    assert params_equal(params, params.copy())
+    for n, (group, key, _) in enumerate(params.tensors()):
+        changed = params.copy()
+        a = list(changed.tensors())[n][2]
+        a.flat[0] += 1.0
+        assert not params_equal(params, changed), (group, key)
+    fewer = params.copy()
+    del fewer.feature["0.b"]
+    assert not params_equal(params, fewer) and not params_equal(fewer, params)
+
+
+def test_map_requires_the_same_tensor_names(tiny_arch) -> None:
+    a, b = random_params(tiny_arch, 3, seed=1), random_params(tiny_arch, 3, seed=2)
+    summed = a.map(np.add, b)
+    for (_, _, s), (_, _, x), (_, _, y) in zip(summed.tensors(), a.tensors(), b.tensors()):
+        np.testing.assert_array_equal(s, x + y)
+    b.feature["9.W"] = b.feature.pop("0.W")
+    with pytest.raises(ContractViolation):
+        a.map(np.add, b)
+    with pytest.raises(ContractViolation):
+        stack_params([a, b])

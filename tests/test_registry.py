@@ -87,6 +87,15 @@ def test_clients_with_class_ascending(small_registry) -> None:
         clients_with_class(small_registry, 5)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -1, np.float64(0.0)])
+def test_clients_with_class_takes_an_integer_id(small_registry, bad) -> None:
+    """``True`` used to be read as class 1 and ``1.0`` raised
+    ``TypeError``; a numpy integer is still an id."""
+    with pytest.raises(ConfigError):
+        clients_with_class(small_registry, bad)
+    assert clients_with_class(small_registry, np.int64(1)) == (0, 1)
+
+
 def test_sharing_profile(small_registry) -> None:
     prof = sharing_profile(small_registry)
     assert prof.shared_by_all == (0,)

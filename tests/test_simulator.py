@@ -378,6 +378,23 @@ def test_later_rounds_leave_handed_out_parameters_alone(method) -> None:
         assert all(params_equal(a, b) for a, b in zip(handed, snapshot))
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_the_best_round_is_kept_as_handed_out(method) -> None:
+    """The result holds the best round's parameters themselves, global
+    or per client, not copies of them."""
+    handed = {}
+
+    def hook(r, global_params, clients):
+        handed[r] = (global_params, [c.params for c in clients])
+
+    result = run_experiment(_cfg(method), round_hook=hook)
+    global_params, client_params = handed[result.best_round]
+    if result.global_params is not None:
+        assert result.global_params is global_params
+    else:
+        assert all(a is b for a, b in zip(result.client_params, client_params, strict=True))
+
+
 def _ladder_clients(cfg: ExperimentConfig):
     return simulator._build_clients(generate_synthetic(cfg.scenario), cfg, cfg.architecture())
 
