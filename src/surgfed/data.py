@@ -26,6 +26,7 @@ from .registry import ClassRegistry, need_class_ids
 
 _THRESHOLD_BAND = 0.8  # keeps per-class prevalence in roughly [0.2, 0.8]
 _MAX_THRESHOLD_ATTEMPTS = 100
+_LABEL_BLOCK = 256  # rows of labels drawn at a time
 
 # sub-stream tags so draws never depend on the class assignment
 _TAG_TRUTH, _TAG_TEST, _TAG_CLIENT, _TAG_SHIFT, _TAG_STATS = 11, 12, 13, 14, 15
@@ -196,9 +197,13 @@ def resolve_assignment(spec: ScenarioSpec) -> tuple[tuple[int, ...], ...]:
 
 
 def _labels_for(x: np.ndarray, u: np.ndarray, tau: np.ndarray, noise: float, rng) -> np.ndarray:
-    y = x @ u.T > tau
-    # drawn at every noise level, 0 included, so the stream stays aligned
-    y ^= rng.random(y.shape) < noise
+    # in blocks of rows, so no (n, M) float64 array is made; the noise is
+    # drawn at every level, 0 included, in the stream order of one draw
+    y = np.empty((len(x), len(u)), bool)
+    for lo in range(0, len(x), _LABEL_BLOCK):
+        rows = y[lo:lo + _LABEL_BLOCK]
+        np.greater(x[lo:lo + _LABEL_BLOCK] @ u.T, tau, out=rows)
+        rows ^= rng.random(rows.shape) < noise
     return y.view(np.int8)
 
 

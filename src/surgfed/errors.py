@@ -52,14 +52,13 @@ def need_flag(value, field: str) -> bool:
     return value
 
 
-def need_binary(labels: np.ndarray) -> np.ndarray:
-    """``labels == 1`` if every entry of ``labels`` is exactly 0 or 1,
-    whatever its dtype; checked before any cast, which would turn 0.5
-    into 0."""
-    is_pos = labels == 1
-    if not np.all(is_pos | (labels == 0)):
+def need_binary(labels: np.ndarray) -> None:
+    """Refuse ``labels`` unless every entry is exactly 0 or 1, whatever
+    its dtype; checked before any cast, which would turn 0.5 into 0.
+    Integer labels are checked by their range, with no copy."""
+    ints = labels.dtype.kind in "biu" and labels.size
+    if not (labels.min() >= 0 and labels.max() <= 1 if ints else np.all((labels == 0) | (labels == 1))):
         raise ConfigError("labels must be exactly 0 or 1")
-    return is_pos
 
 
 class ContractViolation(RuntimeError):

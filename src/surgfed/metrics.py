@@ -42,7 +42,7 @@ from scipy.special import betainc
 
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation, need_binary
-from .nn import Architecture, ParamSet, forward
+from .nn import Architecture, ParamSet, eval_buffers, forward
 from .registry import GROUP_NAMES, ClassRegistry, need_class_ids, sharing_profile
 
 # rows of scores sorted together: bounds each (rows x n) buffer
@@ -61,7 +61,8 @@ def auroc(scores, labels) -> float | None:
         raise ConfigError("scores and labels must have the same length")
     if scores.size == 0:
         raise ConfigError("cannot compute AUROC of an empty set")
-    is_pos = need_binary(labels)
+    need_binary(labels)
+    is_pos = labels == 1
     n_pos = int(np.count_nonzero(is_pos))
     if n_pos == 0 or n_pos == labels.size:
         return None
@@ -204,8 +205,8 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
     head columns; ``class_subset`` restricts which classes are reported
     (default all).  Both are checked before the forward pass.  Each
     per-class value is bitwise what :func:`auroc` gives on that class's
-    score column and labels.  The forward pass runs in ``bufs``, if given
-    (:func:`surgfed.nn.eval_buffers` at the test size and head width).
+    score column and labels.  The forward pass runs in ``bufs`` (as
+    :func:`surgfed.nn.eval_buffers` gives them), or in buffers of its own.
     """
     M = plan.registry.n_classes
     model_classes = need_class_ids(model_classes, "model_classes", M, ContractViolation)
@@ -222,6 +223,7 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
             raise ConfigError("class_subset must not be empty")
         custom = True
 
+    bufs = eval_buffers(arch, plan.n, params.head_cols) if bufs is None else bufs
     _, scores = forward(params, arch, plan.x, "eval", bufs=bufs)
     col_of = np.full(M, -1)
     col_of[model_classes] = np.arange(len(model_classes))

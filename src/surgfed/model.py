@@ -7,15 +7,16 @@ from identical columns regardless of how wide their heads are.
 
 Local SGD trains a :class:`ClientGroup` of same-shape clients in
 lock-step on a stacked copy of their parameters, gathering each epoch's
-shuffled rows into buffers the group owns.  Shapes, labels, loss columns,
-the learning rate and the frozen groups are checked once per training
-call, not per batch; each step then runs :func:`surgfed.nn.train_step`.
+shuffled rows into buffers the group owns.  Shapes, labels, the learning
+rate and the frozen groups are checked once per training call, not per
+batch; each step then runs :func:`surgfed.nn.train_step` in an arena.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +24,15 @@ import numpy as np
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation
 from .registry import need_class_ids
-# backward and sgd_step are not called here: perfbench/tracer.py wraps them
-# under this module's names
+# backward, masked_bce_loss and sgd_step are not called here:
+# perfbench/tracer.py wraps them under this module's names
 from .nn import (
     Architecture,
+    Arena,
     ParamSet,
     backward,
+    buffer_shapes,
     check_training,
-    eval_buffers,
     forward,
     masked_bce_loss,
     sgd_step,
@@ -38,6 +40,7 @@ from .nn import (
     train_step,
     unstack_params,
 )
+from .nn import _bce, _mask_cols, _take_cols  # the loss core, for validation
 
 _TAG_FEATURE, _TAG_HEAD = 1, 2
 
@@ -119,26 +122,42 @@ class ClientState:
         if self.loss_cols is None:
             self.loss_cols = tuple(range(width)) if width == len(self.classes) else self.classes
 
+    @cached_property
+    def cols(self):
+        """``loss_cols`` as the loss takes them, worked out at the first
+        training or validation call (:func:`surgfed.nn._mask_cols`)."""
+        if len(set(self.loss_cols)) != len(self.loss_cols):
+            raise ConfigError(f"loss columns {self.loss_cols} name a column twice")
+        return _mask_cols(self.loss_cols, self.val.y)
+
 
 class ClientGroup(list):
     """Clients that train in lock-step, with the buffers each epoch
     gathers their shuffled training rows into: ``x`` is (K, n, d), ``y``
     is (K, n, c) in the labels' dtype (``int8``), and slice k always
-    holds a row permutation of client k's training set.  The simulator
-    builds one per group per run; a plain list passed to a training call
-    is wrapped in one for that call."""
+    holds a row permutation of client k's training set.  Steps run in
+    ``arena``, the run's or the group's own.  The simulator builds one
+    per group per run; a plain list is wrapped in one for its call."""
 
     def __init__(self, clients):
         super().__init__(clients)
         self.x = np.stack([c.train.x for c in self])
         self.y = np.stack([c.train.y for c in self])
+        self.arena = Arena()
+
+    def step_shapes(self, batch_size: int) -> dict[int, list]:
+        """The step's buffer shapes at each batch length an epoch cuts, full first."""
+        n, first = self.x.shape[1], self[0]
+        return {b: buffer_shapes(first.arch, b, first.params.head_cols, len(self))
+                for b in sorted({min(batch_size, n), n % batch_size or batch_size}, reverse=True)}
 
 
-def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_size: int, frozen):
+def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_size: int, frozen, views):
     """One lock-step epoch of a group whose buffers ``check_training`` has
     passed.  ``params`` is stacked along a leading client axis and updated
-    in place; every client draws its batch order from its own RNG stream.
-    Returns each client's mean batch loss."""
+    in place; every client draws its batch order from its own RNG stream,
+    and steps write into ``views`` by batch length.  Returns each
+    client's mean batch loss."""
     arch, ids, x, y = group[0].arch, [c.id for c in group], group.x, group.y
     n = x.shape[1]
     # shuffle each client's rows into its slice once; every batch is a view.
@@ -150,7 +169,8 @@ def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_si
     total, batches = np.zeros(len(group)), 0
     for start in range(0, n, batch_size):
         end = start + batch_size
-        total += train_step(params, arch, x[:, start:end], y[:, start:end], cols, lr, frozen, ids)
+        total += train_step(params, arch, x[:, start:end], y[:, start:end], cols, lr, frozen, ids,
+                            views[min(batch_size, n - start)])
         batches += 1
     return total / batches
 
@@ -171,12 +191,14 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
             raise ContractViolation(
                 "group members must share architecture, train.n, head width and loss-column count"
             )
-    # one shared mask, or one row of loss columns per client
-    mask = columns[0] if len(set(columns)) == 1 else np.array(columns, dtype=np.intp)
+    # every column, one shared set of columns, or one row of them per client
+    cols = [c.cols for c in group]
+    cols = cols[0] if cols[0] is None or len(set(columns)) == 1 else np.stack(cols)
     params = stack_params([c.params for c in group])
     group = group if isinstance(group, ClientGroup) else ClientGroup(group)
-    cols, frozen = check_training(params, first.arch, group.x, group.y, mask, lr, frozen)
-    losses = [_train_epoch(group, params, cols, lr, batch_size, frozen) for _ in range(epochs)]
+    _, frozen = check_training(params, first.arch, group.x, group.y, None, lr, frozen)
+    views = {b: group.arena.views(s) for b, s in group.step_shapes(batch_size).items()}
+    losses = [_train_epoch(group, params, cols, lr, batch_size, frozen, views) for _ in range(epochs)]
     for c, ps in zip(group, unstack_params(params)):
         c.params = ps
     return losses
@@ -216,12 +238,14 @@ def local_train(group, epochs: int, lr: float, batch_size: int):
     return group
 
 
-def validation_loss(client: ClientState) -> float:
+def validation_loss(client: ClientState, arena: Arena | None = None) -> float:
     """Masked BCE over the client's loss columns on its validation split,
-    eval mode, in place."""
-    bufs = eval_buffers(client.arch, client.val.n, client.params.head_cols)
+    eval mode, in views of ``arena`` or in fresh buffers."""
+    shapes = buffer_shapes(client.arch, client.val.n, client.params.head_cols, loss=True)
+    bufs = (Arena() if arena is None else arena).views(shapes)
     _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id], bufs)
-    return masked_bce_loss(p, client.val.y, client.loss_cols)
+    cols = client.cols
+    return float(_bce(_take_cols(p, cols), _take_cols(client.val.y, cols), bufs[-1]))
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -22,13 +22,15 @@ call and then runs a private core that holds the layer math.  Training
 calls the cores directly: :func:`check_training` makes every check once
 for a whole training set, and :func:`train_step` runs one step on a
 batch of it.  Only the finiteness checks, which depend on the values,
-stay in every step.  :func:`forward` can also write into buffers the
-caller owns (:func:`eval_buffers`) and then allocates no activations.
+stay in every step.  :func:`forward` and :func:`train_step` can also
+write into buffers the caller owns (:func:`buffer_shapes`, :class:`Arena`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import expit
@@ -223,14 +225,16 @@ def _as_batch(x, name: str, dtype=np.float64) -> np.ndarray:
     return a
 
 
-def _batch_stats(h: np.ndarray):
+def _batch_stats(h: np.ndarray, centered=None, square=None):
     """Batch mean, centred input and biased variance over ``axis=-2``
     (statistics keep that axis at length 1); bitwise what ``h.mean`` and
-    ``h.var`` give, without computing the mean twice."""
+    ``h.var`` give, without computing the mean twice, and written into
+    ``centered`` and ``square`` if given."""
     n = h.shape[-2]
     mu = np.add.reduce(h, axis=-2, keepdims=True) / n
-    centered = h - mu
-    return mu, centered, np.add.reduce(centered * centered, axis=-2, keepdims=True) / n
+    centered = np.subtract(h, mu, out=centered)
+    square = np.multiply(centered, centered, out=square)
+    return mu, centered, np.add.reduce(square, axis=-2, keepdims=True) / n
 
 
 def _non_finite(what: str, layer: int | None, h: np.ndarray, client_ids) -> NumericError:
@@ -269,20 +273,22 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
     """The layer math of :func:`forward` on checked inputs.  Also returns,
     per batch-norm layer, the ``(centered, sqrt(var + eps))`` pair it
     normalised with, which :func:`_backward` reuses after a train-mode
-    pass.  With ``bufs`` (from :func:`eval_buffers`) dense layers and the
-    head write into the next buffer and the other layers work in place,
-    never on the input."""
+    pass.  With ``bufs`` (:func:`buffer_shapes`) dense layers, train-mode
+    batch norm (and its centred input) and the head write into the next
+    buffer and the other layers and the sigmoid work in place, never on
+    the input."""
     x, acts, norms = h, [h], {}
     bufs = None if bufs is None else iter(bufs)
     for i, spec in enumerate(arch.feature_specs):
         # where the layer writes: a new array, the next buffer or in place
-        out = None if bufs is None else next(bufs) if spec.kind == "dense" or h is x else h
+        own = spec.kind == "dense" or h is x or (train and spec.kind == "batchnorm")
+        out = None if bufs is None else next(bufs) if own else h
         if spec.kind == "dense":
             h = np.matmul(h, params.feature[f"{i}.W"], out=out)
             h += params.feature[f"{i}.b"][..., None, :]
         elif spec.kind == "batchnorm":
-            if train:
-                mu, centered, var = _batch_stats(h)
+            if train:  # the square goes where the output will
+                mu, centered, var = _batch_stats(h, None if bufs is None else next(bufs), out)
                 m = BN_MOMENTUM
                 for stat, new in ((params.bn_mean[i], mu), (params.bn_var[i], var)):
                     # bitwise (1 - m) * stat + m * new, in place
@@ -314,12 +320,43 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
     return acts, out, norms
 
 
+def buffer_shapes(arch: Architecture, rows: int, head_cols: int, models=None, loss=False) -> list:
+    """The buffers a pass on ``rows`` rows with ``head_cols`` head columns
+    writes, in the order it takes them: an eval-mode :func:`forward`
+    (then, with ``loss``, a loss's work array), or a :func:`train_step`
+    of ``models`` stacked models (forward, output gradient, the loss's
+    work array, then the backward pass from the top down)."""
+    train, widths, back = models is not None, [], [arch.feature_out_dim]
+    for i, s in enumerate(arch.feature_specs):
+        norm = train and s.kind == "batchnorm"
+        widths += [s.out_dim] * ((s.kind == "dense" or i == 0 or norm) + norm)
+        if s.kind == "batchnorm" or i > 0 and s.kind == "dense":  # an input gradient, top down
+            back.insert(1, s.in_dim)
+    if not train:
+        return [(rows, w) for w in widths + [head_cols] * (1 + loss)]
+    return [(models, rows, w) for w in widths + [head_cols] * 3 + back]
+
+
 def eval_buffers(arch: Architecture, n: int, head_cols: int) -> list[np.ndarray]:
-    """Work arrays for :func:`forward` calls on ``n`` rows with a head of
-    ``head_cols`` columns: one per dense layer and the head, and one at
-    the input width when the first feature layer is not dense."""
-    widths = [s.out_dim for i, s in enumerate(arch.feature_specs) if i == 0 or s.kind == "dense"]
-    return [np.empty((n, w)) for w in widths + [head_cols]]
+    """Fresh buffers for :func:`forward` calls on ``n`` rows with a head
+    of ``head_cols`` columns."""
+    return [np.empty(s) for s in buffer_shapes(arch, n, head_cols)]
+
+
+class Arena:
+    """One flat float64 array for passes that never run at the same time,
+    sized for the largest of ``layouts`` (lists of :func:`buffer_shapes`).
+    A pass takes C-contiguous views of it, laid end to end from its start;
+    one that needs more than its size replaces the array."""
+
+    def __init__(self, *layouts):
+        self.flat = np.empty(max((sum(map(math.prod, s)) for s in layouts), default=0))
+
+    def views(self, shapes) -> list[np.ndarray]:
+        sizes = [math.prod(s) for s in shapes]
+        if sum(sizes) > self.flat.size:
+            self.flat = np.empty(sum(sizes))
+        return [self.flat[o:o + n].reshape(s) for o, n, s in zip(accumulate(sizes, initial=0), sizes, shapes)]
 
 
 def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client_ids=None,
@@ -389,21 +426,29 @@ def _check_pair(p, y) -> tuple[np.ndarray, np.ndarray]:
     return p, y
 
 
-def _bce(p: np.ndarray, y: np.ndarray):
+def _bce(p: np.ndarray, y: np.ndarray, work=None):
     """Clamped BCE averaged over every sample and column of ``p``, one
-    value per stacked model, for 0/1 labels ``y`` of any dtype.
+    value per stacked model, for 0/1 labels ``y`` of any dtype.  With
+    ``work`` (contiguous, at least ``p.size`` float64 elements) it
+    overwrites ``p`` and makes its temporaries there.
 
     Bitwise ``mean(-(y * log p + (1 - y) * log1p(-p)))``: for y in {0, 1}
     the term it drops is a signed zero, and the mean of the negated
     terms is the negated mean."""
-    q = np.maximum(p, BCE_CLAMP)  # the clamp, into a new array
+    q = np.maximum(p, BCE_CLAMP, out=None if work is None else p)  # the clamp
+    work = np.empty(p.size) if work is None else work.reshape(-1)[:p.size]
     np.minimum(q, 1.0 - BCE_CLAMP, out=q)
-    log_p = np.log(q)
+    log_p = np.log(q, out=work.reshape(q.shape))
     np.log1p(np.negative(q, out=q), out=q)
-    np.copyto(q, log_p, where=y == 1)  # where(y == 1, log p, log1p(-p))
+    # where(y == 1, log p, log1p(-p)) with no branch: the dropped term is a signed zero
+    log_p *= y
+    q *= 1 - y
+    q += log_p
     # reduce over a contiguous (..., columns, samples) layout: column-major
     # per model, the order a 2-D call's column selection leaves it in
-    total = np.add.reduce(np.ascontiguousarray(q.swapaxes(-1, -2)), axis=(-2, -1))
+    t = work.reshape(q.swapaxes(-1, -2).shape)
+    np.copyto(t, q.swapaxes(-1, -2))
+    total = np.add.reduce(t, axis=(-2, -1))
     return -(total / (q.shape[-2] * q.shape[-1]))
 
 
@@ -422,16 +467,18 @@ def masked_bce_loss(p, y, mask):
     return float(loss) if p.ndim == 2 else loss
 
 
-def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int) -> np.ndarray:
+def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int, out=None) -> np.ndarray:
     """Gradient of :func:`_bce` of the loss columns ``p``, ``y`` wrt the
     head pre-activations: the joint derivative through the output
     sigmoid, the clamp treated as the identity (exact away from
     saturation).  ``cols`` places the columns in a head of ``width``;
-    None means they are the whole head."""
-    g = (p - y) / (p.shape[-2] * p.shape[-1])
+    None means they are the whole head.  Written into ``out`` if given."""
+    g = np.subtract(p, y, out=out if cols is None else None)
+    g /= p.shape[-2] * p.shape[-1]
     if cols is None:
         return g
-    full = np.zeros(g.shape[:-1] + (width,))
+    full = np.empty(g.shape[:-1] + (width,)) if out is None else out
+    full.fill(0.0)
     if cols.ndim == 1:
         full[..., cols] = g
     else:
@@ -440,18 +487,19 @@ def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int) -> np.ndarray:
 
 
 def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, norms,
-              heads_only: bool = False) -> ParamGrad:
+              heads_only: bool = False, bufs=None) -> ParamGrad:
     """Backpropagate the logit gradient ``g``.  ``norms`` holds the
-    ``(centered, sqrt(var + eps))`` pair of each batch-norm layer.  With
-    ``heads_only`` the pass stops after the head: the feature gradients
-    stay empty."""
+    ``(centered, sqrt(var + eps))`` pair of each batch-norm layer, and
+    overwrites it.  With ``heads_only`` it stops after the head: the
+    feature gradients stay empty.  Input gradients go into ``bufs``."""
     nspecs = len(arch.feature_specs)
     grad_head_W = activations[nspecs].swapaxes(-1, -2) @ g
     grad_head_b = np.add.reduce(g, axis=-2)
     grads: dict[str, np.ndarray] = {}
     if heads_only:
         return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
-    g = g @ params.head_W.swapaxes(-1, -2)
+    bufs = iter(() if bufs is None else bufs)
+    g = np.matmul(g, params.head_W.swapaxes(-1, -2), out=next(bufs, None))
     for i in range(nspecs - 1, -1, -1):
         spec = arch.feature_specs[i]
         x_in = activations[i]
@@ -459,23 +507,25 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
             grads[f"{i}.W"] = x_in.swapaxes(-1, -2) @ g
             grads[f"{i}.b"] = np.add.reduce(g, axis=-2)
             if i > 0:  # the input gradient of the first layer has no use
-                g = g @ params.feature[f"{i}.W"].swapaxes(-1, -2)
+                g = np.matmul(g, params.feature[f"{i}.W"].swapaxes(-1, -2), out=next(bufs, None))
         elif spec.kind == "batchnorm":
             gamma = params.feature[f"{i}.gamma"][..., None, :]
             nb = x_in.shape[-2]
             centered, std = norms[i]
             inv = 1.0 / std
-            xhat = centered * inv
-            grads[f"{i}.gamma"] = np.add.reduce(g * xhat, axis=-2)
+            xhat = np.multiply(centered, inv, out=centered)
+            t = np.multiply(g, xhat, out=next(bufs, None))
+            grads[f"{i}.gamma"] = np.add.reduce(t, axis=-2)
             grads[f"{i}.beta"] = np.add.reduce(g, axis=-2)
-            dxhat = g * gamma
-            g = (inv / nb) * (
-                nb * dxhat
-                - np.add.reduce(dxhat, axis=-2, keepdims=True)
-                - xhat * np.add.reduce(dxhat * xhat, axis=-2, keepdims=True)
-            )
+            dxhat = np.multiply(g, gamma, out=g)
+            # (inv / nb) * (nb * dxhat - Σ dxhat - xhat * Σ (dxhat * xhat)), term by term
+            s = np.add.reduce(np.multiply(dxhat, xhat, out=t), axis=-2, keepdims=True)
+            np.multiply(nb, dxhat, out=t)
+            t -= np.add.reduce(dxhat, axis=-2, keepdims=True)
+            t -= np.multiply(xhat, s, out=xhat)
+            g = np.multiply(inv / nb, t, out=t)
         else:  # relu
-            g = g * (x_in > 0.0)
+            g = np.multiply(g, x_in > 0.0, out=g)
     return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
 
 
@@ -512,14 +562,16 @@ def _check_sgd(lr: float, frozen) -> frozenset:
     return frozen
 
 
-def _sgd(params: ParamSet, grads: ParamGrad, lr: float, frozen: frozenset) -> None:
-    """The SGD update, in place: ``v -= lr * g`` is bitwise ``v - lr * g``."""
+def _sgd(params: ParamSet, grads: ParamGrad, lr: float, frozen: frozenset, spent=False) -> None:
+    """The SGD update, in place: ``v -= lr * g`` is bitwise ``v - lr * g``;
+    with ``spent`` each ``lr * g`` is formed in the gradient itself."""
+    scale = (lambda g: np.multiply(lr, g, out=g)) if spent else (lambda g: lr * g)
     if "feature_extractor" not in frozen:
         for k, v in params.feature.items():
-            v -= lr * grads.feature[k]
+            v -= scale(grads.feature[k])
     if "head" not in frozen:
-        params.head_W -= lr * grads.head_W
-        params.head_b -= lr * grads.head_b
+        params.head_W -= scale(grads.head_W)
+        params.head_b -= scale(grads.head_b)
 
 
 def sgd_step(params: ParamSet, grads: ParamGrad, lr: float, frozen=frozenset()) -> ParamSet:
@@ -550,30 +602,33 @@ def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, 
     a training set that :func:`train_step` then walks batch by batch:
     ``x`` and ``y`` hold all of it, stacked like ``params``.  Returns
     ``(cols, frozen)`` in the form :func:`train_step` takes; ``cols`` is
-    None when the mask names every head column."""
+    None when the mask names every head column or is None."""
     x, y = _as_batch(x, "x"), _as_batch(y, "y", None)
     _check_inputs(params, arch, x)
     if y.shape != x.shape[:-1] + (params.head_cols,):
         raise ContractViolation(f"labels {y.shape} do not match inputs {x.shape} and the head")
     need_binary(y)
-    return _mask_cols(mask, y), _check_sgd(lr, frozen)
+    return (None if mask is None else _mask_cols(mask, y)), _check_sgd(lr, frozen)
 
 
-def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids):
+def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids, bufs=None):
     """One SGD step on a batch cut from inputs :func:`check_training`
     passed, with the arguments it returned: bitwise :func:`forward`,
     :func:`masked_bce_loss`, :func:`backward` and :func:`sgd_step` in a
     row, but ``params`` is updated in place, batch-norm statistics are
     computed once and a mask over every column is not applied.  With the
-    feature extractor frozen, backpropagation stops after the head.
-    Returns the loss, one per stacked model."""
-    acts, p, norms = _forward(params, arch, x, True, client_ids)
+    feature extractor frozen, backpropagation stops after the head.  With
+    ``bufs`` (C-contiguous, :func:`buffer_shapes`) it allocates no float64
+    array with a sample axis but a mask's column cuts.  Returns the loss,
+    one per stacked model."""
+    bufs = None if bufs is None else iter(bufs)
+    acts, p, norms = _forward(params, arch, x, True, client_ids, bufs)
     if cols is not None:
         p, y = _take_cols(p, cols), _take_cols(y, cols)
-    loss = _bce(p, y)
+    g = _output_grad(p, y, cols, params.head_cols, None if bufs is None else next(bufs))
+    loss = _bce(p, y) if bufs is None else _bce(p, y, next(bufs))  # p is spent
     if not np.isfinite(loss).all():
         raise _non_finite("loss", None, loss[..., None, None], client_ids)
     heads_only = "feature_extractor" in frozen
-    g = _output_grad(p, y, cols, params.head_cols)
-    _sgd(params, _backward(params, arch, acts, g, norms, heads_only), lr, frozen)
+    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs), lr, frozen, spent=True)
     return loss

@@ -26,10 +26,14 @@ step for the whole group, built once per run.  Every client keeps its
 own parameters, loss columns and RNG stream, so each one ends bitwise
 where training it alone would; groups train one after another on one
 thread, and aggregation always walks clients in index order.
+
+Training steps, validation and the test-set forward pass never overlap,
+so they share one :class:`surgfed.nn.Arena`, sized before the warmup.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -55,7 +59,7 @@ from .model import (
     local_train,
     validation_loss,
 )
-from .nn import Architecture, ParamSet, build_architecture, eval_buffers
+from .nn import Architecture, Arena, ParamSet, buffer_shapes, build_architecture
 from .registry import GROUP_NAMES, ClassRegistry
 
 
@@ -159,12 +163,15 @@ class ExperimentConfig:
         need_flag(self.sample_weighted, "sample_weighted")
         if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
             raise ConfigError("must be a SeedBundle or None", "seeds")
-        # client data and its gather buffers, the test set and its
-        # forward-pass buffers, float64 but for the int8 labels; rejected
-        # here rather than by numpy mid-run.  An upper bound: it counts
-        # every client's labels M wide, which only wide-head methods hold
-        s = self.scenario
-        need = (8 * (2 * s.K * s.n_per_client * s.d + s.n_test * (s.d + s.M + sum(widths)))
+        # client data and its gather buffers, the test features and the
+        # arena, float64 but for the int8 labels; rejected here, not by
+        # numpy mid-run.  An upper bound: every client's labels M wide, and
+        # an M-wide arena for the test set, pooled validation or all K at once
+        s, arch = self.scenario, self.architecture()
+        arena = max(sum(map(math.prod, shapes)) for shapes in (
+            buffer_shapes(arch, s.n_test, s.M), buffer_shapes(arch, s.K * s.n_val, s.M, loss=True),
+            buffer_shapes(arch, min(self.batch_size, s.n_train), s.M, s.K)))
+        need = (8 * (2 * s.K * s.n_per_client * s.d + s.n_test * s.d + arena)
                 + 2 * s.K * s.n_per_client * s.M + s.n_test * s.M)
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
@@ -316,7 +323,19 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         # client starts from the same one
         pretrained_bn = collect_bn_stats(clients[0].params, arch, stats_split(config.scenario))
 
+    # the run reads only the clients, the test set and `realized` from here
+    # on: labels or features the clients copied go before the arena exists
+    test, realized = data.test, data.realized()
+    del data
     groups = _client_groups(clients)
+    # one buffer for every pass that writes arrays with a sample axis
+    test_shapes = buffer_shapes(arch, config.scenario.n_test, M)
+    passes = [test_shapes] if row.global_model else []
+    passes += [s for g in groups for s in g.step_shapes(config.batch_size).values()]
+    passes += [buffer_shapes(arch, c.val.n, c.params.head_cols, loss=True) for c in clients]
+    arena = Arena(*passes)
+    for g in groups:
+        g.arena = arena
     reports: list[RoundReport] = []
     best_val = np.inf
     best_round = 0
@@ -328,12 +347,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         for g in groups:
             head_warmup(g, config.warmup_epochs, config.warmup_lr, config.batch_size)
         # after the warmup, since perfbench's setup_s ends where the warmup starts
-        plan = TestPlan(data.test, registry)
-        # the plan and the clients hold all the run reads from here on; the
-        # test labels and any labels the clients copied go with data
-        realized = data.realized()
-        del data
-        bufs = eval_buffers(arch, plan.n, M)  # the run's test-set forward pass
+        plan = TestPlan(test, registry)
+        del test
 
         for r in range(1, config.T // config.E + 1):
             t0 = time.perf_counter()
@@ -348,10 +363,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             else:
                 global_params = clients[0].params if row.global_model else None
 
-            val_losses = tuple(validation_loss(c) for c in clients)
+            val_losses = tuple(validation_loss(c, arena) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
-                ev = evaluate(global_params, arch, range(M), plan, bufs=bufs)
+                ev = evaluate(global_params, arch, range(M), plan, bufs=arena.views(test_shapes))
                 test_mean = ev.mean_auroc
                 test_per_class = tuple(ev.per_class[c] for c in range(M))
             else:

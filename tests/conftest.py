@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -50,3 +52,21 @@ def random_params(arch: Architecture, head_classes: int, seed: int):
         params.feature[f"{i}.gamma"] = rng.uniform(0.5, 1.5, size=params.feature[f"{i}.gamma"].shape)
         params.feature[f"{i}.beta"] = rng.normal(size=params.feature[f"{i}.beta"].shape)
     return params
+
+
+@pytest.fixture
+def traced_rise():
+    """``traced_rise(fn)`` calls ``fn()`` with tracemalloc on and returns
+    ``(result, rise)``: how far, in bytes, the traced peak rose above
+    the traced size at the call's start."""
+
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    return measure

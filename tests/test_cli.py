@@ -160,10 +160,13 @@ def test_uncoercible_values_exit_2_before_compute(tmp_path, monkeypatch, bad) ->
 
 def test_memory_estimate_counts_labels_at_one_byte(tmp_path, monkeypatch) -> None:
     """A config is rejected when its estimated arrays exceed physical
-    memory: 8·(2·K·n·d + n_test·(d + M + Σhidden)) bytes of float64 data
-    and buffers plus 2·K·n·M + n_test·M bytes of int8 labels.  A machine
-    of exactly that size takes the config, also one that float64 labels
-    would have overfilled; one byte less exits 2 before any work."""
+    memory: 8·(2·K·n·d + n_test·d + A) bytes of float64 data and buffers
+    plus 2·K·n·M + n_test·M bytes of int8 labels, where A bounds the
+    run's arena: the largest of the test forward pass, n_test·(Σhidden +
+    M), of every validation row pooled and of one training step of all
+    K clients at once, each M wide.  A machine of exactly that size takes
+    the config, also one that float64 labels would have overfilled; one
+    byte less exits 2 before any work."""
     import surgfed.cli as cli
     from surgfed import simulator
 
@@ -190,6 +193,20 @@ def test_memory_estimate_counts_labels_at_one_byte(tmp_path, monkeypatch) -> Non
     with pytest.raises(ConfigError, match="physical memory"):
         parse_config(SMALL_CONFIG)
     assert main(["run", _write(tmp_path, SMALL_CONFIG), "--out", str(tmp_path / "x")]) == 2
+
+    # 100 clients and 2 test rows: a step of 32 rows a client sets A, with
+    # 112 forward, 3·M head and 80 backward columns a row
+    many = {**SMALL_CONFIG, "scenario": {"n_per_client": n, "d": d, "M": M, "K": 100, "seed": 42,
+                                         "shared_count": M, "unique_count": 0, "n_test": 2}}
+    K, n_test, n_val = 100, 2, 12
+    arena = K * 32 * (112 + 3 * M + 80)
+    assert arena > max(n_test * (sum(hidden) + M), K * n_val * (sum(hidden) + 2 * M))
+    need = 8 * (2 * K * n * d + n_test * d + arena) + 2 * K * n * M + n_test * M
+    machine(need)
+    parse_config(many)
+    machine(need - 1)
+    with pytest.raises(ConfigError, match="physical memory"):
+        parse_config(many)
 
 
 # --- config fuzz: one field of a valid config made malformed -------------------

@@ -174,13 +174,11 @@ def _labels_by_formula(x, u, tau, noise, rng):
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
-def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise) -> None:
+def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise, traced_rise) -> None:
     """``_labels_for`` flips boolean labels in place and returns them as
     ``int8``: the same draws give the formula's values, C-ordered, and its
     traced peak stays within 1.5x of the bytes float64 labels would take
     (the formula's is about 3x)."""
-    import tracemalloc
-
     from surgfed.data import _labels_for
 
     rng = np.random.default_rng(4)
@@ -188,12 +186,7 @@ def test_label_draw_is_the_formula_at_a_fraction_of_its_memory(noise) -> None:
     u = rng.standard_normal((500, 20))
     tau = rng.uniform(-0.8, 0.8, 500)
     expected = _labels_by_formula(x, u, tau, noise, np.random.default_rng(9))
-    tracemalloc.start()
-    try:
-        got = _labels_for(x, u, tau, noise, np.random.default_rng(9))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_rise(lambda: _labels_for(x, u, tau, noise, np.random.default_rng(9)))
     assert got.dtype == np.int8 and got.flags.c_contiguous
     np.testing.assert_array_equal(got, expected)
     assert peak <= 1.5 * got.size * 8, (peak, got.size * 8)

@@ -340,6 +340,68 @@ def test_lean_step_numeric_error_matches_the_oracle(tiny_arch, layer) -> None:
         assert c.epoch_counter == 0
 
 
+def test_groups_sharing_a_dirty_arena_equal_the_oracle() -> None:
+    """Every group of a fl_partial_loss federation (per-model loss
+    columns) steps in one arena, NaN-filled before each call and sized
+    for the full batch of the widest group only: the short last batch
+    (40 rows at batch 16) and the other groups carve their own views of
+    the same memory, and every client still ends bitwise where the
+    per-batch oracle does, losses and RNG streams included."""
+    from surgfed.nn import Arena
+
+    clients, oracle = _method_clients("fl_partial_loss"), _method_clients("fl_partial_loss")
+    groups = simulator._client_groups(clients)
+    arena = Arena(*[g.step_shapes(16)[16] for g in groups])
+    for g in groups:
+        g.arena = arena
+    for epochs, lr, train in ((1, 0.02, head_warmup), (2, 0.05, local_train)):
+        for g in groups:
+            arena.flat.fill(np.nan)
+            train(g, epochs, lr, 16)
+    assert len(groups) > 1 and arena.flat.size == max(sum(s[0] * s[1] * s[2] for s in g.step_shapes(16)[16])
+                                                      for g in groups)
+    for c in oracle:
+        _oracle_train(c, 1, 0.02, 16, frozenset({"feature_extractor"}))
+        _oracle_local_train(c, 2, 0.05, 16)
+    for a, o in zip(clients, oracle):
+        assert params_equal(a.params, o.params)
+        assert a.last_train_loss == o.last_train_loss
+        assert a.rng.random() == o.rng.random()
+
+
+def test_an_epoch_in_the_groups_arena_rises_less_than_half_as_far(traced_rise) -> None:
+    """Once a group's arena exists, a lock-step epoch writes every array
+    with a sample axis into it.  On 8 clients with 40-column heads and
+    192 training rows at batch 32 the traced peak of one ``local_train``
+    epoch rises about 294 KB; allocating those arrays in every step took
+    it 1,195 KB up.  The bound is half of that."""
+    from surgfed import build_architecture
+    from surgfed.model import ClientGroup
+
+    arch = build_architecture(20, (32, 16))
+    group = ClientGroup(_group(arch, n_clients=8, classes=range(40), n=200))
+    local_train(group, 1, 0.05, 32)
+    _, rise = traced_rise(lambda: local_train(group, 1, 0.05, 32))
+    assert rise < 1_195_351 / 2, rise
+
+
+def test_validation_in_an_arena_is_the_fresh_pass(tiny_arch) -> None:
+    """Validation writes into views of a dirty arena and gives the bits
+    of a call with buffers of its own, under either kind of loss
+    columns; an arena too small for the pass is replaced by one that
+    fits."""
+    from surgfed.nn import Arena
+
+    arena = Arena([(3,)])
+    for width in (None, 5):
+        c = _client(tiny_arch, classes=(1, 3), width=width)
+        local_train([c], 1, 0.05, 16)
+        fresh = validation_loss(c)
+        arena.flat.fill(np.nan)
+        assert validation_loss(c, arena) == fresh
+    assert arena.flat.size == 8 * (6 + 3 + 5 + 5)
+
+
 def test_validation_loss_is_pure(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     local_train([c], 1, 0.05, 16)

@@ -622,6 +622,33 @@ def test_a_mask_over_every_column_copies_nothing(monkeypatch) -> None:
     assert nn._mask_cols([0, 2], p).tolist() == [0, 2]
 
 
+@pytest.mark.parametrize("bn_first", [False, True])
+def test_a_step_in_dirty_buffers_is_the_step_without_them(tiny_arch, bn_first) -> None:
+    """``train_step`` writing into NaN-filled buffers of ``buffer_shapes``
+    gives the bits of a step that allocates every array (losses,
+    parameters, batch-norm statistics), twice in a row in the same
+    buffers, under every column, a shared and a per-model loss mask and
+    a frozen feature extractor; also for an architecture that opens with
+    batch norm and puts one after a ReLU."""
+    from surgfed.nn import buffer_shapes, train_step
+
+    arch = tiny_arch if not bn_first else Architecture(
+        in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3)))
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(3, 7, 4))
+    y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)
+    for cols, frozen in ((None, ()), (np.array([0, 2, 3]), ()), (np.array([[0, 1], [2, 4], [1, 3]]), ()),
+                         (None, {"feature_extractor"})):
+        a = stack_params([random_params(arch, 5, seed=s) for s in (1, 2, 3)])
+        b = a.copy()
+        bufs = [np.full(s, np.nan) for s in buffer_shapes(arch, 7, 5, 3)]
+        for _ in range(2):
+            fresh = train_step(a, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2])
+            buffered = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs)
+            assert fresh.tobytes() == buffered.tobytes()
+        assert params_equal(a, b) and not np.isnan(bufs[0]).any()
+
+
 def test_non_finite_loss_names_the_first_bad_client(monkeypatch, tiny_arch) -> None:
     """The non-finite-loss error of a lock-step step is the one every
     other non-finite value gets: it names the lowest-index model."""

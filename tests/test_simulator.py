@@ -321,6 +321,54 @@ def test_wide_head_run_peaks_below_its_labels_as_float64() -> None:
 
 
 @pytest.mark.parametrize("method", METHODS)
+def test_loss_columns_are_normalised_once_per_client(method, monkeypatch) -> None:
+    """Each client's loss columns go through ``_mask_cols`` once per run,
+    not once per training call and validation."""
+    import surgfed.model as model
+    import surgfed.nn as nn
+
+    calls = []
+
+    def counted(mask, p, normalise=nn._mask_cols):
+        calls.append(1)
+        return normalise(mask, p)
+
+    monkeypatch.setattr(nn, "_mask_cols", counted)
+    monkeypatch.setattr(model, "_mask_cols", counted, raising=False)
+    result = run_experiment(_cfg(method, T=3))
+    assert len(calls) == len(result.client_classes), calls
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_the_run_arena_fits_every_pass_and_dies_with_the_run(method, monkeypatch) -> None:
+    """One arena serves the warmup, training, validation and test
+    scoring: it is sized for every pass before the warmup, so none
+    replaces its array, and nothing the run returns keeps it or its
+    array alive."""
+    import math
+    import weakref
+
+    from surgfed.nn import Arena
+
+    made, grown = [], []
+
+    class Recorded(Arena):
+        def __init__(self, *layouts):
+            super().__init__(*layouts)
+            made.append((weakref.ref(self), weakref.ref(self.flat)))
+
+        def views(self, shapes):
+            grown.append(sum(map(math.prod, shapes)) > self.flat.size)
+            return super().views(shapes)
+
+    monkeypatch.setattr(simulator, "Arena", Recorded)
+    result = run_experiment(_cfg(method, scenario=HOMOG, T=2, batch_size=12))
+    assert len(made) == 1 and grown and not any(grown)
+    assert made[0][0]() is None and made[0][1]() is None
+    assert result.reports
+
+
+@pytest.mark.parametrize("method", METHODS)
 def test_clients_start_from_their_own_init(method) -> None:
     """Each client's parameters are copied from one M-column init, and
     are bitwise and in layout what ``init_model`` draws for the client's
