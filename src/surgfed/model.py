@@ -6,10 +6,10 @@ extractor, and each head column is drawn from a stream keyed by
 from identical columns regardless of how wide their heads are.
 
 Local SGD trains a :class:`ClientGroup` of same-shape clients in
-lock-step on a stacked copy of their parameters, gathering each epoch's
-shuffled rows into buffers the group owns.  Shapes, labels, the learning
-rate and the frozen groups are checked once per training call, not per
-batch; each step then runs :func:`surgfed.nn.train_step` in an arena.
+lock-step on a stacked copy of their parameters in an arena, which
+holds each epoch's gathered rows and every step's buffers and gradients.
+Shapes, labels, the learning rate and the frozen groups are checked once
+per training call; each step then runs :func:`surgfed.nn.train_step`.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from .nn import (
     buffer_shapes,
     check_training,
     forward,
+    grad_views,
     masked_bce_loss,
     sgd_step,
     stack_params,
+    train_layout,
     train_step,
     unstack_params,
 )
@@ -132,32 +134,28 @@ class ClientState:
 
 
 class ClientGroup(list):
-    """Clients that train in lock-step, with the buffers each epoch
-    gathers their shuffled training rows into: ``x`` is (K, n, d), ``y``
-    is (K, n, c) in the labels' dtype (``int8``), and slice k always
-    holds a row permutation of client k's training set.  Steps run in
-    ``arena``, the run's or the group's own.  The simulator builds one
-    per group per run; a plain list is wrapped in one for its call."""
+    """Clients that train in lock-step in ``arena``, the run's or their
+    own.  ``x`` and ``y`` are the views the last call gathered each
+    epoch's rows and labels (``int8``) into: slice k is a row permutation
+    of client k's training set.  The simulator builds one per group per
+    run; a plain list is wrapped in one for its call."""
 
     def __init__(self, clients):
         super().__init__(clients)
-        self.x = np.stack([c.train.x for c in self])
-        self.y = np.stack([c.train.y for c in self])
+        self.x = self.y = None
         self.arena = Arena()
 
     def step_shapes(self, batch_size: int) -> dict[int, list]:
-        """The step's buffer shapes at each batch length an epoch cuts, full first."""
-        n, first = self.x.shape[1], self[0]
-        return {b: buffer_shapes(first.arch, b, first.params.head_cols, len(self))
-                for b in sorted({min(batch_size, n), n % batch_size or batch_size}, reverse=True)}
+        """:func:`surgfed.nn.train_layout` for this group."""
+        return train_layout(self[0].arch, len(self), self[0].train.n, self[0].params.head_cols, batch_size)
 
 
-def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_size: int, frozen, views):
-    """One lock-step epoch of a group whose buffers ``check_training`` has
+def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_size: int, frozen, steps):
+    """One lock-step epoch of a group whose clients ``check_training`` has
     passed.  ``params`` is stacked along a leading client axis and updated
     in place; every client draws its batch order from its own RNG stream,
-    and steps write into ``views`` by batch length.  Returns each
-    client's mean batch loss."""
+    and a step takes its buffers and gradients from ``steps`` by batch
+    length.  Returns each client's mean batch loss."""
     arch, ids, x, y = group[0].arch, [c.id for c in group], group.x, group.y
     n = x.shape[1]
     # shuffle each client's rows into its slice once; every batch is a view.
@@ -170,7 +168,7 @@ def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_si
     for start in range(0, n, batch_size):
         end = start + batch_size
         total += train_step(params, arch, x[:, start:end], y[:, start:end], cols, lr, frozen, ids,
-                            views[min(batch_size, n - start)])
+                            *steps[min(batch_size, n - start)])
         batches += 1
     return total / batches
 
@@ -179,8 +177,8 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
     """Run ``epochs`` lock-step epochs on a private stacked copy of the
     group's parameters and write each client's slice back; a call that
     raises leaves every client's parameters as they were.  Inputs are
-    checked here, once.  Returns the per-epoch loss arrays (one entry per
-    client)."""
+    checked here, once, where they lie.  Returns the per-epoch loss
+    arrays (one entry per client)."""
     if not group:
         raise ConfigError("a training group needs at least one client")
     first = group[0]
@@ -191,14 +189,16 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
             raise ContractViolation(
                 "group members must share architecture, train.n, head width and loss-column count"
             )
+        _, frozen = check_training(c.params, first.arch, c.train.x, c.train.y, None, lr, frozen)
     # every column, one shared set of columns, or one row of them per client
     cols = [c.cols for c in group]
     cols = cols[0] if cols[0] is None or len(set(columns)) == 1 else np.stack(cols)
     params = stack_params([c.params for c in group])
     group = group if isinstance(group, ClientGroup) else ClientGroup(group)
-    _, frozen = check_training(params, first.arch, group.x, group.y, None, lr, frozen)
     views = {b: group.arena.views(s) for b, s in group.step_shapes(batch_size).items()}
-    losses = [_train_epoch(group, params, cols, lr, batch_size, frozen, views) for _ in range(epochs)]
+    group.x, group.y = views[min(batch_size, first.train.n)][:2]
+    steps = {b: (v[2:], grad_views(params, v[-1])) for b, v in views.items()}
+    losses = [_train_epoch(group, params, cols, lr, batch_size, frozen, steps) for _ in range(epochs)]
     for c, ps in zip(group, unstack_params(params)):
         c.params = ps
     return losses

@@ -324,8 +324,8 @@ def buffer_shapes(arch: Architecture, rows: int, head_cols: int, models=None, lo
     """The buffers a pass on ``rows`` rows with ``head_cols`` head columns
     writes, in the order it takes them: an eval-mode :func:`forward`
     (then, with ``loss``, a loss's work array), or a :func:`train_step`
-    of ``models`` stacked models (forward, output gradient, the loss's
-    work array, then the backward pass from the top down)."""
+    of ``models`` stacked models (forward, output gradient, the backward
+    pass from the top down, then the loss's work array)."""
     train, widths, back = models is not None, [], [arch.feature_out_dim]
     for i, s in enumerate(arch.feature_specs):
         norm = train and s.kind == "batchnorm"
@@ -334,7 +334,7 @@ def buffer_shapes(arch: Architecture, rows: int, head_cols: int, models=None, lo
             back.insert(1, s.in_dim)
     if not train:
         return [(rows, w) for w in widths + [head_cols] * (1 + loss)]
-    return [(models, rows, w) for w in widths + [head_cols] * 3 + back]
+    return [(models, rows, w) for w in widths + [head_cols] * 2 + back + [head_cols]]
 
 
 def eval_buffers(arch: Architecture, n: int, head_cols: int) -> list[np.ndarray]:
@@ -343,20 +343,68 @@ def eval_buffers(arch: Architecture, n: int, head_cols: int) -> list[np.ndarray]
     return [np.empty(s) for s in buffer_shapes(arch, n, head_cols)]
 
 
+def eval_layout(arch: Architecture, n: int, head_cols: int):
+    """An eval pass's arena layout, the head over the first feature buffer
+    (dead once the next layer has read it) unless it reads it or ``x``,
+    and the function that turns its views into ``bufs`` for :func:`forward`."""
+    shapes = buffer_shapes(arch, n, head_cols)
+    if len(shapes) < 3:
+        return shapes, list
+    first, head = shapes[0], shapes[-1]
+    return [(n * max(first[1], head_cols),)] + shapes[1:-1], lambda views: [
+        views[0][:math.prod(first)].reshape(first), *views[1:], views[0][:math.prod(head)].reshape(head)]
+
+
+def grad_views(params: ParamSet, block: np.ndarray) -> ParamGrad:
+    """Gradients of ``params`` in ``block``, end to end: features in walk order, then the head."""
+    named = [*params.feature.items(), ("head_W", params.head_W), ("head_b", params.head_b)]
+    ends = accumulate(a.size for _, a in named)
+    views = {k: block[e - a.size:e].reshape(a.shape) for (k, a), e in zip(named, ends)}
+    return ParamGrad(views, views.pop("head_W"), views.pop("head_b"))
+
+
+class Int8Block(tuple):
+    """An arena entry for an ``int8`` array of ``shape``: (float64 elements it takes,)."""
+    def __new__(cls, shape):
+        block = super().__new__(cls, (-(-math.prod(shape) // 8),))
+        block.shape = tuple(shape)
+        return block
+
+
+def train_layout(arch: Architecture, models: int, n: int, head_cols: int, batch_size: int) -> dict[int, list]:
+    """A lock-step epoch's arena layout at each batch length, full first:
+    the gathered rows and ``int8`` labels, then the step's buffers, whose
+    last, the loss's work array, holds the gradients after the loss."""
+    grads = (arch.feature_out_dim + 1) * head_cols + sum(
+        (s.in_dim + 1) * s.out_dim if s.kind == "dense" else 2 * s.out_dim * (s.kind == "batchnorm")
+        for s in arch.feature_specs)
+    ahead = [(models, n, arch.in_dim), Int8Block((models, n, head_cols))]
+    return {b: ahead + buffer_shapes(arch, b, head_cols, models)[:-1]
+            + [(max(models * b * head_cols, models * grads),)]
+            for b in sorted({min(batch_size, n), n % batch_size or batch_size}, reverse=True)}
+
+
 class Arena:
     """One flat float64 array for passes that never run at the same time,
-    sized for the largest of ``layouts`` (lists of :func:`buffer_shapes`).
-    A pass takes C-contiguous views of it, laid end to end from its start;
-    one that needs more than its size replaces the array."""
+    sized for the largest of ``layouts`` (lists of shapes).  A pass takes
+    C-contiguous views of it, laid end to end from its start (an
+    :class:`Int8Block` as ``int8``); one that needs more replaces it."""
 
     def __init__(self, *layouts):
-        self.flat = np.empty(max((sum(map(math.prod, s)) for s in layouts), default=0))
+        self.flat = np.empty(max(map(Arena.size, layouts), default=0))
+
+    @staticmethod
+    def size(shapes) -> int:
+        """The float64 elements a pass on ``shapes`` takes."""
+        return sum(map(math.prod, shapes))
 
     def views(self, shapes) -> list[np.ndarray]:
         sizes = [math.prod(s) for s in shapes]
         if sum(sizes) > self.flat.size:
             self.flat = np.empty(sum(sizes))
-        return [self.flat[o:o + n].reshape(s) for o, n, s in zip(accumulate(sizes, initial=0), sizes, shapes)]
+        views = [self.flat[o:o + n] for o, n in zip(accumulate(sizes, initial=0), sizes)]
+        return [v.view(np.int8)[:math.prod(s.shape)].reshape(s.shape) if isinstance(s, Int8Block)
+                else v.reshape(s) for v, s in zip(views, shapes)]
 
 
 def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client_ids=None,
@@ -487,25 +535,27 @@ def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int, out=None) -> np
 
 
 def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, norms,
-              heads_only: bool = False, bufs=None) -> ParamGrad:
+              heads_only: bool = False, bufs=None, grads: ParamGrad | None = None) -> ParamGrad:
     """Backpropagate the logit gradient ``g``.  ``norms`` holds the
     ``(centered, sqrt(var + eps))`` pair of each batch-norm layer, and
     overwrites it.  With ``heads_only`` it stops after the head: the
-    feature gradients stay empty.  Input gradients go into ``bufs``."""
+    feature gradients stay empty.  Input gradients go into ``bufs``,
+    parameter gradients into ``grads`` (:func:`grad_views`)."""
     nspecs = len(arch.feature_specs)
-    grad_head_W = activations[nspecs].swapaxes(-1, -2) @ g
-    grad_head_b = np.add.reduce(g, axis=-2)
-    grads: dict[str, np.ndarray] = {}
+    into = {} if grads is None else dict(grads.feature, head_W=grads.head_W, head_b=grads.head_b)
+    grad_head_W = np.matmul(activations[nspecs].swapaxes(-1, -2), g, out=into.get("head_W"))
+    grad_head_b = np.add.reduce(g, axis=-2, out=into.get("head_b"))
+    done = ParamGrad({}, grad_head_W, grad_head_b)
     if heads_only:
-        return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
+        return done
     bufs = iter(() if bufs is None else bufs)
     g = np.matmul(g, params.head_W.swapaxes(-1, -2), out=next(bufs, None))
     for i in range(nspecs - 1, -1, -1):
         spec = arch.feature_specs[i]
         x_in = activations[i]
         if spec.kind == "dense":
-            grads[f"{i}.W"] = x_in.swapaxes(-1, -2) @ g
-            grads[f"{i}.b"] = np.add.reduce(g, axis=-2)
+            done.feature[f"{i}.W"] = np.matmul(x_in.swapaxes(-1, -2), g, out=into.get(f"{i}.W"))
+            done.feature[f"{i}.b"] = np.add.reduce(g, axis=-2, out=into.get(f"{i}.b"))
             if i > 0:  # the input gradient of the first layer has no use
                 g = np.matmul(g, params.feature[f"{i}.W"].swapaxes(-1, -2), out=next(bufs, None))
         elif spec.kind == "batchnorm":
@@ -515,8 +565,8 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
             inv = 1.0 / std
             xhat = np.multiply(centered, inv, out=centered)
             t = np.multiply(g, xhat, out=next(bufs, None))
-            grads[f"{i}.gamma"] = np.add.reduce(t, axis=-2)
-            grads[f"{i}.beta"] = np.add.reduce(g, axis=-2)
+            done.feature[f"{i}.gamma"] = np.add.reduce(t, axis=-2, out=into.get(f"{i}.gamma"))
+            done.feature[f"{i}.beta"] = np.add.reduce(g, axis=-2, out=into.get(f"{i}.beta"))
             dxhat = np.multiply(g, gamma, out=g)
             # (inv / nb) * (nb * dxhat - Σ dxhat - xhat * Σ (dxhat * xhat)), term by term
             s = np.add.reduce(np.multiply(dxhat, xhat, out=t), axis=-2, keepdims=True)
@@ -526,7 +576,7 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
             g = np.multiply(inv / nb, t, out=t)
         else:  # relu
             g = np.multiply(g, x_in > 0.0, out=g)
-    return ParamGrad(feature=grads, head_W=grad_head_W, head_b=grad_head_b)
+    return done
 
 
 def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamGrad:
@@ -611,7 +661,8 @@ def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, 
     return (None if mask is None else _mask_cols(mask, y)), _check_sgd(lr, frozen)
 
 
-def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids, bufs=None):
+def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids, bufs=None,
+               grads=None):
     """One SGD step on a batch cut from inputs :func:`check_training`
     passed, with the arguments it returned: bitwise :func:`forward`,
     :func:`masked_bce_loss`, :func:`backward` and :func:`sgd_step` in a
@@ -619,16 +670,16 @@ def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, froz
     computed once and a mask over every column is not applied.  With the
     feature extractor frozen, backpropagation stops after the head.  With
     ``bufs`` (C-contiguous, :func:`buffer_shapes`) it allocates no float64
-    array with a sample axis but a mask's column cuts.  Returns the loss,
-    one per stacked model."""
-    bufs = None if bufs is None else iter(bufs)
+    array with a sample axis but a mask's column cuts, and with ``grads``
+    (:func:`grad_views`) no gradient.  Returns one loss per model."""
+    work, bufs = (None, None) if bufs is None else (bufs[-1], iter(bufs[:-1]))
     acts, p, norms = _forward(params, arch, x, True, client_ids, bufs)
     if cols is not None:
         p, y = _take_cols(p, cols), _take_cols(y, cols)
     g = _output_grad(p, y, cols, params.head_cols, None if bufs is None else next(bufs))
-    loss = _bce(p, y) if bufs is None else _bce(p, y, next(bufs))  # p is spent
+    loss = _bce(p, y) if work is None else _bce(p, y, work)  # p is spent
     if not np.isfinite(loss).all():
         raise _non_finite("loss", None, loss[..., None, None], client_ids)
     heads_only = "feature_extractor" in frozen
-    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs), lr, frozen, spent=True)
+    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads), lr, frozen, spent=True)
     return loss

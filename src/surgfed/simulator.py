@@ -27,13 +27,12 @@ own parameters, loss columns and RNG stream, so each one ends bitwise
 where training it alone would; groups train one after another on one
 thread, and aggregation always walks clients in index order.
 
-Training steps, validation and the test-set forward pass never overlap,
-so they share one :class:`surgfed.nn.Arena`, sized before the warmup.
+Training (gathered rows, step buffers and gradients), validation and the
+test forward pass never overlap: they share one :class:`surgfed.nn.Arena`.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from .model import (
     local_train,
     validation_loss,
 )
-from .nn import Architecture, Arena, ParamSet, buffer_shapes, build_architecture
+from .nn import Architecture, Arena, ParamSet, buffer_shapes, build_architecture, eval_layout, train_layout
 from .registry import GROUP_NAMES, ClassRegistry
 
 
@@ -163,16 +162,15 @@ class ExperimentConfig:
         need_flag(self.sample_weighted, "sample_weighted")
         if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
             raise ConfigError("must be a SeedBundle or None", "seeds")
-        # client data and its gather buffers, the test features and the
-        # arena, float64 but for the int8 labels; rejected here, not by
-        # numpy mid-run.  An upper bound: every client's labels M wide, and
-        # an M-wide arena for the test set, pooled validation or all K at once
+        # client data, the test features and the arena, float64 but for the
+        # int8 labels; rejected here, not by numpy mid-run.  An upper bound:
+        # every label M wide, the arena M wide for any of its passes
         s, arch = self.scenario, self.architecture()
-        arena = max(sum(map(math.prod, shapes)) for shapes in (
+        arena = max(map(Arena.size, (
             buffer_shapes(arch, s.n_test, s.M), buffer_shapes(arch, s.K * s.n_val, s.M, loss=True),
-            buffer_shapes(arch, min(self.batch_size, s.n_train), s.M, s.K)))
-        need = (8 * (2 * s.K * s.n_per_client * s.d + s.n_test * s.d + arena)
-                + 2 * s.K * s.n_per_client * s.M + s.n_test * s.M)
+            *train_layout(arch, s.K, s.n_train, s.M, self.batch_size).values())))
+        need = (8 * (s.K * s.n_per_client * s.d + s.n_test * s.d + arena)
+                + s.K * s.n_per_client * s.M + s.n_test * s.M)
         have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if need > have:
             raise ConfigError(f"needs an estimated {need / 2**30:,.1f} GiB of arrays, more than the "
@@ -283,7 +281,7 @@ def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None
 
 def _client_groups(clients) -> list[ClientGroup]:
     """Clients that can train in lock-step, in order of their first
-    member's id; each group owns its gather buffers for the run."""
+    member's id."""
     groups: dict[tuple, list[ClientState]] = {}
     for c in clients:
         groups.setdefault((c.train.n, c.params.head_cols, len(c.loss_cols)), []).append(c)
@@ -328,8 +326,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     test, realized = data.test, data.realized()
     del data
     groups = _client_groups(clients)
-    # one buffer for every pass that writes arrays with a sample axis
-    test_shapes = buffer_shapes(arch, config.scenario.n_test, M)
+    # one buffer for every pass that writes arrays with a sample axis or gradients
+    test_shapes, test_bufs = eval_layout(arch, config.scenario.n_test, M)
     passes = [test_shapes] if row.global_model else []
     passes += [s for g in groups for s in g.step_shapes(config.batch_size).values()]
     passes += [buffer_shapes(arch, c.val.n, c.params.head_cols, loss=True) for c in clients]
@@ -366,7 +364,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             val_losses = tuple(validation_loss(c, arena) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
-                ev = evaluate(global_params, arch, range(M), plan, bufs=arena.views(test_shapes))
+                ev = evaluate(global_params, arch, range(M), plan, bufs=test_bufs(arena.views(test_shapes)))
                 test_mean = ev.mean_auroc
                 test_per_class = tuple(ev.per_class[c] for c in range(M))
             else:

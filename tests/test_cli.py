@@ -160,20 +160,21 @@ def test_uncoercible_values_exit_2_before_compute(tmp_path, monkeypatch, bad) ->
 
 def test_memory_estimate_counts_labels_at_one_byte(tmp_path, monkeypatch) -> None:
     """A config is rejected when its estimated arrays exceed physical
-    memory: 8·(2·K·n·d + n_test·d + A) bytes of float64 data and buffers
-    plus 2·K·n·M + n_test·M bytes of int8 labels, where A bounds the
-    run's arena: the largest of the test forward pass, n_test·(Σhidden +
-    M), of every validation row pooled and of one training step of all
-    K clients at once, each M wide.  A machine of exactly that size takes
-    the config, also one that float64 labels would have overfilled; one
-    byte less exits 2 before any work."""
+    memory: 8·(K·n·d + n_test·d + A) bytes of float64 data and buffers
+    plus K·n·M + n_test·M bytes of int8 labels, where A bounds the run's
+    arena: the largest of the test forward pass, n_test·(Σhidden + M), of
+    every validation row pooled and of training all K clients at once,
+    each M wide (an epoch's gathered rows and labels, the gradients and a
+    step).  A machine of exactly that size takes the config, also one
+    that float64 labels would have overfilled; one byte less exits 2
+    before any work."""
     import surgfed.cli as cli
     from surgfed import simulator
 
     s = SMALL_CONFIG["scenario"]
     K, n, d, M, n_test, hidden = s["K"], s["n_per_client"], s["d"], s["M"], 2000, (32, 16)
-    need = 8 * (2 * K * n * d + n_test * (d + M + sum(hidden))) + 2 * K * n * M + n_test * M
-    float64_need = 8 * (2 * K * n * (d + M) + n_test * (d + 2 * M + sum(hidden)))
+    need = 8 * (K * n * d + n_test * (d + M + sum(hidden))) + K * n * M + n_test * M
+    float64_need = 8 * (K * n * (d + M) + n_test * (d + 2 * M + sum(hidden)))
     assert need < float64_need
 
     def machine(nbytes):
@@ -194,14 +195,18 @@ def test_memory_estimate_counts_labels_at_one_byte(tmp_path, monkeypatch) -> Non
         parse_config(SMALL_CONFIG)
     assert main(["run", _write(tmp_path, SMALL_CONFIG), "--out", str(tmp_path / "x")]) == 2
 
-    # 100 clients and 2 test rows: a step of 32 rows a client sets A, with
-    # 112 forward, 3·M head and 80 backward columns a row
+    # 100 clients and 2 test rows: training sets A.  Each client gathers
+    # 48 rows of d features and M one-byte labels an epoch, and a step of
+    # 32 rows has 112 forward, 2·M head and 80 backward columns a row and
+    # the loss's work array, M columns a row or the client's `grads`
+    # gradients if more
     many = {**SMALL_CONFIG, "scenario": {"n_per_client": n, "d": d, "M": M, "K": 100, "seed": 42,
                                          "shared_count": M, "unique_count": 0, "n_test": 2}}
-    K, n_test, n_val = 100, 2, 12
-    arena = K * 32 * (112 + 3 * M + 80)
+    K, n_test, n_val, n_train = 100, 2, 12, 48
+    grads = (d + 1) * 32 + 2 * 32 + (32 + 1) * 16 + (16 + 1) * M
+    arena = K * n_train * d + K * n_train * M // 8 + K * 32 * (112 + 2 * M + 80) + K * max(32 * M, grads)
     assert arena > max(n_test * (sum(hidden) + M), K * n_val * (sum(hidden) + 2 * M))
-    need = 8 * (2 * K * n * d + n_test * d + arena) + 2 * K * n * M + n_test * M
+    need = 8 * (K * n * d + n_test * d + arena) + K * n * M + n_test * M
     machine(need)
     parse_config(many)
     machine(need - 1)

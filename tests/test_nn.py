@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -661,6 +663,89 @@ def test_non_finite_loss_names_the_first_bad_client(monkeypatch, tiny_arch) -> N
         nn.train_step(params, tiny_arch, x, np.zeros((3, 4, 2), np.int8), None, 0.1,
                       frozenset(), [5, 6, 7])
     assert (err.value.client, err.value.layer) == (6, None)
+
+
+@pytest.mark.parametrize("bn_first", [False, True])
+def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tiny_arch, bn_first) -> None:
+    """``train_step`` writing its buffers and every gradient into
+    NaN-filled memory (``grad_views`` of a block longer than it needs)
+    gives the bits of a step that allocates them, twice in a row, under
+    every column, a shared and a per-model loss mask and a frozen
+    feature extractor or head.  ``train_layout`` widens the loss's work
+    array, the step's last buffer, to hold the trainable tensors' gradients."""
+    from surgfed.nn import buffer_shapes, grad_views, train_layout, train_step
+
+    arch = tiny_arch if not bn_first else Architecture(
+        in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3)))
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(3, 7, 4))
+    y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)
+    for cols, frozen in ((None, ()), (np.array([0, 2, 3]), ()), (np.array([[0, 1], [2, 4], [1, 3]]), ()),
+                         (None, {"feature_extractor"}), (None, {"head"})):
+        a = stack_params([random_params(arch, 5, seed=s) for s in (1, 2, 3)])
+        b = a.copy()
+        bufs = [np.full(s, np.nan) for s in buffer_shapes(arch, 7, 5, 3)]
+        trainable = sum(t.size for g, _, t in b.tensors() if not g.startswith("bn_"))
+        assert train_layout(arch, 3, 7, 5, 7)[7][-1] == (max(3 * 7 * 5, trainable),)
+        grads = grad_views(b, np.full(trainable + 5, np.nan))
+        for _ in range(2):
+            fresh = train_step(a, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2])
+            buffered = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
+            assert fresh.tobytes() == buffered.tobytes()
+        assert params_equal(a, b)
+
+
+def test_arena_views_of_a_mixed_layout_are_end_to_end() -> None:
+    """A layout of odd sizes with ``int8`` blocks, each taking whole
+    float64 elements: every view has its shape and dtype, is C-contiguous
+    and shares no byte with another; a pass fits the arena sized for it,
+    which keeps its array, and a larger pass gets a new array."""
+    from surgfed.nn import Arena, Int8Block
+
+    layout = [(3, 5), Int8Block((2, 7, 3)), (1,), (7,), Int8Block((5,)), (2, 3, 3)]
+    assert [math.prod(s) for s in layout] == [15, 6, 1, 7, 1, 18]
+    arena = Arena(layout, [(4,)])
+    flat = arena.flat
+    for _ in range(2):
+        views = arena.views(layout)
+        assert arena.flat is flat and flat.size == Arena.size(layout) == 48
+        for v, s in zip(views, layout):
+            int8 = isinstance(s, Int8Block)
+            assert np.shares_memory(v, flat) and v.flags.c_contiguous, s
+            assert v.shape == (s.shape if int8 else s) and v.dtype == (np.int8 if int8 else np.float64)
+        spans = sorted((v.ctypes.data, v.ctypes.data + v.nbytes) for v in views)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    arena.views(layout + [(9, 9)])
+    assert arena.flat is not flat and arena.flat.size == 48 + 81
+
+
+@pytest.mark.parametrize("M", [5, 40])
+@pytest.mark.parametrize("hidden", [(32, 16), (8,), ()])
+def test_the_overlapped_eval_pass_is_the_fresh_pass(hidden, M) -> None:
+    """``eval_layout`` lays the head over the first feature buffer when
+    the head reads a later one, with the head narrower and wider than
+    that buffer; a pass in NaN-filled views of an arena sized for it
+    gives, twice in a row, the bits of a pass that allocates.  With one
+    hidden layer the head reads the first buffer and with none it reads
+    ``x``: nothing overlaps."""
+    from surgfed.nn import Arena, eval_layout
+
+    arch = build_architecture(6, hidden)
+    params = random_params(arch, M, seed=3)
+    x = np.random.default_rng(11).normal(size=(50, 6))
+    _, fresh = forward(params, arch, x, "eval")
+    shapes, to_bufs = eval_layout(arch, 50, M)
+    arena = Arena(shapes)
+    arena.flat.fill(np.nan)
+    bufs = to_bufs(arena.views(shapes))
+    for _ in range(2):
+        _, out = forward(params, arch, x, "eval", bufs=bufs)
+        assert out.tobytes() == fresh.tobytes()
+    overlap = len(hidden) > 1
+    shared = [np.shares_memory(b, bufs[-1]) for b in bufs[:-1]]
+    assert shared == [overlap] + [False] * (len(shared) - 1) if shared else not overlap
+    widths = [max(hidden[0], M), *hidden[1:]] if overlap else [*hidden, M]
+    assert arena.flat.size == 50 * sum(widths)
 
 
 # --- the walk over a parameter set ----------------------------------------------

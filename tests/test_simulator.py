@@ -345,7 +345,6 @@ def test_the_run_arena_fits_every_pass_and_dies_with_the_run(method, monkeypatch
     scoring: it is sized for every pass before the warmup, so none
     replaces its array, and nothing the run returns keeps it or its
     array alive."""
-    import math
     import weakref
 
     from surgfed.nn import Arena
@@ -358,7 +357,7 @@ def test_the_run_arena_fits_every_pass_and_dies_with_the_run(method, monkeypatch
             made.append((weakref.ref(self), weakref.ref(self.flat)))
 
         def views(self, shapes):
-            grown.append(sum(map(math.prod, shapes)) > self.flat.size)
+            grown.append(Arena.size(shapes) > self.flat.size)
             return super().views(shapes)
 
     monkeypatch.setattr(simulator, "Arena", Recorded)
