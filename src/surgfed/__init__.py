@@ -56,7 +56,6 @@ from .model import (
 from .nn import (
     Architecture,
     LayerSpec,
-    ParamGrad,
     ParamSet,
     backward,
     batchnorm,

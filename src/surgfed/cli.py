@@ -47,6 +47,7 @@ from .simulator import (
     PERSONAL_METHODS,
     SUITE_GROUPS,
     ExperimentConfig,
+    GroupStats,
     RunResult,
     run_experiment,
     run_suite,
@@ -130,6 +131,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _write_csv(path, run_id: str, header, rows) -> None:
+    """The one CSV format: ``run_id`` opens the header and every row, and
+    every cell goes through :func:`_fmt`."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["run_id", *header])
+        w.writerows([run_id, *map(_fmt, row)] for row in rows)
+
+
+def _write_json(path, obj) -> None:
+    """The one JSON format: indent 2, sorted keys, a final newline."""
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def build_manifest(result: RunResult) -> dict:
     """Provenance of a run: its config, seeds and what the run's own
     scenario data realized."""
@@ -163,22 +180,16 @@ def write_rounds_csv(path, result: RunResult, run_id: str) -> None:
     M = result.registry.n_classes
     names = result.registry.global_classes
     header = (
-        ["run_id", "round", "mean_val_loss", "test_mean_auroc"]
+        ["round", "mean_val_loss", "test_mean_auroc"]
         + [f"train_loss_{k}" for k in range(K)]
         + [f"val_loss_{k}" for k in range(K)]
         + [f"auroc_{names[c]}" for c in range(M)]
     )
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for rep in result.reports:
-            per_class = rep.test_per_class if rep.test_per_class is not None else [None] * M
-            w.writerow(
-                [run_id, rep.round, _fmt(rep.mean_val_loss), _fmt(rep.test_mean_auroc)]
-                + [_fmt(v) for v in rep.client_train_loss]
-                + [_fmt(v) for v in rep.client_val_loss]
-                + [_fmt(v) for v in per_class]
-            )
+    _write_csv(path, run_id, header, (
+        [rep.round, rep.mean_val_loss, rep.test_mean_auroc, *rep.client_train_loss, *rep.client_val_loss,
+         *(rep.test_per_class if rep.test_per_class is not None else [None] * M)]
+        for rep in result.reports
+    ))
 
 
 def _result_payload(result: RunResult, manifest: dict) -> dict:
@@ -209,9 +220,7 @@ def _write_run_outputs(out_dir: Path, result: RunResult, manifest: dict) -> None
     out_dir.mkdir(parents=True, exist_ok=True)
     run_id = manifest["manifest_hash"]
     write_rounds_csv(out_dir / "rounds.csv", result, run_id)
-    with open(out_dir / "result.json", "w") as f:
-        json.dump(_result_payload(result, manifest), f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out_dir / "result.json", _result_payload(result, manifest))
     if result.global_params is not None:
         save_checkpoint(result.global_params, out_dir / "checkpoint.csv")
     if result.client_params is not None:
@@ -249,28 +258,18 @@ def cmd_suite(suite_path, out_dir, seed: int | None = None) -> int:
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["run_id", "label", "method", "reference", "failed"]
-    for g in SUITE_GROUPS:
-        header += [f"{g}_mean", f"{g}_sd", f"{g}_n", f"{g}_p", f"{g}_stars"]
-    with open(out / "comparison.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in suite.rows:
-            cells = [run_id, row.label, row.method, int(row.is_reference), int(row.failed)]
-            for g in SUITE_GROUPS:
-                st = row.groups[g]
-                cells += [_fmt(st.mean), _fmt(st.sd), st.n, _fmt(st.p), st.stars]
-            w.writerow(cells)
-    with open(out / "suite.json", "w") as f:
-        json.dump(
-            {
-                "manifest": {"suite": snapshot, "manifest_hash": run_id},
-                "reference": suite.reference,
-                "failed": [row.label for row in suite.rows if row.failed],
-            },
-            f, indent=2, sort_keys=True,
-        )
-        f.write("\n")
+    header = ["label", "method", "reference", "failed"]
+    header += [f"{g}_{f.name}" for g in SUITE_GROUPS for f in dataclasses.fields(GroupStats)]
+    _write_csv(out / "comparison.csv", run_id, header, (
+        [row.label, row.method, int(row.is_reference), int(row.failed),
+         *(v for g in SUITE_GROUPS for v in dataclasses.astuple(row.groups[g]))]
+        for row in suite.rows
+    ))
+    _write_json(out / "suite.json", {
+        "manifest": {"suite": snapshot, "manifest_hash": run_id},
+        "reference": suite.reference,
+        "failed": [row.label for row in suite.rows if row.failed],
+    })
     for row, result in zip(suite.rows, results):
         if result is not None:
             sub = out / f"member_{row.label}"
@@ -320,31 +319,22 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, seeds: int = 3, epochs:
             rung = spec.K if kind == "clients" else _shared_count_of(spec)
             rows = []
             for template in templates:
-                result = run_experiment(replace(template, scenario=spec))
-                ev = result.global_eval()
-                rows.append((template.method, s, ev))
+                ev = run_experiment(replace(template, scenario=spec)).global_eval()
+                rows.append([rung, s, template.method, ev.mean_auroc,
+                             *(ev.group_means[g] for g in GROUP_NAMES)])
                 curve.setdefault(rung, {}).setdefault(template.method, []).append(ev.mean_auroc)
-            rung_path = out / f"{kind}_rung{rung:02d}_seed{s}.csv"
-            with open(rung_path, "w", newline="") as f:
-                w = csv.writer(f, lineterminator="\n")
-                w.writerow(["run_id", "rung", "seed", "method", "mean_auroc"]
-                           + [f"{g}_mean" for g in GROUP_NAMES])
-                for method, s_, ev in rows:
-                    w.writerow([run_id, rung, s_, method, _fmt(ev.mean_auroc)]
-                               + [_fmt(ev.group_means[g]) for g in GROUP_NAMES])
+            _write_csv(out / f"{kind}_rung{rung:02d}_seed{s}.csv", run_id,
+                       ["rung", "seed", "method", "mean_auroc"] + [f"{g}_mean" for g in GROUP_NAMES], rows)
 
-    with open(out / "summary.csv", "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["run_id", "kind", "rung", "method", "mean_auroc", "sd", "n_seeds"])
-        for rung in sorted(curve):
-            for method in methods:
-                vals = [v for v in curve[rung][method] if v is not None]
-                mean = float(np.mean(vals)) if vals else None
-                sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-                w.writerow([run_id, kind, rung, method, _fmt(mean), _fmt(sd), len(vals)])
-    with open(out / "ablation.json", "w") as f:
-        json.dump({"manifest": snapshot, "manifest_hash": run_id}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    summary = []
+    for rung in sorted(curve):
+        for method in methods:
+            vals = [v for v in curve[rung][method] if v is not None]
+            mean = float(np.mean(vals)) if vals else None
+            sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+            summary.append([kind, rung, method, mean, sd, len(vals)])
+    _write_csv(out / "summary.csv", run_id, ["kind", "rung", "method", "mean_auroc", "sd", "n_seeds"], summary)
+    _write_json(out / "ablation.json", {"manifest": snapshot, "manifest_hash": run_id})
     return 0
 
 

@@ -306,6 +306,13 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
+def _ladder_spec(K: int, seed: int, lists, label_noise: float) -> ScenarioSpec:
+    """A ladder rung: K clients splitting the ladder's samples, client k
+    annotating the classes in ``lists[k]``."""
+    return ScenarioSpec(n_per_client=_LADDER_TOTAL_SAMPLES // K, d=_LADDER_D, M=_LADDER_CLASSES, K=K, seed=seed,
+                        assignment=tuple(tuple(sorted(s)) for s in lists), label_noise=label_noise)
+
+
 def effect_of_clients_scenarios(base_seed: int, label_noise: float = 0.05) -> tuple[ScenarioSpec, ...]:
     """Ladder over the number of clients with the total sample count held
     constant.  Every class is annotated by at least one client; class
@@ -321,17 +328,7 @@ def effect_of_clients_scenarios(base_seed: int, label_noise: float = 0.05) -> tu
         for k in range(K):
             if not lists[k]:
                 lists[k].add(int(rng.integers(_LADDER_CLASSES)))
-        specs.append(
-            ScenarioSpec(
-                n_per_client=_LADDER_TOTAL_SAMPLES // K,
-                d=_LADDER_D,
-                M=_LADDER_CLASSES,
-                K=K,
-                seed=_derive_seed(base_seed, 22, K),
-                assignment=tuple(tuple(sorted(s)) for s in lists),
-                label_noise=label_noise,
-            )
-        )
+        specs.append(_ladder_spec(K, _derive_seed(base_seed, 22, K), lists, label_noise))
     return tuple(specs)
 
 
@@ -353,16 +350,6 @@ def effect_of_shared_classes_scenarios(base_seed: int, label_noise: float = 0.05
         lists = [set(shared) for _ in range(K)]
         for pos, idx in enumerate(order):
             lists[pos % K].add(rest[int(idx)])
-        specs.append(
-            ScenarioSpec(
-                n_per_client=_LADDER_TOTAL_SAMPLES // K,
-                d=_LADDER_D,
-                M=_LADDER_CLASSES,
-                K=K,
-                seed=data_seed,
-                assignment=tuple(tuple(sorted(x)) for x in lists),
-                label_noise=label_noise,
-            )
-        )
+        specs.append(_ladder_spec(K, data_seed, lists, label_noise))
     return tuple(specs)
 

@@ -135,14 +135,11 @@ class ClientState:
 
 class ClientGroup(list):
     """Clients that train in lock-step in ``arena``, the run's or their
-    own.  ``x`` and ``y`` are the views the last call gathered each
-    epoch's rows and labels (``int8``) into: slice k is a row permutation
-    of client k's training set.  The simulator builds one per group per
-    run; a plain list is wrapped in one for its call."""
+    own.  The simulator builds one per group per run; a plain list is
+    wrapped in one for its call."""
 
     def __init__(self, clients):
         super().__init__(clients)
-        self.x = self.y = None
         self.arena = Arena()
 
     def step_shapes(self, batch_size: int) -> dict[int, list]:
@@ -150,13 +147,15 @@ class ClientGroup(list):
         return train_layout(self[0].arch, len(self), self[0].train.n, self[0].params.head_cols, batch_size)
 
 
-def _train_epoch(group: ClientGroup, params: ParamSet, cols, lr: float, batch_size: int, frozen, steps):
+def _train_epoch(group: ClientGroup, x, y, params: ParamSet, cols, lr: float, batch_size: int, frozen, steps):
     """One lock-step epoch of a group whose clients ``check_training`` has
-    passed.  ``params`` is stacked along a leading client axis and updated
-    in place; every client draws its batch order from its own RNG stream,
-    and a step takes its buffers and gradients from ``steps`` by batch
-    length.  Returns each client's mean batch loss."""
-    arch, ids, x, y = group[0].arch, [c.id for c in group], group.x, group.y
+    passed, gathering each client's rows and ``int8`` labels into slice k
+    of ``x`` and ``y`` in a fresh row order.  ``params`` is stacked along
+    a leading client axis and updated in place; every client draws its
+    batch order from its own RNG stream, and a step takes its buffers and
+    gradients from ``steps`` by batch length.  Returns each client's mean
+    batch loss."""
+    arch, ids = group[0].arch, [c.id for c in group]
     n = x.shape[1]
     # shuffle each client's rows into its slice once; every batch is a view.
     # "clip" spares the copy of out that "raise" makes; the rows are in range
@@ -196,9 +195,9 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
     params = stack_params([c.params for c in group])
     group = group if isinstance(group, ClientGroup) else ClientGroup(group)
     views = {b: group.arena.views(s) for b, s in group.step_shapes(batch_size).items()}
-    group.x, group.y = views[min(batch_size, first.train.n)][:2]
+    x, y = views[min(batch_size, first.train.n)][:2]
     steps = {b: (v[2:], grad_views(params, v[-1])) for b, v in views.items()}
-    losses = [_train_epoch(group, params, cols, lr, batch_size, frozen, steps) for _ in range(epochs)]
+    losses = [_train_epoch(group, x, y, params, cols, lr, batch_size, frozen, steps) for _ in range(epochs)]
     for c, ps in zip(group, unstack_params(params)):
         c.params = ps
     return losses

@@ -131,7 +131,8 @@ class ParamSet:
 
     :meth:`tensors` is the one walk over the five fields and
     :meth:`from_tensors` its inverse; copying, comparing, stacking,
-    unstacking and checkpointing all go through them.
+    unstacking and checkpointing all go through them.  Gradients are a
+    set with empty statistics dicts (:func:`backward`, :func:`grad_views`).
     """
 
     feature: dict[str, np.ndarray]
@@ -189,13 +190,6 @@ class ParamSet:
         return ParamSet.from_tensors(
             (g, k, (a[..., cols] if k is None else a).copy()) for g, k, a in self.tensors()
         )
-
-
-@dataclass
-class ParamGrad:
-    feature: dict[str, np.ndarray]
-    head_W: np.ndarray
-    head_b: np.ndarray
 
 
 def params_equal(a: ParamSet, b: ParamSet) -> bool:
@@ -355,12 +349,12 @@ def eval_layout(arch: Architecture, n: int, head_cols: int):
         views[0][:math.prod(first)].reshape(first), *views[1:], views[0][:math.prod(head)].reshape(head)]
 
 
-def grad_views(params: ParamSet, block: np.ndarray) -> ParamGrad:
-    """Gradients of ``params`` in ``block``, end to end: features in walk order, then the head."""
-    named = [*params.feature.items(), ("head_W", params.head_W), ("head_b", params.head_b)]
-    ends = accumulate(a.size for _, a in named)
-    views = {k: block[e - a.size:e].reshape(a.shape) for (k, a), e in zip(named, ends)}
-    return ParamGrad(views, views.pop("head_W"), views.pop("head_b"))
+def grad_views(params: ParamSet, block: np.ndarray) -> ParamSet:
+    """Trainable tensors of ``params`` end to end in ``block``, in :meth:`ParamSet.tensors` order."""
+    rows = [(g, k, a) for g, k, a in params.tensors() if not g.startswith("bn_")]
+    ends = accumulate(a.size for _, _, a in rows)
+    return ParamSet.from_tensors(
+        (g, k, block[e - a.size:e].reshape(a.shape)) for (g, k, a), e in zip(rows, ends))
 
 
 class Int8Block(tuple):
@@ -535,7 +529,7 @@ def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int, out=None) -> np
 
 
 def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, norms,
-              heads_only: bool = False, bufs=None, grads: ParamGrad | None = None) -> ParamGrad:
+              heads_only: bool = False, bufs=None, grads: ParamSet | None = None) -> ParamSet:
     """Backpropagate the logit gradient ``g``.  ``norms`` holds the
     ``(centered, sqrt(var + eps))`` pair of each batch-norm layer, and
     overwrites it.  With ``heads_only`` it stops after the head: the
@@ -545,7 +539,7 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
     into = {} if grads is None else dict(grads.feature, head_W=grads.head_W, head_b=grads.head_b)
     grad_head_W = np.matmul(activations[nspecs].swapaxes(-1, -2), g, out=into.get("head_W"))
     grad_head_b = np.add.reduce(g, axis=-2, out=into.get("head_b"))
-    done = ParamGrad({}, grad_head_W, grad_head_b)
+    done = ParamSet({}, {}, {}, grad_head_W, grad_head_b)
     if heads_only:
         return done
     bufs = iter(() if bufs is None else bufs)
@@ -579,12 +573,12 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
     return done
 
 
-def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamGrad:
+def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamSet:
     """Analytic gradients of :func:`masked_bce_loss` wrt every trainable
     parameter.  ``activations`` must come from a matching train-mode
     forward call on the same parameters.  Head columns outside the mask
     receive exactly zero gradient.  Stacked inputs give stacked
-    gradients.
+    gradients, as a :class:`ParamSet` with empty statistics dicts.
     """
     p, y = _check_pair(p, y)
     if len(activations) != len(arch.feature_specs) + 3:
@@ -612,7 +606,7 @@ def _check_sgd(lr: float, frozen) -> frozenset:
     return frozen
 
 
-def _sgd(params: ParamSet, grads: ParamGrad, lr: float, frozen: frozenset, spent=False) -> None:
+def _sgd(params: ParamSet, grads: ParamSet, lr: float, frozen: frozenset, spent=False) -> None:
     """The SGD update, in place: ``v -= lr * g`` is bitwise ``v - lr * g``;
     with ``spent`` each ``lr * g`` is formed in the gradient itself."""
     scale = (lambda g: np.multiply(lr, g, out=g)) if spent else (lambda g: lr * g)
@@ -624,7 +618,7 @@ def _sgd(params: ParamSet, grads: ParamGrad, lr: float, frozen: frozenset, spent
         params.head_b -= scale(grads.head_b)
 
 
-def sgd_step(params: ParamSet, grads: ParamGrad, lr: float, frozen=frozenset()) -> ParamSet:
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -> ParamSet:
     """One SGD step.  ``frozen`` names parameter groups to leave alone
     (``feature_extractor``, ``head``).  Running statistics are never
     touched.  Returns a new ParamSet; frozen groups keep their arrays."""

@@ -620,6 +620,66 @@ def test_ablation_validation(tmp_path, monkeypatch) -> None:
     assert not out.exists()
 
 
+SUITE_AND_ABLATION_DIGESTS = {
+    "suite/comparison.csv": "f591d033b3a03b6f57334d4d1beb054550f38830b13f98b688ba0abc49e5afa4",
+    "suite/suite.json": "2061df0b10c36b00d957fd7083827df7051f4d177eca3ca18fe20ebe7739fbd9",
+    "ablation/shared_rung00_seed0.csv": "df1dbd755371d6689b4e33ecae066b2ef09f583325a1c78509459adf59647e4f",
+    "ablation/shared_rung00_seed1.csv": "4047aba3d1cf6b7ead3888e673d2b32ccc17c43812cc30daabbfbb7dbcd1eb85",
+    "ablation/shared_rung01_seed0.csv": "d821a267b99f3f42bd8f964a4b6273062fa37458bac360b435a821a663bfdd74",
+    "ablation/shared_rung01_seed1.csv": "37e78b5ae9c134e38b07d1c0e5f0100c9da7450e86bddcfeec4e141ae337d874",
+    "ablation/shared_rung02_seed0.csv": "fa04e3028c4ae1ddba2dc207ea5c229e6d738bcb041892bdf85a8ada73f8ecaa",
+    "ablation/shared_rung02_seed1.csv": "ac8b6df164dc8314aff939fc347e17eea3bde675f997c22034e06583328f1175",
+    "ablation/shared_rung04_seed0.csv": "a97c92ca006ae4d03ef0f336b36e9cae87bafd25b31c3feed9aac2eb3dac8dc9",
+    "ablation/shared_rung04_seed1.csv": "3608a4ccad19e1485184da6305ce75194d64ba6a038b9fe693ca35ebb1eff78f",
+    "ablation/shared_rung08_seed0.csv": "5390d49c67c8774711e40a1302560703131ceacacadab078499467252096aca6",
+    "ablation/shared_rung08_seed1.csv": "6dcae421cc3689d3b2f6ce018d2b09ff4072ae921b89220d2bcac9f310c156fa",
+    "ablation/shared_rung12_seed0.csv": "9c2e2fb03df02bba9cd6bcf9422fdece7fcb7d49ff29bcb3d91e4709db74d4be",
+    "ablation/shared_rung12_seed1.csv": "b413189cbd43acf7abbe1666f93d65ceff54b8dff0f578c10d9cb32ea920ae1b",
+    "ablation/shared_rung14_seed0.csv": "24bfafd085f2564652ff25a56e669a3813893f43865b575ff23d77ff3a40a3dc",
+    "ablation/shared_rung14_seed1.csv": "62f0e470c72df598402ecd0dab35b153c6022ebfcac6e3c50091e103b8c1c525",
+    "ablation/summary.csv": "99895ee13c3c7fd40c6da08599fd230efdbc872e53382a885454ebb79a8a5740",
+    "ablation/ablation.json": "074800076b451172cecb26b2594a2cc6103f22e621aa5dcc8dfffd069d18fe6a",
+}
+
+
+def test_suite_and_ablation_artifacts_match_their_pinned_bytes(tmp_path, monkeypatch) -> None:
+    """``comparison.csv``, ``suite.json``, every rung CSV, ``summary.csv``
+    and ``ablation.json`` keep their bytes.  The runs are stubbed with
+    fixed scores (a failed suite row, an undefined group mean), so the pin
+    reads no trained number and holds under any BLAS kernel."""
+    import hashlib
+
+    import surgfed.cli as cli
+    from surgfed.metrics import EvalResult
+    from surgfed.registry import GROUP_NAMES
+    from surgfed.simulator import SUITE_GROUPS, GroupStats, SuiteResult, SuiteRow
+
+    ref = SuiteRow("surgical", "surgical", True, False,
+                   {g: GroupStats(0.5 + i / 7, i / 9, 4 + i, None, "ref") for i, g in enumerate(SUITE_GROUPS)})
+    failed = SuiteRow("vanilla_fl", "vanilla_fl", False, True,
+                      {g: GroupStats(None, None, 0, None, "failed") for g in SUITE_GROUPS})
+    monkeypatch.setattr(cli, "run_suite", lambda configs, reference: (
+        SuiteResult((ref, failed), reference, ("c0", "c1", "c2", "c3")), [None, None]))
+
+    class Run:
+        def __init__(self, cfg):
+            self.cfg = cfg
+
+        def global_eval(self):
+            mean = 0.5 + ABLATION_METHODS.index(self.cfg.method) / 7 + self.cfg.scenario.seed % 97 / 3e3
+            groups = {g: None if i == 1 else mean - i / 11 for i, g in enumerate(GROUP_NAMES)}
+            return EvalResult({}, mean, groups, (), ())
+
+    monkeypatch.setattr(cli, "run_experiment", Run)
+    out = tmp_path / "out"
+    suite = {"members": [SMALL_CONFIG, {**SMALL_CONFIG, "method": "vanilla_fl"}]}
+    assert cli.cmd_suite(_write(tmp_path, suite, "suite.json"), out / "suite") == 1
+    assert cli.cmd_ablation("shared", out / "ablation", seeds=2) == 0
+    assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*.*")) == sorted(SUITE_AND_ABLATION_DIGESTS)
+    for name, digest in SUITE_AND_ABLATION_DIGESTS.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 @pytest.mark.parametrize("option", [["--seed", "-1"], ["--seed", str(2**70)], ["--parallel-clients", "0"]],
                          ids=["negative-seed", "seed-beyond-int64", "no-worker-threads"])
 @pytest.mark.parametrize("command", ["run", "suite", "ablation"])

@@ -470,13 +470,9 @@ def test_check_training_reads_the_labels_where_they_lie(tiny_arch) -> None:
 
 
 def _grad_like(params, fill: float):
-    from surgfed import ParamGrad
-
-    return ParamGrad(
-        feature={k: np.full_like(v, fill) for k, v in params.feature.items()},
-        head_W=np.full_like(params.head_W, fill),
-        head_b=np.full_like(params.head_b, fill),
-    )
+    """Gradients filled with ``fill``: the trainable tensors of ``params``, no statistics."""
+    return ParamSet.from_tensors(
+        (g, k, np.full_like(a, fill)) for g, k, a in params.tensors() if not g.startswith("bn_"))
 
 
 def test_check_training_validates_once_for_every_step(tiny_arch) -> None:
@@ -672,7 +668,13 @@ def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tin
     gives the bits of a step that allocates them, twice in a row, under
     every column, a shared and a per-model loss mask and a frozen
     feature extractor or head.  ``train_layout`` widens the loss's work
-    array, the step's last buffer, to hold the trainable tensors' gradients."""
+    array, the step's last buffer, to hold the trainable tensors' gradients.
+    ``grad_views`` lays them end to end from the block's start in
+    ``ParamSet.tensors`` order, whatever order the feature dict is in,
+    and ``backward`` names the same tensors: both give a ``ParamSet``
+    with empty statistics."""
+    from itertools import accumulate
+
     from surgfed.nn import buffer_shapes, grad_views, train_layout, train_step
 
     arch = tiny_arch if not bn_first else Architecture(
@@ -693,6 +695,19 @@ def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tin
             buffered = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
             assert fresh.tobytes() == buffered.tobytes()
         assert params_equal(a, b)
+    one = random_params(arch, 5, seed=4)
+    one.feature = dict(reversed(one.feature.items()))  # the walk, not the dict, sets the order
+    walk = [(g, k, t.shape) for g, k, t in one.tensors() if not g.startswith("bn_")]
+    block = np.full(sum(math.prod(shape) for *_, shape in walk) + 5, np.nan)
+    grads = grad_views(one, block)
+    assert [(g, k, t.shape) for g, k, t in grads.tensors()] == walk
+    assert grads.bn_mean == grads.bn_var == {}
+    starts = accumulate((math.prod(shape) for *_, shape in walk), initial=0)
+    assert [t.ctypes.data for *_, t in grads.tensors()] == [block[o:].ctypes.data for o in starts][:-1]
+    acts, p = forward(one, arch, x[0])
+    full = backward(one, arch, acts, p, y[0], range(5))
+    assert isinstance(full, ParamSet) and full.bn_mean == full.bn_var == {}
+    assert [(g, k, t.shape) for g, k, t in full.tensors()] == walk
 
 
 def test_arena_views_of_a_mixed_layout_are_end_to_end() -> None:

@@ -284,20 +284,23 @@ def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
 @pytest.mark.parametrize("method", METHODS)
 def test_every_label_array_a_run_holds_is_int8(method, monkeypatch) -> None:
     """Labels are one byte from the draw to the loss: every client's
-    splits (scattered to full width or pooled for some methods), every
-    lock-step group's gather buffer and the test plan's rows."""
-    groups = []
+    splits (scattered to full width or pooled for some methods), the
+    labels each lock-step epoch gathers, as it receives them, and the
+    test plan's rows."""
+    from surgfed import model
 
-    def client_groups(clients, build=simulator._client_groups):
-        groups.extend(build(clients))
-        return groups
+    gathered = []
 
-    monkeypatch.setattr(simulator, "_client_groups", client_groups)
+    def train_epoch(group, x, y, *args, epoch=model._train_epoch):
+        gathered.append(y.dtype)
+        return epoch(group, x, y, *args)
+
+    monkeypatch.setattr(model, "_train_epoch", train_epoch)
     seen = []
     result = run_experiment(_cfg(method, T=1), round_hook=lambda r, gp, cs: seen.extend(cs))
-    held = [result.plan.labels, *(g.y for g in groups)]
-    held += [a for c in seen for a in (c.train.y, c.val.y)]
-    assert groups and seen
+    assert gathered and set(gathered) == {np.dtype(np.int8)}, gathered
+    held = [result.plan.labels, *(a for c in seen for a in (c.train.y, c.val.y))]
+    assert seen
     assert all(a.dtype == np.int8 for a in held), [a.dtype for a in held]
 
 
