@@ -38,7 +38,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import betainc
 
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation, need_binary
@@ -275,6 +274,7 @@ def paired_ttest(a, b) -> TTestResult:
     incomplete beta.  All-zero differences are degenerate: p = 1 by
     convention, flagged.
     """
+    from scipy.special import betainc  # a run never pays for importing scipy.special
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:

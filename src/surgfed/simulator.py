@@ -464,6 +464,7 @@ def run_suite(configs, reference: str = "surgical"):
     come with the sample SD across classes and a paired t-test against
     the reference method over the classes both runs define.
     """
+    import scipy.special  # noqa: F401  the t-tests need it: a broken scipy fails before training
     from .metrics import paired_ttest, significance_stars
 
     configs = list(configs)

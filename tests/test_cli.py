@@ -752,23 +752,67 @@ def test_ablation_default_method_list() -> None:
     assert ABLATION_METHODS == ("surgical", "vanilla_fl", "fl_partial_loss", "centralized")
 
 
-# --- console entry point -----------------------------------------------------
+# --- console entry point and cold start -------------------------------------
 
 
-def test_console_script_is_installed(tmp_path) -> None:
-    """The module entry point of the package these tests import, not of
-    whatever copy the caller's environment would find first."""
+def _fresh_python(*args: str) -> str:
+    """Run ``python *args`` in a new interpreter that imports the package
+    these tests import, not whatever copy the caller's environment would
+    find first; returns its stdout."""
     import os
 
     import surgfed
 
-    cfg_path = _write(tmp_path, SMALL_CONFIG)
-    out = tmp_path / "out"
     src = str(Path(surgfed.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "surgfed.cli", "run", cfg_path, "--out", str(out)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_console_script_is_installed(tmp_path) -> None:
+    out = tmp_path / "out"
+    _fresh_python("-m", "surgfed.cli", "run", _write(tmp_path, SMALL_CONFIG), "--out", str(out))
     assert (out / "rounds.csv").exists()
+
+
+def test_a_run_never_imports_scipy_special(tmp_path) -> None:
+    """A run loads scipy's ``_special_ufuncs`` C module, for ``expit``, and
+    nothing else of ``scipy.special``: importing that package costs a
+    process about 0.3 s and 17 MB."""
+    code = ("import sys\nimport surgfed.cli as cli\n"
+            "assert cli.main(['run', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    out = _fresh_python("-c", code, _write(tmp_path, SMALL_CONFIG), str(tmp_path / "out"))
+    assert out.splitlines()[-1] == "['scipy.special._special_ufuncs']"
+    assert (tmp_path / "out" / "rounds.csv").exists()
+
+
+@pytest.mark.parametrize("first", ["surgfed.nn", "scipy.special"])
+def test_expit_is_scipy_specials_own_ufunc(first) -> None:
+    """Whichever is imported first, ``nn.expit`` is the very object
+    ``scipy.special`` hands out, so every value it gives is bitwise
+    scipy's."""
+    code = f"import {first}, surgfed.nn, scipy.special; print(surgfed.nn.expit is scipy.special.expit)"
+    assert _fresh_python("-c", code).split() == ["True"]
+
+
+def test_a_suite_imports_scipy_special_before_its_first_member_trains() -> None:
+    """The suite's t-tests need ``scipy.special``; it is imported before
+    any member runs, so a broken scipy fails a suite before training."""
+    code = """
+import sys, types
+from surgfed import simulator
+from surgfed.errors import ConfigError
+assert "scipy.special" not in sys.modules
+seen = []
+def run_experiment(config, *args, **kwargs):
+    seen.append("scipy.special" in sys.modules)
+    raise RuntimeError("stub")
+simulator.run_experiment = run_experiment
+try:
+    simulator.run_suite([types.SimpleNamespace(method=m) for m in ("surgical", "vanilla_fl")])
+except ConfigError:
+    print(seen)
+"""
+    assert _fresh_python("-c", code).splitlines()[-1] == "[True, True]"

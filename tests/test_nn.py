@@ -556,6 +556,44 @@ def test_sgd_validation(tiny_arch) -> None:
         sgd_step(params, bad, 0.1)
 
 
+def test_sgd_checks_every_trainable_gradient_alike(tiny_arch) -> None:
+    """A gradient of the wrong shape for any trainable tensor is a
+    contract violation, ``head_b`` included: a ``(1,)`` head-bias
+    gradient used to be broadcast into all five biases.  A frozen
+    group's gradients are not read, so they are not checked."""
+    params = init_model(tiny_arch, 5, seed=0)
+    trainable = [(g, k) for g, k, _ in _grad_like(params, 1.0).tensors()]
+    assert ("head_b", None) in trainable and ("feature", "0.b") in trainable
+    for name in trainable:
+        bad = ParamSet.from_tensors(
+            (g, k, np.zeros(1) if (g, k) == name else a) for g, k, a in _grad_like(params, 1.0).tensors())
+        with pytest.raises(ContractViolation, match="mis-shaped"):
+            sgd_step(params, bad, 0.1)
+        frozen = {"feature_extractor"} if name[0] == "feature" else {"head"}
+        sgd_step(params, bad, 0.1, frozen=frozen)
+    missing = _grad_like(params, 1.0)
+    del missing.feature["0.W"]
+    with pytest.raises(ContractViolation, match="0.W"):
+        sgd_step(params, missing, 0.1)
+
+
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, True, np.True_, "0.1", None, -0.1])
+def test_lr_must_be_a_finite_non_negative_number(tiny_arch, lr) -> None:
+    """``lr`` used to be tested only by ``lr < 0``: NaN and inf made every
+    parameter non-finite with no more than a RuntimeWarning, ``True``
+    stepped by 1 and a string raised ``TypeError``.  ``sgd_step`` and
+    ``check_training`` refuse each with a ``ConfigError`` naming lr."""
+    params = init_model(tiny_arch, 2, seed=0)
+    x, y = np.zeros((1, 3, 4)), np.zeros((1, 3, 2), dtype=np.int8)
+    with pytest.raises(ConfigError, match="^lr must be"):
+        sgd_step(params, _grad_like(params, 1.0), lr)
+    with pytest.raises(ConfigError, match="^lr must be"):
+        check_training(stack_params([params]), tiny_arch, x, y, None, lr, ())
+    for ok in (0, 0.1, np.float32(0.5), np.int64(1)):
+        assert check_training(stack_params([params]), tiny_arch, x, y, None, ok, ()) == (None, frozenset())
+        sgd_step(params, _grad_like(params, 1.0), ok)
+
+
 def test_params_equal_detects_each_field(tiny_arch) -> None:
     a = random_params(tiny_arch, 2, seed=40)
     assert params_equal(a, a.copy())
