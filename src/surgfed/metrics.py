@@ -31,17 +31,22 @@ positive counts, the degenerate classes and the sharing-profile groups.
 may own, and, per chunk of 32 scored classes, one gather of their score
 columns into a bounded (32 x n) ``int64`` buffer (0.5 MB at n=2000), one
 in-place row sort and a few whole-array passes.
+
+The p-values of :func:`paired_ttest` come from :func:`ibeta`: the C
+function ``scipy.special.betainc`` runs on doubles, so bitwise the same,
+loaded from scipy's ``_ufuncs_cxx`` without importing ``scipy.special``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation, need_binary
-from .nn import Architecture, ParamSet, eval_buffers, forward
+from .nn import Architecture, ParamSet, eval_buffers, forward, from_scipy_special
 from .registry import GROUP_NAMES, ClassRegistry, need_class_ids, sharing_profile
 
 # rows of scores sorted together: bounds each (rows x n) buffer
@@ -49,6 +54,8 @@ _CHUNK = 32
 # read as uint64, the bit patterns of +0.0 <= x < 2.0 lie below 2**62, the
 # pattern of 2.0; those of -0.0, negatives, x >= 2.0, inf and NaN do not
 _KEY_LIMIT = 1 << 62
+# scipy.special.betainc's double loop, exported by scipy's _ufuncs_cxx
+_IBETA_CAPSULE = "_export_ibeta_double"
 
 
 def auroc(scores, labels) -> float | None:
@@ -116,7 +123,7 @@ def _tied_pairs(keys: np.ndarray) -> np.ndarray:
     close = step <= 1
     if not close.any():
         return tied
-    r, j = np.nonzero(close)
+    r, j = np.divmod(np.flatnonzero(close), close.shape[1])
     lower = keys[r, j] & 1
     same = (step[r, j] == 0) | (lower == 0)
     r, j, lower = r[same], j[same], lower[same]
@@ -267,14 +274,30 @@ class TTestResult:
     degenerate: bool = False
 
 
+@cache
+def ibeta():
+    """``I_x(a, b)``, resolved once: the ``_IBETA_CAPSULE`` capsule's ``void *`` holds its address."""
+    import ctypes  # only suites pay for it
+    api, obj, c, ptr = ctypes.pythonapi, ctypes.py_object, ctypes.c_double, ctypes.c_void_p
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, obj)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ptr, obj, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+
+    def resolve(module):
+        if (capsule := getattr(module, "__pyx_capi__", {}).get(_IBETA_CAPSULE)) is None:
+            return None
+        f = ctypes.CFUNCTYPE(c, c, c, c)(ptr.from_address(get_pointer(capsule, get_name(capsule))).value)
+        exact = ((1, 1, 0.25, 0.25), (1, 0.5, 0.75, 0.5), (3, 1, 0.5, 0.125))
+        return f if all(f(a, b, x) == want for a, b, x, want in exact) else None
+
+    return from_scipy_special("_ufuncs_cxx", "ibeta", resolve)
+
+
 def paired_ttest(a, b) -> TTestResult:
     """Two-sided paired t-test on matched score vectors.
 
-    The p-value comes from the Student-t CDF via the regularised
-    incomplete beta.  All-zero differences are degenerate: p = 1 by
-    convention, flagged.
+    The p-value is the Student-t tail ``I_x(df/2, 1/2)`` at ``x = df/(df + t²)``
+    (:func:`ibeta`).  All-zero differences are degenerate: p = 1 by convention, flagged.
     """
-    from scipy.special import betainc  # a run never pays for importing scipy.special
     a = np.asarray(a, dtype=np.float64).ravel()
     b = np.asarray(b, dtype=np.float64).ravel()
     if a.shape != b.shape:
@@ -291,7 +314,7 @@ def paired_ttest(a, b) -> TTestResult:
         t = float(np.inf if d[0] > 0 else -np.inf)
         return TTestResult(t=t, p=0.0, df=df)
     t = float(d.mean() / (sd / np.sqrt(d.size)))
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
+    p = ibeta()(df / 2.0, 0.5, df / (df + t * t))
     return TTestResult(t=t, p=p, df=df)
 
 

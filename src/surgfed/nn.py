@@ -40,25 +40,25 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, NumericError, need_binary, need_number
 
 
-def _load_expit():
-    """scipy's ``expit`` from its own C module, registered under its real name so that
-    ``import scipy.special`` (0.3 s and 17 MB, which a run never pays) reuses it."""
+def from_scipy_special(stem: str, what: str, resolve):
+    """``resolve(module)`` for the C module ``scipy/special/<stem>``, loaded alone under its real
+    name so that ``import scipy.special`` (0.3 s, 17 MB) reuses it; no module or no value: ImportError."""
     found = util.find_spec("scipy")  # locates the package without importing it
     if found is None:
         raise ModuleNotFoundError("surgfed needs scipy", name="scipy")
-    name, stem = "scipy.special._special_ufuncs", Path(found.origin).with_name("special") / "_special_ufuncs"
-    path = next((p for s in machinery.EXTENSION_SUFFIXES if (p := Path(f"{stem}{s}")).is_file()), None)
+    name, base = f"scipy.special.{stem}", Path(found.origin).with_name("special") / stem
+    path = next((p for s in machinery.EXTENSION_SUFFIXES if (p := Path(f"{base}{s}")).is_file()), None)
     if name not in sys.modules and path:
         spec = util.spec_from_file_location(name, path)
         spec.loader.exec_module(module := util.module_from_spec(spec))
         sys.modules[name] = module
-    if not hasattr(sys.modules.get(name), "expit"):
+    if (value := resolve(sys.modules[name]) if name in sys.modules else None) is None:
         import scipy
-        raise ImportError(f"no expit in {path or f'{stem}.*'} (scipy {scipy.__version__})")
-    return sys.modules[name].expit
+        raise ImportError(f"no working {what} in {path or f'{base}.*'} (scipy {scipy.__version__})")
+    return value
 
 
-expit = _load_expit()
+expit = from_scipy_special("_special_ufuncs", "expit", lambda module: getattr(module, "expit", None))
 
 BCE_CLAMP = 1e-7
 BN_MOMENTUM = 0.1

@@ -49,7 +49,7 @@ from .data import (
     stats_split,
 )
 from .errors import ConfigError, NumericError, need_flag, need_int, need_number
-from .metrics import EvalResult, TestPlan, evaluate
+from .metrics import EvalResult, TestPlan, evaluate, ibeta, paired_ttest, significance_stars
 from .model import (
     ClientGroup,
     ClientState,
@@ -200,8 +200,8 @@ class RoundReport:
 class RunResult:
     """Outcome of one run.  ``realized`` is :meth:`ScenarioData.realized`
     of the data the run trained on, so its manifest needs no second draw;
-    ``plan`` is the run's test-evaluation plan, reused by every score
-    taken from the result."""
+    ``plan`` is the run's test-evaluation plan, reused by every new score,
+    and ``best_eval`` the best round's global score from the round loop."""
 
     method: str
     config: ExperimentConfig
@@ -214,10 +214,13 @@ class RunResult:
     global_params: ParamSet | None
     client_params: tuple[ParamSet, ...] | None
     client_classes: tuple[tuple[int, ...], ...]
+    best_eval: EvalResult | None
 
     def global_eval(self, class_subset=None) -> EvalResult:
         if self.global_params is None:
             raise ConfigError(f"method {self.method!r} keeps no global model")
+        if class_subset is None:
+            return self.best_eval
         return evaluate(
             self.global_params, self.arch, range(self.registry.n_classes), self.plan, class_subset,
         )
@@ -337,7 +340,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     reports: list[RoundReport] = []
     best_val = np.inf
     best_round = 0
-    best_global: ParamSet | None = None
+    best_global, best_eval = None, None  # the best round's global model and its score
     best_clients: list[ParamSet] | None = None
 
     r = 0  # the round a NumericError is reported in; 0 is the warmup
@@ -388,7 +391,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
                 best_round = r
                 # no copies: nothing writes a round's parameters after it
                 if row.global_model:
-                    best_global = global_params
+                    best_global, best_eval = global_params, ev
                 else:
                     best_clients = [c.params for c in clients]
     except NumericError as exc:
@@ -406,6 +409,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         global_params=best_global,
         client_params=tuple(best_clients) if best_clients else None,
         client_classes=tuple(c.classes for c in clients),
+        best_eval=best_eval,
     )
 
 
@@ -464,14 +468,12 @@ def run_suite(configs, reference: str = "surgical"):
     come with the sample SD across classes and a paired t-test against
     the reference method over the classes both runs define.
     """
-    import scipy.special  # noqa: F401  the t-tests need it: a broken scipy fails before training
-    from .metrics import paired_ttest, significance_stars
-
     configs = list(configs)
     if not configs:
         raise ConfigError("suite needs at least one member config")
     if reference not in [c.method for c in configs]:
         raise ConfigError(f"reference method {reference!r} is not among the suite members")
+    ibeta()  # the t-tests need it: a broken scipy fails before training, inside setup_s
 
     results: list[RunResult | None] = []
     errors: list[str | None] = []

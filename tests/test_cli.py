@@ -797,17 +797,18 @@ def test_expit_is_scipy_specials_own_ufunc(first) -> None:
     assert _fresh_python("-c", code).split() == ["True"]
 
 
-def test_a_suite_imports_scipy_special_before_its_first_member_trains() -> None:
-    """The suite's t-tests need ``scipy.special``; it is imported before
-    any member runs, so a broken scipy fails a suite before training."""
+def test_a_suite_resolves_ibeta_before_its_first_member_trains() -> None:
+    """The suite's t-tests need ``metrics.ibeta``; it is resolved before
+    any member runs, so a broken scipy fails a suite before training, and
+    ``scipy.special`` itself is never imported."""
     code = """
 import sys, types
-from surgfed import simulator
+from surgfed import metrics, simulator
 from surgfed.errors import ConfigError
-assert "scipy.special" not in sys.modules
+assert metrics.ibeta.cache_info().currsize == 0
 seen = []
 def run_experiment(config, *args, **kwargs):
-    seen.append("scipy.special" in sys.modules)
+    seen.append((metrics.ibeta.cache_info().currsize, "scipy.special" in sys.modules))
     raise RuntimeError("stub")
 simulator.run_experiment = run_experiment
 try:
@@ -815,4 +816,66 @@ try:
 except ConfigError:
     print(seen)
 """
-    assert _fresh_python("-c", code).splitlines()[-1] == "[True, True]"
+    assert _fresh_python("-c", code).splitlines()[-1] == "[(1, False), (1, False)]"
+
+
+def test_a_suite_never_imports_scipy_special(tmp_path) -> None:
+    """A suite loads two C modules of ``scipy.special``: ``_special_ufuncs``
+    for ``expit`` and ``_ufuncs_cxx`` for the t-tests' incomplete beta,
+    and not the package, which costs a process about 0.3 s and 17 MB."""
+    suite = {"members": [{**SMALL_CONFIG, "T": 2}, {**SMALL_CONFIG, "T": 2, "method": "vanilla_fl"}]}
+    code = ("import sys\nimport surgfed.cli as cli\n"
+            "assert cli.main(['suite', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.special')))")
+    out = _fresh_python("-c", code, _write(tmp_path, suite, "suite.json"), str(tmp_path / "out"))
+    assert out.splitlines()[-1] == "['scipy.special._special_ufuncs', 'scipy.special._ufuncs_cxx']"
+    rows = _read_rows(tmp_path / "out" / "comparison.csv")
+    header = next(r for r in rows if "all_p" in r)
+    assert float(rows[-1][header.index("all_p")]) >= 0.0  # the t-test ran
+
+
+def test_a_broken_ibeta_fails_a_suite_before_training() -> None:
+    """A capsule that ``_ufuncs_cxx`` does not export raises ``ImportError``
+    naming the file and scipy's version, before any member runs and
+    without falling back to ``scipy.special``."""
+    code = """
+import sys, types
+import scipy
+from surgfed import metrics, simulator
+metrics._IBETA_CAPSULE = "_export_no_such_capsule"
+ran = []
+simulator.run_experiment = lambda *a, **k: ran.append(a)
+try:
+    simulator.run_suite([types.SimpleNamespace(method="surgical")])
+except ImportError as exc:
+    print(exc, scipy.__version__, ran, "scipy.special" in sys.modules, sep=" | ")
+"""
+    message, version, ran, imported = _fresh_python("-c", code).splitlines()[-1].split(" | ")
+    assert "no working ibeta in " in message and "_ufuncs_cxx" in message
+    assert message.endswith(f"(scipy {version})")
+    assert (ran, imported) == ("[]", "False")
+
+
+def test_no_module_imports_scipy_special_or_scipy_stats() -> None:
+    """``surgfed`` loads single C modules of ``scipy.special``
+    (``nn.from_scipy_special``) and never imports that package, or
+    ``scipy.stats``, which imports it."""
+    import ast
+
+    import surgfed
+
+    banned = ("scipy.special", "scipy.stats")
+    files = sorted(Path(surgfed.__file__).parent.glob("*.py"))
+    assert "nn.py" in [f.name for f in files]
+    found = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if any(n == b or n.startswith(f"{b}.") for b in banned)]
+    assert found == []

@@ -26,6 +26,7 @@ from surgfed import (
     relu,
     significance_stars,
 )
+from surgfed.metrics import _tied_pairs
 from surgfed.nn import eval_buffers
 
 
@@ -107,6 +108,22 @@ def test_auroc_matches_pair_counting_with_ties() -> None:
         else:
             assert got == expected
             assert got == _rankdata_auroc(scores, labels)  # bitwise, not approximately
+
+
+@given(st.integers(1, 6), st.integers(2, 80), st.integers(1, 6), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_tied_pairs_equals_a_brute_force_count(rows, n, levels, seed) -> None:
+    """Rows of few distinct scores hold many tied (positive, negative)
+    pairs; ``_tied_pairs`` counts each row's exactly."""
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels, size=(rows, n)) / levels
+    labels = rng.integers(0, 2, size=(rows, n))
+    keys = scores.view(np.int64) << 1 | labels
+    keys.sort(axis=1)
+    expected = [
+        int((s[y == 1][:, None] == s[y == 0][None, :]).sum()) for s, y in zip(scores, labels)
+    ]
+    assert _tied_pairs(keys).tolist() == expected
 
 
 def _same_value(a, b) -> bool:
@@ -592,6 +609,42 @@ def test_ttest_p_against_large_sample_normal_limit() -> None:
     res = paired_ttest(noise + shift, np.zeros(n))
     assert res.t == pytest.approx(1.96, rel=1e-9)
     assert res.p == pytest.approx(0.05, abs=0.004)
+
+
+@given(
+    st.integers(2, 1000),
+    st.sampled_from([1e-9, 1e-3, 1.0, 1e3, 1e9]),
+    st.floats(-40.0, 40.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_ttest_p_is_scipy_betainc_bitwise(n, scale, shift, seed) -> None:
+    """``p`` has the bits of ``scipy.special.betainc(df/2, 1/2, df/(df+t²))``
+    for any number of pairs, at any scale of the differences, out to
+    tails far below any star."""
+    from scipy.special import betainc
+
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(n) * scale
+    res = paired_ttest(b + (rng.standard_normal(n) + shift / np.sqrt(n)) * scale, b)
+    assert not res.degenerate and np.isfinite(res.t)
+    expected = betainc(res.df / 2.0, 0.5, res.df / (res.df + res.t * res.t))
+    assert np.float64(res.p).tobytes() == np.float64(expected).tobytes()
+
+
+@pytest.mark.parametrize("a, b, x", [
+    (1.0, 1.0, 0.25), (1.0, 0.5, 0.75), (3.0, 1.0, 0.5), (2.5, 0.5, 0.0), (2.5, 0.5, 1.0),
+    (np.nan, 0.5, 0.5), (2.5, np.nan, 0.5), (2.5, 0.5, np.nan), (2.5, 0.5, 1.5), (2.5, 0.5, -0.5),
+    (-1.0, 0.5, 0.5), (0.0, 0.5, 0.5), (2.5, 0.0, 0.5), (np.inf, 0.5, 0.5), (1e-300, 0.5, 1e-300),
+])
+def test_ibeta_is_scipy_betainc_at_the_edges(a, b, x) -> None:
+    """Exact answers, the ends of [0, 1], NaN and arguments out of the
+    domain give ``scipy.special.betainc``'s bits."""
+    from scipy.special import betainc
+
+    from surgfed.metrics import ibeta
+
+    assert np.float64(ibeta()(a, b, x)).tobytes() == np.float64(betainc(a, b, x)).tobytes()
 
 
 def test_significance_stars() -> None:

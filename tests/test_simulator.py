@@ -445,6 +445,39 @@ def test_the_best_round_is_kept_as_handed_out(method) -> None:
         assert all(a is b for a, b in zip(result.client_params, client_params, strict=True))
 
 
+def test_a_run_scores_each_round_once(tmp_path, monkeypatch) -> None:
+    """``surgfed run`` calls ``evaluate`` once a round: ``result.json``
+    takes the best round's score from the round loop, and its bytes are
+    those a fresh score of the best model gives.  Label noise and a large
+    step make an early round the best, so the last round's score would
+    not do."""
+    import types
+
+    from surgfed.cli import main
+    from surgfed.metrics import evaluate
+
+    T = 12
+    scenario = {**PIN_SCENARIO, "label_noise": 0.4}
+    cfg = {"scenario": scenario, "method": "surgical", "T": T, "E": 1, "lr": 1.0, "warmup_epochs": 1,
+           "hidden": [16]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(simulator, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))  # fixed timing
+    calls = []
+    monkeypatch.setattr(simulator, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    assert main(["run", str(path), "--out", str(tmp_path / "kept")]) == 0
+    assert len(calls) == T
+
+    def rescore(self, class_subset=None):
+        return evaluate(self.global_params, self.arch, range(self.registry.n_classes), self.plan, class_subset)
+
+    monkeypatch.setattr(simulator.RunResult, "global_eval", rescore)
+    assert main(["run", str(path), "--out", str(tmp_path / "fresh")]) == 0
+    result = json.loads((tmp_path / "kept" / "result.json").read_text())
+    assert result["best_round"] < T
+    assert (tmp_path / "kept" / "result.json").read_bytes() == (tmp_path / "fresh" / "result.json").read_bytes()
+
+
 def _ladder_clients(cfg: ExperimentConfig):
     return simulator._build_clients(generate_synthetic(cfg.scenario), cfg, cfg.architecture())
 
