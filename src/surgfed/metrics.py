@@ -46,7 +46,7 @@ import numpy as np
 
 from .data import LabeledSet
 from .errors import ConfigError, ContractViolation, need_binary
-from .nn import Architecture, ParamSet, eval_buffers, forward, from_scipy_special
+from .nn import Architecture, ParamSet, forward, from_scipy_special
 from .registry import GROUP_NAMES, ClassRegistry, need_class_ids, sharing_profile
 
 # rows of scores sorted together: bounds each (rows x n) buffer
@@ -211,8 +211,8 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
     head columns; ``class_subset`` restricts which classes are reported
     (default all).  Both are checked before the forward pass.  Each
     per-class value is bitwise what :func:`auroc` gives on that class's
-    score column and labels.  The forward pass runs in ``bufs`` (as
-    :func:`surgfed.nn.eval_buffers` gives them), or in buffers of its own.
+    score column and labels.  The forward pass runs in ``bufs``
+    (:func:`surgfed.nn.buffer_shapes`), or in a fresh arena.
     """
     M = plan.registry.n_classes
     model_classes = need_class_ids(model_classes, "model_classes", M, ContractViolation)
@@ -229,7 +229,6 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
             raise ConfigError("class_subset must not be empty")
         custom = True
 
-    bufs = eval_buffers(arch, plan.n, params.head_cols) if bufs is None else bufs
     _, scores = forward(params, arch, plan.x, "eval", bufs=bufs)
     col_of = np.full(M, -1)
     col_of[model_classes] = np.arange(len(model_classes))

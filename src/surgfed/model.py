@@ -239,8 +239,8 @@ def local_train(group, epochs: int, lr: float, batch_size: int):
 
 def validation_loss(client: ClientState, arena: Arena | None = None) -> float:
     """Masked BCE over the client's loss columns on its validation split,
-    eval mode, in views of ``arena`` or in fresh buffers."""
-    shapes = buffer_shapes(client.arch, client.val.n, client.params.head_cols, loss=True)
+    eval mode, in views of ``arena`` or of a fresh one."""
+    shapes = buffer_shapes(client.arch, (client.val.n,), client.params.head_cols, loss=True)
     bufs = (Arena() if arena is None else arena).views(shapes)
     _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id], bufs)
     cols = client.cols

@@ -22,8 +22,13 @@ call and then runs a private core that holds the layer math.  Training
 calls the cores directly: :func:`check_training` makes every check once
 for a whole training set, and :func:`train_step` runs one step on a
 batch of it.  Only the finiteness checks, which depend on the values,
-stay in every step.  :func:`forward` and :func:`train_step` can also
-write into buffers the caller owns (:func:`buffer_shapes`, :class:`Arena`).
+stay in every step.
+
+There is one path through the cores: each writes into the buffers it is
+given (views of an :class:`Arena`) and uses up what it may.  A run
+passes views of its arena; a public function takes a fresh arena for its
+call and copies what a core would use up, so it writes into no array its
+caller passed but the batch-norm running statistics.
 """
 
 from __future__ import annotations
@@ -285,27 +290,26 @@ def _check_inputs(params: ParamSet, arch: Architecture, h: np.ndarray) -> None:
         )
 
 
-def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, client_ids,
-             bufs=None):
-    """The layer math of :func:`forward` on checked inputs.  Also returns,
-    per batch-norm layer, the ``(centered, sqrt(var + eps))`` pair it
-    normalised with, which :func:`_backward` reuses after a train-mode
-    pass.  With ``bufs`` (:func:`buffer_shapes`) dense layers, train-mode
-    batch norm (and its centred input) and the head write into the next
-    buffer and the other layers and the sigmoid work in place, never on
-    the input."""
-    x, acts, norms = h, [h], {}
-    bufs = None if bufs is None else iter(bufs)
+def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, client_ids, bufs):
+    """The layer math of :func:`forward` on checked inputs, in ``bufs``
+    (:func:`buffer_shapes`).  Also returns, per batch-norm layer, the
+    ``(centered, sqrt(var + eps))`` pair it normalised with, which
+    :func:`_backward` reuses after a train-mode pass.  Dense layers, the
+    first layer, train-mode batch norm (and its centred input) and the
+    head write into the next buffer; the other layers and the sigmoid
+    work in place, never on the input."""
+    acts, norms = [h], {}
+    bufs = iter(bufs)
     for i, spec in enumerate(arch.feature_specs):
-        # where the layer writes: a new array, the next buffer or in place
-        own = spec.kind == "dense" or h is x or (train and spec.kind == "batchnorm")
-        out = None if bufs is None else next(bufs) if own else h
+        # where the layer writes: the next buffer or in place
+        own = spec.kind == "dense" or i == 0 or (train and spec.kind == "batchnorm")
+        out = next(bufs) if own else h
         if spec.kind == "dense":
             h = np.matmul(h, params.feature[f"{i}.W"], out=out)
             h += params.feature[f"{i}.b"][..., None, :]
         elif spec.kind == "batchnorm":
             if train:  # the square goes where the output will
-                mu, centered, var = _batch_stats(h, None if bufs is None else next(bufs), out)
+                mu, centered, var = _batch_stats(h, next(bufs), out)
                 m = BN_MOMENTUM
                 for stat, new in ((params.bn_mean[i], mu), (params.bn_var[i], var)):
                     # bitwise (1 - m) * stat + m * new, in place
@@ -328,48 +332,42 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
         if (spec.kind != "relu" or i == 0) and not np.isfinite(h).all():
             raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
         acts.append(h)
-    logits = np.matmul(h, params.head_W, out=None if bufs is None else next(bufs))
+    logits = np.matmul(h, params.head_W, out=next(bufs))
     logits += params.head_b[..., None, :]
     if not np.isfinite(logits).all():
         raise _non_finite("head pre-activation", len(arch.feature_specs), logits, client_ids)
-    out = expit(logits, out=None if bufs is None else logits)
+    out = expit(logits, out=logits)
     acts += [logits, out]
     return acts, out, norms
 
 
-def buffer_shapes(arch: Architecture, rows: int, head_cols: int, models=None, loss=False) -> list:
-    """The buffers a pass on ``rows`` rows with ``head_cols`` head columns
-    writes, in the order it takes them: an eval-mode :func:`forward`
-    (then, with ``loss``, a loss's work array), or a :func:`train_step`
-    of ``models`` stacked models (forward, output gradient, the backward
-    pass from the top down, then the loss's work array)."""
-    train, widths, back = models is not None, [], [arch.feature_out_dim]
+def buffer_shapes(arch: Architecture, lead: tuple, head_cols: int, train=False, loss=False) -> list:
+    """The buffers a :func:`forward` in train or eval mode on inputs of
+    leading shape ``lead`` (rows, or models and rows) with ``head_cols``
+    head columns writes, in the order it takes them; with ``loss``, then
+    a loss's work array."""
+    widths = []
     for i, s in enumerate(arch.feature_specs):
         norm = train and s.kind == "batchnorm"
         widths += [s.out_dim] * ((s.kind == "dense" or i == 0 or norm) + norm)
+    return [(*lead, w) for w in widths + [head_cols] * (1 + loss)]
+
+
+def grad_shapes(arch: Architecture, lead: tuple, head_cols: int) -> list:
+    """The buffers a backward pass writes after a :func:`buffer_shapes`
+    train pass: the output gradient, the input gradients from the top
+    down, then one block for the trainable tensors' gradients
+    (:func:`grad_views`), which :func:`train_step` first uses as its
+    loss's work array."""
+    back = [arch.feature_out_dim]
+    for i, s in enumerate(arch.feature_specs):
         if s.kind == "batchnorm" or i > 0 and s.kind == "dense":  # an input gradient, top down
             back.insert(1, s.in_dim)
-    if not train:
-        return [(rows, w) for w in widths + [head_cols] * (1 + loss)]
-    return [(models, rows, w) for w in widths + [head_cols] * 2 + back + [head_cols]]
-
-
-def eval_buffers(arch: Architecture, n: int, head_cols: int) -> list[np.ndarray]:
-    """Fresh buffers for :func:`forward` calls on ``n`` rows with a head
-    of ``head_cols`` columns."""
-    return [np.empty(s) for s in buffer_shapes(arch, n, head_cols)]
-
-
-def eval_layout(arch: Architecture, n: int, head_cols: int):
-    """An eval pass's arena layout, the head over the first feature buffer
-    (dead once the next layer has read it) unless it reads it or ``x``,
-    and the function that turns its views into ``bufs`` for :func:`forward`."""
-    shapes = buffer_shapes(arch, n, head_cols)
-    if len(shapes) < 3:
-        return shapes, list
-    first, head = shapes[0], shapes[-1]
-    return [(n * max(first[1], head_cols),)] + shapes[1:-1], lambda views: [
-        views[0][:math.prod(first)].reshape(first), *views[1:], views[0][:math.prod(head)].reshape(head)]
+    grads = (arch.feature_out_dim + 1) * head_cols + sum(
+        (s.in_dim + 1) * s.out_dim if s.kind == "dense" else 2 * s.out_dim * (s.kind == "batchnorm")
+        for s in arch.feature_specs)
+    block = max(math.prod(lead) * head_cols, math.prod(lead[:-1]) * grads)
+    return [(*lead, w) for w in [head_cols] + back] + [(block,)]
 
 
 def grad_views(params: ParamSet, block: np.ndarray) -> ParamSet:
@@ -390,14 +388,12 @@ class Int8Block(tuple):
 
 def train_layout(arch: Architecture, models: int, n: int, head_cols: int, batch_size: int) -> dict[int, list]:
     """A lock-step epoch's arena layout at each batch length, full first:
-    the gathered rows and ``int8`` labels, then the step's buffers, whose
-    last, the loss's work array, holds the gradients after the loss."""
-    grads = (arch.feature_out_dim + 1) * head_cols + sum(
-        (s.in_dim + 1) * s.out_dim if s.kind == "dense" else 2 * s.out_dim * (s.kind == "batchnorm")
-        for s in arch.feature_specs)
+    the gathered rows and ``int8`` labels, then a :func:`train_step`'s
+    buffers, a train pass's (:func:`buffer_shapes`) and then the
+    backward pass's (:func:`grad_shapes`)."""
     ahead = [(models, n, arch.in_dim), Int8Block((models, n, head_cols))]
-    return {b: ahead + buffer_shapes(arch, b, head_cols, models)[:-1]
-            + [(max(models * b * head_cols, models * grads),)]
+    return {b: ahead + buffer_shapes(arch, (models, b), head_cols, True)
+            + grad_shapes(arch, (models, b), head_cols)
             for b in sorted({min(batch_size, n), n % batch_size or batch_size}, reverse=True)}
 
 
@@ -429,26 +425,30 @@ def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client
     """Run the network.  Returns ``(activations, output)``.
 
     ``activations[0]`` is the input, then one entry per feature layer,
-    then the head pre-activations (logits), then the sigmoid output.
-    In train mode batch-norm normalises with batch statistics and updates
-    the running statistics in place; in eval mode it reads the running
+    then the head pre-activations (logits), then the sigmoid output;
+    :func:`backward` takes the list.  A layer that works in place leaves
+    its input's entry holding its output: a ReLU past layer 0, eval-mode
+    batch norm past layer 0, and the sigmoid over the logits.  In train
+    mode batch-norm normalises with batch statistics and updates the
+    running statistics in place; in eval mode it reads the running
     statistics and touches nothing.
 
     ``x`` is ``(b, d)`` for one model, or ``(K, b, d)`` for K models
     stacked along a leading axis of every tensor in ``params``.  Each
     model's slice is bitwise what a call with that model alone gives.
     ``client_ids`` (one per model) name the failing client in a
-    :class:`NumericError`.  With ``bufs`` from :func:`eval_buffers` (2-D
-    ``x`` only) the pass allocates no activations: it returns None for
-    them and the last buffer as the output, which the next call into the
-    same buffers overwrites.
+    :class:`NumericError`.  The pass writes into ``bufs``
+    (:func:`buffer_shapes`), which the next call into them overwrites,
+    or into a fresh arena of its own.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
     h = _as_batch(x, "x")
     _check_inputs(params, arch, h)
-    acts, out, _ = _forward(params, arch, h, mode == "train", client_ids, bufs)
-    return (acts if bufs is None else None), out
+    train = mode == "train"
+    bufs = bufs or Arena().views(buffer_shapes(arch, h.shape[:-1], params.head_cols, train))
+    acts, out, _ = _forward(params, arch, h, train, client_ids, bufs)
+    return acts, out
 
 
 def _mask_cols(mask, p: np.ndarray) -> np.ndarray | None:
@@ -491,17 +491,17 @@ def _check_pair(p, y) -> tuple[np.ndarray, np.ndarray]:
     return p, y
 
 
-def _bce(p: np.ndarray, y: np.ndarray, work=None):
+def _bce(p: np.ndarray, y: np.ndarray, work: np.ndarray):
     """Clamped BCE averaged over every sample and column of ``p``, one
-    value per stacked model, for 0/1 labels ``y`` of any dtype.  With
-    ``work`` (contiguous, at least ``p.size`` float64 elements) it
-    overwrites ``p`` and makes its temporaries there.
+    value per stacked model, for 0/1 labels ``y`` of any dtype.  It
+    overwrites ``p`` and makes its temporaries in ``work`` (contiguous,
+    at least ``p.size`` float64 elements).
 
     Bitwise ``mean(-(y * log p + (1 - y) * log1p(-p)))``: for y in {0, 1}
     the term it drops is a signed zero, and the mean of the negated
     terms is the negated mean."""
-    q = np.maximum(p, BCE_CLAMP, out=None if work is None else p)  # the clamp
-    work = np.empty(p.size) if work is None else work.reshape(-1)[:p.size]
+    q = np.maximum(p, BCE_CLAMP, out=p)  # the clamp
+    work = work.reshape(-1)[:p.size]
     np.minimum(q, 1.0 - BCE_CLAMP, out=q)
     log_p = np.log(q, out=work.reshape(q.shape))
     np.log1p(np.negative(q, out=q), out=q)
@@ -528,62 +528,61 @@ def masked_bce_loss(p, y, mask):
     p, y = _check_pair(p, y)
     need_binary(y)
     cols = _mask_cols(mask, p)
-    loss = _bce(_take_cols(p, cols), _take_cols(y, cols))
+    q = _take_cols(p, cols).copy()  # the core uses up the columns it reads
+    loss = _bce(q, _take_cols(y, cols), np.empty(q.size))
     return float(loss) if p.ndim == 2 else loss
 
 
-def _output_grad(p: np.ndarray, y: np.ndarray, cols, width: int, out=None) -> np.ndarray:
+def _output_grad(p: np.ndarray, y: np.ndarray, cols, out: np.ndarray) -> np.ndarray:
     """Gradient of :func:`_bce` of the loss columns ``p``, ``y`` wrt the
-    head pre-activations: the joint derivative through the output
-    sigmoid, the clamp treated as the identity (exact away from
-    saturation).  ``cols`` places the columns in a head of ``width``;
-    None means they are the whole head.  Written into ``out`` if given."""
+    head pre-activations, written into ``out``, the whole head: the
+    joint derivative through the output sigmoid, the clamp treated as
+    the identity (exact away from saturation).  ``cols`` places the
+    columns in the head; None means they are the whole head."""
     g = np.subtract(p, y, out=out if cols is None else None)
     g /= p.shape[-2] * p.shape[-1]
     if cols is None:
         return g
-    full = np.empty(g.shape[:-1] + (width,)) if out is None else out
-    full.fill(0.0)
+    out.fill(0.0)
     if cols.ndim == 1:
-        full[..., cols] = g
+        out[..., cols] = g
     else:
-        np.put_along_axis(full, cols[:, None, :], g, axis=-1)
-    return full
+        np.put_along_axis(out, cols[:, None, :], g, axis=-1)
+    return out
 
 
 def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, norms,
-              heads_only: bool = False, bufs=None, grads: ParamSet | None = None) -> ParamSet:
-    """Backpropagate the logit gradient ``g``.  ``norms`` holds the
-    ``(centered, sqrt(var + eps))`` pair of each batch-norm layer, and
-    overwrites it.  With ``heads_only`` it stops after the head: the
-    feature gradients stay empty.  Input gradients go into ``bufs``,
-    parameter gradients into ``grads`` (:func:`grad_views`)."""
+              heads_only: bool, bufs, grads: ParamSet) -> ParamSet:
+    """Backpropagate the logit gradient ``g``, its input gradients into
+    ``bufs`` (:func:`grad_shapes`, past the output gradient) and the
+    parameter gradients into ``grads`` (:func:`grad_views`), which it
+    returns.  ``norms`` holds the ``(centered, sqrt(var + eps))`` pair of
+    each batch-norm layer, and overwrites it.  With ``heads_only`` it
+    stops after the head and the feature gradients are not written."""
     nspecs = len(arch.feature_specs)
-    into = {} if grads is None else dict(grads.feature, head_W=grads.head_W, head_b=grads.head_b)
-    grad_head_W = np.matmul(activations[nspecs].swapaxes(-1, -2), g, out=into.get("head_W"))
-    grad_head_b = np.add.reduce(g, axis=-2, out=into.get("head_b"))
-    done = ParamSet({}, {}, {}, grad_head_W, grad_head_b)
+    np.matmul(activations[nspecs].swapaxes(-1, -2), g, out=grads.head_W)
+    np.add.reduce(g, axis=-2, out=grads.head_b)
     if heads_only:
-        return done
-    bufs = iter(() if bufs is None else bufs)
-    g = np.matmul(g, params.head_W.swapaxes(-1, -2), out=next(bufs, None))
+        return grads
+    bufs = iter(bufs)
+    g = np.matmul(g, params.head_W.swapaxes(-1, -2), out=next(bufs))
     for i in range(nspecs - 1, -1, -1):
         spec = arch.feature_specs[i]
         x_in = activations[i]
         if spec.kind == "dense":
-            done.feature[f"{i}.W"] = np.matmul(x_in.swapaxes(-1, -2), g, out=into.get(f"{i}.W"))
-            done.feature[f"{i}.b"] = np.add.reduce(g, axis=-2, out=into.get(f"{i}.b"))
+            np.matmul(x_in.swapaxes(-1, -2), g, out=grads.feature[f"{i}.W"])
+            np.add.reduce(g, axis=-2, out=grads.feature[f"{i}.b"])
             if i > 0:  # the input gradient of the first layer has no use
-                g = np.matmul(g, params.feature[f"{i}.W"].swapaxes(-1, -2), out=next(bufs, None))
+                g = np.matmul(g, params.feature[f"{i}.W"].swapaxes(-1, -2), out=next(bufs))
         elif spec.kind == "batchnorm":
             gamma = params.feature[f"{i}.gamma"][..., None, :]
             nb = x_in.shape[-2]
             centered, std = norms[i]
             inv = 1.0 / std
             xhat = np.multiply(centered, inv, out=centered)
-            t = np.multiply(g, xhat, out=next(bufs, None))
-            done.feature[f"{i}.gamma"] = np.add.reduce(t, axis=-2, out=into.get(f"{i}.gamma"))
-            done.feature[f"{i}.beta"] = np.add.reduce(g, axis=-2, out=into.get(f"{i}.beta"))
+            t = np.multiply(g, xhat, out=next(bufs))
+            np.add.reduce(t, axis=-2, out=grads.feature[f"{i}.gamma"])
+            np.add.reduce(g, axis=-2, out=grads.feature[f"{i}.beta"])
             dxhat = np.multiply(g, gamma, out=g)
             # (inv / nb) * (nb * dxhat - Σ dxhat - xhat * Σ (dxhat * xhat)), term by term
             s = np.add.reduce(np.multiply(dxhat, xhat, out=t), axis=-2, keepdims=True)
@@ -593,7 +592,7 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
             g = np.multiply(inv / nb, t, out=t)
         else:  # relu
             g = np.multiply(g, x_in > 0.0, out=g)
-    return done
+    return grads
 
 
 def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> ParamSet:
@@ -611,12 +610,13 @@ def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> P
     if p.shape[-1] != params.head_cols:
         raise ContractViolation("p width does not match the head")
     cols = _mask_cols(mask, p)
-    g = _output_grad(_take_cols(p, cols), _take_cols(y, cols), cols, p.shape[-1])
+    bufs = Arena().views(grad_shapes(arch, p.shape[:-1], p.shape[-1]))
+    g = _output_grad(_take_cols(p, cols), _take_cols(y, cols), cols, bufs[0])
     norms = {}
     for i in arch.bn_layers():
         _, centered, var = _batch_stats(activations[i])
         norms[i] = (centered, np.sqrt(var + BN_EPS))
-    return _backward(params, arch, activations, g, norms)
+    return _backward(params, arch, activations, g, norms, False, bufs[1:-1], grad_views(params, bufs[-1]))
 
 
 def _check_sgd(lr: float, frozen) -> frozenset:
@@ -629,16 +629,15 @@ def _check_sgd(lr: float, frozen) -> frozenset:
     return frozen
 
 
-def _sgd(params: ParamSet, grads: ParamSet, lr: float, frozen: frozenset, spent=False) -> None:
-    """The SGD update, in place: ``v -= lr * g`` is bitwise ``v - lr * g``;
-    with ``spent`` each ``lr * g`` is formed in the gradient itself."""
-    scale = (lambda g: np.multiply(lr, g, out=g)) if spent else (lambda g: lr * g)
+def _sgd(params: ParamSet, grads: ParamSet, lr: float, frozen: frozenset) -> None:
+    """The SGD update, in place, using up ``grads``: ``v -= lr * g``, each
+    ``lr * g`` formed in ``g``, is bitwise ``v - lr * g``."""
     if "feature_extractor" not in frozen:
         for k, v in params.feature.items():
-            v -= scale(grads.feature[k])
+            v -= np.multiply(lr, grads.feature[k], out=grads.feature[k])
     if "head" not in frozen:
-        params.head_W -= scale(grads.head_W)
-        params.head_b -= scale(grads.head_b)
+        params.head_W -= np.multiply(lr, grads.head_W, out=grads.head_W)
+        params.head_b -= np.multiply(lr, grads.head_b, out=grads.head_b)
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -> ParamSet:
@@ -653,7 +652,7 @@ def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -
         if trained.get(g) and shapes.get((g, k)) != a.shape:
             raise ContractViolation(f"gradient missing or mis-shaped for {k or g}")
     out = ParamSet.from_tensors((g, k, a.copy() if trained.get(g) else a) for g, k, a in params.tensors())
-    _sgd(out, grads, lr, frozen)
+    _sgd(out, grads.copy(), lr, frozen)  # the core uses up the gradients
     return out
 
 
@@ -674,25 +673,26 @@ def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, 
     return (None if mask is None else _mask_cols(mask, y)), _check_sgd(lr, frozen)
 
 
-def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids, bufs=None,
-               grads=None):
+def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids, bufs, grads):
     """One SGD step on a batch cut from inputs :func:`check_training`
     passed, with the arguments it returned: bitwise :func:`forward`,
     :func:`masked_bce_loss`, :func:`backward` and :func:`sgd_step` in a
     row, but ``params`` is updated in place, batch-norm statistics are
     computed once and a mask over every column is not applied.  With the
-    feature extractor frozen, backpropagation stops after the head.  With
-    ``bufs`` (C-contiguous, :func:`buffer_shapes`) it allocates no float64
-    array with a sample axis but a mask's column cuts, and with ``grads``
-    (:func:`grad_views`) no gradient.  Returns one loss per model."""
-    work, bufs = (None, None) if bufs is None else (bufs[-1], iter(bufs[:-1]))
+    feature extractor frozen, backpropagation stops after the head.  It
+    writes into ``bufs`` (C-contiguous, a :func:`buffer_shapes` train
+    pass then :func:`grad_shapes`) and every gradient into ``grads``
+    (:func:`grad_views` of the last buffer), and allocates no float64
+    array with a sample axis but a mask's column cuts.  Returns one loss
+    per model."""
+    work, bufs = bufs[-1], iter(bufs[:-1])
     acts, p, norms = _forward(params, arch, x, True, client_ids, bufs)
     if cols is not None:
         p, y = _take_cols(p, cols), _take_cols(y, cols)
-    g = _output_grad(p, y, cols, params.head_cols, None if bufs is None else next(bufs))
-    loss = _bce(p, y) if work is None else _bce(p, y, work)  # p is spent
+    g = _output_grad(p, y, cols, next(bufs))
+    loss = _bce(p, y, work)  # uses up p
     if not np.isfinite(loss).all():
         raise _non_finite("loss", None, loss[..., None, None], client_ids)
     heads_only = "feature_extractor" in frozen
-    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads), lr, frozen, spent=True)
+    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads), lr, frozen)
     return loss

@@ -58,7 +58,7 @@ from .model import (
     local_train,
     validation_loss,
 )
-from .nn import Architecture, Arena, ParamSet, buffer_shapes, build_architecture, eval_layout, train_layout
+from .nn import Architecture, Arena, ParamSet, buffer_shapes, build_architecture, train_layout
 from .registry import GROUP_NAMES, ClassRegistry
 
 
@@ -167,7 +167,7 @@ class ExperimentConfig:
         # every label M wide, the arena M wide for any of its passes
         s, arch = self.scenario, self.architecture()
         arena = max(map(Arena.size, (
-            buffer_shapes(arch, s.n_test, s.M), buffer_shapes(arch, s.K * s.n_val, s.M, loss=True),
+            buffer_shapes(arch, (s.n_test,), s.M), buffer_shapes(arch, (s.K * s.n_val,), s.M, loss=True),
             *train_layout(arch, s.K, s.n_train, s.M, self.batch_size).values())))
         need = (8 * (s.K * s.n_per_client * s.d + s.n_test * s.d + arena)
                 + s.K * s.n_per_client * s.M + s.n_test * s.M)
@@ -330,10 +330,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     del data
     groups = _client_groups(clients)
     # one buffer for every pass that writes arrays with a sample axis or gradients
-    test_shapes, test_bufs = eval_layout(arch, config.scenario.n_test, M)
+    test_shapes = buffer_shapes(arch, (config.scenario.n_test,), M)
     passes = [test_shapes] if row.global_model else []
     passes += [s for g in groups for s in g.step_shapes(config.batch_size).values()]
-    passes += [buffer_shapes(arch, c.val.n, c.params.head_cols, loss=True) for c in clients]
+    passes += [buffer_shapes(arch, (c.val.n,), c.params.head_cols, loss=True) for c in clients]
     arena = Arena(*passes)
     for g in groups:
         g.arena = arena
@@ -367,7 +367,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             val_losses = tuple(validation_loss(c, arena) for c in clients)
             mean_val = float(np.mean(val_losses))
             if global_params is not None:
-                ev = evaluate(global_params, arch, range(M), plan, bufs=test_bufs(arena.views(test_shapes)))
+                ev = evaluate(global_params, arch, range(M), plan, bufs=arena.views(test_shapes))
                 test_mean = ev.mean_auroc
                 test_per_class = tuple(ev.per_class[c] for c in range(M))
             else:

@@ -27,7 +27,9 @@ from surgfed import (
     significance_stars,
 )
 from surgfed.metrics import _tied_pairs
-from surgfed.nn import eval_buffers
+from surgfed.nn import Arena, buffer_shapes
+
+import reference_kernel
 
 
 def _pair_count_auroc(scores, labels) -> float | None:
@@ -195,17 +197,21 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
     (),
 ], ids=["relu-first", "batchnorm-first", "dense-first", "logistic"])
 def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
-    """The forward pass into caller-owned buffers works in place, but
-    never on the test inputs: after ``evaluate`` the inputs hold the same
-    bits and the last buffer holds, bit for bit, the scores of a forward
-    call without buffers.  A result taken earlier is unchanged by a later
-    evaluation into the same buffers, and each equals the unbuffered one."""
+    """The forward pass into NaN-filled views of an arena works in place,
+    but never on the test inputs: after ``evaluate`` the inputs hold the
+    same bits and the last buffer holds, bit for bit, the reference
+    kernel's scores.  A result taken earlier is unchanged by a later
+    evaluation into the same buffers, and each equals that of a call
+    without buffers, which takes a fresh arena."""
     M, rng = 4, np.random.default_rng(8)
     arch = Architecture(6, specs)
     x = rng.normal(size=(200, 6))
     y = (rng.random((200, M)) < 0.4).astype(float)
     plan = TestPlan(LabeledSet(x, y), ClassRegistry([f"c{i}" for i in range(M)], [range(M)]))
-    bufs, results = eval_buffers(arch, plan.n, M), []
+    shapes = buffer_shapes(arch, (plan.n,), M)
+    arena = Arena(shapes)
+    arena.flat.fill(np.nan)
+    bufs, results = arena.views(shapes), []
     for seed in (1, 2):
         params = init_model(arch, M, seed=seed)
         for i in arch.bn_layers():  # move batch norm away from the identity
@@ -213,7 +219,7 @@ def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
                 stat += rng.uniform(0.1, 1.0, stat.shape)
         evaluated = evaluate(params, arch, range(M), plan, bufs=bufs)
         assert plan.x.tobytes() == x.tobytes() and plan.x is x
-        assert bufs[-1].tobytes() == forward(params, arch, x, "eval")[1].tobytes()
+        assert bufs[-1].tobytes() == reference_kernel.forward(params, arch, x, False)[1].tobytes()
         assert evaluated == evaluate(params, arch, range(M), plan)
         results.append((evaluated, copy.deepcopy(evaluated)))
     assert all(ev == snapshot for ev, snapshot in results)

@@ -14,22 +14,19 @@ from surgfed import (
     LabeledSet,
     NumericError,
     ScenarioSpec,
-    backward,
     effect_of_clients_scenarios,
-    forward,
     generate_synthetic,
     head_warmup,
     init_model,
     load_checkpoint,
     local_train,
-    masked_bce_loss,
     params_equal,
     save_checkpoint,
-    sgd_step,
     simulator,
     validation_loss,
 )
 
+import reference_kernel
 from conftest import random_params
 
 
@@ -252,10 +249,13 @@ def test_group_with_per_client_loss_columns_equals_solo(tiny_arch) -> None:
 
 
 def _oracle_train(c: ClientState, epochs: int, lr: float, batch_size: int, frozen):
-    """The per-batch loop, one client at a time, built only from the
-    public kernel: gather a batch, ``forward``, ``masked_bce_loss``,
-    ``backward``, ``sgd_step``.  Returns the per-epoch mean losses."""
-    cols = c.loss_cols
+    """The per-batch loop, one client at a time, built from the reference
+    kernel: gather a batch, forward pass, loss and gradients over an
+    explicit cut of the loss columns (batch-norm statistics worked out
+    again from the activations), SGD step.  The first layer whose output
+    is not finite raises the error that names it and the client.
+    Returns the per-epoch mean losses."""
+    cols = np.array(sorted(set(c.loss_cols)))
     params, losses = c.params.copy(), []
     for _ in range(epochs):
         order = c.rng.permutation(c.train.n)
@@ -263,9 +263,13 @@ def _oracle_train(c: ClientState, epochs: int, lr: float, batch_size: int, froze
         for start in range(0, c.train.n, batch_size):
             idx = order[start : start + batch_size]
             xb, yb = c.train.x[idx], c.train.y[idx]
-            acts, p = forward(params, c.arch, xb, "train", [c.id])
-            total += masked_bce_loss(p, yb, cols)
-            params = sgd_step(params, backward(params, c.arch, acts, p, yb, cols), lr, frozen)
+            acts, p, _ = reference_kernel.forward(params, c.arch, xb, True)
+            bad = [i for i, a in enumerate(acts[1:]) if not np.isfinite(a).all()]
+            if bad:
+                raise NumericError("non-finite activation", layer=bad[0], client=c.id)
+            total += reference_kernel.loss(p, yb, cols)
+            grads = reference_kernel.gradients(params, c.arch, acts, p, yb, cols)
+            reference_kernel.sgd(params, grads, lr, frozen)
             batches += 1
         losses.append(total / batches)
     c.params = params
@@ -295,7 +299,7 @@ def _method_clients(method: str, scenario=ORACLE_SCENARIO) -> list[ClientState]:
 def test_lean_step_equals_the_per_batch_oracle(method) -> None:
     """Warmup, then E=2 in one call and E=1 in two calls through the
     run's lock-step groups, each bit for bit what the per-batch loop of
-    the public kernel gives: parameters, batch-norm statistics, losses,
+    the reference kernel gives: parameters, batch-norm statistics, losses,
     epoch counts and the next draw of every client's RNG stream.  The
     batch size leaves a short last batch."""
     once, twice, oracle = _method_clients(method), _method_clients(method), _method_clients(method)
@@ -421,18 +425,20 @@ def test_an_epoch_in_the_arena_rises_a_quarter_as_far(traced_rise, monkeypatch) 
 
 def test_validation_in_an_arena_is_the_fresh_pass(tiny_arch) -> None:
     """Validation writes into views of a dirty arena and gives the bits
-    of a call with buffers of its own, under either kind of loss
-    columns; an arena too small for the pass is replaced by one that
-    fits."""
+    of the reference kernel's eval pass and loss, as does a call with a
+    fresh arena of its own, under either kind of loss columns; an arena
+    too small for the pass is replaced by one that fits."""
     from surgfed.nn import Arena
 
     arena = Arena([(3,)])
     for width in (None, 5):
         c = _client(tiny_arch, classes=(1, 3), width=width)
         local_train([c], 1, 0.05, 16)
-        fresh = validation_loss(c)
+        scores = reference_kernel.forward(c.params, c.arch, c.val.x, False)[1]
+        want = float(reference_kernel.loss(scores, c.val.y, c.cols))
+        assert validation_loss(c) == want
         arena.flat.fill(np.nan)
-        assert validation_loss(c, arena) == fresh
+        assert validation_loss(c, arena) == want
     assert arena.flat.size == 8 * (6 + 3 + 5 + 5)
 
 

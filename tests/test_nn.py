@@ -22,8 +22,11 @@ from surgfed import (
     relu,
     sgd_step,
 )
-from surgfed.nn import BCE_CLAMP, BN_EPS, BN_MOMENTUM, LayerSpec, check_training, stack_params, unstack_params
+from surgfed.nn import (
+    BCE_CLAMP, BN_EPS, BN_MOMENTUM, LayerSpec, _mask_cols, check_training, stack_params, unstack_params,
+)
 
+import reference_kernel
 from conftest import random_params
 
 
@@ -632,57 +635,86 @@ def test_per_model_masks_of_floats_or_bools_are_config_errors(tiny_arch, mask) -
         check_training(params, tiny_arch, np.zeros((2, 3, 4)), y, mask, 0.1, ())
 
 
+def _step_views(arch, models: int, b: int, head_cols: int):
+    """A :func:`train_step`'s buffers, NaN-filled views of an arena sized
+    for them, as a run lays them out (``train_layout`` past the gathered
+    rows and labels)."""
+    from surgfed.nn import Arena, train_layout
+
+    shapes = train_layout(arch, models, b, head_cols, b)[b][2:]
+    arena = Arena(shapes)
+    arena.flat.fill(np.nan)
+    return arena.views(shapes)
+
+
 def test_a_mask_over_every_column_copies_nothing(monkeypatch) -> None:
     """A shared mask naming every column in any order, with repeats, or a
-    per-model mask whose rows are every column, leaves ``p`` and ``y``
-    uncut: the loss reads the arrays it was given, with the value an
-    explicit cut gives, and the gradient is the whole-head gradient."""
+    per-model mask whose rows are every column, comes back as None: the
+    loss has the value an explicit cut gives, and a training step under
+    it hands the loss core the step's head buffer and the labels it was
+    given, uncut.  The public loss gives the core a copy of ``p``, since
+    the core uses it up."""
     import surgfed.nn as nn
 
+    arch = build_architecture(3, hidden=(4,))
     rng = np.random.default_rng(5)
     p = rng.uniform(0.05, 0.95, size=(2, 7, 3))
     y = (rng.random((2, 7, 3)) < 0.5).astype(np.int8)
     seen = []
     bce = nn._bce
 
-    def spy(p_in, y_in):
-        seen.append((p_in, y_in))
-        return bce(p_in, y_in)
+    def spy(p_in, y_in, work):
+        seen.append((p_in, y_in, p_in.copy()))
+        return bce(p_in, y_in, work)
 
     monkeypatch.setattr(nn, "_bce", spy)
     for mask in ([2, 0, 1, 0], np.array([[0, 1, 2], [0, 1, 2]])):
         assert nn._mask_cols(mask, p) is None
         loss = masked_bce_loss(p, y, mask)
-        assert seen[-1][0] is p and seen[-1][1] is y
-        np.testing.assert_array_equal(loss, bce(p[..., [0, 1, 2]], y[..., [0, 1, 2]]))
+        assert seen[-1][0] is not p and seen[-1][1] is y and seen[-1][2].tobytes() == p.tobytes()
+        np.testing.assert_array_equal(loss, bce(p[..., [0, 1, 2]], y[..., [0, 1, 2]], np.empty(p.size)))
+        params = stack_params([random_params(arch, 3, seed=s) for s in (1, 2)])
+        x = rng.normal(size=(2, 7, 3))
+        bufs = _step_views(arch, 2, 7, 3)
+        cols, frozen = check_training(params, arch, x, y, mask, 0.1, ())
+        nn.train_step(params, arch, x, y, cols, 0.1, frozen, [0, 1], bufs, nn.grad_views(params, bufs[-1]))
+        head = len(nn.buffer_shapes(arch, (2, 7), 3, True)) - 1
+        assert cols is None and seen[-1][0] is bufs[head] and seen[-1][1] is y
     assert nn._mask_cols([0, 2], p).tolist() == [0, 2]
+
+
+STEP_CASES = ((None, ()), (np.array([0, 2, 3]), ()), (np.array([[0, 1], [2, 4], [1, 3]]), ()),
+              (None, {"feature_extractor"}), (None, {"head"}))
 
 
 @pytest.mark.parametrize("bn_first", [False, True])
 def test_a_step_in_dirty_buffers_is_the_step_without_them(tiny_arch, bn_first) -> None:
     """``train_step`` writing into NaN-filled buffers of ``buffer_shapes``
-    gives the bits of a step that allocates every array (losses,
-    parameters, batch-norm statistics), twice in a row in the same
-    buffers, under every column, a shared and a per-model loss mask and
-    a frozen feature extractor; also for an architecture that opens with
-    batch norm and puts one after a ReLU."""
-    from surgfed.nn import buffer_shapes, train_step
+    and ``grad_shapes``, its gradients in a NaN-filled block of their
+    own, gives the bits of the reference step, whose every array is
+    fresh (losses, parameters, batch-norm statistics), twice in a row in
+    the same buffers, under every column, a shared and a per-model loss
+    mask and a frozen feature extractor or head; also for an
+    architecture that opens with batch norm and puts one after a ReLU."""
+    from surgfed.nn import buffer_shapes, grad_shapes, grad_views, train_step
 
     arch = tiny_arch if not bn_first else Architecture(
         in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3)))
     rng = np.random.default_rng(8)
     x = rng.normal(size=(3, 7, 4))
     y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)
-    for cols, frozen in ((None, ()), (np.array([0, 2, 3]), ()), (np.array([[0, 1], [2, 4], [1, 3]]), ()),
-                         (None, {"feature_extractor"})):
+    for cols, frozen in STEP_CASES:
         a = stack_params([random_params(arch, 5, seed=s) for s in (1, 2, 3)])
         b = a.copy()
-        bufs = [np.full(s, np.nan) for s in buffer_shapes(arch, 7, 5, 3)]
+        shapes = buffer_shapes(arch, (3, 7), 5, True) + grad_shapes(arch, (3, 7), 5)
+        bufs = [np.full(s, np.nan) for s in shapes]
+        grads = grad_views(b, np.full(bufs[-1].size, np.nan))
         for _ in range(2):
-            fresh = train_step(a, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2])
-            buffered = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs)
-            assert fresh.tobytes() == buffered.tobytes()
-        assert params_equal(a, b) and not np.isnan(bufs[0]).any()
+            want = reference_kernel.step(a, arch, x, y, cols, 0.1, frozenset(frozen))
+            got = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
+            assert want.tobytes() == got.tobytes()
+            assert params_equal(a, b)
+        assert not np.isnan(bufs[0]).any()
 
 
 def test_non_finite_loss_names_the_first_bad_client(monkeypatch, tiny_arch) -> None:
@@ -692,46 +724,46 @@ def test_non_finite_loss_names_the_first_bad_client(monkeypatch, tiny_arch) -> N
 
     params = stack_params([init_model(tiny_arch, 2, seed=s) for s in (1, 2, 3)])
     x = np.random.default_rng(0).normal(size=(3, 4, 4))
-    monkeypatch.setattr(nn, "_bce", lambda p, y: np.array([0.5, np.nan, np.inf]))
+    monkeypatch.setattr(nn, "_bce", lambda p, y, work: np.array([0.5, np.nan, np.inf]))
+    bufs = _step_views(tiny_arch, 3, 4, 2)
     with pytest.raises(NumericError, match="^non-finite loss at client 6$") as err:
         nn.train_step(params, tiny_arch, x, np.zeros((3, 4, 2), np.int8), None, 0.1,
-                      frozenset(), [5, 6, 7])
+                      frozenset(), [5, 6, 7], bufs, nn.grad_views(params, bufs[-1]))
     assert (err.value.client, err.value.layer) == (6, None)
 
 
 @pytest.mark.parametrize("bn_first", [False, True])
 def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tiny_arch, bn_first) -> None:
     """``train_step`` writing its buffers and every gradient into
-    NaN-filled memory (``grad_views`` of a block longer than it needs)
-    gives the bits of a step that allocates them, twice in a row, under
-    every column, a shared and a per-model loss mask and a frozen
-    feature extractor or head.  ``train_layout`` widens the loss's work
-    array, the step's last buffer, to hold the trainable tensors' gradients.
-    ``grad_views`` lays them end to end from the block's start in
-    ``ParamSet.tensors`` order, whatever order the feature dict is in,
-    and ``backward`` names the same tensors: both give a ``ParamSet``
-    with empty statistics."""
+    NaN-filled views laid out as a run lays them (the gradients in the
+    step's last buffer, the loss's work array) gives the bits of the
+    reference step, twice in a row, under every column, a shared and a
+    per-model loss mask and a frozen feature extractor or head.
+    ``grad_shapes`` widens that buffer to hold the trainable tensors'
+    gradients.  ``grad_views`` lays them end to end from the block's
+    start in ``ParamSet.tensors`` order, whatever order the feature dict
+    is in, and ``backward`` names the same tensors: both give a
+    ``ParamSet`` with empty statistics."""
     from itertools import accumulate
 
-    from surgfed.nn import buffer_shapes, grad_views, train_layout, train_step
+    from surgfed.nn import grad_shapes, grad_views, train_step
 
     arch = tiny_arch if not bn_first else Architecture(
         in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3)))
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 7, 4))
     y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)
-    for cols, frozen in ((None, ()), (np.array([0, 2, 3]), ()), (np.array([[0, 1], [2, 4], [1, 3]]), ()),
-                         (None, {"feature_extractor"}), (None, {"head"})):
+    for cols, frozen in STEP_CASES:
         a = stack_params([random_params(arch, 5, seed=s) for s in (1, 2, 3)])
         b = a.copy()
-        bufs = [np.full(s, np.nan) for s in buffer_shapes(arch, 7, 5, 3)]
+        bufs = _step_views(arch, 3, 7, 5)
         trainable = sum(t.size for g, _, t in b.tensors() if not g.startswith("bn_"))
-        assert train_layout(arch, 3, 7, 5, 7)[7][-1] == (max(3 * 7 * 5, trainable),)
-        grads = grad_views(b, np.full(trainable + 5, np.nan))
+        assert grad_shapes(arch, (3, 7), 5)[-1] == (max(3 * 7 * 5, trainable),) == bufs[-1].shape
+        grads = grad_views(b, bufs[-1])
         for _ in range(2):
-            fresh = train_step(a, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2])
-            buffered = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
-            assert fresh.tobytes() == buffered.tobytes()
+            want = reference_kernel.step(a, arch, x, y, cols, 0.1, frozenset(frozen))
+            got = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
+            assert want.tobytes() == got.tobytes()
         assert params_equal(a, b)
     one = random_params(arch, 5, seed=4)
     one.feature = dict(reversed(one.feature.items()))  # the walk, not the dict, sets the order
@@ -774,31 +806,103 @@ def test_arena_views_of_a_mixed_layout_are_end_to_end() -> None:
 
 @pytest.mark.parametrize("M", [5, 40])
 @pytest.mark.parametrize("hidden", [(32, 16), (8,), ()])
-def test_the_overlapped_eval_pass_is_the_fresh_pass(hidden, M) -> None:
-    """``eval_layout`` lays the head over the first feature buffer when
-    the head reads a later one, with the head narrower and wider than
-    that buffer; a pass in NaN-filled views of an arena sized for it
-    gives, twice in a row, the bits of a pass that allocates.  With one
-    hidden layer the head reads the first buffer and with none it reads
-    ``x``: nothing overlaps."""
-    from surgfed.nn import Arena, eval_layout
+def test_an_eval_pass_in_dirty_views_is_the_reference_pass(hidden, M) -> None:
+    """An eval-mode ``forward`` in NaN-filled views of an arena sized for
+    it gives, twice in a row, the bits of the reference pass, with the
+    head narrower and wider than the first dense layer, and leaves its
+    input as it was."""
+    from surgfed.nn import Arena, buffer_shapes
 
     arch = build_architecture(6, hidden)
     params = random_params(arch, M, seed=3)
     x = np.random.default_rng(11).normal(size=(50, 6))
-    _, fresh = forward(params, arch, x, "eval")
-    shapes, to_bufs = eval_layout(arch, 50, M)
+    before = x.tobytes()
+    _, want, _ = reference_kernel.forward(params, arch, x, False)
+    shapes = buffer_shapes(arch, (50,), M)
     arena = Arena(shapes)
     arena.flat.fill(np.nan)
-    bufs = to_bufs(arena.views(shapes))
+    bufs = arena.views(shapes)
     for _ in range(2):
         _, out = forward(params, arch, x, "eval", bufs=bufs)
-        assert out.tobytes() == fresh.tobytes()
-    overlap = len(hidden) > 1
-    shared = [np.shares_memory(b, bufs[-1]) for b in bufs[:-1]]
-    assert shared == [overlap] + [False] * (len(shared) - 1) if shared else not overlap
-    widths = [max(hidden[0], M), *hidden[1:]] if overlap else [*hidden, M]
-    assert arena.flat.size == 50 * sum(widths)
+        assert out is bufs[-1] and out.tobytes() == want.tobytes()
+    assert x.tobytes() == before
+
+
+_PUBLIC_CASES = {  # (stacked, mask, frozen)
+    "2d-every": (False, [0, 1, 2, 3], ()),
+    "2d-shared": (False, [1, 3], {"head"}),
+    "stacked-every": (True, [3, 2, 1, 0], {"feature_extractor"}),
+    "stacked-shared": (True, [0, 2], ()),
+    "stacked-per-model": (True, np.array([[0, 1], [2, 3], [1, 3]]), ()),
+}
+
+
+@pytest.mark.parametrize("case", list(_PUBLIC_CASES))
+def test_public_kernel_functions_never_write_into_their_callers_arrays(case) -> None:
+    """The cores use up their inputs; the public functions do not.  Around
+    each call of ``forward``, ``masked_bce_loss``, ``backward`` and
+    ``sgd_step`` the bytes of ``x``, ``params``, ``acts``, ``p``, ``y`` and
+    ``grads`` stay as they were, the running statistics a train-mode
+    forward updates aside, for 2-D and stacked inputs, masks over every
+    column, shared and per-model masks and frozen groups.  ``backward``
+    twice on the same activations gives the same bits, and each result
+    is the reference kernel's."""
+    stacked, mask, frozen = _PUBLIC_CASES[case]
+    arch = build_architecture(5, hidden=(6, 3))
+    rng = np.random.default_rng(17)
+    models = [random_params(arch, 4, seed=s) for s in (1, 2, 3)]
+    params = stack_params(models) if stacked else models[0]
+    x = rng.normal(size=(3, 9, 5) if stacked else (9, 5))
+    y = (rng.random(x.shape[:-1] + (4,)) < 0.5).astype(np.int8)
+    cols = _mask_cols(mask, y)
+
+    def snapshot(*arrays):
+        return [a.tobytes() for a in arrays]
+
+    def walk(ps):
+        return snapshot(*(a for _, _, a in ps.tensors()))
+
+    ref_params = params.copy()
+    ref_acts, want_p, _ = reference_kernel.forward(ref_params, arch, x, True)
+    trained = walk(params.map(np.copy))
+    seen = snapshot(x)
+    acts, p = forward(params, arch, x, "train")
+    assert seen == snapshot(x) and params_equal(params, ref_params)
+    assert walk(params) != trained  # the running statistics, and only they, moved
+    assert [t for (g, _, _), t in zip(params.tensors(), walk(params)) if not g.startswith("bn_")] == [
+        t for (g, _, _), t in zip(params.tensors(), trained) if not g.startswith("bn_")]
+    assert p.tobytes() == want_p.tobytes()
+
+    held = snapshot(x, *acts, p, y) + walk(params)
+    loss = masked_bce_loss(p, y, mask)
+    assert snapshot(x, *acts, p, y) + walk(params) == held
+    assert np.float64(loss).tobytes() == np.float64(reference_kernel.loss(want_p, y, cols)).tobytes()
+
+    grads = backward(params, arch, acts, p, y, mask)
+    assert snapshot(x, *acts, p, y) + walk(params) == held
+    again = backward(params, arch, acts, p, y, mask)
+    want = reference_kernel.gradients(ref_params, arch, ref_acts, want_p, y, cols)
+    assert walk(grads) == walk(again) == walk(want)
+
+    held += walk(grads)
+    stepped = sgd_step(params, grads, 0.1, frozen)
+    assert snapshot(x, *acts, p, y) + walk(params) + walk(grads) == held
+    reference_kernel.sgd(ref_params, want, 0.1, frozenset(frozen))
+    assert walk(stepped) == walk(ref_params)
+
+
+def test_no_core_takes_a_default() -> None:
+    """The kernel's cores have one path, into the buffers they are given:
+    no parameter of theirs has a default, so no call can leave one out
+    and take a second, allocating path."""
+    import inspect
+
+    import surgfed.nn as nn
+
+    cores = (nn._forward, nn._bce, nn._output_grad, nn._backward, nn.train_step)
+    found = [f"{f.__name__}({name}=)" for f in cores
+             for name, p in inspect.signature(f).parameters.items() if p.default is not p.empty]
+    assert found == []
 
 
 # --- the walk over a parameter set ----------------------------------------------
