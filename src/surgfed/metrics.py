@@ -30,7 +30,8 @@ positive counts, the degenerate classes and the sharing-profile groups.
 :func:`evaluate` then costs one forward pass, into buffers the caller
 may own, and, per chunk of 32 scored classes, one gather of their score
 columns into a bounded (32 x n) ``int64`` buffer (0.5 MB at n=2000), one
-in-place row sort and a few whole-array passes.
+in-place row sort and a few whole-array passes.  It scores every class;
+:meth:`EvalResult.restrict` cuts a subset from the result, scoring nothing.
 
 The p-values of :func:`paired_ttest` come from :func:`ibeta`: the C
 function ``scipy.special.betainc`` runs on doubles, so bitwise the same,
@@ -195,6 +196,15 @@ class EvalResult:
     uncovered: tuple[int, ...]
     degenerate: tuple[int, ...]
 
+    def restrict(self, classes, groups) -> "EvalResult":
+        """This full result over ``classes`` only, a repeated id once, with
+        ``custom`` their mean; ``groups`` are those it was scored with."""
+        subset = sorted(set(need_class_ids(classes, "class_subset", len(self.per_class))))
+        if not subset:
+            raise ConfigError("class_subset must not be empty")
+        per_class = {c: self.per_class[c] for c in subset}
+        return _summarise(per_class, groups, self.uncovered, self.degenerate, custom=True)
+
 
 def _subset_mean(per_class, subset, uncovered) -> float | None:
     vals = [per_class[c] for c in subset if per_class[c] is not None]
@@ -203,16 +213,31 @@ def _subset_mean(per_class, subset, uncovered) -> float | None:
     return float(np.mean(vals))
 
 
-def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan,
-             class_subset=None, bufs=None) -> EvalResult:
-    """Score a model on the test set of ``plan``.
+def _summarise(per_class, groups, uncovered, degenerate, custom=False) -> EvalResult:
+    """A result over the classes of ``per_class``: ``uncovered`` and
+    ``degenerate`` cut to them, their mean (also as ``custom``) and that
+    of each group's members among them."""
+    uncovered = [c for c in uncovered if c in per_class]
+    group_means = {
+        name: _subset_mean(per_class, [c for c in members if c in per_class], uncovered)
+        for name, members in groups.items()
+    }
+    mean = _subset_mean(per_class, list(per_class), uncovered)
+    if custom:
+        group_means["custom"] = mean
+    degenerate = tuple(c for c in degenerate if c in per_class)
+    return EvalResult(per_class, mean, group_means, tuple(uncovered), degenerate)
+
+
+def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan, bufs=None) -> EvalResult:
+    """Score a model on the test set of ``plan``, over every class.
 
     ``model_classes`` are the distinct global ids behind the model's
-    head columns; ``class_subset`` restricts which classes are reported
-    (default all).  Both are checked before the forward pass.  Each
-    per-class value is bitwise what :func:`auroc` gives on that class's
-    score column and labels.  The forward pass runs in ``bufs``
-    (:func:`surgfed.nn.buffer_shapes`), or in a fresh arena.
+    head columns, checked before the forward pass.  Each per-class value
+    is bitwise what :func:`auroc` gives on that class's score column and
+    labels; :meth:`EvalResult.restrict` reports a subset of them.  The
+    forward pass runs in ``bufs`` (:func:`surgfed.nn.buffer_shapes`), or
+    in a fresh arena.
     """
     M = plan.registry.n_classes
     model_classes = need_class_ids(model_classes, "model_classes", M, ContractViolation)
@@ -220,49 +245,24 @@ def evaluate(params: ParamSet, arch: Architecture, model_classes, plan: TestPlan
         raise ContractViolation("model_classes must not name a class twice")
     if params.head_cols != len(model_classes):
         raise ContractViolation("model_classes must name every head column")
-    if class_subset is None:
-        subset = list(range(M))
-        custom = False
-    else:
-        subset = sorted(set(need_class_ids(class_subset, "class_subset", M)))
-        if not subset:
-            raise ConfigError("class_subset must not be empty")
-        custom = True
 
     _, scores = forward(params, arch, plan.x, "eval", bufs=bufs)
     col_of = np.full(M, -1)
     col_of[model_classes] = np.arange(len(model_classes))
-    ids = np.array(subset)
-    cols = col_of[ids]
-    is_uncovered = cols < 0
-    is_degenerate = ~is_uncovered & plan.degenerate[ids]
-    scored = ~(is_uncovered | is_degenerate)
-    classes, cols = ids[scored], cols[scored]
+    covered = col_of >= 0
+    classes = np.flatnonzero(covered & ~plan.degenerate)
     values = np.empty(classes.size)
     bits = scores.view(np.int64)
     keys = np.empty((min(_CHUNK, classes.size), plan.n), np.int64)
     for lo in range(0, classes.size, _CHUNK):
         chunk = classes[lo:lo + _CHUNK]
         rows = keys[:chunk.size]
-        rows[...] = bits[:, cols[lo:lo + _CHUNK]].T
+        rows[...] = bits[:, col_of[chunk]].T
         values[lo:lo + _CHUNK] = _auroc_rows(rows, plan.labels[chunk], plan.n_pos[chunk])
-    per_class: dict[int, float | None] = dict.fromkeys(subset)
+    per_class: dict[int, float | None] = dict.fromkeys(range(M))
     per_class.update(zip(classes.tolist(), values.tolist()))
-    uncovered = ids[is_uncovered].tolist()
-
-    group_means = {
-        name: _subset_mean(per_class, [c for c in members if c in per_class], uncovered)
-        for name, members in plan.groups.items()
-    }
-    if custom:
-        group_means["custom"] = _subset_mean(per_class, subset, uncovered)
-    return EvalResult(
-        per_class=per_class,
-        mean_auroc=_subset_mean(per_class, subset, uncovered),
-        group_means=group_means,
-        uncovered=tuple(uncovered),
-        degenerate=tuple(ids[is_degenerate].tolist()),
-    )
+    degenerate = np.flatnonzero(covered & plan.degenerate).tolist()
+    return _summarise(per_class, plan.groups, np.flatnonzero(~covered).tolist(), degenerate)
 
 
 @dataclass(frozen=True)

@@ -356,10 +356,10 @@ def buffer_shapes(arch: Architecture, lead: tuple, head_cols: int, train=False, 
 def grad_shapes(arch: Architecture, lead: tuple, head_cols: int) -> list:
     """The buffers a backward pass writes after a :func:`buffer_shapes`
     train pass: the output gradient, the input gradients from the top
-    down, then one block for the trainable tensors' gradients
-    (:func:`grad_views`), which :func:`train_step` first uses as its
-    loss's work array."""
-    back = [arch.feature_out_dim]
+    down (none without feature layers), then one block for the trainable
+    tensors' gradients (:func:`grad_views`), which :func:`train_step`
+    first uses as its loss's work array."""
+    back = [arch.feature_out_dim] if arch.feature_specs else []
     for i, s in enumerate(arch.feature_specs):
         if s.kind == "batchnorm" or i > 0 and s.kind == "dense":  # an input gradient, top down
             back.insert(1, s.in_dim)
@@ -558,11 +558,12 @@ def _backward(params: ParamSet, arch: Architecture, activations, g: np.ndarray, 
     parameter gradients into ``grads`` (:func:`grad_views`), which it
     returns.  ``norms`` holds the ``(centered, sqrt(var + eps))`` pair of
     each batch-norm layer, and overwrites it.  With ``heads_only`` it
-    stops after the head and the feature gradients are not written."""
+    stops after the head and the feature gradients are not written;
+    without feature layers it stops there too."""
     nspecs = len(arch.feature_specs)
     np.matmul(activations[nspecs].swapaxes(-1, -2), g, out=grads.head_W)
     np.add.reduce(g, axis=-2, out=grads.head_b)
-    if heads_only:
+    if heads_only or not nspecs:
         return grads
     bufs = iter(bufs)
     g = np.matmul(g, params.head_W.swapaxes(-1, -2), out=next(bufs))

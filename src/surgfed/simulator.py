@@ -199,15 +199,17 @@ class RoundReport:
 @dataclass(frozen=True)
 class RunResult:
     """Outcome of one run.  ``realized`` is :meth:`ScenarioData.realized`
-    of the data the run trained on, so its manifest needs no second draw;
-    ``plan`` is the run's test-evaluation plan, reused by every new score,
-    and ``best_eval`` the best round's global score from the round loop."""
+    of the data the run trained on, so its manifest needs no second draw.
+    The run scored each kept model once, over every class: ``best_eval``
+    (the best round's global model) and ``client_evals``.  Subsets are cut
+    from them with ``groups``, the sharing-profile classes; the test set
+    is not kept."""
 
     method: str
     config: ExperimentConfig
     arch: Architecture
     registry: ClassRegistry
-    plan: TestPlan
+    groups: dict[str, tuple[int, ...]]
     realized: dict
     reports: tuple[RoundReport, ...]
     best_round: int
@@ -215,22 +217,18 @@ class RunResult:
     client_params: tuple[ParamSet, ...] | None
     client_classes: tuple[tuple[int, ...], ...]
     best_eval: EvalResult | None
+    client_evals: tuple[EvalResult, ...] | None
 
     def global_eval(self, class_subset=None) -> EvalResult:
         if self.global_params is None:
             raise ConfigError(f"method {self.method!r} keeps no global model")
-        if class_subset is None:
-            return self.best_eval
-        return evaluate(
-            self.global_params, self.arch, range(self.registry.n_classes), self.plan, class_subset,
-        )
+        return self.best_eval if class_subset is None else self.best_eval.restrict(class_subset, self.groups)
 
     def client_eval(self, k: int, class_subset=None) -> EvalResult:
         if self.client_params is None:
             raise ConfigError(f"method {self.method!r} keeps no per-client models")
-        return evaluate(
-            self.client_params[k], self.arch, self.client_classes[k], self.plan, class_subset,
-        )
+        ev = self.client_evals[k]
+        return ev if class_subset is None else ev.restrict(class_subset, self.groups)
 
 
 def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture) -> list[ClientState]:
@@ -329,10 +327,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     test, realized = data.test, data.realized()
     del data
     groups = _client_groups(clients)
-    # one buffer for every pass that writes arrays with a sample axis or gradients
-    test_shapes = buffer_shapes(arch, (config.scenario.n_test,), M)
-    passes = [test_shapes] if row.global_model else []
-    passes += [s for g in groups for s in g.step_shapes(config.batch_size).values()]
+    # one buffer for every pass that writes arrays with a sample axis or gradients;
+    # the test passes score the global model each round or each client's best once
+    test_shapes = {w: buffer_shapes(arch, (config.scenario.n_test,), w)
+                   for w in ([M] if row.global_model else [c.params.head_cols for c in clients])}
+    passes = [*test_shapes.values(), *(s for g in groups for s in g.step_shapes(config.batch_size).values())]
     passes += [buffer_shapes(arch, (c.val.n,), c.params.head_cols, loss=True) for c in clients]
     arena = Arena(*passes)
     for g in groups:
@@ -366,21 +365,16 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
 
             val_losses = tuple(validation_loss(c, arena) for c in clients)
             mean_val = float(np.mean(val_losses))
-            if global_params is not None:
-                ev = evaluate(global_params, arch, range(M), plan, bufs=arena.views(test_shapes))
-                test_mean = ev.mean_auroc
-                test_per_class = tuple(ev.per_class[c] for c in range(M))
-            else:
-                test_mean = None
-                test_per_class = None
+            ev = None if global_params is None else evaluate(
+                global_params, arch, range(M), plan, bufs=arena.views(test_shapes[M]))
             reports.append(
                 RoundReport(
                     round=r,
                     client_train_loss=tuple(c.last_train_loss for c in clients),
                     client_val_loss=val_losses,
                     mean_val_loss=mean_val,
-                    test_mean_auroc=test_mean,
-                    test_per_class=test_per_class,
+                    test_mean_auroc=None if ev is None else ev.mean_auroc,
+                    test_per_class=None if ev is None else tuple(ev.per_class.values()),
                     wall_time=time.perf_counter() - t0,
                 )
             )
@@ -397,12 +391,16 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     except NumericError as exc:
         raise NumericError(f"{exc} in round {r}", exc.layer, exc.client, r) from exc
 
+    client_evals = None if best_clients is None else tuple(
+        evaluate(ps, arch, c.classes, plan, bufs=arena.views(test_shapes[ps.head_cols]))
+        for ps, c in zip(best_clients, clients)
+    )
     return RunResult(
         method=config.method,
         config=config,
         arch=arch,
         registry=registry,
-        plan=plan,
+        groups=plan.groups,
         realized=realized,
         reports=tuple(reports),
         best_round=best_round,
@@ -410,6 +408,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         client_params=tuple(best_clients) if best_clients else None,
         client_classes=tuple(c.classes for c in clients),
         best_eval=best_eval,
+        client_evals=client_evals,
     )
 
 
@@ -448,13 +447,11 @@ def _per_class_vector(result: RunResult) -> dict[int, float | None]:
     have no single model, so each class is scored by averaging the
     owning clients' models (a class held by one client is simply that
     client's score)."""
-    M = result.registry.n_classes
     if result.global_params is not None:
         return dict(result.global_eval().per_class)
-    per_class: dict[int, list[float]] = {c: [] for c in range(M)}
-    for k in range(len(result.client_classes)):
-        ev = result.client_eval(k, result.client_classes[k])
-        for c, v in ev.per_class.items():
+    per_class: dict[int, list[float]] = {c: [] for c in range(result.registry.n_classes)}
+    for k, classes in enumerate(result.client_classes):
+        for c, v in result.client_eval(k, classes).per_class.items():
             if v is not None:
                 per_class[c].append(v)
     return {c: (float(np.mean(v)) if v else None) for c, v in per_class.items()}
@@ -493,7 +490,7 @@ def run_suite(configs, reference: str = "surgical"):
         raise ConfigError("the reference run failed; no comparison is possible")
     ref_result = results[ref_idx]
     ref_vector = _per_class_vector(ref_result)
-    group_classes = {"all": tuple(range(ref_result.registry.n_classes)), **ref_result.plan.groups}
+    group_classes = {"all": tuple(range(ref_result.registry.n_classes)), **ref_result.groups}
 
     seen: dict[str, int] = {}
     rows = []

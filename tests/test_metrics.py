@@ -12,6 +12,7 @@ from surgfed import (
     ClassRegistry,
     ConfigError,
     ContractViolation,
+    EvalResult,
     LabeledSet,
     ParamSet,
     TestPlan,
@@ -274,7 +275,9 @@ def test_plan_evaluate_equals_scalar_auroc_loop(data) -> None:
 
     with mock.patch.object(metrics, "forward", drawn_scores):
         for ps in models:
-            ev = evaluate(ps, arch, model_classes, plan, subset)
+            ev = evaluate(ps, arch, model_classes, plan)
+            if subset is not None:
+                ev = ev.restrict(subset, plan.groups)
             expected = _scalar_loop(score_of[id(ps)], model_classes, y,
                                     range(M) if subset is None else sorted(subset))
             assert list(ev.per_class) == list(expected)
@@ -363,14 +366,57 @@ def test_evaluate_degenerate_classes_are_excluded_not_poisonous() -> None:
 def test_evaluate_custom_subset() -> None:
     arch, reg, test = _eval_fixture()
     params = init_model(arch, 3, seed=1)
-    ev = evaluate(params, arch, [0, 1, 2], TestPlan(test, reg), class_subset=[1, 2])
+    plan = TestPlan(test, reg)
+    full = evaluate(params, arch, [0, 1, 2], plan)
+    ev = full.restrict([1, 2], plan.groups)
     assert set(ev.per_class) == {1, 2}
     assert "custom" in ev.group_means
     assert ev.group_means["custom"] == ev.mean_auroc
     with pytest.raises(ConfigError):
-        evaluate(params, arch, [0, 1, 2], TestPlan(test, reg), class_subset=[])
+        full.restrict([], plan.groups)
     with pytest.raises(ConfigError):
-        evaluate(params, arch, [0, 1, 2], TestPlan(test, reg), class_subset=[7])
+        full.restrict([7], plan.groups)
+
+
+def test_restrict_is_the_full_result_cut_to_the_subset() -> None:
+    """Every non-empty subset of a result holding defined, uncovered and
+    degenerate classes in each group: the subset's values, uncovered and
+    degenerate classes in id order, its mean (None once a class in it is
+    uncovered) as ``mean_auroc`` and ``custom``, and each group's mean
+    over its members in the subset alone."""
+    from itertools import combinations
+
+    arch = build_architecture(3, hidden=())
+    # shared by all: 0; partially shared: 1, 2, 6; unique: 3, 4, 5
+    reg = ClassRegistry([f"c{i}" for i in range(7)], [(0, 1, 2, 3, 6), (0, 1, 4, 6), (0, 2, 5)])
+    rng = np.random.default_rng(6)
+    y = (rng.random((40, 7)) < 0.5).astype(float)
+    y[0], y[1] = 1.0, 0.0
+    y[:, 5] = y[:, 6] = 1.0  # degenerate
+    plan = TestPlan(LabeledSet(rng.normal(size=(40, 3)), y), reg)
+    model_classes = [0, 1, 2, 4, 5]  # 3 and 6 are uncovered
+    full = evaluate(init_model(arch, 5, seed=2, class_ids=model_classes), arch, model_classes, plan)
+    assert full.uncovered == (3, 6) and full.degenerate == (5,)
+
+    def mean(classes):
+        vals = [full.per_class[c] for c in classes if full.per_class[c] is not None]
+        return None if not vals or set(classes) & set(full.uncovered) else float(np.mean(vals))
+
+    for size in range(1, 8):
+        for subset in combinations(range(7), size):
+            ev = full.restrict(list(reversed(subset)), plan.groups)
+            assert ev.per_class == {c: full.per_class[c] for c in subset}
+            assert list(ev.per_class) == list(subset)
+            assert ev.uncovered == tuple(c for c in (3, 6) if c in subset)
+            assert ev.degenerate == ((5,) if 5 in subset else ())
+            assert ev.mean_auroc == mean(subset)
+            assert ev.group_means == {
+                **{g: mean([c for c in members if c in subset]) for g, members in plan.groups.items()},
+                "custom": mean(subset),
+            }
+    whole = full.restrict(range(7), plan.groups)
+    assert whole == EvalResult(full.per_class, full.mean_auroc, {**full.group_means, "custom": full.mean_auroc},
+                               full.uncovered, full.degenerate)
 
 
 def test_evaluate_contract_checks() -> None:
@@ -386,7 +432,8 @@ def test_evaluate_contract_checks() -> None:
 def test_evaluate_rejects_bad_class_ids_before_scoring() -> None:
     """A repeated, out-of-range or non-integer head id used to be read
     from the wrong column, dropped or coerced; now it fails before the
-    forward pass, and so does such a ``class_subset`` entry."""
+    forward pass, and such a ``class_subset`` entry fails to cut a
+    result, which scores nothing again."""
     from unittest import mock
 
     from surgfed import metrics
@@ -394,6 +441,7 @@ def test_evaluate_rejects_bad_class_ids_before_scoring() -> None:
     arch, reg, test = _eval_fixture()
     params = init_model(arch, 3, seed=1)
     plan = TestPlan(test, reg)
+    full = evaluate(params, arch, [0, 1, 2], plan)
     with mock.patch.object(metrics, "forward", side_effect=AssertionError("forward ran")):
         for model_classes in ([0, 0, 1], [0, 1, 7], [0, 1, -1], [0, 1.5, 2], [0, True, 2],
                               [0, "1", 2]):
@@ -401,9 +449,9 @@ def test_evaluate_rejects_bad_class_ids_before_scoring() -> None:
                 evaluate(params, arch, model_classes, plan)
         for subset in ([1.5], [0, -1], [3], [True], [np.float64(1.0)]):
             with pytest.raises(ConfigError):
-                evaluate(params, arch, [0, 1, 2], plan, class_subset=subset)
+                full.restrict(subset, plan.groups)
     # numpy integers are integers; a repeated subset entry is reported once
-    ev = evaluate(params, arch, np.array([2, 0, 1]), plan, class_subset=[np.int64(1), 1])
+    ev = evaluate(params, arch, np.array([2, 0, 1]), plan).restrict([np.int64(1), 1], plan.groups)
     assert list(ev.per_class) == [1]
 
 
@@ -460,7 +508,9 @@ def test_chunked_evaluate_equals_scalar_auroc_bitwise(data) -> None:
     classes = range(M) if subset is None else sorted(subset)
 
     with mock.patch.object(metrics, "forward", lambda *a, **k: (None, scores)):
-        ev = evaluate(params, arch, model_classes, plan, subset)
+        ev = evaluate(params, arch, model_classes, plan)
+    if subset is not None:
+        ev = ev.restrict(subset, plan.groups)
     expected = _scalar_loop(scores, model_classes, y, classes)
     assert list(ev.per_class) == list(expected)
     for c, v in expected.items():

@@ -696,10 +696,28 @@ def test_a_step_in_dirty_buffers_is_the_step_without_them(tiny_arch, bn_first) -
     the same buffers, under every column, a shared and a per-model loss
     mask and a frozen feature extractor or head; also for an
     architecture that opens with batch norm and puts one after a ReLU."""
+    _check_dirty_step(tiny_arch if not bn_first else Architecture(
+        in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3))))
+
+
+def test_a_logistic_step_in_dirty_buffers_is_the_step_without_them() -> None:
+    """The same for a model without feature layers, whose backward pass
+    stops after the head and so takes no input-gradient buffer."""
+    _check_dirty_step(build_architecture(4, hidden=()))
+
+
+def test_logistic_grad_shapes_reserve_no_input_gradient() -> None:
+    """Without feature layers nothing reads the head's input gradient:
+    the backward pass takes the output gradient and the gradient block."""
+    from surgfed.nn import grad_shapes
+
+    assert grad_shapes(build_architecture(20, ()), (4, 32), 8) == [(4, 32, 8), (max(4 * 32 * 8, 4 * 21 * 8),)]
+    assert grad_shapes(build_architecture(20, (6,)), (4, 32), 8)[:2] == [(4, 32, 8), (4, 32, 6)]
+
+
+def _check_dirty_step(arch) -> None:
     from surgfed.nn import buffer_shapes, grad_shapes, grad_views, train_step
 
-    arch = tiny_arch if not bn_first else Architecture(
-        in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3)))
     rng = np.random.default_rng(8)
     x = rng.normal(size=(3, 7, 4))
     y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)

@@ -281,6 +281,19 @@ def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
         assert len(drawn) == 1 and dead == [True, True], method
 
 
+def _record_plans(monkeypatch, keep=lambda plan: plan) -> list:
+    """A list of ``keep(plan)`` for each test plan a run builds."""
+    made, build = [], simulator.TestPlan
+
+    def record(*args):
+        plan = build(*args)
+        made.append(keep(plan))
+        return plan
+
+    monkeypatch.setattr(simulator, "TestPlan", record)
+    return made
+
+
 @pytest.mark.parametrize("method", METHODS)
 def test_every_label_array_a_run_holds_is_int8(method, monkeypatch) -> None:
     """Labels are one byte from the draw to the loss: every client's
@@ -296,10 +309,11 @@ def test_every_label_array_a_run_holds_is_int8(method, monkeypatch) -> None:
         return epoch(group, x, y, *args)
 
     monkeypatch.setattr(model, "_train_epoch", train_epoch)
-    seen = []
-    result = run_experiment(_cfg(method, T=1), round_hook=lambda r, gp, cs: seen.extend(cs))
+    plans, seen = _record_plans(monkeypatch), []
+    run_experiment(_cfg(method, T=1), round_hook=lambda r, gp, cs: seen.extend(cs))
     assert gathered and set(gathered) == {np.dtype(np.int8)}, gathered
-    held = [result.plan.labels, *(a for c in seen for a in (c.train.y, c.val.y))]
+    assert len(plans) == 1
+    held = [plans[0].labels, *(a for c in seen for a in (c.train.y, c.val.y))]
     assert seen
     assert all(a.dtype == np.int8 for a in held), [a.dtype for a in held]
 
@@ -445,6 +459,14 @@ def test_the_best_round_is_kept_as_handed_out(method) -> None:
         assert all(a is b for a, b in zip(result.client_params, client_params, strict=True))
 
 
+def _counted_evaluate(monkeypatch) -> list:
+    from surgfed.metrics import evaluate
+
+    calls = []
+    monkeypatch.setattr(simulator, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    return calls
+
+
 def test_a_run_scores_each_round_once(tmp_path, monkeypatch) -> None:
     """``surgfed run`` calls ``evaluate`` once a round: ``result.json``
     takes the best round's score from the round loop, and its bytes are
@@ -454,7 +476,7 @@ def test_a_run_scores_each_round_once(tmp_path, monkeypatch) -> None:
     import types
 
     from surgfed.cli import main
-    from surgfed.metrics import evaluate
+    from surgfed.metrics import TestPlan, evaluate
 
     T = 12
     scenario = {**PIN_SCENARIO, "label_noise": 0.4}
@@ -463,19 +485,64 @@ def test_a_run_scores_each_round_once(tmp_path, monkeypatch) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     monkeypatch.setattr(simulator, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))  # fixed timing
-    calls = []
-    monkeypatch.setattr(simulator, "evaluate", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    calls = _counted_evaluate(monkeypatch)
     assert main(["run", str(path), "--out", str(tmp_path / "kept")]) == 0
     assert len(calls) == T
 
     def rescore(self, class_subset=None):
-        return evaluate(self.global_params, self.arch, range(self.registry.n_classes), self.plan, class_subset)
+        plan = TestPlan(generate_synthetic(self.config.scenario).test, self.registry)
+        ev = evaluate(self.global_params, self.arch, range(self.registry.n_classes), plan)
+        return ev if class_subset is None else ev.restrict(class_subset, self.groups)
 
     monkeypatch.setattr(simulator.RunResult, "global_eval", rescore)
     assert main(["run", str(path), "--out", str(tmp_path / "fresh")]) == 0
     result = json.loads((tmp_path / "kept" / "result.json").read_text())
     assert result["best_round"] < T
     assert (tmp_path / "kept" / "result.json").read_bytes() == (tmp_path / "fresh" / "result.json").read_bytes()
+
+
+def test_a_personal_run_scores_each_client_once(tmp_path, monkeypatch) -> None:
+    """``surgfed run`` of a K=3 ``pfl`` config scores each client's best
+    model once, inside the run: ``result.json``'s local and full-set
+    scores are both read from that one score."""
+    from surgfed.cli import main
+
+    cfg = {"scenario": PIN_SCENARIO, "method": "pfl", "T": 2, "E": 1, "warmup_epochs": 1, "hidden": [4]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    calls = _counted_evaluate(monkeypatch)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == PIN_SCENARIO["K"] == 3
+    assert len(json.loads((tmp_path / "out" / "result.json").read_text())["client_eval"]) == 3
+
+
+def test_a_suite_scores_each_model_once(tmp_path, monkeypatch) -> None:
+    """A suite of a ``surgical`` run (one score a round) and a ``pfl``
+    run (one score a client) calls ``evaluate`` T + K times: the
+    comparison table and the member directories score nothing again."""
+    from surgfed.cli import main
+
+    T, K = 3, PIN_SCENARIO["K"]
+    member = {"scenario": PIN_SCENARIO, "T": T, "E": 1, "warmup_epochs": 1, "hidden": [4]}
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"members": [{**member, "method": m} for m in ("surgical", "pfl")]}))
+    calls = _counted_evaluate(monkeypatch)
+    assert main(["suite", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == T + K
+
+
+@pytest.mark.parametrize("method", ["surgical", "pfl"])
+def test_a_result_does_not_keep_the_test_set(method, monkeypatch) -> None:
+    """The run's test plan (the test features and label rows) dies with
+    the run: what it returns holds the scores, not the plan."""
+    import gc
+    import weakref
+
+    refs = _record_plans(monkeypatch, weakref.ref)
+    result = run_experiment(_cfg(method, T=2))
+    gc.collect()
+    assert len(refs) == 1 and refs[0]() is None
+    assert (result.global_eval() if method == "surgical" else result.client_eval(0)).per_class
 
 
 def _ladder_clients(cfg: ExperimentConfig):
