@@ -9,18 +9,19 @@ whose head holds c, taken in ascending client order.  With the class
 registry that is the surgical merge; with a registry in which every
 client holds all M columns it is plain FedAvg of full-width heads; with
 no registry every head stays personal.  A class held by a single client
-passes through bit-exactly.  Each client gets back the round's model
-cut to its own columns, one :meth:`ParamSet.copy` of the averaged
-features, the statistics it keeps and the merged (or its own) head: the
-cut that builds each client's initial model from the M-column init.
+passes through bit-exactly.  The round is written into each client's
+rows (``ParamSet.tables``): the averaged features, the statistics it
+keeps and the merged head cut to its columns, the cut that builds each
+client's initial model from the M-column init.
 
 All means are one rule, FedAvg's weighted mean as :func:`mean_arrays`
 sums it, left to right in client order; no weights means unit weights,
-which give the plain mean bit for bit.  The head merge applies it to all
-classes at once: it walks the clients in order, scatters each weighted
-head's columns into (feature, M) accumulators (assigned at a column's
-first holder, added at every later one) and their weights into per-class
-totals, then divides.
+which give the plain mean bit for bit.  It averages all feature tensors
+as one row per client, and all statistics as another.  The head merge
+applies it to all classes at once: it walks the clients in order,
+scatters each weighted head's columns into (feature, M) accumulators
+(assigned at a column's first holder, added at every later one) and
+their weights into per-class totals, then divides.
 The independent FedAvg reference, whole parameter sets averaged tensor
 by tensor, lives in the tests, which compare :func:`server_update`
 against it.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericError
-from .nn import Architecture, ParamSet, forward
+from .nn import Architecture, ParamSet, forward, grad_views
 # perfbench/tracer.py wraps clients_with_class under this module's name
 from .registry import ClassRegistry, clients_with_class  # noqa: F401
 
@@ -57,13 +58,6 @@ def mean_arrays(arrays, weights=None) -> np.ndarray:
     return acc
 
 
-def _check_same_feature_keys(param_sets) -> None:
-    keys = set(param_sets[0].feature)
-    for ps in param_sets[1:]:
-        if set(ps.feature) != keys:
-            raise ContractViolation("clients disagree on feature parameter names")
-
-
 def collect_bn_stats(params: ParamSet, arch: Architecture, x) -> tuple[dict, dict]:
     """Per-layer input mean/variance observed in one train-style pass
     over ``x``; used to pre-seed global batch-norm statistics."""
@@ -85,23 +79,20 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
     """
     if len(heads) != registry.n_clients:
         raise ContractViolation("one head per registry client required")
-    n_feat = None
+    n_feat = heads[0][0].shape[0]
     for k, (W, b, classes) in enumerate(heads):
         classes = tuple(classes)
         if classes != registry.client_classes[k]:
             raise ContractViolation(f"head {k} classes do not match the registry")
         if W.shape[1] != len(classes) or b.shape != (len(classes),):
             raise ContractViolation(f"head {k} width does not match its class list")
-        if n_feat is None:
-            n_feat = W.shape[0]
-        elif W.shape[0] != n_feat:
+        if W.shape[0] != n_feat:
             raise ContractViolation("heads disagree on feature width")
     M = registry.n_classes
     weights = [1.0] * len(heads) if weights is None else [float(w) for w in weights]
     if len(weights) != registry.n_clients:
         raise ConfigError("one weight per client required")
-    global_W = np.empty((n_feat, M))
-    global_b = np.empty(M)
+    global_W, global_b = np.empty((n_feat, M)), np.empty(M)
     divisor = np.zeros(M)  # per-class weight totals, summed in client order
     seen = np.zeros(M, dtype=bool)
     for k, ((W, b, _), w) in enumerate(zip(heads, weights)):
@@ -150,10 +141,10 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     :class:`NumericError` naming the tensor and the server (``client``
     None).
 
-    Returns ``(global ParamSet or None, sendbacks)``: one fresh parameter
-    set per client, holding the averaged feature tensors, the statistics
-    it keeps and its slice of the global head (its own head when heads
-    are personal).
+    A client whose parameters are rows of tables, as a run's are, gets
+    the round in them; other clients' parameters are copied into rows
+    first.  Returns ``(global ParamSet or None, those rows)``; the global
+    model shares no memory with them.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -162,58 +153,56 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
         raise ConfigError("strategy 'fedbn' emits no global model; use it with the pfl method only")
     if strategy == "fedbn_plus" and keep_global and pretrained_bn is None:
         raise ConfigError("fedbn_plus requires pretrained batch-norm statistics")
-    param_sets = [c.params for c in clients]
-    if not param_sets:
+    # a client's rows, as a run's clients hold them, or its parameters copied into rows
+    sets = [c.params if c.params.tables else c.params.copy() for c in clients]
+    if not sets:
         raise ConfigError("no clients to aggregate")
-    _check_same_feature_keys(param_sets)
+    if any(set(ps.feature) != set(sets[0].feature) for ps in sets):
+        raise ContractViolation("clients disagree on feature parameter names")
     if keep_global:
-        if len(param_sets) != registry.n_clients:
+        if len(sets) != registry.n_clients:
             raise ContractViolation("one client state per registry client required")
-        for k, (c, ps) in enumerate(zip(clients, param_sets)):
+        for k, (c, ps) in enumerate(zip(clients, sets)):
             cols = registry.client_classes[k]
             if not set(c.classes) <= set(cols):
                 raise ContractViolation(f"client {k} classes do not match the registry")
             if ps.head_cols != len(cols):
                 raise ContractViolation(f"client {k} head width does not match the registry")
 
-    def average(group: str) -> dict:
-        """Every tensor of ``group`` (a ParamSet field), averaged over the
-        clients and checked; the layer is the key's leading index."""
-        out = {}
-        for key in sorted(getattr(param_sets[0], group)):
-            parts = [getattr(ps, group)[key] for ps in param_sets]
-            out[key] = mean_arrays(parts, weights)
-            _need_finite(out[key], parts, f"{group}[{key!r}]", int(str(key).split(".")[0]))
-        return out
-
-    feature = average("feature")
+    # the averages, in rows laid out as client 0's; features and statistics
+    # are each averaged as one row, then every tensor is checked
+    glob = grad_views(sets[0], *(np.empty(t.size) for t in sets[0].tables))
+    width = glob.tables[0].size - glob.head_W.size - glob.head_b.size
+    glob.tables[0][:width] = mean_arrays([ps.tables[0][:width] for ps in sets], weights)
     shared_stats = strategy == "fedavg"
     if shared_stats:
-        bn_mean, bn_var = average("bn_mean"), average("bn_var")
-    elif keep_global:
+        glob.tables[1][...] = mean_arrays([ps.tables[1] for ps in sets], weights)
+    for group in ("feature", "bn_mean", "bn_var")[:3 if shared_stats else 1]:
+        for key, a in sorted(getattr(glob, group).items()):
+            _need_finite(a, (getattr(ps, group)[key] for ps in sets), f"{group}[{key!r}]",
+                         int(str(key).split(".")[0]))
+    if not shared_stats and keep_global:
         mean_stats, var_stats = pretrained_bn
-        for i in param_sets[0].bn_mean:
+        for i in glob.bn_mean:
             if i not in mean_stats or i not in var_stats:
                 raise ConfigError(f"pretrained statistics missing for batch-norm layer {i}")
-        bn_mean = {i: mean_stats[i].copy() for i in sorted(param_sets[0].bn_mean)}
-        bn_var = {i: var_stats[i].copy() for i in sorted(param_sets[0].bn_var)}
+        glob.bn_mean = {i: mean_stats[i].copy() for i in sorted(glob.bn_mean)}
+        glob.bn_var = {i: var_stats[i].copy() for i in sorted(glob.bn_var)}
 
     global_params = None
     if keep_global:
-        heads = [(ps.head_W, ps.head_b, registry.client_classes[k]) for k, ps in enumerate(param_sets)]
+        heads = [(ps.head_W, ps.head_b, registry.client_classes[k]) for k, ps in enumerate(sets)]
         global_W, global_b = surgical_head_update(heads, registry, weights)
-        _need_finite(global_W, [ps.head_W for ps in param_sets], "head_W")
-        _need_finite(global_b, [ps.head_b for ps in param_sets], "head_b")
-        global_params = ParamSet(
-            feature=feature, bn_mean=bn_mean, bn_var=bn_var, head_W=global_W, head_b=global_b,
-        )
+        _need_finite(global_W, [ps.head_W for ps in sets], "head_W")
+        _need_finite(global_b, [ps.head_b for ps in sets], "head_b")
+        global_params = ParamSet(glob.feature, glob.bn_mean, glob.bn_var, global_W, global_b)
 
-    sendbacks = []
-    for k, ps in enumerate(param_sets):
-        own_stats = (bn_mean, bn_var) if shared_stats else (ps.bn_mean, ps.bn_var)
+    # every check has passed: the round goes into the rows
+    for k, ps in enumerate(sets):
+        ps.tables[0][:width] = glob.tables[0][:width]
+        if shared_stats:
+            ps.tables[1][...] = glob.tables[1]
         if keep_global:
-            head, cols = (global_W, global_b), registry.client_classes[k]
-        else:
-            head, cols = (ps.head_W, ps.head_b), None
-        sendbacks.append(ParamSet(feature, *own_stats, *head).copy(cols))
-    return global_params, sendbacks
+            np.take(global_W, registry.client_classes[k], axis=1, out=ps.head_W)
+            np.take(global_b, registry.client_classes[k], out=ps.head_b)
+    return global_params, sets

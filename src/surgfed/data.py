@@ -164,10 +164,8 @@ class ScenarioData:
             "n_train_per_client": [cd.train.n for cd in self.clients],
             "n_val_per_client": [cd.val.n for cd in self.clients],
             "n_test": self.test.n,
-            "train_prevalence": [
-                {names[c]: float(cd.train.y[:, j].mean()) for j, c in enumerate(cd.classes)}
-                for cd in self.clients
-            ],
+            "train_prevalence": [dict(zip([names[c] for c in cd.classes], cd.train.y.mean(axis=0).tolist()))
+                                 for cd in self.clients],
         }
 
 

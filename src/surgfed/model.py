@@ -5,11 +5,10 @@ extractor, and each head column is drawn from a stream keyed by
 (seed, global class id).  Two clients that share a class therefore start
 from identical columns regardless of how wide their heads are.
 
-Local SGD trains a :class:`ClientGroup` of same-shape clients in
-lock-step on a stacked copy of their parameters in an arena, which
-holds each epoch's gathered rows and every step's buffers and gradients.
-Shapes, labels, the learning rate and the frozen groups are checked once
-per training call; each step then runs :func:`surgfed.nn.train_step`.
+A :class:`ClientGroup` stacks same-shape clients once, checking shapes
+and labels, and trains them in lock-step on a copy of their parameters
+in an arena, which holds each epoch's gathered rows and every step's
+buffers and gradients; each step runs :func:`surgfed.nn.train_step`.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ from .nn import (
     stack_params,
     train_layout,
     train_step,
-    unstack_params,
 )
-from .nn import _bce, _mask_cols, _take_cols  # the loss core, for validation
+from .nn import _bce, _check_sgd, _mask_cols, _take_cols  # the cores validation and training call
 
 _TAG_FEATURE, _TAG_HEAD = 1, 2
 
@@ -134,72 +132,80 @@ class ClientState:
 
 
 class ClientGroup(list):
-    """Clients that train in lock-step in ``arena``, the run's or their
-    own.  The simulator builds one per group per run; a plain list is
-    wrapped in one for its call."""
+    """Same-shape clients stacked once: ``params`` (in tables), ``x``, ``y``,
+    ``val_x`` and ``val_y``, each client's own a view of its rows, and
+    loss columns ``cols``.  Steps use ``arena``."""
 
     def __init__(self, clients):
         super().__init__(clients)
-        self.arena = Arena()
+        if not self:
+            raise ConfigError("a training group needs at least one client")
+        if len({(c.arch, c.train.n, c.val.n, c.params.head_cols, len(c.loss_cols)) for c in self}) > 1:
+            raise ContractViolation("group members must share architecture, split sizes, head width "
+                                    "and loss-column count")
+        self.ids, self.arena = [c.id for c in self], Arena()
+        self.x, self.y, self.val_x, self.val_y = (np.empty((len(self), *a.shape), a.dtype) for s in
+                                                  (self[0].train, self[0].val) for a in (s.x, s.y))
+        for k, c in enumerate(self):  # a client's own arrays go as its rows fill, never all held twice
+            self.x[k], self.y[k], self.val_x[k], self.val_y[k] = c.train.x, c.train.y, c.val.x, c.val.y
+            c.train, c.val = LabeledSet(self.x[k], self.y[k]), LabeledSet(self.val_x[k], self.val_y[k])
+        self.order = np.empty(self.y.shape[:2], np.intp)  # an epoch's rows
+        self.adopt(stack_params([c.params for c in self]))
+        check_training(self.params, self[0].arch, self.x, self.y, None, 0.0, ())
+        cols = [c.cols for c in self]  # every column, one shared set or a row per client (see ClientState.cols)
+        self.cols = cols[0] if cols[0] is None or len({c.loss_cols for c in self}) == 1 else np.stack(cols)
+
+    def adopt(self, params: ParamSet) -> None:
+        """Make ``params`` (in tables) the group's, each client's a view of its rows."""
+        self.params = params
+        for k, c in enumerate(self):
+            c.params = ParamSet.from_tensors(((g, key, a[k]) for g, key, a in params.tensors()),
+                                             tuple(t[k] for t in params.tables))
 
     def step_shapes(self, batch_size: int) -> dict[int, list]:
         """:func:`surgfed.nn.train_layout` for this group."""
-        return train_layout(self[0].arch, len(self), self[0].train.n, self[0].params.head_cols, batch_size)
+        return train_layout(self[0].arch, len(self), self.x.shape[1], self.params.head_cols, batch_size)
+
+    def val_shapes(self) -> list:
+        """The buffers of its validation pass and loss."""
+        return buffer_shapes(self[0].arch, self.val_y.shape[:2], self.params.head_cols, loss=True)
 
 
-def _train_epoch(group: ClientGroup, x, y, params: ParamSet, cols, lr: float, batch_size: int, frozen, steps):
-    """One lock-step epoch of a group whose clients ``check_training`` has
-    passed, gathering each client's rows and ``int8`` labels into slice k
-    of ``x`` and ``y`` in a fresh row order.  ``params`` is stacked along
-    a leading client axis and updated in place; every client draws its
-    batch order from its own RNG stream, and a step takes its buffers and
-    gradients from ``steps`` by batch length.  Returns each client's mean
-    batch loss."""
-    arch, ids = group[0].arch, [c.id for c in group]
-    n = x.shape[1]
-    # shuffle each client's rows into its slice once; every batch is a view.
+def _train_epoch(group: ClientGroup, x, y, params: ParamSet, lr: float, batch_size: int, frozen, steps):
+    """One lock-step epoch: each client draws a row order from its own
+    stream, one take per array gathers the rows and ``int8`` labels into
+    slice k of ``x`` and ``y``, and a batch is a view.  ``params`` is
+    updated in place; a step takes its buffers and gradients from
+    ``steps`` by batch length.  Returns each client's mean batch loss."""
+    K, n = x.shape[:2]
+    rows = group.order
+    for k, c in enumerate(group):  # client k's rows lie at k*n in the stack
+        rows[k] = c.rng.permutation(n) + k * n
     # "clip" spares the copy of out that "raise" makes; the rows are in range
-    for k, c in enumerate(group):
-        rows = c.rng.permutation(n)
-        np.take(c.train.x, rows, axis=0, out=x[k], mode="clip")
-        np.take(c.train.y, rows, axis=0, out=y[k], mode="clip")
-    total, batches = np.zeros(len(group)), 0
+    np.take(group.x.reshape(K * n, -1), rows, axis=0, out=x, mode="clip")
+    np.take(group.y.reshape(K * n, -1), rows, axis=0, out=y, mode="clip")
+    total, batches = np.zeros(K), 0
     for start in range(0, n, batch_size):
         end = start + batch_size
-        total += train_step(params, arch, x[:, start:end], y[:, start:end], cols, lr, frozen, ids,
-                            *steps[min(batch_size, n - start)])
+        total += train_step(params, group[0].arch, x[:, start:end], y[:, start:end], group.cols, lr, frozen,
+                            group.ids, *steps[min(batch_size, n - start)])
         batches += 1
     return total / batches
 
 
 def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
-    """Run ``epochs`` lock-step epochs on a private stacked copy of the
-    group's parameters and write each client's slice back; a call that
-    raises leaves every client's parameters as they were.  Inputs are
-    checked here, once, where they lie.  Returns the per-epoch loss
-    arrays (one entry per client)."""
-    if not group:
-        raise ConfigError("a training group needs at least one client")
-    first = group[0]
-    columns = [c.loss_cols for c in group]
-    for c, own in zip(group, columns):
-        if (c.arch != first.arch or c.train.n != first.train.n
-                or c.params.head_cols != first.params.head_cols or len(own) != len(columns[0])):
-            raise ContractViolation(
-                "group members must share architecture, train.n, head width and loss-column count"
-            )
-        _, frozen = check_training(c.params, first.arch, c.train.x, c.train.y, None, lr, frozen)
-    # every column, one shared set of columns, or one row of them per client
-    cols = [c.cols for c in group]
-    cols = cols[0] if cols[0] is None or len(set(columns)) == 1 else np.stack(cols)
-    params = stack_params([c.params for c in group])
+    """Run ``epochs`` lock-step epochs on a copy of the group's tables and
+    hand the copy to its clients (a plain list is stacked on entry); a
+    call that raises leaves every client as it was.  Returns the
+    per-epoch loss arrays (one entry per client)."""
     group = group if isinstance(group, ClientGroup) else ClientGroup(group)
+    frozen = _check_sgd(lr, frozen)
+    params = grad_views(group.params, *(t.copy() for t in group.params.tables))
     views = {b: group.arena.views(s) for b, s in group.step_shapes(batch_size).items()}
-    x, y = views[min(batch_size, first.train.n)][:2]
+    x, y = views[max(views)][:2]
     steps = {b: (v[2:], grad_views(params, v[-1])) for b, v in views.items()}
-    losses = [_train_epoch(group, x, y, params, cols, lr, batch_size, frozen, steps) for _ in range(epochs)]
-    for c, ps in zip(group, unstack_params(params)):
-        c.params = ps
+    losses = [_train_epoch(group, x, y, params, lr, batch_size, frozen, steps) for _ in range(epochs)]
+    group.adopt(params)
     return losses
 
 
@@ -220,7 +226,7 @@ def local_train(group, epochs: int, lr: float, batch_size: int):
     """Run ``epochs`` full passes of mini-batch SGD on every client of a
     group, in lock-step.
 
-    Members must share train.n, head width and the number of loss
+    Members must share split sizes, head width and the number of loss
     columns.  Each client's result is bitwise what training it alone
     gives.  Batch order comes from the client's own RNG stream, which
     persists across calls, so E epochs twice equals 2E epochs once
@@ -230,21 +236,23 @@ def local_train(group, epochs: int, lr: float, batch_size: int):
         raise ConfigError("epochs must be at least 1")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    losses = _train_group(group, epochs, lr, batch_size, frozenset())
-    for k, c in enumerate(group):
+    losses = np.stack(_train_group(group, epochs, lr, batch_size, frozenset()), axis=1)
+    for c, own in zip(group, losses):  # np.mean's sum of the client's epoch losses
         c.epoch_counter += epochs
-        c.last_train_loss = float(np.mean([loss[k] for loss in losses]))
+        c.last_train_loss = float(np.add.reduce(own) / epochs)
     return group
 
 
-def validation_loss(client: ClientState, arena: Arena | None = None) -> float:
-    """Masked BCE over the client's loss columns on its validation split,
-    eval mode, in views of ``arena`` or of a fresh one."""
-    shapes = buffer_shapes(client.arch, (client.val.n,), client.params.head_cols, loss=True)
-    bufs = (Arena() if arena is None else arena).views(shapes)
-    _, p = forward(client.params, client.arch, client.val.x, "eval", [client.id], bufs)
-    cols = client.cols
-    return float(_bce(_take_cols(p, cols), _take_cols(client.val.y, cols), bufs[-1]))
+def validation_loss(clients, arena: Arena | None = None):
+    """Masked BCE over each client's loss columns on its validation split,
+    eval mode, in ``arena`` or a fresh one: one pass and a loss per client
+    for a group (a list is stacked on entry), a float for one client."""
+    one = isinstance(clients, ClientState)
+    group = clients if isinstance(clients, ClientGroup) else ClientGroup([clients] if one else clients)
+    bufs = (Arena() if arena is None else arena).views(group.val_shapes())
+    _, p = forward(group.params, group[0].arch, group.val_x, "eval", group.ids, bufs)
+    losses = _bce(_take_cols(p, group.cols), _take_cols(group.val_y, group.cols), bufs[-1])
+    return float(losses[0]) if one else losses
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import machinery, util
 from itertools import accumulate
 from pathlib import Path
@@ -158,9 +158,11 @@ class ParamSet:
     (feature_out_dim, n_head_classes) and ``head_b`` its bias row.
 
     :meth:`tensors` is the one walk over the five fields and
-    :meth:`from_tensors` its inverse; copying, comparing, stacking,
-    unstacking and checkpointing all go through them.  Gradients are a
+    :meth:`from_tensors` its inverse; copying, comparing, stacking
+    and checkpointing all go through them.  Gradients are a
     set with empty statistics dicts (:func:`backward`, :func:`grad_views`).
+    A set laid out by :func:`grad_views` keeps the ``tables`` its tensors
+    are views of, over which SGD is one multiply and one subtract.
     """
 
     feature: dict[str, np.ndarray]
@@ -168,6 +170,7 @@ class ParamSet:
     bn_var: dict[int, np.ndarray]
     head_W: np.ndarray
     head_b: np.ndarray
+    tables: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def head_cols(self) -> int:
@@ -186,7 +189,7 @@ class ParamSet:
         yield "head_b", None, self.head_b
 
     @classmethod
-    def from_tensors(cls, rows) -> "ParamSet":
+    def from_tensors(cls, rows, tables=()) -> "ParamSet":
         """The set whose :meth:`tensors` are ``rows``."""
         fields = {"feature": {}, "bn_mean": {}, "bn_var": {}}
         for group, key, a in rows:
@@ -194,7 +197,7 @@ class ParamSet:
                 fields[group] = a
             else:
                 fields[group][key] = a
-        return cls(**fields)
+        return cls(**fields, tables=tables)
 
     def map(self, fn, *others) -> "ParamSet":
         """A new set holding ``fn(t, *ts)`` for every tensor ``t`` of this
@@ -210,14 +213,16 @@ class ParamSet:
         return ParamSet.from_tensors(rows)
 
     def copy(self, head_cols=None) -> "ParamSet":
-        """A deep copy, C-ordered; ``head_cols`` keeps only those head
-        columns, in that order."""
-        # C-ordered: the fancy index alone gives an F-ordered array, on
-        # which BLAS takes another path and rounds differently
+        """A deep copy laid out in tables (:func:`grad_views`), so every
+        tensor is C-ordered; ``head_cols`` keeps only those head columns,
+        in that order."""
         cols = slice(None) if head_cols is None else list(head_cols)
-        return ParamSet.from_tensors(
-            (g, k, (a[..., cols] if k is None else a).copy()) for g, k, a in self.tensors()
-        )
+        src = [(g, k, a[..., cols] if k is None else a) for g, k, a in self.tensors()]
+        out = grad_views(ParamSet.from_tensors(src), *(
+            np.empty(sum(a.size for g, _, a in src if g.startswith("bn_") == bn)) for bn in (False, True)))
+        for (_, _, a), (_, _, b) in zip(out.tensors(), src):
+            a[...] = b
+        return out
 
 
 def params_equal(a: ParamSet, b: ParamSet) -> bool:
@@ -230,14 +235,9 @@ def params_equal(a: ParamSet, b: ParamSet) -> bool:
 
 def stack_params(param_sets) -> ParamSet:
     """Same-shape parameter sets as one set whose tensors carry a leading
-    model axis (copies, in the given order)."""
-    return param_sets[0].map(lambda *ts: np.stack(ts), *param_sets[1:])
-
-
-def unstack_params(stacked: ParamSet) -> list[ParamSet]:
-    """Inverse of :func:`stack_params`: one set per model, each a view of
-    its own slice of the stacked tensors."""
-    return [stacked.map(lambda a: a[k]) for k in range(stacked.head_W.shape[0])]
+    model axis: copies, in the given order, laid out in tables
+    (:func:`grad_views`)."""
+    return param_sets[0].map(lambda *ts: np.stack(ts), *param_sets[1:]).copy()
 
 
 def _as_batch(x, name: str, dtype=np.float64) -> np.ndarray:
@@ -370,12 +370,17 @@ def grad_shapes(arch: Architecture, lead: tuple, head_cols: int) -> list:
     return [(*lead, w) for w in [head_cols] + back] + [(block,)]
 
 
-def grad_views(params: ParamSet, block: np.ndarray) -> ParamSet:
-    """Trainable tensors of ``params`` end to end in ``block``, in :meth:`ParamSet.tensors` order."""
-    rows = [(g, k, a) for g, k, a in params.tensors() if not g.startswith("bn_")]
-    ends = accumulate(a.size for _, _, a in rows)
-    return ParamSet.from_tensors(
-        (g, k, block[e - a.size:e].reshape(a.shape)) for (g, k, a), e in zip(rows, ends))
+def grad_views(params: ParamSet, block: np.ndarray, stats=None) -> ParamSet:
+    """Trainable tensors of ``params`` as views of ``block``, with ``stats``
+    its statistics as views of that: from the array's start, one row per
+    model, its tensors end to end in :meth:`ParamSet.tensors` order."""
+    lead, rows, tables = params.head_W.shape[:-2], [], []
+    for bn, flat in enumerate([block] if stats is None else [block, stats]):
+        walk = [(g, k, a.shape[len(lead):]) for g, k, a in params.tensors() if g.startswith("bn_") == bn]
+        ends = list(accumulate((math.prod(s) for *_, s in walk), initial=0))
+        tables.append(table := flat.reshape(-1)[:math.prod(lead) * ends[-1]].reshape(*lead, ends[-1]))
+        rows += [(g, k, table[..., lo:hi].reshape(*lead, *s)) for (g, k, s), lo, hi in zip(walk, ends, ends[1:])]
+    return ParamSet.from_tensors(rows, tuple(tables))
 
 
 class Int8Block(tuple):
@@ -630,15 +635,19 @@ def _check_sgd(lr: float, frozen) -> frozenset:
     return frozen
 
 
-def _sgd(params: ParamSet, grads: ParamSet, lr: float, frozen: frozenset) -> None:
-    """The SGD update, in place, using up ``grads``: ``v -= lr * g``, each
-    ``lr * g`` formed in ``g``, is bitwise ``v - lr * g``."""
-    if "feature_extractor" not in frozen:
-        for k, v in params.feature.items():
-            v -= np.multiply(lr, grads.feature[k], out=grads.feature[k])
-    if "head" not in frozen:
-        params.head_W -= np.multiply(lr, grads.head_W, out=grads.head_W)
-        params.head_b -= np.multiply(lr, grads.head_b, out=grads.head_b)
+def _step(v: np.ndarray, g: np.ndarray, lr: float) -> None:
+    """``v -= lr * g`` in place, ``lr * g`` formed in ``g`` (used up): bitwise ``v - lr * g``."""
+    v -= np.multiply(lr, g, out=g)
+
+
+def _sgd(params: ParamSet, grads: np.ndarray, lr: float, frozen: frozenset) -> None:
+    """The SGD update of a set laid out in tables, in place, over the
+    unfrozen columns of its first table (the head's last), using up the
+    gradient table ``grads`` laid out like it."""
+    width = params.tables[0].shape[-1]
+    head = width - (params.head_W.shape[-2] + 1) * params.head_cols
+    cut = slice(head if "feature_extractor" in frozen else 0, head if "head" in frozen else width)
+    _step(params.tables[0][..., cut], grads[..., cut], lr)
 
 
 def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -> ParamSet:
@@ -648,12 +657,14 @@ def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -
     frozen = _check_sgd(lr, frozen)
     head = "head" not in frozen
     trained = {"feature": "feature_extractor" not in frozen, "head_W": head, "head_b": head}
-    shapes = {(g, k): a.shape for g, k, a in grads.tensors()}
+    given = {(g, k): a for g, k, a in grads.tensors()}
     for g, k, a in params.tensors():
-        if trained.get(g) and shapes.get((g, k)) != a.shape:
+        if trained.get(g) and getattr(given.get((g, k)), "shape", None) != a.shape:
             raise ContractViolation(f"gradient missing or mis-shaped for {k or g}")
     out = ParamSet.from_tensors((g, k, a.copy() if trained.get(g) else a) for g, k, a in params.tensors())
-    _sgd(out, grads.copy(), lr, frozen)  # the core uses up the gradients
+    for g, k, v in out.tensors():
+        if trained.get(g):
+            _step(v, given[g, k].copy(), lr)  # the core uses up its copy of the gradient
     return out
 
 
@@ -695,5 +706,5 @@ def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, froz
     if not np.isfinite(loss).all():
         raise _non_finite("loss", None, loss[..., None, None], client_ids)
     heads_only = "feature_extractor" in frozen
-    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads), lr, frozen)
+    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads).tables[0], lr, frozen)
     return loss

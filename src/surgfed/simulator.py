@@ -20,12 +20,15 @@ Every method that exchanges parameters aggregates through one rule,
 :func:`surgfed.aggregation.server_update`; the row says over whom each
 head column is merged.
 
-Clients that share a shape (train size, head width and number of loss
-columns) train in lock-step: one stacked forward and backward pass per
-step for the whole group, built once per run.  Every client keeps its
-own parameters, loss columns and RNG stream, so each one ends bitwise
-where training it alone would; groups train one after another on one
-thread, and aggregation always walks clients in index order.
+Clients that share a shape (split sizes, head width and number of loss
+columns) are stacked once per run into a lock-step group, each client's
+state a view of its rows.  A round copies each group's parameters once,
+trains the copy (one stacked pass per step), aggregates into its rows
+and validates each group in one pass, so what a round hands out never
+changes later.  Every client keeps its own loss columns and RNG stream,
+so each one ends bitwise where training it alone would; groups train one
+after another on one thread, and aggregation always walks clients in
+index order.
 
 Training (gathered rows, step buffers and gradients), validation and the
 test forward pass never overlap: they share one :class:`surgfed.nn.Arena`.
@@ -257,16 +260,9 @@ def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture
             LabeledSet(np.vstack([v.x for _, _, v in sites]), np.vstack([v.y for _, _, v in sites])),
         )]
     loss_cols = tuple(range(M)) if row.loss_mode == "all_classes_negatives" else None
-    clients = []
-    for k, (classes, train, val) in enumerate(sites):
-        clients.append(
-            ClientState(
-                id=k, arch=arch, params=init.copy(None if row.wide else classes),
-                classes=classes, train=train, val=val,
-                rng=np.random.default_rng([seeds.shuffle, k]), loss_cols=loss_cols,
-            )
-        )
-    return clients
+    return [ClientState(id=k, arch=arch, params=init.copy(None if row.wide else classes), classes=classes,
+                        train=train, val=val, rng=np.random.default_rng([seeds.shuffle, k]), loss_cols=loss_cols)
+            for k, (classes, train, val) in enumerate(sites)]
 
 
 def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None:
@@ -281,11 +277,11 @@ def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None
 
 
 def _client_groups(clients) -> list[ClientGroup]:
-    """Clients that can train in lock-step, in order of their first
-    member's id."""
+    """Clients that can train in lock-step, stacked, in order of their
+    first member's id."""
     groups: dict[tuple, list[ClientState]] = {}
     for c in clients:
-        groups.setdefault((c.train.n, c.params.head_cols, len(c.loss_cols)), []).append(c)
+        groups.setdefault((c.train.n, c.val.n, c.params.head_cols, len(c.loss_cols)), []).append(c)
     return [ClientGroup(g) for g in groups.values()]
 
 
@@ -326,14 +322,13 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     # on: labels or features the clients copied go before the arena exists
     test, realized = data.test, data.realized()
     del data
-    groups = _client_groups(clients)
+    groups = _client_groups(clients)  # each client's state is a view of its group's rows from here on
     # one buffer for every pass that writes arrays with a sample axis or gradients;
     # the test passes score the global model each round or each client's best once
     test_shapes = {w: buffer_shapes(arch, (config.scenario.n_test,), w)
                    for w in ([M] if row.global_model else [c.params.head_cols for c in clients])}
-    passes = [*test_shapes.values(), *(s for g in groups for s in g.step_shapes(config.batch_size).values())]
-    passes += [buffer_shapes(arch, (c.val.n,), c.params.head_cols, loss=True) for c in clients]
-    arena = Arena(*passes)
+    arena = Arena(*test_shapes.values(),
+                  *(s for g in groups for s in [*g.step_shapes(config.batch_size).values(), g.val_shapes()]))
     for g in groups:
         g.arena = arena
     reports: list[RoundReport] = []
@@ -354,16 +349,13 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             t0 = time.perf_counter()
             _train_all(groups, config.E, config.lr, config.batch_size)
 
-            if row.exchanges:
-                global_params, sendbacks = server_update(
-                    clients, head_registry, config.strategy, pretrained_bn, weights
-                )
-                for c, ps in zip(clients, sendbacks):
-                    c.params = ps
+            if row.exchanges:  # into the rows each group trained this round
+                global_params, _ = server_update(clients, head_registry, config.strategy, pretrained_bn, weights)
             else:
                 global_params = clients[0].params if row.global_model else None
 
-            val_losses = tuple(validation_loss(c, arena) for c in clients)
+            val = {c.id: v for g in groups for c, v in zip(g, validation_loss(g, arena).tolist())}
+            val_losses = tuple(val[c.id] for c in clients)
             mean_val = float(np.mean(val_losses))
             ev = None if global_params is None else evaluate(
                 global_params, arch, range(M), plan, bufs=arena.views(test_shapes[M]))

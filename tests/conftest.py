@@ -4,10 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from surgfed import (
     Architecture,
     ClassRegistry,
+    ExperimentConfig,
     ScenarioSpec,
     build_architecture,
     init_model,
@@ -70,3 +72,44 @@ def traced_rise():
             tracemalloc.stop()
 
     return measure
+
+
+def class_layout(draw, K: int, M: int, layout: str) -> list[tuple[int, ...]]:
+    """Per-client class lists over M classes covering every class:
+    ``random`` subsets, one ``single_holder`` per class (a client left
+    without a class takes one more holder of class 0), or ``all_shared``."""
+    if layout == "all_shared":
+        return [tuple(range(M))] * K
+    if layout == "single_holder":
+        owner = draw(st.lists(st.integers(0, K - 1), min_size=M, max_size=M))
+        return [tuple(c for c in range(M) if owner[c] == k) or (0,) for k in range(K)]
+    subsets = [tuple(sorted(draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=M)))) for _ in range(K)]
+    for i, c in enumerate(sorted(set(range(M)) - set().union(*subsets))):
+        subsets[i % K] = tuple(sorted(set(subsets[i % K]) | {c}))
+    return subsets
+
+
+@st.composite
+def experiment_configs(draw, method: str, strategy: str):
+    """A small valid run of ``method`` under ``strategy``: K 1-6 clients,
+    M 1-8 classes in a random, single-holder or all-shared layout, E 1-3
+    local epochs over 1-3 rounds (T may leave part of a round unused),
+    0-2 warmup epochs, a batch size that may leave a short last batch,
+    with and without batch norm and sample weighting."""
+    K, M = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(["random", "single_holder", "all_shared"]))
+    shift = draw(st.sampled_from([0.0, 0.5]))
+    spec = ScenarioSpec(
+        n_per_client=draw(st.integers(40, 60)), d=3, M=M, K=K, seed=draw(st.integers(0, 2**16)),
+        assignment=class_layout(draw, K, M, layout), skew="feature_shift" if shift else "iid",
+        shift_sigma=shift, n_test=draw(st.integers(30, 50)),
+    )
+    E = draw(st.integers(1, 3))
+    return ExperimentConfig(
+        scenario=spec, method=method, strategy=strategy, E=E,
+        T=E * draw(st.integers(1, 3)) + draw(st.integers(0, E - 1)),
+        lr=draw(st.sampled_from([0.05, 0.2])), batch_size=draw(st.integers(3, 20)),
+        warmup_epochs=draw(st.integers(0, 2)), warmup_lr=0.05,
+        hidden=draw(st.sampled_from([(1,), (4,), (4, 3)])), use_batchnorm=draw(st.booleans()),
+        sample_weighted=draw(st.booleans()),
+    )

@@ -150,3 +150,20 @@ def step(params: ParamSet, arch, x: np.ndarray, y: np.ndarray, cols, lr: float, 
     value = loss(p, y, cols)
     sgd(params, backward(params, arch, acts, g, norms, "feature_extractor" in frozen), lr, frozen)
     return value
+
+
+def train(params: ParamSet, arch, x: np.ndarray, y: np.ndarray, rng, epochs: int, lr: float, batch_size: int,
+          cols, frozen=frozenset()) -> list:
+    """One client's local SGD, one batch at a time: each epoch draws a
+    row order from ``rng`` and steps through it batch by batch (the last
+    batch may be short).  Returns each epoch's mean batch loss."""
+    losses = []
+    for _ in range(epochs):
+        order = rng.permutation(len(x))
+        total, batches = 0.0, 0
+        for start in range(0, len(x), batch_size):
+            idx = order[start:start + batch_size]
+            total += step(params, arch, x[idx], y[idx], cols, lr, frozen)
+            batches += 1
+        losses.append(total / batches)
+    return losses

@@ -24,7 +24,7 @@ from surgfed import (
     surgical_head_update,
 )
 
-from conftest import random_params
+from conftest import class_layout, random_params
 
 
 def _heads_for(registry: ClassRegistry, n_feat: int, seed: int):
@@ -233,24 +233,11 @@ def _assert_bitwise(got, expected) -> None:
 
 @st.composite
 def oracle_merge_cases(draw):
+    # K past 8: a (K, 1) stack reduced by np.add.reduce sums pairwise from there
     M = draw(st.integers(min_value=1, max_value=8))
-    K = draw(st.integers(min_value=1, max_value=6))
+    K = draw(st.integers(min_value=1, max_value=12))
     layout = draw(st.sampled_from(["random", "single_holder", "all_shared"]))
-    if layout == "all_shared":
-        subsets = [tuple(range(M))] * K
-    elif layout == "single_holder":
-        owner = draw(st.lists(st.integers(0, K - 1), min_size=M, max_size=M))
-        # a client left without a class takes one more holder of class 0
-        subsets = [tuple(c for c in range(M) if owner[c] == k) or (0,) for k in range(K)]
-    else:
-        subsets = [
-            tuple(sorted(draw(st.sets(st.integers(0, M - 1), min_size=1, max_size=M))))
-            for _ in range(K)
-        ]
-        covered = set().union(*subsets)
-        for i, c in enumerate(sorted(set(range(M)) - covered)):
-            subsets[i % K] = tuple(sorted(set(subsets[i % K]) | {c}))
-    reg = ClassRegistry([f"g{i}" for i in range(M)], subsets)
+    reg = ClassRegistry([f"g{i}" for i in range(M)], class_layout(draw, K, M, layout))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
     special = np.array([0.0, -0.0, 1e-300, -1e300, 0.1, -0.3])
@@ -530,12 +517,14 @@ def _assert_params_bitwise(got: ParamSet, want: ParamSet) -> None:
 @st.composite
 def round_cases(draw, method=None, strategy=None, special=(0.0, -0.0, 1e-300, -1e300, 0.1, -0.3)):
     """A round's inputs; ``method`` and ``strategy`` are drawn unless
-    given, and ``special`` values are planted in every tensor."""
+    given, and ``special`` values are planted in every tensor.  A
+    one-unit hidden layer, and a full-width head over M=1 classes, make
+    tensors one value wide."""
     reg, _, _ = draw(oracle_merge_cases())
     method = method or draw(st.sampled_from(_EXCHANGING))
     strategy = strategy or draw(st.sampled_from([s for s in STRATEGIES if s != "fedbn" or method == "pfl"]))
     seed = draw(st.integers(min_value=0, max_value=2**31))
-    arch = build_architecture(3, hidden=(4,))
+    arch = build_architecture(3, hidden=draw(st.sampled_from([(4,), (1,)])))
     rng = np.random.default_rng(seed)
     special = np.array(special)
     clients = []
@@ -561,26 +550,41 @@ def round_cases(draw, method=None, strategy=None, special=(0.0, -0.0, 1e-300, -1
 @given(round_cases())
 @settings(max_examples=200, deadline=None)
 def test_server_update_equals_the_fedavg_oracle(case) -> None:
-    """``server_update``, called as the run calls it for each exchanging
-    method and strategy, with and without sample-count weights, is
-    bitwise the whole-tensor FedAvg oracle: the global model and every
-    sendback, none of which shares memory with a client's parameters."""
+    """``server_update`` for each exchanging method and strategy, with
+    and without sample-count weights, is bitwise the whole-tensor FedAvg
+    oracle: the global model and every sendback.  Called on clients of
+    their own, no sendback shares memory with a client's parameters.
+    Called as the run calls it, on clients stacked into lock-step groups,
+    the sendbacks are the clients' own rows: no two clients share memory,
+    and no client shares memory with the global model."""
     method, strategy, reg, clients, pretrained, weights = case
     row = simulator.METHOD_TABLE[method]
-    got_global, got_sendbacks = server_update(
-        clients, simulator._head_registry(row, reg), strategy, pretrained, weights
-    )
     want_global, want_sendbacks = _round_oracle(method, strategy, clients, reg, pretrained, weights)
-    assert (got_global is None) == (want_global is None) == (not row.global_model)
-    if want_global is not None:
-        _assert_params_bitwise(got_global, want_global)
-    assert len(got_sendbacks) == len(clients)
-    for c, got, want in zip(clients, got_sendbacks, want_sendbacks):
-        _assert_params_bitwise(got, want)
-        own = [*c.params.feature.values(), *c.params.bn_mean.values(), *c.params.bn_var.values(),
-               c.params.head_W, c.params.head_b]
-        sent = [*got.feature.values(), *got.bn_mean.values(), *got.bn_var.values(), got.head_W, got.head_b]
-        assert not any(np.shares_memory(a, b) for a in own for b in sent)
+
+    def tensors(ps):
+        return [*ps.feature.values(), *ps.bn_mean.values(), *ps.bn_var.values(), ps.head_W, ps.head_b]
+
+    for stacked in (False, True):
+        if stacked:
+            simulator._client_groups(clients)
+        got_global, got_sendbacks = server_update(
+            clients, simulator._head_registry(row, reg), strategy, pretrained, weights
+        )
+        assert (got_global is None) == (want_global is None) == (not row.global_model)
+        if want_global is not None:
+            _assert_params_bitwise(got_global, want_global)
+        assert len(got_sendbacks) == len(clients)
+        for c, got, want in zip(clients, got_sendbacks, want_sendbacks):
+            _assert_params_bitwise(got, want)
+            if stacked:
+                assert got is c.params
+            else:
+                assert not any(np.shares_memory(a, b) for a in tensors(c.params) for b in tensors(got))
+    held = [tensors(c.params) for c in clients]
+    assert not any(np.shares_memory(a, b) for k, own in enumerate(held) for other in held[k + 1:]
+                   for a in own for b in other)
+    if got_global is not None:
+        assert not any(np.shares_memory(a, b) for own in held for a in own for b in tensors(got_global))
 
 
 # --- weights=None is the weighted rule with unit weights --------------------------

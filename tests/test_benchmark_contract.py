@@ -69,10 +69,11 @@ def test_traced_run_keeps_the_round_loop_spans(tmp_path) -> None:
     """``simulator.test_eval_s`` and ``metrics.evaluate_ms`` come from
     ``simulator.evaluate`` spans opened directly under
     ``simulator.run_experiment``, which ``child.py`` wraps; a run of T=2
-    rounds over K=2 clients must close two of them and 2*K validation
-    spans.  ``simulator.train_s`` and ``model.local_train_s`` come from
-    one ``simulator.train`` span a round, holding one ``local_train``
-    span per lock-step group; the two clients share a shape, so one."""
+    rounds over K=2 clients must close two of them.  The two clients
+    share a shape, so they form one lock-step group: each round holds one
+    ``simulator.val`` span for it, and one ``simulator.train`` span (for
+    ``simulator.train_s``) holding one ``local_train`` span (for
+    ``model.local_train_s``)."""
     K = 2
     config = {
         "scenario": {"n_per_client": 40, "d": 4, "M": 3, "K": K, "seed": 5,
@@ -81,7 +82,7 @@ def test_traced_run_keeps_the_round_loop_spans(tmp_path) -> None:
     }
     calls = _traced_run(tmp_path, config)
     assert calls.get(("simulator.evaluate", "simulator.run_experiment")) == 2
-    assert calls.get(("simulator.val", "simulator.run_experiment")) == 2 * K
+    assert calls.get(("simulator.val", "simulator.run_experiment")) == 2
     assert calls.get(("simulator.train", "simulator.run_experiment")) == 2
     assert calls.get(("model.local_train", "simulator.train")) == 2
 

@@ -146,6 +146,20 @@ def test_every_split_has_both_labels(tiny_scenario) -> None:
     assert np.all(data.test.y.min(axis=0) == 0.0)
 
 
+def test_prevalences_are_the_per_column_means() -> None:
+    """``realized`` takes one column mean per client; at the wide shape
+    (K=50, M=500) its prevalences are bitwise, key for key, the mean of
+    each class's label column taken alone."""
+    spec = ScenarioSpec(n_per_client=300, d=20, M=500, K=50, seed=100, shared_count=50, unique_count=450,
+                        skew="feature_shift", shift_sigma=0.75, n_test=200)
+    data = generate_synthetic(spec)
+    names = data.registry.global_classes
+    want = [{names[c]: float(cd.train.y[:, j].mean()) for j, c in enumerate(cd.classes)} for cd in data.clients]
+    got = data.realized()["train_prevalence"]
+    assert [list(p.items()) for p in got] == [list(p.items()) for p in want]
+    assert all(type(v) is float for p in got for v in p.values())
+
+
 def test_generation_peak_stays_near_what_it_keeps() -> None:
     """Each client's labels are cut to its classes as they are drawn, so
     at most one client's full-width label matrix exists at a time: the

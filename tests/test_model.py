@@ -442,6 +442,32 @@ def test_validation_in_an_arena_is_the_fresh_pass(tiny_arch) -> None:
     assert arena.flat.size == 8 * (6 + 3 + 5 + 5)
 
 
+def test_group_validation_is_each_clients_own_pass(tiny_arch) -> None:
+    """One eval pass over a group gives every client the loss of the
+    reference kernel's pass over that client alone, bit for bit, under
+    one shared set of loss columns and under a row of them per client.
+    A non-finite value names the first layer that holds one and the
+    lowest client there, as lock-step training does: client 22's layer
+    0, where a loop over the clients in order would stop at client 21's
+    layer 3."""
+    for subsets, width in (([(0, 1)] * 3, None), ([(0, 2), (1, 3), (2, 4)], 5)):
+        group = [_client(tiny_arch, classes=cs, width=width, seed=k, stream=30 + k)
+                 for k, cs in enumerate(subsets)]
+        local_train(group, 1, 0.05, 16)
+        want = [float(reference_kernel.loss(reference_kernel.forward(c.params, c.arch, c.val.x, False)[1],
+                                            c.val.y, c.cols)) for c in group]
+        assert validation_loss(group).tolist() == want
+    group = _group(tiny_arch, classes=(0, 1))
+    group[1].params.feature["3.W"][1, 0] = np.inf
+    group[2].params.feature["0.W"][1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        validation_loss(group)
+    assert (err.value.layer, err.value.client) == (0, 22)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
+        validation_loss(group[1])
+    assert (err.value.layer, err.value.client) == (3, 21)
+
+
 def test_validation_loss_is_pure(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     local_train([c], 1, 0.05, 16)

@@ -23,7 +23,7 @@ from surgfed import (
     sgd_step,
 )
 from surgfed.nn import (
-    BCE_CLAMP, BN_EPS, BN_MOMENTUM, LayerSpec, _mask_cols, check_training, stack_params, unstack_params,
+    BCE_CLAMP, BN_EPS, BN_MOMENTUM, LayerSpec, _mask_cols, check_training, stack_params,
 )
 
 import reference_kernel
@@ -249,6 +249,12 @@ def test_loss_rejects_shape_mismatch() -> None:
 # --- stacked (lock-step) calls ------------------------------------------------
 
 
+def _unstack(stacked: ParamSet) -> list[ParamSet]:
+    """Inverse of ``stack_params``: one set per model, each a view of its
+    own slice of the stacked tensors."""
+    return [stacked.map(lambda a: a[k]) for k in range(stacked.head_W.shape[0])]
+
+
 def _stack_case(width: int, b: int, seed: int):
     """Three models with noisy batch-norm state and their batches."""
     arch = build_architecture(5, hidden=(6, 3))
@@ -277,12 +283,12 @@ def test_stacked_calls_equal_one_model_calls(width, b) -> None:
     for mask, rows in ((shared, [shared] * 3), (per_model, list(per_model))):
         losses = masked_bce_loss(p, y, mask)
         grads = backward(stacked, arch, acts, p, y, mask)
-        stepped = unstack_params(sgd_step(stacked, grads, 0.1))
+        stepped = _unstack(sgd_step(stacked, grads, 0.1))
         for k, (alone, cols) in enumerate(zip([m.copy() for m in models], rows)):
             acts_k, p_k = forward(alone, arch, x[k], "train")
             for a_stacked, a_alone in zip(acts, acts_k):
                 np.testing.assert_array_equal(a_stacked[k], a_alone)
-            assert params_equal(unstack_params(stacked)[k], alone)  # running stats
+            assert params_equal(_unstack(stacked)[k], alone)  # running stats
             assert losses[k] == masked_bce_loss(p_k, y[k], cols)
             step_k = sgd_step(alone, backward(alone, arch, acts_k, p_k, y[k], cols), 0.1)
             assert params_equal(stepped[k], step_k)
@@ -290,7 +296,7 @@ def test_stacked_calls_equal_one_model_calls(width, b) -> None:
 
 def test_stack_round_trip(tiny_arch) -> None:
     models = [random_params(tiny_arch, 2, seed=s) for s in (1, 2)]
-    back = unstack_params(stack_params(models))
+    back = _unstack(stack_params(models))
     assert len(back) == 2
     assert all(params_equal(a, b) for a, b in zip(models, back))
 

@@ -261,6 +261,40 @@ def test_round_loop_reuses_its_large_arrays() -> None:
     assert max(rises) <= 722 * 1024, rises
 
 
+@pytest.mark.parametrize("K", [2, 8])
+def test_round_work_does_not_grow_with_the_client_count(K, monkeypatch) -> None:
+    """K clients of one shape form one lock-step group.  In each of T=2
+    rounds the kernel's forward pass runs once per training step (three
+    batches of 12, 12 and 8 rows), once to validate the group and once to
+    score the global model, at K=2 as at K=8; and the round loop makes no
+    ``ParamSet.copy`` or ``stack_params`` call."""
+    import surgfed.model as model
+    import surgfed.nn as nn
+
+    counts, in_loop, per_round = {}, [], []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if in_loop:
+                counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(nn, "_forward", counted("forward", nn._forward))
+    monkeypatch.setattr(nn.ParamSet, "copy", counted("copy", nn.ParamSet.copy))
+    for mod in (nn, model):
+        monkeypatch.setattr(mod, "stack_params", counted("stack_params", nn.stack_params))
+    monkeypatch.setattr(simulator, "_train_all", lambda *a, train=simulator._train_all: in_loop.append(1) or train(*a))
+
+    def hook(r, global_params, clients):
+        per_round.append(dict(counts))
+        counts.clear()
+
+    spec = ScenarioSpec(n_per_client=40, d=4, M=2, K=K, seed=11, assignment=[[0, 1]] * K)
+    run_experiment(_cfg("surgical", scenario=spec, T=2, batch_size=12), round_hook=hook)
+    assert per_round == [{"forward": 3 + 1 + 1}] * 2
+
+
 def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
     """Once the test plan holds the test set, the run keeps no reference
     to the generated scenario, so its float64 test labels (and, for
