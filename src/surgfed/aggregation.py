@@ -10,9 +10,10 @@ registry that is the surgical merge; with a registry in which every
 client holds all M columns it is plain FedAvg of full-width heads; with
 no registry every head stays personal.  A class held by a single client
 passes through bit-exactly.  The round is written into each client's
-rows (``ParamSet.tables``): the averaged features, the statistics it
-keeps and the merged head cut to its columns, the cut that builds each
-client's initial model from the M-column init.
+rows (``ParamSet.tables``, which every client's parameters must have):
+the averaged features, the statistics it keeps and the merged head cut
+to its columns, the cut that builds each client's initial model from the
+M-column init.
 
 All means are one rule, FedAvg's weighted mean as :func:`mean_arrays`
 sums it, left to right in client order; no weights means unit weights,
@@ -141,10 +142,10 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     :class:`NumericError` naming the tensor and the server (``client``
     None).
 
-    A client whose parameters are rows of tables, as a run's are, gets
-    the round in them; other clients' parameters are copied into rows
-    first.  Returns ``(global ParamSet or None, those rows)``; the global
-    model shares no memory with them.
+    Each client gets the round in its rows, ``c.params.tables``, as a
+    run's clients hold them (a client without them is a
+    :class:`ContractViolation`).  Returns ``(global ParamSet or None,
+    those rows)``; the global model shares no memory with them.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
@@ -153,10 +154,11 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
         raise ConfigError("strategy 'fedbn' emits no global model; use it with the pfl method only")
     if strategy == "fedbn_plus" and keep_global and pretrained_bn is None:
         raise ConfigError("fedbn_plus requires pretrained batch-norm statistics")
-    # a client's rows, as a run's clients hold them, or its parameters copied into rows
-    sets = [c.params if c.params.tables else c.params.copy() for c in clients]
+    sets = [c.params for c in clients]
     if not sets:
         raise ConfigError("no clients to aggregate")
+    if not all(ps.tables for ps in sets):
+        raise ContractViolation("every client's parameters must be laid out in tables to take the round")
     if any(set(ps.feature) != set(sets[0].feature) for ps in sets):
         raise ContractViolation("clients disagree on feature parameter names")
     if keep_global:
@@ -172,7 +174,7 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     # the averages, in rows laid out as client 0's; features and statistics
     # are each averaged as one row, then every tensor is checked
     glob = grad_views(sets[0], *(np.empty(t.size) for t in sets[0].tables))
-    width = glob.tables[0].size - glob.head_W.size - glob.head_b.size
+    width = glob.feature_width
     glob.tables[0][:width] = mean_arrays([ps.tables[0][:width] for ps in sets], weights)
     shared_stats = strategy == "fedavg"
     if shared_stats:

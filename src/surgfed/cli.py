@@ -31,8 +31,6 @@ import typing
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .data import (  # noqa: F401 (perfbench/tracer.py wraps generate_synthetic here)
     ScenarioSpec,
     effect_of_clients_scenarios,
@@ -49,6 +47,7 @@ from .simulator import (
     ExperimentConfig,
     GroupStats,
     RunResult,
+    mean_sd,
     run_experiment,
     run_suite,
 )
@@ -272,9 +271,7 @@ def cmd_suite(suite_path, out_dir, seed: int | None = None) -> int:
     })
     for row, result in zip(suite.rows, results):
         if result is not None:
-            sub = out / f"member_{row.label}"
-            member_manifest = build_manifest(result)
-            _write_run_outputs(sub, result, member_manifest)
+            _write_run_outputs(out / f"member_{row.label}", result, build_manifest(result))
     return 1 if any(row.failed for row in suite.rows) else 0
 
 
@@ -330,9 +327,7 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, seeds: int = 3, epochs:
     for rung in sorted(curve):
         for method in methods:
             vals = [v for v in curve[rung][method] if v is not None]
-            mean = float(np.mean(vals)) if vals else None
-            sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-            summary.append([kind, rung, method, mean, sd, len(vals)])
+            summary.append([kind, rung, method, *mean_sd(vals), len(vals)])
     _write_csv(out / "summary.csv", run_id, ["kind", "rung", "method", "mean_auroc", "sd", "n_seeds"], summary)
     _write_json(out / "ablation.json", {"manifest": snapshot, "manifest_hash": run_id})
     return 0

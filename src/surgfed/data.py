@@ -27,6 +27,7 @@ from .registry import ClassRegistry, need_class_ids
 _THRESHOLD_BAND = 0.8  # keeps per-class prevalence in roughly [0.2, 0.8]
 _MAX_THRESHOLD_ATTEMPTS = 100
 _LABEL_BLOCK = 256  # rows of labels drawn at a time
+_STATS_ROWS = 1024  # rows of the batch-norm stats split
 
 # sub-stream tags so draws never depend on the class assignment
 _TAG_TRUTH, _TAG_TEST, _TAG_CLIENT, _TAG_SHIFT, _TAG_STATS = 11, 12, 13, 14, 15
@@ -269,10 +270,10 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
     )
 
 
-def stats_split(spec: ScenarioSpec, n: int = 1024) -> np.ndarray:
-    """Held-out feature sample from the base distribution, used to seed
-    batch-norm statistics before any communication round."""
-    return np.random.default_rng([spec.seed, _TAG_STATS]).standard_normal((n, spec.d))
+def stats_split(spec: ScenarioSpec) -> np.ndarray:
+    """Held-out feature sample (``_STATS_ROWS`` rows) from the base distribution,
+    used to seed batch-norm statistics before any communication round."""
+    return np.random.default_rng([spec.seed, _TAG_STATS]).standard_normal((_STATS_ROWS, spec.d))
 
 
 def scatter_restricted(y_restricted: np.ndarray, classes, M: int) -> np.ndarray:
@@ -304,14 +305,14 @@ def _derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
-def _ladder_spec(K: int, seed: int, lists, label_noise: float) -> ScenarioSpec:
+def _ladder_spec(K: int, seed: int, lists) -> ScenarioSpec:
     """A ladder rung: K clients splitting the ladder's samples, client k
     annotating the classes in ``lists[k]``."""
     return ScenarioSpec(n_per_client=_LADDER_TOTAL_SAMPLES // K, d=_LADDER_D, M=_LADDER_CLASSES, K=K, seed=seed,
-                        assignment=tuple(tuple(sorted(s)) for s in lists), label_noise=label_noise)
+                        assignment=tuple(tuple(sorted(s)) for s in lists))
 
 
-def effect_of_clients_scenarios(base_seed: int, label_noise: float = 0.05) -> tuple[ScenarioSpec, ...]:
+def effect_of_clients_scenarios(base_seed: int) -> tuple[ScenarioSpec, ...]:
     """Ladder over the number of clients with the total sample count held
     constant.  Every class is annotated by at least one client; class
     subsets are drawn per rung from ``base_seed``."""
@@ -326,11 +327,11 @@ def effect_of_clients_scenarios(base_seed: int, label_noise: float = 0.05) -> tu
         for k in range(K):
             if not lists[k]:
                 lists[k].add(int(rng.integers(_LADDER_CLASSES)))
-        specs.append(_ladder_spec(K, _derive_seed(base_seed, 22, K), lists, label_noise))
+        specs.append(_ladder_spec(K, _derive_seed(base_seed, 22, K), lists))
     return tuple(specs)
 
 
-def effect_of_shared_classes_scenarios(base_seed: int, label_noise: float = 0.05) -> tuple[ScenarioSpec, ...]:
+def effect_of_shared_classes_scenarios(base_seed: int) -> tuple[ScenarioSpec, ...]:
     """Ladder over the number of classes shared by all of K=4 clients.
 
     All seven specs share the same data seed and sample counts, so the
@@ -348,6 +349,6 @@ def effect_of_shared_classes_scenarios(base_seed: int, label_noise: float = 0.05
         lists = [set(shared) for _ in range(K)]
         for pos, idx in enumerate(order):
             lists[pos % K].add(rest[int(idx)])
-        specs.append(_ladder_spec(K, data_seed, lists, label_noise))
+        specs.append(_ladder_spec(K, data_seed, lists))
     return tuple(specs)
 

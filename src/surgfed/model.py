@@ -5,10 +5,12 @@ extractor, and each head column is drawn from a stream keyed by
 (seed, global class id).  Two clients that share a class therefore start
 from identical columns regardless of how wide their heads are.
 
-A :class:`ClientGroup` stacks same-shape clients once, checking shapes
-and labels, and trains them in lock-step on a copy of their parameters
-in an arena, which holds each epoch's gathered rows and every step's
-buffers and gradients; each step runs :func:`surgfed.nn.train_step`.
+A :class:`ClientGroup` stacks clients that share a lock-step key
+(:attr:`ClientState.lockstep_key`) once, checking shapes and labels, and
+is the one unit that training and validation take: it trains its
+clients in lock-step on a copy of their parameters in an arena, which
+holds each epoch's gathered rows and every step's buffers and
+gradients; each step runs :func:`surgfed.nn.train_step`.
 """
 
 from __future__ import annotations
@@ -122,6 +124,12 @@ class ClientState:
         if self.loss_cols is None:
             self.loss_cols = tuple(range(width)) if width == len(self.classes) else self.classes
 
+    @property
+    def lockstep_key(self) -> tuple[int, int, int, int]:
+        """What clients must share to train in one :class:`ClientGroup`:
+        train rows, validation rows, head width and loss-column count."""
+        return self.train.n, self.val.n, self.params.head_cols, len(self.loss_cols)
+
     @cached_property
     def cols(self):
         """``loss_cols`` as the loss takes them, worked out at the first
@@ -132,17 +140,16 @@ class ClientState:
 
 
 class ClientGroup(list):
-    """Same-shape clients stacked once: ``params`` (in tables), ``x``, ``y``,
-    ``val_x`` and ``val_y``, each client's own a view of its rows, and
-    loss columns ``cols``.  Steps use ``arena``."""
+    """Clients of one lock-step key stacked once: ``params`` (in tables),
+    ``x``, ``y``, ``val_x`` and ``val_y``, each client's own a view of its
+    rows, and loss columns ``cols``.  Steps use ``arena``."""
 
     def __init__(self, clients):
         super().__init__(clients)
         if not self:
             raise ConfigError("a training group needs at least one client")
-        if len({(c.arch, c.train.n, c.val.n, c.params.head_cols, len(c.loss_cols)) for c in self}) > 1:
-            raise ContractViolation("group members must share architecture, split sizes, head width "
-                                    "and loss-column count")
+        if len({c.lockstep_key for c in self}) > 1:
+            raise ContractViolation("group members must share split sizes, head width and loss-column count")
         self.ids, self.arena = [c.id for c in self], Arena()
         self.x, self.y, self.val_x, self.val_y = (np.empty((len(self), *a.shape), a.dtype) for s in
                                                   (self[0].train, self[0].val) for a in (s.x, s.y))
@@ -171,6 +178,14 @@ class ClientGroup(list):
         return buffer_shapes(self[0].arch, self.val_y.shape[:2], self.params.head_cols, loss=True)
 
 
+def client_groups(clients) -> list[ClientGroup]:
+    """``clients`` stacked by lock-step key, in order of each group's first member."""
+    groups: dict[tuple, list[ClientState]] = {}
+    for c in clients:
+        groups.setdefault(c.lockstep_key, []).append(c)
+    return [ClientGroup(g) for g in groups.values()]
+
+
 def _train_epoch(group: ClientGroup, x, y, params: ParamSet, lr: float, batch_size: int, frozen, steps):
     """One lock-step epoch: each client draws a row order from its own
     stream, one take per array gathers the rows and ``int8`` labels into
@@ -193,12 +208,10 @@ def _train_epoch(group: ClientGroup, x, y, params: ParamSet, lr: float, batch_si
     return total / batches
 
 
-def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
+def _train_group(group: ClientGroup, epochs: int, lr: float, batch_size: int, frozen):
     """Run ``epochs`` lock-step epochs on a copy of the group's tables and
-    hand the copy to its clients (a plain list is stacked on entry); a
-    call that raises leaves every client as it was.  Returns the
-    per-epoch loss arrays (one entry per client)."""
-    group = group if isinstance(group, ClientGroup) else ClientGroup(group)
+    hand the copy to its clients; a call that raises leaves every client
+    as it was.  Returns the per-epoch loss arrays (one entry per client)."""
     frozen = _check_sgd(lr, frozen)
     params = grad_views(group.params, *(t.copy() for t in group.params.tables))
     views = {b: group.arena.views(s) for b, s in group.step_shapes(batch_size).items()}
@@ -209,10 +222,10 @@ def _train_group(group, epochs: int, lr: float, batch_size: int, frozen):
     return losses
 
 
-def head_warmup(group, warmup_epochs: int, warmup_lr: float, batch_size: int):
-    """Train only the heads of a group of same-shape clients for a few
-    epochs; feature extractors stay frozen but batch-norm running
-    statistics do update.  Zero epochs is a no-op."""
+def head_warmup(group: ClientGroup, warmup_epochs: int, warmup_lr: float, batch_size: int):
+    """Train only the heads of a group's clients for a few epochs;
+    feature extractors stay frozen but batch-norm running statistics do
+    update.  Zero epochs is a no-op."""
     if warmup_epochs < 0:
         raise ConfigError("warmup_epochs must be non-negative")
     if batch_size < 1:
@@ -222,15 +235,13 @@ def head_warmup(group, warmup_epochs: int, warmup_lr: float, batch_size: int):
     return group
 
 
-def local_train(group, epochs: int, lr: float, batch_size: int):
+def local_train(group: ClientGroup, epochs: int, lr: float, batch_size: int):
     """Run ``epochs`` full passes of mini-batch SGD on every client of a
     group, in lock-step.
 
-    Members must share split sizes, head width and the number of loss
-    columns.  Each client's result is bitwise what training it alone
-    gives.  Batch order comes from the client's own RNG stream, which
-    persists across calls, so E epochs twice equals 2E epochs once
-    bit-exactly.
+    Each client's result is bitwise what training it alone gives.  Batch
+    order comes from the client's own RNG stream, which persists across
+    calls, so E epochs twice equals 2E epochs once bit-exactly.
     """
     if epochs < 1:
         raise ConfigError("epochs must be at least 1")
@@ -243,16 +254,12 @@ def local_train(group, epochs: int, lr: float, batch_size: int):
     return group
 
 
-def validation_loss(clients, arena: Arena | None = None):
-    """Masked BCE over each client's loss columns on its validation split,
-    eval mode, in ``arena`` or a fresh one: one pass and a loss per client
-    for a group (a list is stacked on entry), a float for one client."""
-    one = isinstance(clients, ClientState)
-    group = clients if isinstance(clients, ClientGroup) else ClientGroup([clients] if one else clients)
+def validation_loss(group: ClientGroup, arena: Arena | None = None) -> np.ndarray:
+    """Masked BCE over each member's loss columns on its validation split,
+    eval mode, in one pass in ``arena`` or a fresh one: one loss per member."""
     bufs = (Arena() if arena is None else arena).views(group.val_shapes())
     _, p = forward(group.params, group[0].arch, group.val_x, "eval", group.ids, bufs)
-    losses = _bce(_take_cols(p, group.cols), _take_cols(group.val_y, group.cols), bufs[-1])
-    return float(losses[0]) if one else losses
+    return _bce(_take_cols(p, group.cols), _take_cols(group.val_y, group.cols), bufs[-1])
 
 
 # --- checkpoints ------------------------------------------------------------

@@ -47,7 +47,9 @@ from .errors import ConfigError, ContractViolation, NumericError, need_binary, n
 
 def from_scipy_special(stem: str, what: str, resolve):
     """``resolve(module)`` for the C module ``scipy/special/<stem>``, loaded alone under its real
-    name so that ``import scipy.special`` (0.3 s, 17 MB) reuses it; no module or no value: ImportError."""
+    name so that ``import scipy.special`` (0.3 s, 17 MB) reuses it; no module or no value: ImportError.
+    That import leaves the attribute ``scipy.special.<stem>`` unbound, as the import system binds no
+    submodule it finds in ``sys.modules``; ``from scipy.special import <stem>`` and public names work."""
     found = util.find_spec("scipy")  # locates the package without importing it
     if found is None:
         raise ModuleNotFoundError("surgfed needs scipy", name="scipy")
@@ -175,6 +177,12 @@ class ParamSet:
     @property
     def head_cols(self) -> int:
         return self.head_W.shape[-1]
+
+    @property
+    def feature_width(self) -> int:
+        """Where ``tables[0]`` splits: each model's feature tensors fill its
+        first this many columns, the head (``head_W``, ``head_b``) the rest."""
+        return self.tables[0].shape[-1] - (self.head_W.shape[-2] + 1) * self.head_cols
 
     def tensors(self):
         """Every tensor once, as ``(group, key, array)`` in checkpoint row
@@ -644,9 +652,8 @@ def _sgd(params: ParamSet, grads: np.ndarray, lr: float, frozen: frozenset) -> N
     """The SGD update of a set laid out in tables, in place, over the
     unfrozen columns of its first table (the head's last), using up the
     gradient table ``grads`` laid out like it."""
-    width = params.tables[0].shape[-1]
-    head = width - (params.head_W.shape[-2] + 1) * params.head_cols
-    cut = slice(head if "feature_extractor" in frozen else 0, head if "head" in frozen else width)
+    head = params.feature_width
+    cut = slice(head if "feature_extractor" in frozen else 0, head if "head" in frozen else None)
     _step(params.tables[0][..., cut], grads[..., cut], lr)
 
 

@@ -20,15 +20,16 @@ Every method that exchanges parameters aggregates through one rule,
 :func:`surgfed.aggregation.server_update`; the row says over whom each
 head column is merged.
 
-Clients that share a shape (split sizes, head width and number of loss
-columns) are stacked once per run into a lock-step group, each client's
-state a view of its rows.  A round copies each group's parameters once,
-trains the copy (one stacked pass per step), aggregates into its rows
-and validates each group in one pass, so what a round hands out never
-changes later.  Every client keeps its own loss columns and RNG stream,
-so each one ends bitwise where training it alone would; groups train one
-after another on one thread, and aggregation always walks clients in
-index order.
+Clients that share a lock-step key (split sizes, head width and number
+of loss columns; :func:`surgfed.model.client_groups`) are stacked once
+per run into a group, each client's state a view of its rows; training
+and validation take groups.  A round copies each group's parameters
+once, trains the copy (one stacked pass per step), aggregates into its
+rows and validates each group in one pass, so what a round hands out
+never changes later.  Every client keeps its own loss columns and RNG
+stream, so each one ends bitwise where training it alone would; groups
+train one after another on one thread, and aggregation always walks
+clients in index order.
 
 Training (gathered rows, step buffers and gradients), validation and the
 test forward pass never overlap: they share one :class:`surgfed.nn.Arena`.
@@ -54,8 +55,8 @@ from .data import (
 from .errors import ConfigError, NumericError, need_flag, need_int, need_number
 from .metrics import EvalResult, TestPlan, evaluate, ibeta, paired_ttest, significance_stars
 from .model import (
-    ClientGroup,
     ClientState,
+    client_groups,
     head_warmup,
     init_model,
     local_train,
@@ -69,11 +70,17 @@ from .registry import GROUP_NAMES, ClassRegistry
 class Method:
     """One row of the method table."""
 
-    wide: bool          # head over all M classes, else one column per held class
-    loss_mode: str      # "local_classes", or "all_classes_negatives": every head column
-    heads: str          # contributors per head column: its "holders", "all" clients or "personal"
-    global_model: bool  # a global model is scored each round and checkpointed
-    exchanges: bool     # each round sends parameters through server_update and back
+    loss_mode: str   # "local_classes", or "all_classes_negatives": every head column
+    heads: str       # contributors per head column: its "holders", "all" clients or "personal"
+    exchanges: bool  # each round sends parameters through server_update and back
+
+    @property
+    def wide(self) -> bool:  # a head over all M classes, else one column per held class
+        return self.heads == "all"
+
+    @property
+    def global_model(self) -> bool:  # a global model is scored each round and checkpointed
+        return self.heads != "personal"
 
     @property
     def pooled(self) -> bool:
@@ -82,13 +89,13 @@ class Method:
 
 
 METHOD_TABLE = {
-    #                         wide   loss_mode                heads       global exchanges
-    "surgical":        Method(False, "local_classes",         "holders",  True,  True),
-    "vanilla_fl":      Method(True,  "all_classes_negatives", "all",      True,  True),
-    "fl_partial_loss": Method(True,  "local_classes",         "all",      True,  True),
-    "pfl":             Method(False, "local_classes",         "personal", False, True),
-    "centralized":     Method(True,  "all_classes_negatives", "all",      True,  False),
-    "individual":      Method(False, "local_classes",         "personal", False, False),
+    #                         loss_mode                heads       exchanges
+    "surgical":        Method("local_classes",         "holders",  True),
+    "vanilla_fl":      Method("all_classes_negatives", "all",      True),
+    "fl_partial_loss": Method("local_classes",         "all",      True),
+    "pfl":             Method("local_classes",         "personal", True),
+    "centralized":     Method("all_classes_negatives", "all",      False),
+    "individual":      Method("local_classes",         "personal", False),
 }
 METHODS = tuple(METHOD_TABLE)
 # methods that keep one model per client and no global model
@@ -276,15 +283,6 @@ def _head_registry(row: Method, registry: ClassRegistry) -> ClassRegistry | None
     return None
 
 
-def _client_groups(clients) -> list[ClientGroup]:
-    """Clients that can train in lock-step, stacked, in order of their
-    first member's id."""
-    groups: dict[tuple, list[ClientState]] = {}
-    for c in clients:
-        groups.setdefault((c.train.n, c.val.n, c.params.head_cols, len(c.loss_cols)), []).append(c)
-    return [ClientGroup(g) for g in groups.values()]
-
-
 def _train_all(groups, epochs, lr, batch_size) -> None:
     for g in groups:
         local_train(g, epochs, lr, batch_size)
@@ -322,7 +320,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
     # on: labels or features the clients copied go before the arena exists
     test, realized = data.test, data.realized()
     del data
-    groups = _client_groups(clients)  # each client's state is a view of its group's rows from here on
+    groups = client_groups(clients)  # each client's state is a view of its group's rows from here on
     # one buffer for every pass that writes arrays with a sample axis or gradients;
     # the test passes score the global model each round or each client's best once
     test_shapes = {w: buffer_shapes(arch, (config.scenario.n_test,), w)
@@ -359,17 +357,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
             mean_val = float(np.mean(val_losses))
             ev = None if global_params is None else evaluate(
                 global_params, arch, range(M), plan, bufs=arena.views(test_shapes[M]))
-            reports.append(
-                RoundReport(
-                    round=r,
-                    client_train_loss=tuple(c.last_train_loss for c in clients),
-                    client_val_loss=val_losses,
-                    mean_val_loss=mean_val,
-                    test_mean_auroc=None if ev is None else ev.mean_auroc,
-                    test_per_class=None if ev is None else tuple(ev.per_class.values()),
-                    wall_time=time.perf_counter() - t0,
-                )
-            )
+            reports.append(RoundReport(
+                round=r, client_train_loss=tuple(c.last_train_loss for c in clients), client_val_loss=val_losses,
+                mean_val_loss=mean_val, test_mean_auroc=None if ev is None else ev.mean_auroc,
+                test_per_class=None if ev is None else tuple(ev.per_class.values()),
+                wall_time=time.perf_counter() - t0))
             if round_hook is not None:
                 round_hook(r, global_params, clients)
             if mean_val < best_val:
@@ -388,20 +380,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         for ps, c in zip(best_clients, clients)
     )
     return RunResult(
-        method=config.method,
-        config=config,
-        arch=arch,
-        registry=registry,
-        groups=plan.groups,
-        realized=realized,
-        reports=tuple(reports),
-        best_round=best_round,
-        global_params=best_global,
+        method=config.method, config=config, arch=arch, registry=registry, groups=plan.groups,
+        realized=realized, reports=tuple(reports), best_round=best_round, global_params=best_global,
         client_params=tuple(best_clients) if best_clients else None,
-        client_classes=tuple(c.classes for c in clients),
-        best_eval=best_eval,
-        client_evals=client_evals,
-    )
+        client_classes=tuple(c.classes for c in clients), best_eval=best_eval, client_evals=client_evals)
 
 
 # --- suites -----------------------------------------------------------------
@@ -432,6 +414,13 @@ class SuiteResult:
     rows: tuple[SuiteRow, ...]
     reference: str
     class_names: tuple[str, ...]
+
+
+def mean_sd(vals) -> tuple[float | None, float | None]:
+    """The mean and sample SD of ``vals``: SD 0.0 for one value, both None for none."""
+    if not vals:
+        return None, None
+    return float(np.mean(vals)), float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
 
 
 def _per_class_vector(result: RunResult) -> dict[int, float | None]:
@@ -474,10 +463,8 @@ def run_suite(configs, reference: str = "surgical"):
             results.append(None)
             errors.append(f"{type(exc).__name__}: {exc}")
 
-    ref_idx = next(
-        (i for i, cfg in enumerate(configs) if cfg.method == reference and results[i] is not None),
-        None,
-    )
+    ref_idx = next((i for i, cfg in enumerate(configs) if cfg.method == reference and results[i] is not None),
+                   None)
     if ref_idx is None:
         raise ConfigError("the reference run failed; no comparison is possible")
     ref_result = results[ref_idx]
@@ -491,12 +478,8 @@ def run_suite(configs, reference: str = "surgical"):
         seen[cfg.method] = count + 1
         label = cfg.method if count == 0 else f"{cfg.method}#{count + 1}"
         if results[i] is None:
-            rows.append(
-                SuiteRow(
-                    label=label, method=cfg.method, is_reference=False, failed=True,
-                    groups={g: GroupStats(None, None, 0, None, "failed") for g in SUITE_GROUPS},
-                )
-            )
+            rows.append(SuiteRow(label=label, method=cfg.method, is_reference=False, failed=True,
+                                 groups={g: GroupStats(None, None, 0, None, "failed") for g in SUITE_GROUPS}))
             continue
         vector = _per_class_vector(results[i])
         is_ref = i == ref_idx
@@ -504,26 +487,16 @@ def run_suite(configs, reference: str = "surgical"):
         for gname in SUITE_GROUPS:
             classes = group_classes[gname]
             vals = [vector[c] for c in classes if vector[c] is not None]
-            mean = float(np.mean(vals)) if vals else None
-            sd = float(np.std(vals, ddof=1)) if len(vals) > 1 else (0.0 if vals else None)
+            paired = [(vector[c], ref_vector[c]) for c in classes
+                      if vector[c] is not None and ref_vector[c] is not None]
             if is_ref:
                 p, stars = None, "ref"
+            elif len(paired) >= 2:
+                p = paired_ttest(*zip(*paired)).p
+                stars = significance_stars(p)
             else:
-                paired = [
-                    (vector[c], ref_vector[c])
-                    for c in classes
-                    if vector[c] is not None and ref_vector[c] is not None
-                ]
-                if len(paired) >= 2:
-                    tt = paired_ttest([a for a, _ in paired], [b for _, b in paired])
-                    p, stars = tt.p, significance_stars(tt.p)
-                else:
-                    p, stars = None, "NA"
-            groups[gname] = GroupStats(mean=mean, sd=sd, n=len(vals), p=p, stars=stars)
+                p, stars = None, "NA"
+            groups[gname] = GroupStats(*mean_sd(vals), n=len(vals), p=p, stars=stars)
         rows.append(SuiteRow(label=label, method=cfg.method, is_reference=is_ref, failed=False, groups=groups))
 
-    suite = SuiteResult(
-        rows=tuple(rows), reference=reference,
-        class_names=ref_result.registry.global_classes,
-    )
-    return suite, results
+    return SuiteResult(tuple(rows), reference, ref_result.registry.global_classes), results

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,8 @@ from surgfed import (
     simulator,
     surgical_head_update,
 )
+
+from surgfed.model import client_groups
 
 from conftest import class_layout, random_params
 
@@ -307,10 +311,9 @@ def test_fedbn_plus_pins_stats_to_pretrained(small_registry, tiny_arch) -> None:
     clients = _client_states(small_registry, tiny_arch, seed=26)
     pre_mean = {1: np.array([9.0] * 6)}
     pre_var = {1: np.array([0.25] * 6)}
+    gamma = mean_arrays([c.params.feature["1.gamma"] for c in clients])  # before the round writes the rows
     gp, _ = server_update(clients, small_registry, "fedbn_plus", pretrained_bn=(pre_mean, pre_var))
-    np.testing.assert_array_equal(
-        gp.feature["1.gamma"], mean_arrays([c.params.feature["1.gamma"] for c in clients])
-    )
+    np.testing.assert_array_equal(gp.feature["1.gamma"], gamma)
     np.testing.assert_array_equal(gp.bn_mean[1], pre_mean[1])
     np.testing.assert_array_equal(gp.bn_var[1], pre_var[1])
     assert gp.bn_mean[1] is not pre_mean[1]
@@ -345,10 +348,12 @@ def test_fedavg_full_requires_equal_widths(tiny_arch) -> None:
 
 
 def _client_states(registry: ClassRegistry, arch, seed: int):
+    """One client per registry entry, its parameters laid out in tables
+    of its own, as ``server_update`` needs them."""
     rng = np.random.default_rng(seed)
     states = []
     for k, cs in enumerate(registry.client_classes):
-        params = random_params(arch, len(cs), seed=seed + k)
+        params = random_params(arch, len(cs), seed=seed + k).copy()
         n = 20
         x = rng.normal(size=(n, arch.in_dim))
         y = (rng.random((n, len(cs))) < 0.5).astype(float)
@@ -360,6 +365,12 @@ def _client_states(registry: ClassRegistry, arch, seed: int):
             )
         )
     return states
+
+
+def _twin(clients):
+    """Clients equal to ``clients`` whose parameters share no memory with
+    theirs: ``server_update`` writes the round into its clients' rows."""
+    return [replace(c, params=c.params.copy()) for c in clients]
 
 
 def test_server_update_round_trip(small_registry, tiny_arch) -> None:
@@ -409,9 +420,7 @@ def test_server_update_idempotent_on_consensus(small_registry, tiny_arch) -> Non
     model.  Exact when the divisor is a power of two, within an ulp
     otherwise."""
     clients = _client_states(small_registry, tiny_arch, seed=23)
-    gp, sendbacks = server_update(clients, small_registry)
-    for c, ps in zip(clients, sendbacks):
-        c.params = ps
+    gp, _ = server_update(clients, small_registry)  # the clients now hold the round
     gp2, _ = server_update(clients, small_registry)
     for key in gp.feature:
         np.testing.assert_allclose(gp2.feature[key], gp.feature[key], rtol=3e-16, atol=0.0)
@@ -422,9 +431,8 @@ def test_server_update_idempotent_exact_for_power_of_two() -> None:
     reg = ClassRegistry(["a", "b"], [(0, 1), (0, 1)])
     arch = build_architecture(3, hidden=(4,), use_batchnorm=False)
     clients = _client_states(reg, arch, seed=24)
-    _, sendbacks = server_update(clients, reg)
-    for c, ps in zip(clients, sendbacks):
-        c.params = ps
+    _, sendbacks = server_update(clients, reg)  # the clients now hold the round
+    sendbacks = [ps.copy() for ps in sendbacks]
     _, sendbacks2 = server_update(clients, reg)
     assert params_equal(sendbacks2[0], sendbacks[0])
     assert params_equal(sendbacks2[1], sendbacks[1])
@@ -445,6 +453,18 @@ def test_server_update_contracts(small_registry, tiny_arch) -> None:
         server_update(clients[:2], small_registry)
 
 
+def test_server_update_needs_parameters_in_tables(small_registry, tiny_arch) -> None:
+    """The round is written into each client's rows: a client whose
+    parameters are not laid out in tables is a ``ContractViolation``, and
+    no client is written to."""
+    clients = _client_states(small_registry, tiny_arch, seed=28)
+    clients[1].params = random_params(tiny_arch, 3, seed=29)
+    snap = [c.params.copy() for c in clients]
+    with pytest.raises(ContractViolation, match="tables"):
+        server_update(clients, small_registry)
+    assert all(params_equal(c.params, ps) for c, ps in zip(clients, snap))
+
+
 def test_server_update_names_the_server_when_the_merge_overflows() -> None:
     """Finite client tensors whose weighted mean is not finite: with
     weights 1600, ``W * w`` of a head near 1e306 is inf.  The round
@@ -456,7 +476,7 @@ def test_server_update_names_the_server_when_the_merge_overflows() -> None:
     clients = _client_states(reg, arch, seed=26)
     for c in clients:
         c.params.head_W[...] = 1e306
-    gp, _ = server_update(clients, reg)
+    gp, _ = server_update(_twin(clients), reg)
     np.testing.assert_array_equal(gp.head_W, 1e306)
     with np.errstate(over="ignore"), pytest.raises(NumericError, match="head_W on the server") as err:
         server_update(clients, reg, weights=[1600, 1600])
@@ -529,7 +549,7 @@ def round_cases(draw, method=None, strategy=None, special=(0.0, -0.0, 1e-300, -1
     special = np.array(special)
     clients = []
     for k, cs in enumerate(reg.client_classes):
-        params = random_params(arch, reg.n_classes if method in _FULL_WIDTH else len(cs), seed=seed + k)
+        params = random_params(arch, reg.n_classes if method in _FULL_WIDTH else len(cs), seed=seed + k).copy()
         for arr in [*params.feature.values(), *params.bn_mean.values(), params.head_W, params.head_b]:
             arr[rng.random(arr.shape) < 0.3] = rng.choice(special)
         n = draw(st.integers(min_value=1, max_value=300))
@@ -552,11 +572,11 @@ def round_cases(draw, method=None, strategy=None, special=(0.0, -0.0, 1e-300, -1
 def test_server_update_equals_the_fedavg_oracle(case) -> None:
     """``server_update`` for each exchanging method and strategy, with
     and without sample-count weights, is bitwise the whole-tensor FedAvg
-    oracle: the global model and every sendback.  Called on clients of
-    their own, no sendback shares memory with a client's parameters.
-    Called as the run calls it, on clients stacked into lock-step groups,
-    the sendbacks are the clients' own rows: no two clients share memory,
-    and no client shares memory with the global model."""
+    oracle: the global model and every sendback.  Called on twins of the
+    clients with tables of their own, and on twins stacked into lock-step
+    groups as the run stacks them, the sendbacks are the clients' own
+    rows: no two clients share memory, and no client shares memory with
+    the global model."""
     method, strategy, reg, clients, pretrained, weights = case
     row = simulator.METHOD_TABLE[method]
     want_global, want_sendbacks = _round_oracle(method, strategy, clients, reg, pretrained, weights)
@@ -565,26 +585,24 @@ def test_server_update_equals_the_fedavg_oracle(case) -> None:
         return [*ps.feature.values(), *ps.bn_mean.values(), *ps.bn_var.values(), ps.head_W, ps.head_b]
 
     for stacked in (False, True):
+        twins = _twin(clients)
         if stacked:
-            simulator._client_groups(clients)
+            client_groups(twins)
         got_global, got_sendbacks = server_update(
-            clients, simulator._head_registry(row, reg), strategy, pretrained, weights
+            twins, simulator._head_registry(row, reg), strategy, pretrained, weights
         )
         assert (got_global is None) == (want_global is None) == (not row.global_model)
         if want_global is not None:
             _assert_params_bitwise(got_global, want_global)
-        assert len(got_sendbacks) == len(clients)
-        for c, got, want in zip(clients, got_sendbacks, want_sendbacks):
+        assert len(got_sendbacks) == len(twins)
+        for c, got, want in zip(twins, got_sendbacks, want_sendbacks):
             _assert_params_bitwise(got, want)
-            if stacked:
-                assert got is c.params
-            else:
-                assert not any(np.shares_memory(a, b) for a in tensors(c.params) for b in tensors(got))
-    held = [tensors(c.params) for c in clients]
-    assert not any(np.shares_memory(a, b) for k, own in enumerate(held) for other in held[k + 1:]
-                   for a in own for b in other)
-    if got_global is not None:
-        assert not any(np.shares_memory(a, b) for own in held for a in own for b in tensors(got_global))
+            assert got is c.params
+        held = [tensors(c.params) for c in twins]
+        assert not any(np.shares_memory(a, b) for k, own in enumerate(held) for other in held[k + 1:]
+                       for a in own for b in other)
+        if got_global is not None:
+            assert not any(np.shares_memory(a, b) for own in held for a in own for b in tensors(got_global))
 
 
 # --- weights=None is the weighted rule with unit weights --------------------------
@@ -639,9 +657,10 @@ def test_server_update_without_weights_is_the_unit_weighted_round(method, strate
     global model and each sendback are bitwise those of unit weights."""
     _, _, reg, clients, pretrained, _ = data.draw(round_cases(method, strategy, _EXTREMES))
     head_registry = simulator._head_registry(simulator.METHOD_TABLE[method], reg)
+    twins = _twin(clients)  # each round writes into its clients' rows
     with np.errstate(over="ignore", invalid="ignore"):
         plain = server_update(clients, head_registry, strategy, pretrained)
-        unit = server_update(clients, head_registry, strategy, pretrained, [1.0] * len(clients))
+        unit = server_update(twins, head_registry, strategy, pretrained, [1.0] * len(twins))
     assert (plain[0] is None) == (unit[0] is None)
     for got, want in zip([plain[0], *plain[1]], [unit[0], *unit[1]]):
         if want is not None:

@@ -286,7 +286,6 @@ def test_stats_split_shape_and_determinism(tiny_scenario) -> None:
     a = stats_split(tiny_scenario)
     assert a.shape == (1024, tiny_scenario.d)
     np.testing.assert_array_equal(a, stats_split(tiny_scenario))
-    assert stats_split(tiny_scenario, n=64).shape == (64, tiny_scenario.d)
 
 
 # --- label masking helpers --------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from surgfed import (
     local_train,
     params_equal,
     save_checkpoint,
+    server_update,
     simulator,
     validation_loss,
 )
+
+from surgfed.model import ClientGroup, client_groups
 
 import reference_kernel
 from conftest import random_params
@@ -118,8 +122,8 @@ def test_loss_columns_modes(tiny_arch) -> None:
     """Every client of every method, on the oracle scenario and the K=5
     ladder rung, holds the loss columns its method's ``loss_mode`` gives;
     a client built without any holds the columns of its classes, and
-    columns outside the head fail at the first training or validation
-    call."""
+    columns outside the head fail when the client's group is built,
+    before any training or validation call."""
     for spec in (ORACLE_SCENARIO, effect_of_clients_scenarios(7000)[3]):  # K=4, K=5
         for method in METHODS:
             loss_mode = simulator.METHOD_TABLE[method].loss_mode
@@ -130,9 +134,7 @@ def test_loss_columns_modes(tiny_arch) -> None:
     bad = _client(tiny_arch, classes=(1, 3), width=5)
     bad.loss_cols = (1, 5)
     with pytest.raises(ConfigError):
-        local_train([bad], 1, 0.05, 16)
-    with pytest.raises(ConfigError):
-        validation_loss(bad)
+        ClientGroup([bad])
 
 
 # --- training ------------------------------------------------------------------
@@ -141,7 +143,7 @@ def test_loss_columns_modes(tiny_arch) -> None:
 def test_zero_warmup_is_a_no_op(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     before = c.params.copy()
-    head_warmup([c], 0, 0.01, 16)
+    head_warmup(ClientGroup([c]), 0, 0.01, 16)
     assert params_equal(c.params, before)
     assert c.epoch_counter == 0
 
@@ -149,7 +151,7 @@ def test_zero_warmup_is_a_no_op(tiny_arch) -> None:
 def test_warmup_freezes_features_but_not_stats(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     before = c.params.copy()
-    head_warmup([c], 2, 0.05, 16)
+    head_warmup(ClientGroup([c]), 2, 0.05, 16)
     for k in before.feature:
         np.testing.assert_array_equal(c.params.feature[k], before.feature[k])
     assert not np.array_equal(c.params.head_W, before.head_W)
@@ -160,7 +162,7 @@ def test_warmup_freezes_features_but_not_stats(tiny_arch) -> None:
 def test_local_train_updates_and_counts(tiny_arch) -> None:
     c = _client(tiny_arch, classes=(0, 1))
     before = c.params.copy()
-    local_train([c], 3, 0.05, 16)
+    local_train(ClientGroup([c]), 3, 0.05, 16)
     assert c.epoch_counter == 3
     assert np.isfinite(c.last_train_loss)
     assert not params_equal(c.params, before)
@@ -171,9 +173,10 @@ def test_epoch_split_equals_one_call(tiny_arch) -> None:
     stream, so they must land on bit-identical parameters."""
     a = _client(tiny_arch, classes=(0, 1), stream=3)
     b = _client(tiny_arch, classes=(0, 1), stream=3)
-    local_train([a], 4, 0.05, 16)
-    local_train([b], 1, 0.05, 16)
-    local_train([b], 3, 0.05, 16)
+    local_train(ClientGroup([a]), 4, 0.05, 16)
+    group = ClientGroup([b])
+    local_train(group, 1, 0.05, 16)
+    local_train(group, 3, 0.05, 16)
     assert params_equal(a.params, b.params)
     assert a.epoch_counter == b.epoch_counter == 4
 
@@ -183,26 +186,26 @@ def test_full_coverage_modes_agree(tiny_arch) -> None:
     a = _client(tiny_arch, classes=(0, 1, 2), stream=5)
     b = _client(tiny_arch, classes=(0, 1, 2), stream=5)
     b.loss_cols = (0, 1, 2)  # what missing-as-negative methods give a client
-    local_train([a], 2, 0.05, 16)
-    local_train([b], 2, 0.05, 16)
+    local_train(ClientGroup([a]), 2, 0.05, 16)
+    local_train(ClientGroup([b]), 2, 0.05, 16)
     assert params_equal(a.params, b.params)
 
 
 def test_training_validation_errors(tiny_arch) -> None:
-    c = _client(tiny_arch, classes=(0, 1))
+    group = ClientGroup([_client(tiny_arch, classes=(0, 1))])
     with pytest.raises(ConfigError):
-        local_train([c], 0, 0.05, 16)
+        local_train(group, 0, 0.05, 16)
     with pytest.raises(ConfigError):
-        local_train([c], 1, 0.05, 0)
+        local_train(group, 1, 0.05, 0)
     with pytest.raises(ConfigError):
-        head_warmup([c], -1, 0.05, 16)
+        head_warmup(group, -1, 0.05, 16)
 
 
-def _group(arch, n_clients=3, **kw) -> list[ClientState]:
+def _group(arch, n_clients=3, **kw) -> ClientGroup:
     group = [_client(arch, seed=k, stream=11 + k, **kw) for k in range(n_clients)]
     for k, c in enumerate(group):
         c.id = 20 + k
-    return group
+    return ClientGroup(group)
 
 
 def test_group_numeric_error_names_layer_and_client(tiny_arch) -> None:
@@ -219,26 +222,25 @@ def test_group_numeric_error_names_layer_and_client(tiny_arch) -> None:
 
 
 def test_group_members_must_share_a_shape(tiny_arch) -> None:
-    group = [_client(tiny_arch, classes=(0, 1)), _client(tiny_arch, classes=(0, 1, 2))]
     with pytest.raises(ContractViolation):
-        local_train(group, 1, 0.05, 16)
+        ClientGroup([_client(tiny_arch, classes=(0, 1)), _client(tiny_arch, classes=(0, 1, 2))])
     with pytest.raises(ConfigError):
-        local_train([], 1, 0.05, 16)
+        ClientGroup([])
 
 
 def test_group_with_per_client_loss_columns_equals_solo(tiny_arch) -> None:
     """Wide heads with a different held-class subset per client: one
     lock-step group gives each client what training it alone gives."""
     subsets = [(0, 2), (1, 3), (2, 4)]
-    grouped = [_client(tiny_arch, classes=cs, width=5, seed=k, stream=30 + k)
-               for k, cs in enumerate(subsets)]
+    grouped = ClientGroup([_client(tiny_arch, classes=cs, width=5, seed=k, stream=30 + k)
+                           for k, cs in enumerate(subsets)])
     solo = [_client(tiny_arch, classes=cs, width=5, seed=k, stream=30 + k)
             for k, cs in enumerate(subsets)]
     head_warmup(grouped, 1, 0.05, 16)
     local_train(grouped, 2, 0.05, 16)
     for c in solo:
-        head_warmup([c], 1, 0.05, 16)
-        local_train([c], 2, 0.05, 16)
+        head_warmup(ClientGroup([c]), 1, 0.05, 16)
+        local_train(ClientGroup([c]), 2, 0.05, 16)
     for a, b in zip(grouped, solo):
         assert params_equal(a.params, b.params)
         assert a.last_train_loss == b.last_train_loss
@@ -303,13 +305,13 @@ def test_lean_step_equals_the_per_batch_oracle(method) -> None:
     epoch counts and the next draw of every client's RNG stream.  The
     batch size leaves a short last batch."""
     once, twice, oracle = _method_clients(method), _method_clients(method), _method_clients(method)
-    groups = simulator._client_groups(once)
+    groups = client_groups(once)
     if method == "fl_partial_loss":
         assert any(len({c.loss_cols for c in g}) > 1 for g in groups)
     for g in groups:
         head_warmup(g, 1, 0.02, 16)
         local_train(g, 2, 0.05, 16)
-    for g in simulator._client_groups(twice):
+    for g in client_groups(twice):
         head_warmup(g, 1, 0.02, 16)
         local_train(g, 1, 0.05, 16)
         local_train(g, 1, 0.05, 16)
@@ -356,7 +358,7 @@ def test_groups_sharing_a_dirty_arena_equal_the_oracle() -> None:
     from surgfed.nn import Arena
 
     clients, oracle = _method_clients("fl_partial_loss"), _method_clients("fl_partial_loss")
-    groups = simulator._client_groups(clients)
+    groups = client_groups(clients)
     arena = Arena(*[g.step_shapes(16)[16] for g in groups])
     for g in groups:
         g.arena = arena
@@ -382,10 +384,9 @@ def test_an_epoch_in_the_groups_arena_rises_less_than_half_as_far(traced_rise) -
     epoch rises about 294 KB; allocating those arrays in every step took
     it 1,195 KB up.  The bound is half of that."""
     from surgfed import build_architecture
-    from surgfed.model import ClientGroup
 
     arch = build_architecture(20, (32, 16))
-    group = ClientGroup(_group(arch, n_clients=8, classes=range(40), n=200))
+    group = _group(arch, n_clients=8, classes=range(40), n=200)
     local_train(group, 1, 0.05, 32)
     _, rise = traced_rise(lambda: local_train(group, 1, 0.05, 32))
     assert rise < 1_195_351 / 2, rise
@@ -402,7 +403,6 @@ def test_an_epoch_in_the_arena_rises_a_quarter_as_far(traced_rise, monkeypatch) 
     and the rise counts the arrays the epoch makes."""
     from surgfed import build_architecture
     from surgfed import model
-    from surgfed.model import ClientGroup
 
     rises, epoch = [], model._train_epoch
 
@@ -412,7 +412,7 @@ def test_an_epoch_in_the_arena_rises_a_quarter_as_far(traced_rise, monkeypatch) 
         return loss
 
     arch = build_architecture(20, (32, 16))
-    group = ClientGroup(_group(arch, n_clients=8, classes=range(40), n=200))
+    group = _group(arch, n_clients=8, classes=range(40), n=200)
     local_train(group, 1, 0.05, 32)
     monkeypatch.setattr(model, "_train_epoch", traced_epoch)
     bufsize = np.setbufsize(1024)
@@ -432,13 +432,13 @@ def test_validation_in_an_arena_is_the_fresh_pass(tiny_arch) -> None:
 
     arena = Arena([(3,)])
     for width in (None, 5):
-        c = _client(tiny_arch, classes=(1, 3), width=width)
-        local_train([c], 1, 0.05, 16)
+        group = ClientGroup([c := _client(tiny_arch, classes=(1, 3), width=width)])
+        local_train(group, 1, 0.05, 16)
         scores = reference_kernel.forward(c.params, c.arch, c.val.x, False)[1]
-        want = float(reference_kernel.loss(scores, c.val.y, c.cols))
-        assert validation_loss(c) == want
+        want = [float(reference_kernel.loss(scores, c.val.y, c.cols))]
+        assert validation_loss(group).tolist() == want
         arena.flat.fill(np.nan)
-        assert validation_loss(c, arena) == want
+        assert validation_loss(group, arena).tolist() == want
     assert arena.flat.size == 8 * (6 + 3 + 5 + 5)
 
 
@@ -451,8 +451,8 @@ def test_group_validation_is_each_clients_own_pass(tiny_arch) -> None:
     0, where a loop over the clients in order would stop at client 21's
     layer 3."""
     for subsets, width in (([(0, 1)] * 3, None), ([(0, 2), (1, 3), (2, 4)], 5)):
-        group = [_client(tiny_arch, classes=cs, width=width, seed=k, stream=30 + k)
-                 for k, cs in enumerate(subsets)]
+        group = ClientGroup([_client(tiny_arch, classes=cs, width=width, seed=k, stream=30 + k)
+                             for k, cs in enumerate(subsets)])
         local_train(group, 1, 0.05, 16)
         want = [float(reference_kernel.loss(reference_kernel.forward(c.params, c.arch, c.val.x, False)[1],
                                             c.val.y, c.cols)) for c in group]
@@ -464,17 +464,17 @@ def test_group_validation_is_each_clients_own_pass(tiny_arch) -> None:
         validation_loss(group)
     assert (err.value.layer, err.value.client) == (0, 22)
     with np.errstate(invalid="ignore"), pytest.raises(NumericError) as err:
-        validation_loss(group[1])
+        validation_loss(ClientGroup([group[1]]))
     assert (err.value.layer, err.value.client) == (3, 21)
 
 
 def test_validation_loss_is_pure(tiny_arch) -> None:
-    c = _client(tiny_arch, classes=(0, 1))
-    local_train([c], 1, 0.05, 16)
+    group = ClientGroup([c := _client(tiny_arch, classes=(0, 1))])
+    local_train(group, 1, 0.05, 16)
     snap = c.params.copy()
-    v1 = validation_loss(c)
-    v2 = validation_loss(c)
-    assert v1 == v2
+    v1 = validation_loss(group)
+    v2 = validation_loss(group)
+    assert v1.tolist() == v2.tolist()
     assert params_equal(c.params, snap)
 
 
@@ -512,3 +512,83 @@ def test_checkpoint_rejects_malformed_rows(tmp_path, row) -> None:
     path.write_text(f"surgfed-checkpoint-v1\nhead_b,head_b,1,0,0.5\n{row}\n")
     with pytest.raises(ConfigError, match="line 3"):
         load_checkpoint(path)
+
+
+# --- the group is the one unit the entry points take -------------------------
+
+
+def _assert_views_of_its_group(group: ClientGroup) -> None:
+    """Every member's parameters, training split and validation split
+    are views of its rows in the group's stacks."""
+    for k, c in enumerate(group):
+        for _, _, a in c.params.tensors():
+            assert any(np.shares_memory(a, t[k]) for t in group.params.tables)
+        pairs = ((c.train.x, group.x), (c.train.y, group.y), (c.val.x, group.val_x), (c.val.y, group.val_y))
+        assert all(np.shares_memory(a, stack[k]) for a, stack in pairs)
+
+
+_ENTRY_POINTS = {
+    "head_warmup": lambda g: head_warmup(g, 1, 0.02, 16),
+    "local_train": lambda g: local_train(g, 1, 0.05, 16),
+    "validation_loss": validation_loss,
+}
+
+
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_a_client_or_a_list_is_not_a_group(tiny_arch, entry) -> None:
+    """Training and validation take a ``ClientGroup`` only.  A member of
+    one, or its members as a list, raises, and is never stacked into a
+    group of its own: every member stays a view of its group's rows,
+    with the values and epoch count it had."""
+    group = _group(tiny_arch, classes=(0, 1))
+    snap = group.params.copy()
+    for not_a_group in (group[1], list(group)):
+        with pytest.raises(AttributeError):
+            _ENTRY_POINTS[entry](not_a_group)
+        _assert_views_of_its_group(group)
+    assert params_equal(group.params, snap)
+    assert [c.epoch_counter for c in group] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_runs_members_stay_views_of_their_groups(method) -> None:
+    """Warmup, local training, validation and, for methods that exchange,
+    the server round leave every client of a run's groups a view of its
+    group's rows; so does a validation call on a single member, which
+    raises."""
+    clients = _method_clients(method)
+    groups = client_groups(clients)
+    for entry in _ENTRY_POINTS.values():
+        for g in groups:
+            entry(g)
+            with pytest.raises(AttributeError):
+                validation_loss(g[0])
+        for g in groups:
+            _assert_views_of_its_group(g)
+    row = simulator.METHOD_TABLE[method]
+    if row.exchanges:
+        registry = generate_synthetic(ORACLE_SCENARIO).registry
+        _, sendbacks = server_update(clients, simulator._head_registry(row, registry))
+        assert all(ps is c.params for ps, c in zip(sendbacks, clients))
+        for g in groups:
+            _assert_views_of_its_group(g)
+
+
+def test_model_and_aggregation_never_test_for_a_client_or_a_group() -> None:
+    """``model.py`` and ``aggregation.py`` hold no ``isinstance`` test
+    against ``ClientGroup`` or ``ClientState``: every entry point takes
+    one form, so a shim that stacks other forms on entry cannot come back
+    unnoticed."""
+    import ast
+
+    import surgfed
+
+    found = []
+    for name in ("model.py", "aggregation.py"):
+        path = Path(surgfed.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+                found += [f"{name}:{node.lineno}" for kind in kinds
+                          if ast.unparse(kind).split(".")[-1] in ("ClientGroup", "ClientState")]
+    assert found == []

@@ -31,6 +31,7 @@ from surgfed import (
     simulator,
 )
 from surgfed.cli import parse_config
+from surgfed.model import ClientGroup, client_groups
 
 HOMOG = ScenarioSpec(
     n_per_client=40, d=4, M=2, K=3, seed=11,
@@ -56,10 +57,29 @@ def _reference(**kw) -> ExperimentConfig:
     return replace(parse_config(json.loads(path.read_text())), **kw)
 
 
+# the README "Methods" table: global model, full-width head, exchanges
+README_METHODS = {
+    "surgical": (True, False, True),
+    "vanilla_fl": (True, True, True),
+    "fl_partial_loss": (True, True, True),
+    "pfl": (False, False, True),
+    "centralized": (True, True, False),
+    "individual": (False, False, False),
+}
+
+
 def test_method_lists() -> None:
-    assert METHODS == tuple(simulator.METHOD_TABLE)
+    """Every row of the method table says what the README "Methods"
+    table states: which methods keep a global model, have a head over
+    all M classes, exchange parameters, and pool the data (the one
+    global model that is never exchanged)."""
+    assert METHODS == tuple(simulator.METHOD_TABLE) == tuple(README_METHODS)
     assert METHODS[0] == "surgical"
     assert simulator.PERSONAL_METHODS == ("pfl", "individual")
+    for method, (global_model, wide, exchanges) in README_METHODS.items():
+        row = simulator.METHOD_TABLE[method]
+        assert (row.global_model, row.wide, row.exchanges) == (global_model, wide, exchanges), method
+        assert row.pooled == (method == "centralized"), method
 
 
 def test_config_validation() -> None:
@@ -592,7 +612,7 @@ def test_lock_step_groups_equal_one_client_calls(method) -> None:
     spec = effect_of_clients_scenarios(7000)[3]  # K=5
     cfg = ExperimentConfig(scenario=spec, method=method, T=2, warmup_epochs=1, lr=0.05)
     grouped, solo = _ladder_clients(cfg), _ladder_clients(cfg)
-    groups = simulator._client_groups(grouped)
+    groups = client_groups(grouped)
     if method in ("surgical", "pfl", "individual"):
         widths = {c.params.head_cols for c in grouped}
         assert 1 < len(groups) < len(grouped) and len(widths) > 1  # mixed widths, shared groups
@@ -600,8 +620,8 @@ def test_lock_step_groups_equal_one_client_calls(method) -> None:
         head_warmup(g, 1, 0.01, 32)
         local_train(g, 2, 0.05, 32)
     for c in solo:
-        head_warmup([c], 1, 0.01, 32)
-        local_train([c], 2, 0.05, 32)
+        head_warmup(ClientGroup([c]), 1, 0.01, 32)
+        local_train(ClientGroup([c]), 2, 0.05, 32)
     for a, b in zip(grouped, solo):
         assert params_equal(a.params, b.params)
         assert a.last_train_loss == b.last_train_loss
