@@ -60,12 +60,12 @@ def main() -> None:
         if step % 3 == 0 or step == 9:
             print(f"  step {step}: loss {loss:.6f}")
 
-    print("\nfreezing a group hands back the same arrays, untouched:")
+    print("\na heads-only step (the warmup's) hands back the feature arrays, untouched:")
     acts, p = forward(params, arch, x, "train")
     grads = backward(params, arch, acts, p, y, [0, 1, 2])
-    stepped = sgd_step(params, grads, lr=0.5, frozen=("head",))
-    print(f"  head array reused: {stepped.head_W is params.head_W}")
-    print(f"  feature layer moved: {bool((stepped.feature['0.W'] != params.feature['0.W']).any())}")
+    stepped = sgd_step(params, grads, lr=0.5, heads_only=True)
+    print(f"  feature array reused: {stepped.feature['0.W'] is params.feature['0.W']}")
+    print(f"  head moved: {bool((stepped.head_W != params.head_W).any())}")
 
 
 if __name__ == "__main__":

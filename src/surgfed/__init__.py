@@ -55,16 +55,12 @@ from .model import (
 )
 from .nn import (
     Architecture,
-    LayerSpec,
     ParamSet,
     backward,
-    batchnorm,
     build_architecture,
-    dense,
     forward,
     masked_bce_loss,
     params_equal,
-    relu,
     sgd_step,
 )
 from .registry import (

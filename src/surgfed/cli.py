@@ -32,7 +32,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .data import (  # noqa: F401 (perfbench/tracer.py wraps generate_synthetic here)
-    ScenarioSpec,
+    CLIENT_LADDER,
+    SHARED_LADDER,
     effect_of_clients_scenarios,
     effect_of_shared_classes_scenarios,
     generate_synthetic,
@@ -286,7 +287,9 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, seeds: int = 3, epochs:
     if len(set(methods)) < len(methods):
         raise ConfigError("--methods must not name a method twice")
     base_seed = 7000 if seed is None else seed
-    ladder = effect_of_clients_scenarios if kind == "clients" else effect_of_shared_classes_scenarios
+    # each ladder draws one spec per entry of its rung constant, in order
+    ladder, rungs = ((effect_of_clients_scenarios, CLIENT_LADDER) if kind == "clients"
+                     else (effect_of_shared_classes_scenarios, SHARED_LADDER))
     # one config per method, re-targeted at every rung; every rung is scored
     # on the global model, so reject what cannot build one before any rung
     # trains or any file is written
@@ -311,9 +314,7 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, seeds: int = 3, epochs:
     # rung value -> method -> list of per-seed mean AUROCs
     curve: dict[int, dict[str, list[float]]] = {}
     for s in range(seeds):
-        specs = ladder(base_seed + s)
-        for spec in specs:
-            rung = spec.K if kind == "clients" else _shared_count_of(spec)
+        for rung, spec in zip(rungs, ladder(base_seed + s), strict=True):
             rows = []
             for template in templates:
                 ev = run_experiment(replace(template, scenario=spec)).global_eval()
@@ -331,13 +332,6 @@ def cmd_ablation(kind, out_dir, seed: int | None = None, seeds: int = 3, epochs:
     _write_csv(out / "summary.csv", run_id, ["kind", "rung", "method", "mean_auroc", "sd", "n_seeds"], summary)
     _write_json(out / "ablation.json", {"manifest": snapshot, "manifest_hash": run_id})
     return 0
-
-
-def _shared_count_of(spec: ScenarioSpec) -> int:
-    from .registry import sharing_profile
-
-    reg = ClassRegistry([f"c{i:02d}" for i in range(spec.M)], spec.assignment)
-    return len(sharing_profile(reg).shared_by_all)
 
 
 def build_parser() -> argparse.ArgumentParser:

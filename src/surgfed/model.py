@@ -158,7 +158,7 @@ class ClientGroup(list):
             c.train, c.val = LabeledSet(self.x[k], self.y[k]), LabeledSet(self.val_x[k], self.val_y[k])
         self.order = np.empty(self.y.shape[:2], np.intp)  # an epoch's rows
         self.adopt(stack_params([c.params for c in self]))
-        check_training(self.params, self[0].arch, self.x, self.y, None, 0.0, ())
+        check_training(self.params, self[0].arch, self.x, self.y)
         cols = [c.cols for c in self]  # every column, one shared set or a row per client (see ClientState.cols)
         self.cols = cols[0] if cols[0] is None or len({c.loss_cols for c in self}) == 1 else np.stack(cols)
 
@@ -186,7 +186,7 @@ def client_groups(clients) -> list[ClientGroup]:
     return [ClientGroup(g) for g in groups.values()]
 
 
-def _train_epoch(group: ClientGroup, x, y, params: ParamSet, lr: float, batch_size: int, frozen, steps):
+def _train_epoch(group: ClientGroup, x, y, params: ParamSet, lr: float, batch_size: int, heads_only: bool, steps):
     """One lock-step epoch: each client draws a row order from its own
     stream, one take per array gathers the rows and ``int8`` labels into
     slice k of ``x`` and ``y``, and a batch is a view.  ``params`` is
@@ -202,22 +202,22 @@ def _train_epoch(group: ClientGroup, x, y, params: ParamSet, lr: float, batch_si
     total, batches = np.zeros(K), 0
     for start in range(0, n, batch_size):
         end = start + batch_size
-        total += train_step(params, group[0].arch, x[:, start:end], y[:, start:end], group.cols, lr, frozen,
+        total += train_step(params, group[0].arch, x[:, start:end], y[:, start:end], group.cols, lr, heads_only,
                             group.ids, *steps[min(batch_size, n - start)])
         batches += 1
     return total / batches
 
 
-def _train_group(group: ClientGroup, epochs: int, lr: float, batch_size: int, frozen):
-    """Run ``epochs`` lock-step epochs on a copy of the group's tables and
-    hand the copy to its clients; a call that raises leaves every client
-    as it was.  Returns the per-epoch loss arrays (one entry per client)."""
-    frozen = _check_sgd(lr, frozen)
+def _train_group(group: ClientGroup, epochs: int, lr: float, batch_size: int, heads_only: bool):
+    """Run ``epochs`` lock-step epochs (of the heads alone with ``heads_only``) on a copy of the
+    group's tables and hand the copy to its clients; a call that raises leaves every client as it
+    was.  Returns the per-epoch loss arrays (one entry per client)."""
+    _check_sgd(lr)
     params = grad_views(group.params, *(t.copy() for t in group.params.tables))
     views = {b: group.arena.views(s) for b, s in group.step_shapes(batch_size).items()}
     x, y = views[max(views)][:2]
     steps = {b: (v[2:], grad_views(params, v[-1])) for b, v in views.items()}
-    losses = [_train_epoch(group, x, y, params, lr, batch_size, frozen, steps) for _ in range(epochs)]
+    losses = [_train_epoch(group, x, y, params, lr, batch_size, heads_only, steps) for _ in range(epochs)]
     group.adopt(params)
     return losses
 
@@ -231,7 +231,7 @@ def head_warmup(group: ClientGroup, warmup_epochs: int, warmup_lr: float, batch_
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
     if warmup_epochs:
-        _train_group(group, warmup_epochs, warmup_lr, batch_size, frozenset({"feature_extractor"}))
+        _train_group(group, warmup_epochs, warmup_lr, batch_size, True)
     return group
 
 
@@ -247,7 +247,7 @@ def local_train(group: ClientGroup, epochs: int, lr: float, batch_size: int):
         raise ConfigError("epochs must be at least 1")
     if batch_size < 1:
         raise ConfigError("batch_size must be positive")
-    losses = np.stack(_train_group(group, epochs, lr, batch_size, frozenset()), axis=1)
+    losses = np.stack(_train_group(group, epochs, lr, batch_size, False), axis=1)
     for c, own in zip(group, losses):  # np.mean's sum of the client's epoch losses
         c.epoch_counter += epochs
         c.last_train_loss = float(np.add.reduce(own) / epochs)
@@ -282,10 +282,11 @@ def save_checkpoint(params: ParamSet, path) -> None:
 
 
 def load_checkpoint(path) -> ParamSet:
-    """Inverse of :func:`save_checkpoint`.  A malformed row is a
-    :class:`ConfigError` that names its line."""
+    """Inverse of :func:`save_checkpoint`.  A malformed or repeated row, a batch-norm layer
+    without both statistics or a head bias that does not fit the head's weights is a
+    :class:`ConfigError` that names its line or layer."""
     path = Path(path)
-    rows = []
+    rows, lines = [], {}
     with open(path, newline="") as f:
         r = csv.reader(f)
         header = next(r, None)
@@ -309,7 +310,17 @@ def load_checkpoint(path) -> ParamSet:
             if group not in ("feature", "bn_mean", "bn_var", "head_W", "head_b"):
                 raise ConfigError(f"unknown checkpoint row group {group!r}")
             key = None if group.startswith("head") else name if group == "feature" else int(name)
+            if (group, key) in lines:
+                raise ConfigError(f"{where}: {group} {name} repeats line {lines[group, key]}")
+            lines[group, key] = r.line_num
             rows.append((group, key, arr))
     if not {"head_W", "head_b"} <= {g for g, _, _ in rows}:
         raise ConfigError("checkpoint is missing the head")
-    return ParamSet.from_tensors(rows)
+    params = ParamSet.from_tensors(rows)
+    if params.bn_mean.keys() != params.bn_var.keys():
+        layer = min(params.bn_mean.keys() ^ params.bn_var.keys())
+        raise ConfigError(f"{path}: batch-norm layer {layer} needs both a bn_mean and a bn_var row")
+    if params.head_W.ndim != 2 or params.head_b.shape != params.head_W.shape[1:]:
+        raise ConfigError(f"{path} line {lines['head_b', None]}: head_b of shape {params.head_b.shape} "
+                          f"does not fit head_W of shape {params.head_W.shape}")
+    return params

@@ -10,19 +10,21 @@ written once for both: matmuls run over the leading axes and every
 reduction is over ``axis=-2``, so each model's slice of a stacked call
 is bitwise what a call with that model alone gives.
 
-A model is a stack of feature layers (dense, batchnorm, relu) followed
-by an implicit classification head: one dense layer plus a sigmoid.
-Batch norm uses a fixed momentum and epsilon (``BN_MOMENTUM``,
-``BN_EPS``).  The head's parameters live in their own fields of
-:class:`ParamSet` so they can be aggregated per class.
+A model is the backbone a config describes (:class:`Architecture`: a
+dense layer per hidden width, batch norm after the first, a ReLU after
+each) followed by a classification head: one dense layer plus a
+sigmoid.  Batch norm uses a fixed momentum and epsilon
+(``BN_MOMENTUM``, ``BN_EPS``).  The head's parameters live in their own
+fields of :class:`ParamSet` so they can be aggregated per class; the
+one freeze, ``heads_only``, trains them alone.
 
 Each public function (:func:`forward`, :func:`masked_bce_loss`,
 :func:`backward`, :func:`sgd_step`) validates its arguments on every
 call and then runs a private core that holds the layer math.  Training
-calls the cores directly: :func:`check_training` makes every check once
-for a whole training set, and :func:`train_step` runs one step on a
-batch of it.  Only the finiteness checks, which depend on the values,
-stay in every step.
+calls the cores directly: :func:`check_training` checks a whole
+training set's inputs and labels once, and :func:`train_step` runs one
+step on a batch of it.  Only the finiteness checks, which depend on the
+values, stay in every step.
 
 There is one path through the cores: each writes into the buffers it is
 given (views of an :class:`Arena`) and uses up what it may.  A run
@@ -42,7 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, NumericError, need_binary, need_number
+from .errors import ConfigError, ContractViolation, NumericError, need_binary, need_flag, need_int, need_number
 
 
 def from_scipy_special(stem: str, what: str, resolve):
@@ -71,63 +73,47 @@ BCE_CLAMP = 1e-7
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
-LAYER_KINDS = ("dense", "batchnorm", "relu")
-PARAM_GROUPS = frozenset({"feature_extractor", "head"})
-
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """One of :attr:`Architecture.feature_specs`: ``dense``, ``batchnorm`` or ``relu``."""
+
     kind: str
     in_dim: int
     out_dim: int
 
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ConfigError(f"unknown layer kind {self.kind!r}")
-        if self.in_dim < 1 or self.out_dim < 1:
-            raise ConfigError("layer dimensions must be positive")
-        if self.kind != "dense" and self.in_dim != self.out_dim:
-            raise ConfigError(f"{self.kind} layers cannot change width")
-
-
-def dense(in_dim: int, out_dim: int) -> LayerSpec:
-    return LayerSpec("dense", in_dim, out_dim)
-
-
-def batchnorm(dim: int) -> LayerSpec:
-    return LayerSpec("batchnorm", dim, dim)
-
-
-def relu(dim: int) -> LayerSpec:
-    return LayerSpec("relu", dim, dim)
-
 
 @dataclass(frozen=True)
 class Architecture:
-    """Feature-extractor layer stack for inputs of width ``in_dim``.
-
-    ``feature_specs`` may be empty, in which case the classification head
-    acts directly on the inputs (a plain logistic model).
-    """
+    """The backbone a config describes, for inputs of width ``in_dim``: a
+    dense layer per ``hidden`` width, batch norm after the first if
+    ``use_batchnorm``, and a ReLU after each, listed in ``feature_specs``
+    (whose indices name the checkpoint rows: ``0.W``, ``1.gamma``).
+    ``hidden=()`` is a plain logistic model: the head acts on the inputs."""
 
     in_dim: int
-    feature_specs: tuple[LayerSpec, ...] = ()
+    hidden: tuple[int, ...] = ()
+    use_batchnorm: bool = True
+    feature_specs: tuple[LayerSpec, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.in_dim < 1:
-            raise ConfigError("in_dim must be positive")
-        object.__setattr__(self, "feature_specs", tuple(self.feature_specs))
-        w = self.in_dim
-        for spec in self.feature_specs:
-            if spec.in_dim != w:
-                raise ConfigError(
-                    f"layer expects width {spec.in_dim} but receives {w}"
-                )
-            w = spec.out_dim
+        object.__setattr__(self, "in_dim", need_int(self.in_dim, "in_dim", 1))
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ConfigError("must be a list of layer widths", "hidden")
+        hidden = tuple(need_int(h, f"hidden[{i}]", 1) for i, h in enumerate(self.hidden))
+        need_flag(self.use_batchnorm, "use_batchnorm")
+        specs = []
+        for pos, (w, h) in enumerate(zip((self.in_dim, *hidden), hidden)):
+            specs.append(LayerSpec("dense", w, h))
+            if pos == 0 and self.use_batchnorm:
+                specs.append(LayerSpec("batchnorm", h, h))
+            specs.append(LayerSpec("relu", h, h))
+        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "feature_specs", tuple(specs))
 
     @property
     def feature_out_dim(self) -> int:
-        return self.feature_specs[-1].out_dim if self.feature_specs else self.in_dim
+        return self.hidden[-1] if self.hidden else self.in_dim
 
     def bn_layers(self) -> tuple[int, ...]:
         return tuple(
@@ -136,18 +122,8 @@ class Architecture:
 
 
 def build_architecture(d: int, hidden: tuple[int, ...] = (32, 16), use_batchnorm: bool = True) -> Architecture:
-    """Default backbone: dense stack with batchnorm+relu after the first
-    dense layer and relu after the rest.  ``hidden=()`` gives a logistic
-    model (no feature extractor)."""
-    specs: list[LayerSpec] = []
-    w = d
-    for pos, h in enumerate(hidden):
-        specs.append(dense(w, h))
-        if pos == 0 and use_batchnorm:
-            specs.append(batchnorm(h))
-        specs.append(relu(h))
-        w = h
-    return Architecture(in_dim=d, feature_specs=tuple(specs))
+    """The default backbone, two hidden layers of 32 and 16 (:class:`Architecture`)."""
+    return Architecture(d, hidden, use_batchnorm)
 
 
 @dataclass
@@ -302,15 +278,15 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
     """The layer math of :func:`forward` on checked inputs, in ``bufs``
     (:func:`buffer_shapes`).  Also returns, per batch-norm layer, the
     ``(centered, sqrt(var + eps))`` pair it normalised with, which
-    :func:`_backward` reuses after a train-mode pass.  Dense layers, the
-    first layer, train-mode batch norm (and its centred input) and the
-    head write into the next buffer; the other layers and the sigmoid
-    work in place, never on the input."""
+    :func:`_backward` reuses after a train-mode pass.  Dense layers,
+    train-mode batch norm (and its centred input) and the head write into
+    the next buffer; the other layers follow a dense layer and work in
+    place, as does the sigmoid."""
     acts, norms = [h], {}
     bufs = iter(bufs)
     for i, spec in enumerate(arch.feature_specs):
         # where the layer writes: the next buffer or in place
-        own = spec.kind == "dense" or i == 0 or (train and spec.kind == "batchnorm")
+        own = spec.kind == "dense" or (train and spec.kind == "batchnorm")
         out = next(bufs) if own else h
         if spec.kind == "dense":
             h = np.matmul(h, params.feature[f"{i}.W"], out=out)
@@ -336,8 +312,8 @@ def _forward(params: ParamSet, arch: Architecture, h: np.ndarray, train: bool, c
             h += params.feature[f"{i}.beta"][..., None, :]
         else:  # relu
             h = np.maximum(h, 0.0, out=out)
-        # past layer 0 a relu's input was checked, and max(x, 0) of a finite x is finite
-        if (spec.kind != "relu" or i == 0) and not np.isfinite(h).all():
+        # a relu's input was checked, and max(x, 0) of a finite x is finite
+        if spec.kind != "relu" and not np.isfinite(h).all():
             raise _non_finite(f"activation after layer {i} ({spec.kind})", i, h, client_ids)
         acts.append(h)
     logits = np.matmul(h, params.head_W, out=next(bufs))
@@ -355,9 +331,9 @@ def buffer_shapes(arch: Architecture, lead: tuple, head_cols: int, train=False, 
     head columns writes, in the order it takes them; with ``loss``, then
     a loss's work array."""
     widths = []
-    for i, s in enumerate(arch.feature_specs):
+    for s in arch.feature_specs:
         norm = train and s.kind == "batchnorm"
-        widths += [s.out_dim] * ((s.kind == "dense" or i == 0 or norm) + norm)
+        widths += [s.out_dim] * ((s.kind == "dense" or norm) + norm)
     return [(*lead, w) for w in widths + [head_cols] * (1 + loss)]
 
 
@@ -440,11 +416,11 @@ def forward(params: ParamSet, arch: Architecture, x, mode: str = "train", client
     ``activations[0]`` is the input, then one entry per feature layer,
     then the head pre-activations (logits), then the sigmoid output;
     :func:`backward` takes the list.  A layer that works in place leaves
-    its input's entry holding its output: a ReLU past layer 0, eval-mode
-    batch norm past layer 0, and the sigmoid over the logits.  In train
-    mode batch-norm normalises with batch statistics and updates the
-    running statistics in place; in eval mode it reads the running
-    statistics and touches nothing.
+    its input's entry holding its output: a ReLU, eval-mode batch norm
+    and the sigmoid over the logits.  In train mode batch-norm
+    normalises with batch statistics and updates the running statistics
+    in place; in eval mode it reads the running statistics and touches
+    nothing.
 
     ``x`` is ``(b, d)`` for one model, or ``(K, b, d)`` for K models
     stacked along a leading axis of every tensor in ``params``.  Each
@@ -633,14 +609,9 @@ def backward(params: ParamSet, arch: Architecture, activations, p, y, mask) -> P
     return _backward(params, arch, activations, g, norms, False, bufs[1:-1], grad_views(params, bufs[-1]))
 
 
-def _check_sgd(lr: float, frozen) -> frozenset:
-    frozen = frozenset(frozen)
-    unknown = frozen - PARAM_GROUPS
-    if unknown:
-        raise ConfigError(f"unknown parameter group(s) {sorted(unknown)}")
+def _check_sgd(lr: float) -> None:
     if need_number(lr, "lr") < 0.0:
         raise ConfigError("must be non-negative", "lr")
-    return frozen
 
 
 def _step(v: np.ndarray, g: np.ndarray, lr: float) -> None:
@@ -648,22 +619,21 @@ def _step(v: np.ndarray, g: np.ndarray, lr: float) -> None:
     v -= np.multiply(lr, g, out=g)
 
 
-def _sgd(params: ParamSet, grads: np.ndarray, lr: float, frozen: frozenset) -> None:
-    """The SGD update of a set laid out in tables, in place, over the
-    unfrozen columns of its first table (the head's last), using up the
-    gradient table ``grads`` laid out like it."""
-    head = params.feature_width
-    cut = slice(head if "feature_extractor" in frozen else 0, head if "head" in frozen else None)
-    _step(params.tables[0][..., cut], grads[..., cut], lr)
+def _sgd(params: ParamSet, grads: np.ndarray, lr: float, heads_only: bool) -> None:
+    """The SGD update of a set laid out in tables, in place, over its
+    first table (the head's columns last, and only they with
+    ``heads_only``), using up the gradient table ``grads`` laid out like
+    it."""
+    cut = params.feature_width if heads_only else 0
+    _step(params.tables[0][..., cut:], grads[..., cut:], lr)
 
 
-def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -> ParamSet:
-    """One SGD step.  ``frozen`` names parameter groups to leave alone
-    (``feature_extractor``, ``head``).  Running statistics are never
-    touched.  Returns a new ParamSet; frozen groups keep their arrays."""
-    frozen = _check_sgd(lr, frozen)
-    head = "head" not in frozen
-    trained = {"feature": "feature_extractor" not in frozen, "head_W": head, "head_b": head}
+def sgd_step(params: ParamSet, grads: ParamSet, lr: float, heads_only: bool = False) -> ParamSet:
+    """One SGD step; with ``heads_only`` the feature extractor is left
+    alone.  Running statistics are never touched.  Returns a new
+    ParamSet; tensors it does not train keep their arrays."""
+    _check_sgd(lr)
+    trained = {"feature": not heads_only, "head_W": True, "head_b": True}
     given = {(g, k): a for g, k, a in grads.tensors()}
     for g, k, a in params.tensors():
         if trained.get(g) and getattr(given.get((g, k)), "shape", None) != a.shape:
@@ -678,27 +648,28 @@ def sgd_step(params: ParamSet, grads: ParamSet, lr: float, frozen=frozenset()) -
 # --- lock-step training -------------------------------------------------------
 
 
-def check_training(params: ParamSet, arch: Architecture, x, y, mask, lr: float, frozen):
-    """Every check the four functions above make per call, made once for
-    a training set that :func:`train_step` then walks batch by batch:
-    ``x`` and ``y`` hold all of it, stacked like ``params``.  Returns
-    ``(cols, frozen)`` in the form :func:`train_step` takes; ``cols`` is
-    None when the mask names every head column or is None."""
+def check_training(params: ParamSet, arch: Architecture, x, y) -> None:
+    """The input and label checks of the four functions above, made once
+    for a training set that :func:`train_step` then walks batch by batch:
+    ``x`` and ``y`` hold all of it, stacked like ``params``.  The loss
+    columns (:func:`_mask_cols`) and ``lr`` (:func:`_check_sgd`) are the
+    caller's to check once."""
     x, y = _as_batch(x, "x"), _as_batch(y, "y", None)
     _check_inputs(params, arch, x)
     if y.shape != x.shape[:-1] + (params.head_cols,):
         raise ContractViolation(f"labels {y.shape} do not match inputs {x.shape} and the head")
     need_binary(y)
-    return (None if mask is None else _mask_cols(mask, y)), _check_sgd(lr, frozen)
 
 
-def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, frozen, client_ids, bufs, grads):
+def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, heads_only: bool, client_ids, bufs,
+               grads):
     """One SGD step on a batch cut from inputs :func:`check_training`
-    passed, with the arguments it returned: bitwise :func:`forward`,
-    :func:`masked_bce_loss`, :func:`backward` and :func:`sgd_step` in a
-    row, but ``params`` is updated in place, batch-norm statistics are
-    computed once and a mask over every column is not applied.  With the
-    feature extractor frozen, backpropagation stops after the head.  It
+    passed, ``cols`` from :func:`_mask_cols` or None for every column:
+    bitwise :func:`forward`, :func:`masked_bce_loss`, :func:`backward`
+    and :func:`sgd_step` in a row, but ``params`` is updated in place,
+    batch-norm statistics are computed once and a mask over every column
+    is not applied.  With ``heads_only``, backpropagation stops after the
+    head and only the head steps.  It
     writes into ``bufs`` (C-contiguous, a :func:`buffer_shapes` train
     pass then :func:`grad_shapes`) and every gradient into ``grads``
     (:func:`grad_views` of the last buffer), and allocates no float64
@@ -712,6 +683,5 @@ def train_step(params: ParamSet, arch: Architecture, x, y, cols, lr: float, froz
     loss = _bce(p, y, work)  # uses up p
     if not np.isfinite(loss).all():
         raise _non_finite("loss", None, loss[..., None, None], client_ids)
-    heads_only = "feature_extractor" in frozen
-    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads).tables[0], lr, frozen)
+    _sgd(params, _backward(params, arch, acts, g, norms, heads_only, bufs, grads).tables[0], lr, heads_only)
     return loss

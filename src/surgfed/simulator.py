@@ -62,7 +62,7 @@ from .model import (
     local_train,
     validation_loss,
 )
-from .nn import Architecture, Arena, ParamSet, buffer_shapes, build_architecture, train_layout
+from .nn import Architecture, Arena, ParamSet, buffer_shapes, train_layout
 from .registry import GROUP_NAMES, ClassRegistry
 
 
@@ -164,18 +164,15 @@ class ExperimentConfig:
             object.__setattr__(self, name, need_number(getattr(self, name), name))
             if getattr(self, name) <= 0.0:
                 raise ConfigError("must be positive", name)
-        if not isinstance(self.hidden, (list, tuple)):
-            raise ConfigError("must be a list of layer widths", "hidden")
-        widths = tuple(need_int(h, f"hidden[{i}]", 1) for i, h in enumerate(self.hidden))
-        object.__setattr__(self, "hidden", widths)
-        need_flag(self.use_batchnorm, "use_batchnorm")
+        arch = self.architecture()  # checks hidden and use_batchnorm
+        object.__setattr__(self, "hidden", arch.hidden)
         need_flag(self.sample_weighted, "sample_weighted")
         if self.seeds is not None and not isinstance(self.seeds, SeedBundle):
             raise ConfigError("must be a SeedBundle or None", "seeds")
         # client data, the test features and the arena, float64 but for the
         # int8 labels; rejected here, not by numpy mid-run.  An upper bound:
         # every label M wide, the arena M wide for any of its passes
-        s, arch = self.scenario, self.architecture()
+        s = self.scenario
         arena = max(map(Arena.size, (
             buffer_shapes(arch, (s.n_test,), s.M), buffer_shapes(arch, (s.K * s.n_val,), s.M, loss=True),
             *train_layout(arch, s.K, s.n_train, s.M, self.batch_size).values())))
@@ -190,7 +187,7 @@ class ExperimentConfig:
         return self.seeds if self.seeds is not None else default_seeds(self.scenario.seed)
 
     def architecture(self) -> Architecture:
-        return build_architecture(self.scenario.d, self.hidden, self.use_batchnorm)
+        return Architecture(self.scenario.d, self.hidden, self.use_batchnorm)
 
 
 @dataclass(frozen=True)

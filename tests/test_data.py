@@ -347,6 +347,19 @@ def test_shared_ladder_counts_and_identical_features() -> None:
         np.testing.assert_array_equal(ca.train.x, cb.train.x)
 
 
+@pytest.mark.parametrize("base_seed", [0, 1, 3, 7000, 7001, 7002, 12345, 2**31])
+def test_each_ladder_spec_is_its_constants_rung(base_seed) -> None:
+    """The ablation names a rung by the ladder constant it was drawn from:
+    each shared-ladder spec has its ``SHARED_LADDER`` count of classes
+    held by every client, each clients-ladder spec its ``CLIENT_LADDER``
+    count of clients, in order."""
+    from surgfed import ClassRegistry
+
+    shared = [len(sharing_profile(ClassRegistry([f"c{i}" for i in range(spec.M)], spec.assignment)).shared_by_all)
+              for spec in effect_of_shared_classes_scenarios(base_seed)]
+    assert shared == list(SHARED_LADDER)
+    assert [spec.K for spec in effect_of_clients_scenarios(base_seed)] == list(CLIENT_LADDER)
+
 
 @pytest.mark.parametrize("classes", [[0.7], [True], ["2"], [-1], [np.float64(1.0)]])
 def test_scatter_restricted_takes_class_ids_as_they_are(classes) -> None:

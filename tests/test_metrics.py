@@ -17,14 +17,11 @@ from surgfed import (
     ParamSet,
     TestPlan,
     auroc,
-    batchnorm,
     build_architecture,
-    dense,
     evaluate,
     forward,
     init_model,
     paired_ttest,
-    relu,
     significance_stars,
 )
 from surgfed.metrics import _tied_pairs
@@ -191,13 +188,8 @@ def test_evaluate_per_class_equals_scalar_loop() -> None:
     assert ev.uncovered == tuple(c for c in range(M) if c not in model_classes)
 
 
-@pytest.mark.parametrize("specs", [
-    (relu(6), dense(6, 5)),
-    (batchnorm(6), dense(6, 5), relu(5)),
-    (dense(6, 5), relu(5), dense(5, 4), batchnorm(4), relu(4)),
-    (),
-], ids=["relu-first", "batchnorm-first", "dense-first", "logistic"])
-def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
+@pytest.mark.parametrize("hidden", [(5, 4), ()], ids=["dense-first", "logistic"])
+def test_buffered_evaluate_keeps_its_input_and_its_results(hidden) -> None:
     """The forward pass into NaN-filled views of an arena works in place,
     but never on the test inputs: after ``evaluate`` the inputs hold the
     same bits and the last buffer holds, bit for bit, the reference
@@ -205,7 +197,7 @@ def test_buffered_evaluate_keeps_its_input_and_its_results(specs) -> None:
     evaluation into the same buffers, and each equals that of a call
     without buffers, which takes a fresh arena."""
     M, rng = 4, np.random.default_rng(8)
-    arch = Architecture(6, specs)
+    arch = Architecture(6, hidden)
     x = rng.normal(size=(200, 6))
     y = (rng.random((200, M)) < 0.4).astype(float)
     plan = TestPlan(LabeledSet(x, y), ClassRegistry([f"c{i}" for i in range(M)], [range(M)]))
@@ -728,7 +720,7 @@ def test_every_label_check_is_one_check_with_one_message(tiny_arch) -> None:
         lambda: LabeledSet(np.zeros((2, 4)), y),
         lambda: TestPlan(SimpleNamespace(x=np.zeros((2, 4)), y=y, n=2), ClassRegistry(["a", "b"], [[0, 1]])),
         lambda: masked_bce_loss(np.full((2, 2), 0.5), y, [0, 1]),
-        lambda: check_training(params, tiny_arch, np.zeros((1, 2, 4)), y[None], [0, 1], 0.1, ()),
+        lambda: check_training(params, tiny_arch, np.zeros((1, 2, 4)), y[None]),
         lambda: auroc([0.1, 0.2, 0.3, 0.4], y.ravel()),
     ]
     for call in calls:

@@ -514,6 +514,39 @@ def test_checkpoint_rejects_malformed_rows(tmp_path, row) -> None:
         load_checkpoint(path)
 
 
+def _edited_checkpoint(arch, path, edit):
+    """A saved checkpoint whose rows, split into fields, ``edit`` rewrites."""
+    save_checkpoint(random_params(arch, 2, seed=5), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + [",".join(r) for r in edit([r.split(",") for r in rows])]) + "\n")
+    return path
+
+
+def test_checkpoint_refuses_a_repeated_row(tiny_arch, tmp_path) -> None:
+    """A second ``head_W`` row used to load, the last one winning."""
+    path = _edited_checkpoint(tiny_arch, tmp_path / "model.csv", lambda rows: rows + [rows[-2]])
+    with pytest.raises(ConfigError, match=r"line 12: head_W head_W repeats line 10$"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_layer_without_both_statistics(tiny_arch, tmp_path) -> None:
+    """A file without its ``bn_var`` row used to load, and the first walk
+    of the set then raised ``KeyError``."""
+    path = _edited_checkpoint(tiny_arch, tmp_path / "model.csv",
+                              lambda rows: [r for r in rows if r[0] != "bn_var"])
+    with pytest.raises(ConfigError, match="batch-norm layer 1 needs both a bn_mean and a bn_var row"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_refuses_a_head_bias_that_does_not_fit_the_head(tiny_arch, tmp_path) -> None:
+    """A 1-wide ``head_b`` beside a 2-column ``head_W`` used to load."""
+    path = _edited_checkpoint(tiny_arch, tmp_path / "model.csv",
+                              lambda rows: rows[:-1] + [["head_b", "head_b", "1", "0", "0.5"]])
+    want = r"line 11: head_b of shape \(1,\) does not fit head_W of shape \(3, 2\)$"
+    with pytest.raises(ConfigError, match=want):
+        load_checkpoint(path)
+
+
 # --- the group is the one unit the entry points take -------------------------
 
 

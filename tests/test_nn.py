@@ -12,19 +12,14 @@ from surgfed import (
     NumericError,
     ParamSet,
     backward,
-    batchnorm,
     build_architecture,
-    dense,
     forward,
     init_model,
     masked_bce_loss,
     params_equal,
-    relu,
     sgd_step,
 )
-from surgfed.nn import (
-    BCE_CLAMP, BN_EPS, BN_MOMENTUM, LayerSpec, _mask_cols, check_training, stack_params,
-)
+from surgfed.nn import BCE_CLAMP, BN_EPS, BN_MOMENTUM, _mask_cols, check_training, stack_params
 
 import reference_kernel
 from conftest import random_params
@@ -33,18 +28,64 @@ from conftest import random_params
 # --- architecture specs -------------------------------------------------------
 
 
-def test_layer_spec_validation() -> None:
-    with pytest.raises(ConfigError):
-        LayerSpec("conv", 3, 3)
-    with pytest.raises(ConfigError):
-        dense(0, 3)
-    with pytest.raises(ConfigError):
-        LayerSpec("relu", 3, 4)
+@pytest.mark.parametrize("kw,field", [
+    (dict(in_dim=0), "in_dim"),
+    (dict(in_dim=2.0), "in_dim"),
+    (dict(hidden=(0,)), "hidden[0]"),
+    (dict(hidden=(8, 2.5)), "hidden[1]"),
+    (dict(hidden=(True,)), "hidden[0]"),
+    (dict(hidden=("8",)), "hidden[0]"),
+    (dict(hidden=8), "hidden"),
+    (dict(hidden="8"), "hidden"),
+    (dict(hidden={8}), "hidden"),
+    (dict(use_batchnorm=1), "use_batchnorm"),
+])
+def test_architecture_refuses_what_no_config_holds(kw, field) -> None:
+    """Every field of the backbone is checked where it is built, with the
+    field path a config's error gives."""
+    with pytest.raises(ConfigError) as err:
+        Architecture(**{"in_dim": 4} | kw)
+    assert err.value.field == field
 
 
-def test_architecture_chain_must_connect() -> None:
-    with pytest.raises(ConfigError, match="width"):
-        Architecture(in_dim=4, feature_specs=(dense(4, 6), relu(5)))
+_BACKBONES = {  # (hidden, use_batchnorm): feature layers (kind, in, out) and their checkpoint rows
+    ((), False): ([], []),
+    ((), True): ([], []),
+    ((8,), False): ([("dense", 6, 8), ("relu", 8, 8)], ["feature 0.W", "feature 0.b"]),
+    ((8,), True): ([("dense", 6, 8), ("batchnorm", 8, 8), ("relu", 8, 8)],
+                   ["feature 0.W", "feature 0.b", "feature 1.beta", "feature 1.gamma", "bn_mean 1", "bn_var 1"]),
+    ((32, 16), False): ([("dense", 6, 32), ("relu", 32, 32), ("dense", 32, 16), ("relu", 16, 16)],
+                        ["feature 0.W", "feature 0.b", "feature 2.W", "feature 2.b"]),
+    ((32, 16), True): ([("dense", 6, 32), ("batchnorm", 32, 32), ("relu", 32, 32), ("dense", 32, 16),
+                        ("relu", 16, 16)],
+                       ["feature 0.W", "feature 0.b", "feature 1.beta", "feature 1.gamma", "feature 3.W",
+                        "feature 3.b", "bn_mean 1", "bn_var 1"]),
+    ((5, 4, 3), False): ([("dense", 6, 5), ("relu", 5, 5), ("dense", 5, 4), ("relu", 4, 4), ("dense", 4, 3),
+                          ("relu", 3, 3)],
+                         ["feature 0.W", "feature 0.b", "feature 2.W", "feature 2.b", "feature 4.W",
+                          "feature 4.b"]),
+    ((5, 4, 3), True): ([("dense", 6, 5), ("batchnorm", 5, 5), ("relu", 5, 5), ("dense", 5, 4), ("relu", 4, 4),
+                         ("dense", 4, 3), ("relu", 3, 3)],
+                        ["feature 0.W", "feature 0.b", "feature 1.beta", "feature 1.gamma", "feature 3.W",
+                         "feature 3.b", "feature 5.W", "feature 5.b", "bn_mean 1", "bn_var 1"]),
+}
+
+
+@pytest.mark.parametrize("hidden,use_batchnorm", list(_BACKBONES))
+def test_a_backbone_lays_out_its_layers_and_checkpoint_rows(hidden, use_batchnorm, tmp_path) -> None:
+    """A dense layer per width, batch norm after the first when asked and a
+    ReLU after each: the layer indices, and with them the checkpoint row
+    names, are pinned."""
+    from surgfed.model import save_checkpoint
+
+    layers, rows = _BACKBONES[hidden, use_batchnorm]
+    arch = Architecture(6, list(hidden), use_batchnorm)
+    assert arch.hidden == hidden and arch == build_architecture(6, hidden, use_batchnorm)
+    assert [(s.kind, s.in_dim, s.out_dim) for s in arch.feature_specs] == layers
+    assert arch.feature_out_dim == (hidden[-1] if hidden else 6)
+    save_checkpoint(init_model(arch, 2, seed=0), tmp_path / "model.csv")
+    lines = (tmp_path / "model.csv").read_text().splitlines()[1:]
+    assert [" ".join(line.split(",")[:2]) for line in lines] == rows + ["head_W head_W", "head_b head_b"]
 
 
 def test_default_backbone_layout() -> None:
@@ -70,6 +111,33 @@ def test_no_batchnorm_variant() -> None:
     arch = build_architecture(8, hidden=(4,), use_batchnorm=False)
     assert [s.kind for s in arch.feature_specs] == ["dense", "relu"]
     assert arch.bn_layers() == ()
+
+
+def test_src_describes_the_network_and_the_freeze_once() -> None:
+    """In ``src/``, ``LayerSpec`` is built only inside ``nn.Architecture``,
+    and no module names ``PARAM_GROUPS`` or takes a ``frozen`` parameter:
+    a second description of the network or of a freeze cannot come back
+    unnoticed."""
+    import ast
+    from pathlib import Path
+
+    import surgfed
+
+    found = []
+    for path in sorted(Path(surgfed.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        backbone = {id(n) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) and c.name == "Architecture"
+                    and path.name == "nn.py" for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '')}"
+            if (isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "LayerSpec"
+                    and id(node) not in backbone):
+                found.append(f"{where} LayerSpec(")
+            if "PARAM_GROUPS" in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+                found.append(f"{where} PARAM_GROUPS")
+            if isinstance(node, ast.arg) and node.arg == "frozen":
+                found.append(f"{where} frozen")
+    assert found == []
 
 
 # --- forward ------------------------------------------------------------------
@@ -156,29 +224,33 @@ def test_eval_mode_is_pure(tiny_arch) -> None:
 
 
 def test_train_mode_updates_running_stats() -> None:
-    arch = Architecture(in_dim=3, feature_specs=(batchnorm(3),))
+    """Batch norm (layer 1) folds the batch statistics of the first dense
+    layer's output into its running statistics."""
+    arch = Architecture(in_dim=3, hidden=(3,))
     params = init_model(arch, 1, seed=0)
     x = np.random.default_rng(8).normal(size=(32, 3)) * 2.0 + 1.0
-    mu = x.mean(axis=0)
-    var = x.var(axis=0)
-    forward(params, arch, x, "train")
+    acts, _ = forward(params, arch, x, "train")
+    mu = acts[1].mean(axis=0)
+    var = acts[1].var(axis=0)
     m = BN_MOMENTUM
-    np.testing.assert_array_equal(params.bn_mean[0], (1 - m) * 0.0 + m * mu)
-    np.testing.assert_array_equal(params.bn_var[0], (1 - m) * 1.0 + m * var)
+    np.testing.assert_array_equal(params.bn_mean[1], (1 - m) * 0.0 + m * mu)
+    np.testing.assert_array_equal(params.bn_var[1], (1 - m) * 1.0 + m * var)
     # a second batch folds into the same running estimate
     forward(params, arch, x, "train")
-    np.testing.assert_allclose(params.bn_mean[0], (1 - m) * m * mu + m * mu, rtol=1e-15)
+    np.testing.assert_allclose(params.bn_mean[1], (1 - m) * m * mu + m * mu, rtol=1e-15)
 
 
 def test_eval_uses_running_stats_not_batch() -> None:
-    arch = Architecture(in_dim=2, feature_specs=(batchnorm(2),))
+    """Zero inputs reach batch norm as the zero bias; eval mode normalises
+    them with the running statistics, to positive values the ReLU keeps."""
+    arch = Architecture(in_dim=2, hidden=(2,))
     params = init_model(arch, 1, seed=0)
-    params.bn_mean[0] = np.array([10.0, -10.0])
-    params.bn_var[0] = np.array([4.0, 4.0])
+    params.bn_mean[1] = np.array([-10.0, -6.0])
+    params.bn_var[1] = np.array([4.0, 4.0])
     x = np.zeros((3, 2))
     acts, _ = forward(params, arch, x, "eval")
-    expected = (0.0 - params.bn_mean[0]) / np.sqrt(4.0 + BN_EPS)
-    np.testing.assert_allclose(acts[1], np.tile(expected, (3, 1)), rtol=1e-12)
+    expected = (0.0 - params.bn_mean[1]) / np.sqrt(4.0 + BN_EPS)
+    np.testing.assert_allclose(acts[3], np.tile(expected, (3, 1)), rtol=1e-12)
 
 
 def test_forward_rejects_bad_input(tiny_arch) -> None:
@@ -468,7 +540,7 @@ def test_check_training_reads_the_labels_where_they_lie(tiny_arch) -> None:
     y = (rng.random((2, 20_000, 3)) < 0.5).astype(np.int8)
     tracemalloc.start()
     try:
-        assert check_training(params, tiny_arch, x, y, (0, 1, 2), 0.1, ()) == (None, frozenset())
+        assert check_training(params, tiny_arch, x, y) is None
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -485,30 +557,20 @@ def _grad_like(params, fill: float):
 
 
 def test_check_training_validates_once_for_every_step(tiny_arch) -> None:
-    """The per-call checks of the four kernel functions, made once for a
-    whole stacked training set; a mask over every column comes back as
-    None, any other as its index array."""
+    """The input and label checks of the four kernel functions, made once
+    for a whole stacked training set."""
     params = stack_params([init_model(tiny_arch, 3, seed=s) for s in (1, 2)])
     x = np.random.default_rng(3).normal(size=(2, 10, 4))
     y = np.zeros((2, 10, 3))
-    assert check_training(params, tiny_arch, x, y, (2, 0, 1), 0.1, ()) == (None, frozenset())
-    cols, frozen = check_training(params, tiny_arch, x, y, np.array([[0, 2], [1, 2]]), 0.1, {"head"})
-    np.testing.assert_array_equal(cols, [[0, 2], [1, 2]])
-    assert frozen == frozenset({"head"})
-    np.testing.assert_array_equal(check_training(params, tiny_arch, x, y, [2, 0], 0.1, ())[0], [0, 2])
+    assert check_training(params, tiny_arch, x, y) is None
     for bad in (
         dict(x=x[..., :3]),  # width
         dict(y=np.full((2, 10, 3), 0.5)),  # non-binary labels
-        dict(mask=[3]),  # column out of range
-        dict(mask=np.array([[1, 0], [0, 1]])),  # per-model row not increasing
-        dict(lr=-0.1),
-        dict(frozen={"backbone"}),
     ):
-        args = dict(x=x, y=y, mask=[0], lr=0.1, frozen=()) | bad
         with pytest.raises(ConfigError):
-            check_training(params, tiny_arch, **args)
+            check_training(params, tiny_arch, **dict(x=x, y=y) | bad)
     with pytest.raises(ContractViolation):
-        check_training(params, tiny_arch, x, y[:, :9], [0], 0.1, ())
+        check_training(params, tiny_arch, x, y[:, :9])
 
 
 def test_sgd_step_arithmetic() -> None:
@@ -525,17 +587,14 @@ def test_sgd_step_arithmetic() -> None:
 
 
 def test_sgd_frozen_groups(tiny_arch) -> None:
+    """A heads-only step hands back the feature arrays and moves the head."""
     params = random_params(tiny_arch, 2, seed=31)
     grads = _grad_like(params, 1.0)
 
-    out = sgd_step(params, grads, 0.1, frozen={"feature_extractor"})
+    out = sgd_step(params, grads, 0.1, heads_only=True)
     for k in params.feature:
         assert out.feature[k] is params.feature[k]
-    assert np.all(out.head_W != params.head_W)
-
-    out = sgd_step(params, grads, 0.1, frozen={"head"})
-    assert out.head_W is params.head_W
-    assert np.all(out.feature["0.W"] != params.feature["0.W"])
+    assert np.all(out.head_W != params.head_W) and np.all(out.head_b != params.head_b)
 
 
 def test_sgd_lr_zero_is_identity_on_values(tiny_arch) -> None:
@@ -557,8 +616,6 @@ def test_sgd_validation(tiny_arch) -> None:
     grads = _grad_like(params, 1.0)
     with pytest.raises(ConfigError):
         sgd_step(params, grads, -0.1)
-    with pytest.raises(ConfigError):
-        sgd_step(params, grads, 0.1, frozen={"backbone"})
     bad = _grad_like(params, 1.0)
     bad.head_W = np.zeros((1, 1))
     with pytest.raises(ContractViolation):
@@ -568,8 +625,8 @@ def test_sgd_validation(tiny_arch) -> None:
 def test_sgd_checks_every_trainable_gradient_alike(tiny_arch) -> None:
     """A gradient of the wrong shape for any trainable tensor is a
     contract violation, ``head_b`` included: a ``(1,)`` head-bias
-    gradient used to be broadcast into all five biases.  A frozen
-    group's gradients are not read, so they are not checked."""
+    gradient used to be broadcast into all five biases.  A heads-only
+    step does not read the feature gradients, so it does not check them."""
     params = init_model(tiny_arch, 5, seed=0)
     trainable = [(g, k) for g, k, _ in _grad_like(params, 1.0).tensors()]
     assert ("head_b", None) in trainable and ("feature", "0.b") in trainable
@@ -578,8 +635,8 @@ def test_sgd_checks_every_trainable_gradient_alike(tiny_arch) -> None:
             (g, k, np.zeros(1) if (g, k) == name else a) for g, k, a in _grad_like(params, 1.0).tensors())
         with pytest.raises(ContractViolation, match="mis-shaped"):
             sgd_step(params, bad, 0.1)
-        frozen = {"feature_extractor"} if name[0] == "feature" else {"head"}
-        sgd_step(params, bad, 0.1, frozen=frozen)
+        if name[0] == "feature":
+            sgd_step(params, bad, 0.1, heads_only=True)
     missing = _grad_like(params, 1.0)
     del missing.feature["0.W"]
     with pytest.raises(ContractViolation, match="0.W"):
@@ -591,15 +648,23 @@ def test_lr_must_be_a_finite_non_negative_number(tiny_arch, lr) -> None:
     """``lr`` used to be tested only by ``lr < 0``: NaN and inf made every
     parameter non-finite with no more than a RuntimeWarning, ``True``
     stepped by 1 and a string raised ``TypeError``.  ``sgd_step`` and
-    ``check_training`` refuse each with a ``ConfigError`` naming lr."""
+    lock-step training (``local_train``, ``head_warmup``) refuse each
+    with a ``ConfigError`` naming lr."""
+    from surgfed import LabeledSet
+    from surgfed.model import ClientGroup, ClientState, head_warmup, local_train
+
     params = init_model(tiny_arch, 2, seed=0)
-    x, y = np.zeros((1, 3, 4)), np.zeros((1, 3, 2), dtype=np.int8)
+    split = LabeledSet(np.zeros((3, 4)), np.zeros((3, 2), dtype=np.int8))
+    group = ClientGroup([ClientState(id=0, arch=tiny_arch, params=params.copy(), classes=(0, 1), train=split,
+                                     val=split, rng=np.random.default_rng(0))])
     with pytest.raises(ConfigError, match="^lr must be"):
         sgd_step(params, _grad_like(params, 1.0), lr)
-    with pytest.raises(ConfigError, match="^lr must be"):
-        check_training(stack_params([params]), tiny_arch, x, y, None, lr, ())
+    for train in (local_train, head_warmup):
+        with pytest.raises(ConfigError, match="^lr must be"):
+            train(group, 1, lr, 3)
     for ok in (0, 0.1, np.float32(0.5), np.int64(1)):
-        assert check_training(stack_params([params]), tiny_arch, x, y, None, ok, ()) == (None, frozenset())
+        local_train(group, 1, ok, 3)
+        head_warmup(group, 1, ok, 3)
         sgd_step(params, _grad_like(params, 1.0), ok)
 
 
@@ -636,9 +701,11 @@ def test_per_model_masks_of_floats_or_bools_are_config_errors(tiny_arch, mask) -
     p, y = np.full((2, 3, 4), 0.5), np.zeros((2, 3, 4))
     with pytest.raises(ConfigError, match="integers"):
         masked_bce_loss(p, y, mask)
-    params = stack_params([init_model(tiny_arch, 4, seed=s) for s in (1, 2)])
-    with pytest.raises(ConfigError, match="integers"):
-        check_training(params, tiny_arch, np.zeros((2, 3, 4)), y, mask, 0.1, ())
+
+
+def _frozen(heads_only: bool) -> frozenset:
+    """The reference kernel's form of ``heads_only``: the groups it freezes."""
+    return frozenset({"feature_extractor"} if heads_only else ())
 
 
 def _step_views(arch, models: int, b: int, head_cols: int):
@@ -682,28 +749,26 @@ def test_a_mask_over_every_column_copies_nothing(monkeypatch) -> None:
         params = stack_params([random_params(arch, 3, seed=s) for s in (1, 2)])
         x = rng.normal(size=(2, 7, 3))
         bufs = _step_views(arch, 2, 7, 3)
-        cols, frozen = check_training(params, arch, x, y, mask, 0.1, ())
-        nn.train_step(params, arch, x, y, cols, 0.1, frozen, [0, 1], bufs, nn.grad_views(params, bufs[-1]))
+        check_training(params, arch, x, y)
+        cols = _mask_cols(mask, y)
+        nn.train_step(params, arch, x, y, cols, 0.1, False, [0, 1], bufs, nn.grad_views(params, bufs[-1]))
         head = len(nn.buffer_shapes(arch, (2, 7), 3, True)) - 1
         assert cols is None and seen[-1][0] is bufs[head] and seen[-1][1] is y
     assert nn._mask_cols([0, 2], p).tolist() == [0, 2]
 
 
-STEP_CASES = ((None, ()), (np.array([0, 2, 3]), ()), (np.array([[0, 1], [2, 4], [1, 3]]), ()),
-              (None, {"feature_extractor"}), (None, {"head"}))
+STEP_CASES = ((None, False), (np.array([0, 2, 3]), False), (np.array([[0, 1], [2, 4], [1, 3]]), False),
+              (None, True))
 
 
-@pytest.mark.parametrize("bn_first", [False, True])
-def test_a_step_in_dirty_buffers_is_the_step_without_them(tiny_arch, bn_first) -> None:
+def test_a_step_in_dirty_buffers_is_the_step_without_them(tiny_arch) -> None:
     """``train_step`` writing into NaN-filled buffers of ``buffer_shapes``
     and ``grad_shapes``, its gradients in a NaN-filled block of their
     own, gives the bits of the reference step, whose every array is
     fresh (losses, parameters, batch-norm statistics), twice in a row in
     the same buffers, under every column, a shared and a per-model loss
-    mask and a frozen feature extractor or head; also for an
-    architecture that opens with batch norm and puts one after a ReLU."""
-    _check_dirty_step(tiny_arch if not bn_first else Architecture(
-        in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3))))
+    mask and heads only."""
+    _check_dirty_step(tiny_arch)
 
 
 def test_a_logistic_step_in_dirty_buffers_is_the_step_without_them() -> None:
@@ -727,15 +792,15 @@ def _check_dirty_step(arch) -> None:
     rng = np.random.default_rng(8)
     x = rng.normal(size=(3, 7, 4))
     y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)
-    for cols, frozen in STEP_CASES:
+    for cols, heads_only in STEP_CASES:
         a = stack_params([random_params(arch, 5, seed=s) for s in (1, 2, 3)])
         b = a.copy()
         shapes = buffer_shapes(arch, (3, 7), 5, True) + grad_shapes(arch, (3, 7), 5)
         bufs = [np.full(s, np.nan) for s in shapes]
         grads = grad_views(b, np.full(bufs[-1].size, np.nan))
         for _ in range(2):
-            want = reference_kernel.step(a, arch, x, y, cols, 0.1, frozenset(frozen))
-            got = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
+            want = reference_kernel.step(a, arch, x, y, cols, 0.1, _frozen(heads_only))
+            got = train_step(b, arch, x, y, cols, 0.1, heads_only, [0, 1, 2], bufs, grads)
             assert want.tobytes() == got.tobytes()
             assert params_equal(a, b)
         assert not np.isnan(bufs[0]).any()
@@ -752,17 +817,16 @@ def test_non_finite_loss_names_the_first_bad_client(monkeypatch, tiny_arch) -> N
     bufs = _step_views(tiny_arch, 3, 4, 2)
     with pytest.raises(NumericError, match="^non-finite loss at client 6$") as err:
         nn.train_step(params, tiny_arch, x, np.zeros((3, 4, 2), np.int8), None, 0.1,
-                      frozenset(), [5, 6, 7], bufs, nn.grad_views(params, bufs[-1]))
+                      False, [5, 6, 7], bufs, nn.grad_views(params, bufs[-1]))
     assert (err.value.client, err.value.layer) == (6, None)
 
 
-@pytest.mark.parametrize("bn_first", [False, True])
-def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tiny_arch, bn_first) -> None:
+def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tiny_arch) -> None:
     """``train_step`` writing its buffers and every gradient into
     NaN-filled views laid out as a run lays them (the gradients in the
     step's last buffer, the loss's work array) gives the bits of the
     reference step, twice in a row, under every column, a shared and a
-    per-model loss mask and a frozen feature extractor or head.
+    per-model loss mask and heads only.
     ``grad_shapes`` widens that buffer to hold the trainable tensors'
     gradients.  ``grad_views`` lays them end to end from the block's
     start in ``ParamSet.tensors`` order, whatever order the feature dict
@@ -772,12 +836,11 @@ def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tin
 
     from surgfed.nn import grad_shapes, grad_views, train_step
 
-    arch = tiny_arch if not bn_first else Architecture(
-        in_dim=4, feature_specs=(batchnorm(4), relu(4), dense(4, 3), relu(3), batchnorm(3)))
+    arch = tiny_arch
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 7, 4))
     y = (rng.random((3, 7, 5)) < 0.5).astype(np.int8)
-    for cols, frozen in STEP_CASES:
+    for cols, heads_only in STEP_CASES:
         a = stack_params([random_params(arch, 5, seed=s) for s in (1, 2, 3)])
         b = a.copy()
         bufs = _step_views(arch, 3, 7, 5)
@@ -785,8 +848,8 @@ def test_a_step_writing_its_gradients_into_a_dirty_block_is_the_step_without(tin
         assert grad_shapes(arch, (3, 7), 5)[-1] == (max(3 * 7 * 5, trainable),) == bufs[-1].shape
         grads = grad_views(b, bufs[-1])
         for _ in range(2):
-            want = reference_kernel.step(a, arch, x, y, cols, 0.1, frozenset(frozen))
-            got = train_step(b, arch, x, y, cols, 0.1, frozenset(frozen), [0, 1, 2], bufs, grads)
+            want = reference_kernel.step(a, arch, x, y, cols, 0.1, _frozen(heads_only))
+            got = train_step(b, arch, x, y, cols, 0.1, heads_only, [0, 1, 2], bufs, grads)
             assert want.tobytes() == got.tobytes()
         assert params_equal(a, b)
     one = random_params(arch, 5, seed=4)
@@ -852,12 +915,12 @@ def test_an_eval_pass_in_dirty_views_is_the_reference_pass(hidden, M) -> None:
     assert x.tobytes() == before
 
 
-_PUBLIC_CASES = {  # (stacked, mask, frozen)
-    "2d-every": (False, [0, 1, 2, 3], ()),
-    "2d-shared": (False, [1, 3], {"head"}),
-    "stacked-every": (True, [3, 2, 1, 0], {"feature_extractor"}),
-    "stacked-shared": (True, [0, 2], ()),
-    "stacked-per-model": (True, np.array([[0, 1], [2, 3], [1, 3]]), ()),
+_PUBLIC_CASES = {  # (stacked, mask, heads_only)
+    "2d-every": (False, [0, 1, 2, 3], False),
+    "2d-shared": (False, [1, 3], True),
+    "stacked-every": (True, [3, 2, 1, 0], True),
+    "stacked-shared": (True, [0, 2], False),
+    "stacked-per-model": (True, np.array([[0, 1], [2, 3], [1, 3]]), False),
 }
 
 
@@ -868,10 +931,10 @@ def test_public_kernel_functions_never_write_into_their_callers_arrays(case) -> 
     ``sgd_step`` the bytes of ``x``, ``params``, ``acts``, ``p``, ``y`` and
     ``grads`` stay as they were, the running statistics a train-mode
     forward updates aside, for 2-D and stacked inputs, masks over every
-    column, shared and per-model masks and frozen groups.  ``backward``
+    column, shared and per-model masks, and heads only.  ``backward``
     twice on the same activations gives the same bits, and each result
     is the reference kernel's."""
-    stacked, mask, frozen = _PUBLIC_CASES[case]
+    stacked, mask, heads_only = _PUBLIC_CASES[case]
     arch = build_architecture(5, hidden=(6, 3))
     rng = np.random.default_rng(17)
     models = [random_params(arch, 4, seed=s) for s in (1, 2, 3)]
@@ -909,9 +972,9 @@ def test_public_kernel_functions_never_write_into_their_callers_arrays(case) -> 
     assert walk(grads) == walk(again) == walk(want)
 
     held += walk(grads)
-    stepped = sgd_step(params, grads, 0.1, frozen)
+    stepped = sgd_step(params, grads, 0.1, heads_only)
     assert snapshot(x, *acts, p, y) + walk(params) + walk(grads) == held
-    reference_kernel.sgd(ref_params, want, 0.1, frozenset(frozen))
+    reference_kernel.sgd(ref_params, want, 0.1, _frozen(heads_only))
     assert walk(stepped) == walk(ref_params)
 
 
