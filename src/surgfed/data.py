@@ -8,11 +8,14 @@ feature shift).  The global test set is drawn before any client data.
 
 A client annotates only its own classes, so its labels are kept only
 for those: each client's labels are drawn over all M classes and cut to
-its columns before the next client's are drawn.  Generation holds at
-most one client's full-width label matrix at a time, besides the test
-set's.  Labels are ``int8`` 0/1 from the draw on, one byte each: for
-0/1 values every product and difference the training and scoring code
-forms with them gives the bits float64 labels would.
+its columns, in its rows of one stack per split and class count, before
+the next client's are drawn.  Generation holds at most one client's
+full-width label matrix at a time, besides the test set's.  Features
+lie in one (K, n, d) stack per split, and each :class:`ClientData`
+split is a view of its rows.  Labels are ``int8`` 0/1 from the draw on,
+one byte each: for 0/1 values every product and difference the
+training and scoring code forms with them gives the bits float64
+labels would.
 """
 
 from __future__ import annotations
@@ -143,7 +146,8 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class ClientData:
-    """One client's train/val splits, labels restricted to its classes."""
+    """One client's train/val splits, labels restricted to its classes;
+    generated splits are row views of the scenario's stacks."""
 
     classes: tuple[int, ...]
     train: LabeledSet
@@ -206,8 +210,8 @@ def _labels_for(x: np.ndarray, u: np.ndarray, tau: np.ndarray, noise: float, rng
     return y.view(np.int8)
 
 
-def _both_labels_present(y: np.ndarray) -> bool:
-    return bool(np.all(y.max(axis=0) == 1) and np.all(y.min(axis=0) == 0))
+def _both_labels_present(y: np.ndarray) -> bool:  # in every column of a split or of a stack of them
+    return bool(np.all(y.max(axis=-2) == 1) and np.all(y.min(axis=-2) == 0))
 
 
 def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
@@ -218,12 +222,13 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
     assignment share the same x matrices.  Thresholds (and the noise
     flips) are redrawn up to 100 times until every class has both labels
     in every split it appears in; each attempt draws tau, the test
-    labels, then clients 0..K-1 in order, all before any check.
+    labels, then clients 0..K-1 in order into their label rows, all
+    before any check.
     """
-    assignment = resolve_assignment(spec)
     registry = ClassRegistry(
-        [f"c{i:02d}" for i in range(spec.M)], assignment
+        [f"c{i:02d}" for i in range(spec.M)], resolve_assignment(spec)
     )
+    assignment = registry.client_classes  # ascending, the column order of every client's head and labels
 
     truth_rng = np.random.default_rng([spec.seed, _TAG_TRUTH])
     u = truth_rng.standard_normal((spec.M, spec.d))
@@ -231,36 +236,34 @@ def generate_synthetic(spec: ScenarioSpec) -> ScenarioData:
 
     x_test = np.random.default_rng([spec.seed, _TAG_TEST]).standard_normal((spec.n_test, spec.d))
     shift_rng = np.random.default_rng([spec.seed, _TAG_SHIFT])
-    xs = []
+    n_train, n_val = spec.n_train, spec.n_val
+    x_train, x_val = np.empty((spec.K, n_train, spec.d)), np.empty((spec.K, n_val, spec.d))
     for k in range(spec.K):
-        xk = np.random.default_rng([spec.seed, _TAG_CLIENT, k]).standard_normal(
-            (spec.n_per_client, spec.d)
-        )
+        rng = np.random.default_rng([spec.seed, _TAG_CLIENT, k])
         direction = shift_rng.standard_normal(spec.d)
         direction /= np.linalg.norm(direction)
-        xk = xk + spec.shift_sigma * direction
-        xs.append(xk)
+        for x in (x_train[k], x_val[k]):  # one draw of the client's rows, training rows first
+            rng.standard_normal(out=x)
+            x += spec.shift_sigma * direction
 
-    n_train = spec.n_train
+    widths = [len(cs) for cs in assignment]
+    stacks = {w: [np.empty((widths.count(w), n, w), np.int8) for n in (n_train, n_val)] for w in set(widths)}
+    rows = {w: zip(*splits) for w, splits in stacks.items()}
+    ys = [next(rows[w]) for w in widths]  # client k's training and validation label rows
     for attempt in range(_MAX_THRESHOLD_ATTEMPTS):
         tau = truth_rng.uniform(-_THRESHOLD_BAND, _THRESHOLD_BAND, spec.M)
         y_test = _labels_for(x_test, u, tau, spec.label_noise, truth_rng)
-        kept = []
-        for k, xk in enumerate(xs):
-            yk = _labels_for(xk, u, tau, spec.label_noise, truth_rng)
-            cs = list(assignment[k])
-            kept.append((yk[:n_train][:, cs], yk[n_train:][:, cs]))
+        for k, (y_train, y_val) in enumerate(ys):
+            # its rows end to end, so the label blocks start where one draw's did
+            yk = _labels_for(np.concatenate((x_train[k], x_val[k])), u, tau, spec.label_noise, truth_rng)
+            # "clip" spares the copy of out that "raise" makes; the columns are in range
+            np.take(yk[:n_train], assignment[k], axis=1, out=y_train, mode="clip")
+            np.take(yk[n_train:], assignment[k], axis=1, out=y_val, mode="clip")
             del yk
-        if _both_labels_present(y_test) and all(
-            _both_labels_present(y_train) and _both_labels_present(y_val) for y_train, y_val in kept
-        ):
+        if _both_labels_present(y_test) and all(_both_labels_present(y) for s in stacks.values() for y in s):
             clients = tuple(
-                ClientData(
-                    classes=assignment[k],
-                    train=LabeledSet(xs[k][:n_train], y_train),
-                    val=LabeledSet(xs[k][n_train:], y_val),
-                )
-                for k, (y_train, y_val) in enumerate(kept)
+                ClientData(classes=cs, train=LabeledSet(x_train[k], y_train), val=LabeledSet(x_val[k], y_val))
+                for k, (cs, (y_train, y_val)) in enumerate(zip(assignment, ys))
             )
             return ScenarioData(registry=registry, test=LabeledSet(x_test, y_test), clients=clients)
     raise ConfigError(

@@ -6,7 +6,8 @@ extractor, and each head column is drawn from a stream keyed by
 from identical columns regardless of how wide their heads are.
 
 A :class:`ClientGroup` stacks clients that share a lock-step key
-(:attr:`ClientState.lockstep_key`) once, checking shapes and labels, and
+(:attr:`ClientState.lockstep_key`) once, in place when their rows are
+already one array's (as generated), checking shapes and labels, and
 is the one unit that training and validation take: it trains its
 clients in lock-step on a copy of their parameters in an arena, which
 holds each epoch's gathered rows and every step's buffers and
@@ -139,10 +140,21 @@ class ClientState:
         return _mask_cols(self.loss_cols, self.val.y)
 
 
+def stack_rows(arrays) -> np.ndarray:
+    """``arrays`` as one (K, ...) stack: the array that owns their memory, when they are
+    all of its rows in order, else a fresh copy."""
+    whole = arrays[0].base
+    if isinstance(whole, np.ndarray) and whole.flags.c_contiguous and whole.size == len(arrays) * arrays[0].size:
+        stack = whole.reshape(len(arrays), *arrays[0].shape)  # shape, dtype, address and strides must match
+        if all(a.__array_interface__ == row.__array_interface__ for a, row in zip(arrays, stack)):
+            return stack
+    return np.stack(arrays)
+
+
 class ClientGroup(list):
     """Clients of one lock-step key stacked once: ``params`` (in tables),
-    ``x``, ``y``, ``val_x`` and ``val_y``, each client's own a view of its
-    rows, and loss columns ``cols``.  Steps use ``arena``."""
+    ``x``, ``y``, ``val_x`` and ``val_y`` (:func:`stack_rows`), each client's
+    own a view of its rows, and loss columns ``cols``.  Steps use ``arena``."""
 
     def __init__(self, clients):
         super().__init__(clients)
@@ -151,10 +163,9 @@ class ClientGroup(list):
         if len({c.lockstep_key for c in self}) > 1:
             raise ContractViolation("group members must share split sizes, head width and loss-column count")
         self.ids, self.arena = [c.id for c in self], Arena()
-        self.x, self.y, self.val_x, self.val_y = (np.empty((len(self), *a.shape), a.dtype) for s in
-                                                  (self[0].train, self[0].val) for a in (s.x, s.y))
-        for k, c in enumerate(self):  # a client's own arrays go as its rows fill, never all held twice
-            self.x[k], self.y[k], self.val_x[k], self.val_y[k] = c.train.x, c.train.y, c.val.x, c.val.y
+        self.x, self.y, self.val_x, self.val_y = (stack_rows([getattr(getattr(c, s), a) for c in self])
+                                                  for s in ("train", "val") for a in ("x", "y"))
+        for k, c in enumerate(self):
             c.train, c.val = LabeledSet(self.x[k], self.y[k]), LabeledSet(self.val_x[k], self.val_y[k])
         self.order = np.empty(self.y.shape[:2], np.intp)  # an epoch's rows
         self.adopt(stack_params([c.params for c in self]))

@@ -49,7 +49,6 @@ from .data import (
     ScenarioData,
     ScenarioSpec,
     generate_synthetic,
-    scatter_restricted,
     stats_split,
 )
 from .errors import ConfigError, NumericError, need_flag, need_int, need_number
@@ -60,6 +59,7 @@ from .model import (
     head_warmup,
     init_model,
     local_train,
+    stack_rows,
     validation_loss,
 )
 from .nn import Architecture, Arena, ParamSet, buffer_shapes, train_layout
@@ -240,7 +240,10 @@ class RunResult:
 
 def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture) -> list[ClientState]:
     """One client per site, with the head width of the method's table
-    row, or one client on every site's data pooled.  Every head column
+    row, or one client on every site's data pooled, copying no site's
+    rows: a wide head's labels go into its site's class columns of one
+    zeroed (K, n, M) stack per split, and the pooled client holds the
+    stacks seen as (K·n, ·), sites in order.  Every head column
     is drawn once, in one M-column init; each client starts from copies
     of its feature tensors and of its own head columns, bitwise what
     :func:`init_model` draws for the client's class ids.  The row's
@@ -249,20 +252,17 @@ def _build_clients(data: ScenarioData, cfg: ExperimentConfig, arch: Architecture
     seeds = cfg.resolved_seeds()
     M = data.registry.n_classes
     init = init_model(arch, M, seeds.init, class_ids=range(M))
-    sites = []
-    for cd in data.clients:
-        if row.wide:
-            train = LabeledSet(cd.train.x, scatter_restricted(cd.train.y, cd.classes, M))
-            val = LabeledSet(cd.val.x, scatter_restricted(cd.val.y, cd.classes, M))
-            sites.append((cd.classes, train, val))
-        else:
-            sites.append((cd.classes, cd.train, cd.val))
+    sites = [(cd.classes, cd.train, cd.val) for cd in data.clients]
+    if row.wide:
+        wide = [np.zeros((len(sites), split.n, M), np.int8) for split in sites[0][1:]]
+        for k, (classes, train, val) in enumerate(sites):
+            wide[0][k][:, classes], wide[1][k][:, classes] = train.y, val.y
+            sites[k] = (classes, LabeledSet(train.x, wide[0][k]), LabeledSet(val.x, wide[1][k]))
     if row.pooled:
-        sites = [(
-            tuple(range(M)),
-            LabeledSet(np.vstack([t.x for _, t, _ in sites]), np.vstack([t.y for _, t, _ in sites])),
-            LabeledSet(np.vstack([v.x for _, _, v in sites]), np.vstack([v.y for _, _, v in sites])),
-        )]
+        def pool(i, a):
+            rows = stack_rows([getattr(site[i], a) for site in sites])
+            return rows.reshape(-1, rows.shape[-1])
+        sites = [(tuple(range(M)), LabeledSet(pool(1, "x"), pool(1, "y")), LabeledSet(pool(2, "x"), pool(2, "y")))]
     loss_cols = tuple(range(M)) if row.loss_mode == "all_classes_negatives" else None
     return [ClientState(id=k, arch=arch, params=init.copy(None if row.wide else classes), classes=classes,
                         train=train, val=val, rng=np.random.default_rng([seeds.shuffle, k]), loss_cols=loss_cols)
@@ -313,8 +313,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1, round_hook=None)
         # client starts from the same one
         pretrained_bn = collect_bn_stats(clients[0].params, arch, stats_split(config.scenario))
 
-    # the run reads only the clients, the test set and `realized` from here
-    # on: labels or features the clients copied go before the arena exists
+    # the run reads only the clients, the test set and `realized` from here on:
+    # the generated labels a wide or pooled run replaced go before the arena exists
     test, realized = data.test, data.realized()
     del data
     groups = client_groups(clients)  # each client's state is a view of its group's rows from here on

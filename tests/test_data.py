@@ -180,6 +180,43 @@ def test_generation_peak_stays_near_what_it_keeps() -> None:
     assert peak - kept <= 2.5 * 2**20, (kept, peak)
 
 
+# (n_per_client, seed) of three feature-shifted specs: the threshold draw
+# each accepts, and the sha256 of every array it generates
+RETRY_DIGESTS = {
+    (16, 4): (3, "3f329d76a212a00660d69af7b77ce797b015d6922344ca059f3b46d28ec8bdfc"),
+    (16, 9): (56, "fc348fec7f5b2dd1c61a3ea4f9b6e48cd01161e550ed3f0de6d8265ea7f8566a"),
+    (12, 41): (53, "943a9b911cf14bd650f770778b877747ade499fda5f8b5667ab22888a6236fb3"),
+}
+
+
+def _scenario_digest(data) -> str:
+    """sha256 over the dtype, shape and bytes of the test split and of every client's splits."""
+    import hashlib
+
+    h = hashlib.sha256()
+    for a in [data.test.x, data.test.y, *(a for cd in data.clients for s in (cd.train, cd.val) for a in (s.x, s.y))]:
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("n, seed", RETRY_DIGESTS)
+def test_threshold_retries_rewrite_the_label_rows_to_the_pinned_bits(n, seed, monkeypatch) -> None:
+    """A draw accepted only after 3, 56 or 53 threshold attempts, each
+    rewriting every client's label rows, gives the pinned arrays: what is
+    kept is the accepted attempt's labels alone, cut from the same draws."""
+    from surgfed import data as data_module
+
+    calls = []
+    monkeypatch.setattr(data_module, "_labels_for", lambda *a, draw=data_module._labels_for: calls.append(1) or draw(*a))
+    spec = ScenarioSpec(n_per_client=n, d=4, M=6, K=3, seed=seed, shared_count=3, unique_count=3,
+                        skew="feature_shift", shift_sigma=1.0)
+    data = generate_synthetic(spec)
+    attempts, digest = RETRY_DIGESTS[n, seed]
+    assert len(calls) == attempts * (spec.K + 1)  # the test labels, then each client's, per attempt
+    assert _scenario_digest(data) == digest
+
+
 def _labels_by_formula(x, u, tau, noise, rng):
     """The label draw as three full float64 temporaries wrote it."""
     y = (x @ u.T > tau).astype(np.float64)

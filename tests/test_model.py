@@ -247,6 +247,92 @@ def test_group_with_per_client_loss_columns_equals_solo(tiny_arch) -> None:
         assert a.rng.random() == b.rng.random()
 
 
+def _split_stacks(arch, K=3, n=40, n_val=8) -> list[np.ndarray]:
+    """One C-contiguous (K, rows, ·) stack each of training features and
+    labels, then validation features and labels, as generation lays them."""
+    rng = np.random.default_rng(5)
+    x, y = rng.normal(size=(K, n + n_val, arch.in_dim)), (rng.random((K, n + n_val, 2)) < 0.5).astype(np.int8)
+    return [np.ascontiguousarray(a) for a in (x[:, :n], y[:, :n], x[:, n:], y[:, n:])]
+
+
+def _row_clients(arch, stacks, rows, copy: bool) -> list[ClientState]:
+    """Clients over the given rows of ``stacks``, as views or as copies."""
+    def split(x, y, k):
+        return LabeledSet(x[k].copy(), y[k].copy()) if copy else LabeledSet(x[k], y[k])
+    return [ClientState(id=k, arch=arch, params=init_model(arch, 2, seed=k), classes=(0, 1),
+                        train=split(*stacks[:2], k), val=split(*stacks[2:], k), rng=np.random.default_rng([40, k]))
+            for k in rows]
+
+
+@pytest.mark.parametrize("rows, copy", [((0, 1, 2), False), ((0, 1), False), ((1, 0, 2), False), ((0, 1, 2), True)],
+                         ids=["all-in-order", "strict-subset", "other-order", "separate-arrays"])
+def test_a_group_uses_an_array_in_place_only_when_it_holds_all_its_rows_in_order(tiny_arch, rows, copy) -> None:
+    """A group whose members' splits are, in order, all of one array's
+    rows uses that array as its stack.  A strict subset of its rows, the
+    rows in another order and rows of separate arrays each get a fresh
+    stack that shares no memory with its sources.  Either way the group
+    trains to the bits of a group of loose copies."""
+    stacks = _split_stacks(tiny_arch)
+    clients = _row_clients(tiny_arch, stacks, rows, copy)
+    sources = [[c.train.x, c.train.y, c.val.x, c.val.y] for c in clients]
+    group = ClientGroup(clients)
+    in_place = rows == (0, 1, 2) and not copy
+    for i, mine in enumerate((group.x, group.y, group.val_x, group.val_y)):
+        if in_place:
+            assert mine.__array_interface__["data"] == stacks[i].__array_interface__["data"]
+            assert mine.shape == stacks[i].shape
+        else:
+            assert not any(np.shares_memory(mine, s[i]) for s in sources)
+            assert not np.shares_memory(mine, stacks[i])
+        np.testing.assert_array_equal(mine, stacks[i][list(rows)])
+    loose = ClientGroup(_row_clients(tiny_arch, stacks, rows, copy=True))
+    for g in (group, loose):
+        head_warmup(g, 1, 0.05, 16)
+        local_train(g, 2, 0.05, 16)
+    for a, b in zip(group, loose):
+        assert params_equal(a.params, b.params)
+        assert a.last_train_loss == b.last_train_loss
+
+
+def test_src_keeps_one_copy_of_each_clients_rows() -> None:
+    """``simulator.py`` calls neither ``scatter_restricted`` nor
+    ``np.vstack``, and nothing in ``model.py`` outside ``stack_rows``
+    writes into a ``x``, ``y``, ``val_x`` or ``val_y`` attribute (item
+    or augmented assignment, an ``out=`` argument, ``np.copyto``), so a
+    per-client copy between generation and a group's stacks cannot come
+    back unnoticed."""
+    import ast
+
+    import surgfed
+
+    def stack_attr(node) -> bool:  # `<obj>.x`, `<obj>.x[...]`, `<obj>.x[...][...]`
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        return isinstance(node, ast.Attribute) and node.attr in ("x", "y", "val_x", "val_y")
+
+    root, found = Path(surgfed.__file__).parent, []
+    for node in ast.walk(ast.parse((root / "simulator.py").read_text())):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("scatter_restricted", "vstack"):
+            found.append(f"simulator.py:{node.lineno}: {ast.unparse(node.func)}")
+    tree = ast.parse((root / "model.py").read_text())
+    inside = {id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "stack_rows" for n in ast.walk(f)}
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Assign):
+            targets = [e for t in node.targets for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+            written = [t for t in targets if isinstance(t, ast.Subscript)]
+        elif isinstance(node, ast.AugAssign):
+            written = [node.target]
+        elif isinstance(node, ast.Call):
+            written = [k.value for k in node.keywords if k.arg == "out"]
+            written += node.args[:1] if ast.unparse(node.func).endswith("copyto") else []
+        else:
+            continue
+        found += [f"model.py:{node.lineno}: {ast.unparse(t)}" for t in written if stack_attr(t)]
+    assert found == []
+
+
 # --- the lean lock-step step against the per-batch loop ---------------------
 
 

@@ -26,8 +26,10 @@ from surgfed import (
     head_warmup,
     local_train,
     params_equal,
+    resolve_assignment,
     run_experiment,
     run_suite,
+    scatter_restricted,
     simulator,
 )
 from surgfed.cli import parse_config
@@ -317,9 +319,10 @@ def test_round_work_does_not_grow_with_the_client_count(K, monkeypatch) -> None:
 
 def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
     """Once the test plan holds the test set, the run keeps no reference
-    to the generated scenario, so its float64 test labels (and, for
-    wide-head methods, the clients' restricted labels) are freed before
-    round 1."""
+    to the generated scenario, so its test labels (and, for wide-head
+    methods, the restricted label stacks their clients' labels were
+    widened from) are freed before round 1.  The rows the clients train
+    on are generation's own stacks, so they stay."""
     import weakref
 
     for method in ("surgical", "vanilla_fl"):
@@ -333,6 +336,105 @@ def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
         monkeypatch.setattr(simulator, "generate_synthetic", draw)
         run_experiment(_cfg(method, T=2), round_hook=lambda r, gp, cs: dead.append(drawn[0]() is None))
         assert len(drawn) == 1 and dead == [True, True], method
+
+
+# every client holds two classes, so each method forms one lock-step group
+EVEN = ScenarioSpec(n_per_client=40, d=4, M=5, K=3, seed=13, assignment=[[0, 1], [1, 2], [3, 4]])
+
+
+def _is_memory_of(a: np.ndarray, b: np.ndarray) -> bool:
+    """``a`` is ``b``'s memory: the same address, shape, dtype and strides."""
+    return a.__array_interface__ == b.__array_interface__
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_set_up_copies_no_clients_rows(method, monkeypatch) -> None:
+    """A run trains on the arrays generation wrote.  In round 1 each
+    client's features, and for narrow heads its labels, are its generated
+    splits' memory; ``centralized``'s one client holds the generated
+    feature stacks, every site's rows in site order, and the widened
+    labels in the same order.  Wide heads hold their site's labels in its
+    class columns."""
+    drawn, checked = [], []
+
+    def draw(spec):
+        drawn.append(generate_synthetic(spec))
+        return drawn[-1]
+
+    def hook(r, global_params, clients):
+        sites, row = drawn[0].clients, simulator.METHOD_TABLE[method]
+        widened = [[scatter_restricted(s.y, cd.classes, EVEN.M) for s in (cd.train, cd.val)] for cd in sites]
+        if row.pooled:
+            (c,) = clients
+            for i, split in enumerate((c.train, c.val)):
+                parts = [(cd.train, cd.val)[i] for cd in sites]
+                n = parts[0].n
+                assert all(_is_memory_of(split.x[k * n:(k + 1) * n], p.x) for k, p in enumerate(parts))
+                np.testing.assert_array_equal(split.y, np.vstack([w[i] for w in widened]))
+        else:
+            for c, cd, w in zip(clients, sites, widened):
+                assert _is_memory_of(c.train.x, cd.train.x) and _is_memory_of(c.val.x, cd.val.x)
+                if row.wide:
+                    np.testing.assert_array_equal(c.train.y, w[0])
+                    np.testing.assert_array_equal(c.val.y, w[1])
+                else:
+                    assert _is_memory_of(c.train.y, cd.train.y) and _is_memory_of(c.val.y, cd.val.y)
+        checked.append(r)
+
+    monkeypatch.setattr(simulator, "generate_synthetic", draw)
+    run_experiment(_cfg(method, scenario=EVEN, T=1), round_hook=hook)
+    assert len(drawn) == 1 and checked == [1]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_class_list_out_of_order_runs_as_its_sorted_twin(method) -> None:
+    """A client's classes are taken in ascending order, the order of the
+    registry and of every head, so clients listing (2, 0, 1) and (3, 0)
+    train, merge and score as ones listing (0, 1, 2) and (0, 3).  Labels
+    cut in the listed order landed in the wrong head columns."""
+    listed = replace(HETERO, assignment=[[2, 0, 1], [3, 0]])
+    a, b = (run_experiment(_cfg(method, scenario=spec, T=2)) for spec in (listed, HETERO))
+    assert a.realized == b.realized and a.client_classes == b.client_classes
+    assert [(r.client_train_loss, r.client_val_loss, r.test_per_class) for r in a.reports] == \
+        [(r.client_train_loss, r.client_val_loss, r.test_per_class) for r in b.reports]
+    assert simulator._per_class_vector(a) == simulator._per_class_vector(b)
+
+
+class _GroupsFormed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("method", ["vanilla_fl", "centralized"])
+def test_wide_set_up_peaks_near_what_the_run_holds(method, monkeypatch) -> None:
+    """At ``wide_federation``'s shape (K=50, M=500), traced from the draw
+    until the run's groups are formed, the peak rises above what the run
+    then holds by at most the larger of two transients, plus one client's
+    full-width label block: the generated restricted labels, alive until
+    the clients are built, and the groups' parameter tables twice over
+    (the members' init copies and their stacks).  Widening, pooling and
+    grouping copy no client's rows (rises of 6.6 and 0.9 MiB against
+    bounds of 7.6 and 1.0 MiB); when they copied them the rises were 8.5
+    MiB (``vanilla_fl``) and 9.6 MiB (``centralized``)."""
+    spec = ScenarioSpec(n_per_client=300, d=20, M=500, K=50, seed=100, shared_count=50, unique_count=450,
+                        skew="feature_shift", shift_sigma=0.75)
+    seen = {}
+
+    def formed(clients, client_groups=simulator.client_groups):
+        groups = client_groups(clients)
+        seen["held"], seen["peak"] = tracemalloc.get_traced_memory()
+        seen["tables"] = sum(t.nbytes for g in groups for t in g.params.tables)
+        raise _GroupsFormed
+
+    monkeypatch.setattr(simulator, "client_groups", formed)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_GroupsFormed):
+            run_experiment(ExperimentConfig(scenario=spec, method=method, T=1, warmup_epochs=0))
+    finally:
+        tracemalloc.stop()
+    restricted = spec.n_per_client * sum(map(len, resolve_assignment(spec)))
+    bound = max(restricted, 2 * seen["tables"]) + spec.n_per_client * spec.M
+    assert seen["peak"] - seen["held"] <= bound, (seen, bound)
 
 
 def _record_plans(monkeypatch, keep=lambda plan: plan) -> list:
