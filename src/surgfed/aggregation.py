@@ -15,17 +15,15 @@ the averaged features, the statistics it keeps and the merged head cut
 to its columns, the cut that builds each client's initial model from the
 M-column init.
 
-All means are one rule, FedAvg's weighted mean as :func:`mean_arrays`
-sums it, left to right in client order; no weights means unit weights,
-which give the plain mean bit for bit.  It averages all feature tensors
-as one row per client, and all statistics as another.  The head merge
-applies it to all classes at once: it walks the clients in order,
-scatters each weighted head's columns into (feature, M) accumulators
-(assigned at a column's first holder, added at every later one) and
-their weights into per-class totals, then divides.
-The independent FedAvg reference, whole parameter sets averaged tensor
-by tensor, lives in the tests, which compare :func:`server_update`
-against it.
+All means are one rule, FedAvg's weighted mean summed left to right in
+client order; no weights means unit weights, which give the plain mean
+bit for bit.  One loop takes every mean of the round (the feature row,
+the statistics row, ``head_W`` and ``head_b``): it starts at -0.0, adds
+each client's weighted part at its columns, and divides each column by
+its holders' summed weights.  -0.0 + x is x bit for bit, so a column's
+first holder lands unchanged.  The independent FedAvg reference, whole
+parameter sets averaged tensor by tensor with :func:`mean_arrays`, lives
+in the tests, which compare :func:`server_update` against it.
 """
 
 from __future__ import annotations
@@ -40,15 +38,21 @@ from .registry import ClassRegistry, clients_with_class  # noqa: F401
 STRATEGIES = ("fedavg", "fedbn", "fedbn_plus")
 
 
+def _weights(weights, n: int) -> list[float]:
+    """``n`` weights, 1.0 each if None, each finite and not negative."""
+    weights = [1.0] * n if weights is None else [float(w) for w in weights]
+    if len(weights) != n or not all(0.0 <= w < np.inf for w in weights):
+        raise ConfigError(f"need {n} weights, each finite and not negative")
+    return weights
+
+
 def mean_arrays(arrays, weights=None) -> np.ndarray:
     """Weighted mean of equally-shaped arrays, summed left to right
     (index order = client order).  No weights means unit weights, the
     plain mean bit for bit: ``x * 1.0`` is ``x``, a sum of n ones is n."""
     if len(arrays) == 0:
         raise ConfigError("cannot average an empty list")
-    weights = [1.0] * len(arrays) if weights is None else [float(w) for w in weights]
-    if len(weights) != len(arrays):
-        raise ConfigError("one weight per array required")
+    weights = _weights(weights, len(arrays))
     total = sum(weights)
     if total <= 0.0:
         raise ConfigError("weights must sum to a positive value")
@@ -56,6 +60,23 @@ def mean_arrays(arrays, weights=None) -> np.ndarray:
     for a, w in zip(arrays[1:], weights[1:]):
         acc += a * w
     acc /= total
+    return acc
+
+
+def _merge(parts, cols, width: int, weights) -> np.ndarray:
+    """The round's one mean.  Client k's ``parts[k]`` lands at ``cols[k]``
+    of ``width`` columns on the last axis (``slice(None)`` for all of
+    them, else class indices).  Each column is ``part * w`` summed in
+    client order from -0.0, divided by its holders' summed weights."""
+    weights = _weights(weights, len(parts))
+    acc = np.full(parts[0].shape[:-1] + (width,), -0.0)
+    divisor = np.zeros(width)
+    for part, c, w in zip(parts, cols, weights):
+        acc[..., c] += part * w
+        divisor[c] += w
+    if np.any(divisor <= 0.0):
+        raise ConfigError("weights must sum to a positive value")
+    acc /= divisor
     return acc
 
 
@@ -75,8 +96,10 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
     column per held class in sorted class order.  Global column c is the
     mean of the (weights, bias) columns of the clients holding c, in
     ascending client order, weighted by ``weights`` (1.0 each if None);
-    the bias travels with its column.  Every column is bitwise what
-    :func:`mean_arrays` gives on its holders' columns.
+    the bias travels with its column.  It is the round's merge loop,
+    seeded at -0.0 so a lone holder's column, -0.0 included, lands as it
+    is; every column is bitwise what :func:`mean_arrays` gives on its
+    holders' columns.
     """
     if len(heads) != registry.n_clients:
         raise ContractViolation("one head per registry client required")
@@ -89,30 +112,9 @@ def surgical_head_update(heads, registry: ClassRegistry, weights=None):
             raise ContractViolation(f"head {k} width does not match its class list")
         if W.shape[0] != n_feat:
             raise ContractViolation("heads disagree on feature width")
-    M = registry.n_classes
-    weights = [1.0] * len(heads) if weights is None else [float(w) for w in weights]
-    if len(weights) != registry.n_clients:
-        raise ConfigError("one weight per client required")
-    global_W, global_b = np.empty((n_feat, M)), np.empty(M)
-    divisor = np.zeros(M)  # per-class weight totals, summed in client order
-    seen = np.zeros(M, dtype=bool)
-    for k, ((W, b, _), w) in enumerate(zip(heads, weights)):
-        W, b = W * w, b * w
-        cols = np.asarray(registry.client_classes[k])
-        later = seen[cols]
-        # a first holder's column is copied, never added to zero: 0.0 + -0.0 is +0.0
-        first = ~later
-        global_W[:, cols[first]] = W[:, first]
-        global_b[cols[first]] = b[first]
-        global_W[:, cols[later]] += W[:, later]
-        global_b[cols[later]] += b[later]
-        divisor[cols] += w
-        seen[cols] = True
-    if np.any(divisor <= 0.0):
-        raise ConfigError("weights must sum to a positive value")
-    global_W /= divisor
-    global_b /= divisor
-    return global_W, global_b
+    cols = [np.asarray(cs) for cs in registry.client_classes]
+    return (_merge([W for W, _, _ in heads], cols, registry.n_classes, weights),
+            _merge([b for _, b, _ in heads], cols, registry.n_classes, weights))
 
 
 def _need_finite(merged: np.ndarray, parts, name: str, layer: int | None = None) -> None:
@@ -164,21 +166,22 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
     if keep_global:
         if len(sets) != registry.n_clients:
             raise ContractViolation("one client state per registry client required")
+        cols = [np.asarray(cs) for cs in registry.client_classes]  # built once, merged and handed back
         for k, (c, ps) in enumerate(zip(clients, sets)):
-            cols = registry.client_classes[k]
-            if not set(c.classes) <= set(cols):
+            if not set(c.classes) <= set(registry.client_classes[k]):
                 raise ContractViolation(f"client {k} classes do not match the registry")
-            if ps.head_cols != len(cols):
+            if ps.head_cols != len(cols[k]):
                 raise ContractViolation(f"client {k} head width does not match the registry")
 
     # the averages, in rows laid out as client 0's; features and statistics
     # are each averaged as one row, then every tensor is checked
     glob = grad_views(sets[0], *(np.empty(t.size) for t in sets[0].tables))
     width = glob.feature_width
-    glob.tables[0][:width] = mean_arrays([ps.tables[0][:width] for ps in sets], weights)
+    every = [slice(None)] * len(sets)
+    glob.tables[0][:width] = _merge([ps.tables[0][:width] for ps in sets], every, width, weights)
     shared_stats = strategy == "fedavg"
     if shared_stats:
-        glob.tables[1][...] = mean_arrays([ps.tables[1] for ps in sets], weights)
+        glob.tables[1][...] = _merge([ps.tables[1] for ps in sets], every, glob.tables[1].size, weights)
     for group in ("feature", "bn_mean", "bn_var")[:3 if shared_stats else 1]:
         for key, a in sorted(getattr(glob, group).items()):
             _need_finite(a, (getattr(ps, group)[key] for ps in sets), f"{group}[{key!r}]",
@@ -193,8 +196,8 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
 
     global_params = None
     if keep_global:
-        heads = [(ps.head_W, ps.head_b, registry.client_classes[k]) for k, ps in enumerate(sets)]
-        global_W, global_b = surgical_head_update(heads, registry, weights)
+        global_W = _merge([ps.head_W for ps in sets], cols, registry.n_classes, weights)
+        global_b = _merge([ps.head_b for ps in sets], cols, registry.n_classes, weights)
         _need_finite(global_W, [ps.head_W for ps in sets], "head_W")
         _need_finite(global_b, [ps.head_b for ps in sets], "head_b")
         global_params = ParamSet(glob.feature, glob.bn_mean, glob.bn_var, global_W, global_b)
@@ -205,6 +208,6 @@ def server_update(clients, registry: ClassRegistry | None, strategy: str = "feda
         if shared_stats:
             ps.tables[1][...] = glob.tables[1]
         if keep_global:
-            np.take(global_W, registry.client_classes[k], axis=1, out=ps.head_W)
-            np.take(global_b, registry.client_classes[k], out=ps.head_b)
+            np.take(global_W, cols[k], axis=1, out=ps.head_W)
+            np.take(global_b, cols[k], out=ps.head_b)
     return global_params, sets

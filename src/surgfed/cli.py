@@ -228,9 +228,25 @@ def _write_run_outputs(out_dir: Path, result: RunResult, manifest: dict) -> None
             save_checkpoint(ps, out_dir / f"checkpoint_client{k}.csv")
 
 
+def _read_json(path):
+    """The JSON in file ``path``.  Text that is not UTF-8 or not JSON, or an
+    object that repeats a key, is a :class:`ConfigError` naming the file."""
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"{path}: key {key!r} appears twice in one object")
+            obj[key] = value
+        return obj
+
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=unique)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # both say where
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
-    with open(config_path) as f:
-        raw = json.load(f)
+    raw = _read_json(config_path)
     cfg = _apply_seed_override(parse_config(raw), seed)
     result = run_experiment(cfg)
     manifest = build_manifest(result)
@@ -239,8 +255,7 @@ def cmd_run(config_path, out_dir, seed: int | None = None) -> int:
 
 
 def cmd_suite(suite_path, out_dir, seed: int | None = None) -> int:
-    with open(suite_path) as f:
-        raw = json.load(f)
+    raw = _read_json(suite_path)
     _check_keys(raw, {"members": True, "reference": False}, "suite")
     members = raw["members"]
     if not isinstance(members, list) or not members:

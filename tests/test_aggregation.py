@@ -281,6 +281,20 @@ def test_merge_keeps_negative_zero_of_a_single_holder() -> None:
     # class 0 is shared: -0.0 + -0.0 stays -0.0, as in the oracle
     _assert_bitwise(W, _per_class_merge(heads, reg)[0])
     assert np.signbit(b[0])
+    # two holders of one class: -0.0 and -0.0 merge to -0.0, -0.0 and +0.0 to +0.0
+    reg = ClassRegistry(["a"], [(0,), (0,)])
+    for second, negative in ((-0.0, True), (0.0, False)):
+        heads = [(np.array([[-0.0]]), np.array([-0.0]), (0,)), (np.array([[second]]), np.array([second]), (0,))]
+        W, b = surgical_head_update(heads, reg)
+        assert W[0, 0] == b[0] == 0.0
+        assert np.signbit(W[0, 0]) == np.signbit(b[0]) == negative
+        _assert_bitwise(W, _per_class_merge(heads, reg)[0])
+    # a lone holder's inf passes through as it is
+    reg = ClassRegistry(["a", "b"], [(0, 1), (1,)])
+    heads = [(np.array([[np.inf, 1.0]]), np.array([-np.inf, 2.0]), (0, 1)),
+             (np.array([[3.0]]), np.array([4.0]), (1,))]
+    W, b = surgical_head_update(heads, reg)
+    assert (W[0, 0], b[0]) == (np.inf, -np.inf)
 
 
 def test_merge_rejects_a_class_whose_holders_weigh_nothing(small_registry) -> None:
@@ -292,6 +306,42 @@ def test_merge_rejects_a_class_whose_holders_weigh_nothing(small_registry) -> No
         _per_class_merge(heads, small_registry, weights=[1.0, 1.0, 0.0])
     with pytest.raises(ConfigError):
         surgical_head_update(heads, small_registry, weights=[1.0, 1.0])
+
+
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0], [-1.0, 2.0]], ids=["nan", "inf", "negative"])
+@pytest.mark.parametrize("entry", ["mean_arrays", "surgical_head_update", "server_update"])
+def test_merge_weights_must_be_finite_and_not_negative(entry, weights, tiny_arch) -> None:
+    """A NaN, infinite or negative weight is a ``ConfigError`` before any
+    arithmetic: it used to give NaN columns, or a "mean" outside its
+    parts.  A round refused this way writes no client."""
+    reg = ClassRegistry(["a", "b"], [(0, 1), (0,)])
+    clients = _client_states(reg, tiny_arch, seed=31)
+    snap = [c.params.copy() for c in clients]
+    call = {
+        "mean_arrays": lambda: mean_arrays([np.ones(3), np.ones(3)], weights),
+        "surgical_head_update": lambda: surgical_head_update(_heads_for(reg, 4, seed=32), reg, weights),
+        "server_update": lambda: server_update(clients, reg, weights=weights),
+    }[entry]
+    with np.errstate(all="raise"), pytest.raises(ConfigError, match="finite and not negative"):
+        call()
+    assert all(params_equal(c.params, ps) for c, ps in zip(clients, snap))
+
+
+def test_server_update_is_not_built_on_the_oracles_mean() -> None:
+    """The FedAvg oracle in this file averages with ``mean_arrays``.  The
+    round names neither it nor ``surgical_head_update``, so the oracle
+    does not check the round against itself: every mean of the round
+    goes through the one merge loop."""
+    import ast
+    import inspect
+
+    from surgfed import aggregation
+
+    tree = ast.parse(inspect.getsource(aggregation.server_update))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "_merge" in names
+    assert not names & {"mean_arrays", "surgical_head_update"}
 
 
 # --- feature strategies ---------------------------------------------------------

@@ -489,6 +489,38 @@ def test_exit_codes(tmp_path) -> None:
     assert main(["run", _write(tmp_path, broken, "b2.json"), "--out", str(tmp_path / "x")]) == 2
 
 
+# each turns a config file's text into the bytes of a malformed one
+_MALFORMED_FILES = {
+    "truncated": lambda text: text[:-7].encode(),
+    "not-utf8": lambda text: text.replace("surgical", "surgical\xe9").encode("latin-1"),
+    "repeated-key": lambda text: text.replace('"T": 6', '"T": 100, "T": 1').encode(),
+    "repeated-nested-key": lambda text: text.replace('"d": 5', '"d": 5, "d": 6').encode(),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "suite"])
+@pytest.mark.parametrize("kind", list(_MALFORMED_FILES))
+def test_malformed_config_file_exits_2_before_any_output(tmp_path, monkeypatch, capsys, command, kind) -> None:
+    """A config file that is cut short, is not UTF-8 text, or repeats a
+    key in one object exits 2, naming the file, before anything runs or
+    any output exists.  Each used to exit 1, or to run a repeated ``T``
+    with its last value."""
+    import surgfed.cli as cli
+
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("the run started"))
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("the suite started"))
+    text = json.dumps(SMALL_CONFIG)
+    if command == "suite":
+        text = '{"members": [%s]}' % text
+    path = tmp_path / "cfg.json"
+    path.write_bytes(_MALFORMED_FILES[kind](text))
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+
+
 def test_pfl_run_reports_undefined_full_set(tmp_path) -> None:
     cfg = {**SMALL_CONFIG, "method": "pfl"}
     out = tmp_path / "out"

@@ -287,9 +287,13 @@ def test_round_loop_reuses_its_large_arrays() -> None:
 def test_round_work_does_not_grow_with_the_client_count(K, monkeypatch) -> None:
     """K clients of one shape form one lock-step group.  In each of T=2
     rounds the kernel's forward pass runs once per training step (three
-    batches of 12, 12 and 8 rows), once to validate the group and once to
-    score the global model, at K=2 as at K=8; and the round loop makes no
-    ``ParamSet.copy`` or ``stack_params`` call."""
+    batches of 12, 12 and 8 rows), once to validate the group and, where
+    there is a global model, once to score it, at K=2 as at K=8.  The
+    server merges through one loop a fixed number of times: the feature
+    row, the statistics row, ``head_W`` and ``head_b`` under ``surgical``
+    with ``fedavg``, the feature row alone under ``pfl`` with ``fedbn``.
+    The round loop makes no ``ParamSet.copy`` or ``stack_params`` call."""
+    import surgfed.aggregation as aggregation
     import surgfed.model as model
     import surgfed.nn as nn
 
@@ -306,6 +310,7 @@ def test_round_work_does_not_grow_with_the_client_count(K, monkeypatch) -> None:
     monkeypatch.setattr(nn.ParamSet, "copy", counted("copy", nn.ParamSet.copy))
     for mod in (nn, model):
         monkeypatch.setattr(mod, "stack_params", counted("stack_params", nn.stack_params))
+    monkeypatch.setattr(aggregation, "_merge", counted("merge", aggregation._merge))
     monkeypatch.setattr(simulator, "_train_all", lambda *a, train=simulator._train_all: in_loop.append(1) or train(*a))
 
     def hook(r, global_params, clients):
@@ -313,8 +318,12 @@ def test_round_work_does_not_grow_with_the_client_count(K, monkeypatch) -> None:
         counts.clear()
 
     spec = ScenarioSpec(n_per_client=40, d=4, M=2, K=K, seed=11, assignment=[[0, 1]] * K)
-    run_experiment(_cfg("surgical", scenario=spec, T=2, batch_size=12), round_hook=hook)
-    assert per_round == [{"forward": 3 + 1 + 1}] * 2
+    for method, strategy, work in (("surgical", "fedavg", {"forward": 3 + 1 + 1, "merge": 4}),
+                                   ("pfl", "fedbn", {"forward": 3 + 1, "merge": 1})):
+        for log in (in_loop, per_round, counts):
+            log.clear()
+        run_experiment(_cfg(method, scenario=spec, T=2, batch_size=12, strategy=strategy), round_hook=hook)
+        assert per_round == [work] * 2, method
 
 
 def test_run_drops_its_scenario_data_before_training(monkeypatch) -> None:
